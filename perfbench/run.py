@@ -11,10 +11,10 @@ Run from the root of a checkout.  Every pass runs in a fresh worker process
     end-to-end metrics: the median pass wall time, the median set-up time
     over the passes plus set-up-only workers (SETUP_SAMPLES in all) and the
     median peak resident memory.
---trace 1: pass 0 untraced, then traced, TRACE_PAIRS times; prints the
-    median of each per-layer metric over the traced passes and
-    trace.overhead_s, the median traced minus the median untraced wall time.
-    Spans go to .perfbench/ in the checkout.
+--trace 1: pass 0 untraced, then traced, TRACE_PAIRS times while the run's
+    time budget allows; prints the median of each per-layer metric over the
+    traced passes and trace.overhead_s, the median traced minus the median
+    untraced wall time.  Spans go to .perfbench/ in the checkout.
 
 The last line of standard output is one JSON object with the keys correct,
 attempted, failed and metrics.  See perfbench/README.md.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -37,9 +38,9 @@ from workloads import WORKLOADS
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-MIN_PASSES = 3
+MIN_PASSES = 2
 SETUP_SAMPLES = 9
-TRACE_PAIRS = 2          # untraced and traced passes, alternated
+TRACE_PAIRS = 2          # untraced and traced passes, alternated, as time allows
 RUN_BUDGET_S = 170.0     # a run must end within 180 s
 
 END_TO_END = (("wall_s", "s"), ("setup_s", "s"), ("peak_rss_mb", "MB"))
@@ -95,8 +96,11 @@ def _untraced(args, deadline):
 def _traced(args, deadline):
     plain, traced = [], []
     for _ in range(TRACE_PAIRS):
+        began = time.monotonic()
         plain.append(_worker(args, deadline, "--pass-index", "0"))
         traced.append(_worker(args, deadline, "--pass-index", "0", "--trace"))
+        if time.monotonic() + 1.5 * (time.monotonic() - began) > deadline:
+            break
     metrics = {name: statistics.median(p["layers"][name] for p in traced)
                for name in traced[0]["layers"]}
     metrics["trace.overhead_s"] = (statistics.median(p["wall_s"] for p in traced)
@@ -153,6 +157,8 @@ def main(argv=None) -> int:
         print(f"no percolab sources under {ROOT / 'src'}; run from a full checkout",
               file=sys.stderr)
         return 2
+    # a terminated run stops its worker: subprocess.run kills it on the exception
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     deadline = time.monotonic() + RUN_BUDGET_S
     try:
         if args.trace:
