@@ -101,8 +101,13 @@ def _traced(args, deadline):
         traced.append(_worker(args, deadline, "--pass-index", "0", "--trace"))
         if time.monotonic() + 1.5 * (time.monotonic() - began) > deadline:
             break
-    metrics = {name: statistics.median(p["layers"][name] for p in traced)
-               for name in traced[0]["layers"]}
+    units = dict(LAYER_METRICS)
+    metrics = {}
+    for name in traced[0]["layers"]:
+        values = [p["layers"][name] for p in traced]
+        # counts repeat exactly across the traced passes of one seed: keep them whole
+        metrics[name] = (statistics.median_low(values) if units[name] == "count"
+                         else statistics.median(values))
     metrics["trace.overhead_s"] = (statistics.median(p["wall_s"] for p in traced)
                                    - statistics.median(p["wall_s"] for p in plain))
     return plain + traced, metrics
