@@ -9,8 +9,8 @@ Run from the root of a checkout.  Every pass runs in a fresh worker process
 --trace 0: passes run until S seconds have gone by (at least MIN_PASSES);
     pass i of an MC workload draws its seeds from (N, i).  Prints the
     end-to-end metrics: the median pass wall time, the median set-up time
-    over the passes plus set-up-only workers (SETUP_SAMPLES in all) and the
-    median peak resident memory.
+    over the passes plus SETUPS_PER_PASS set-up-only workers before each
+    pass, and the median peak resident memory.
 --trace 1: pass 0 untraced, then traced, TRACE_PAIRS times while the run's
     time budget allows; prints the median of each per-layer metric over the
     traced passes and trace.overhead_s, the median traced minus the median
@@ -39,7 +39,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 MIN_PASSES = 2
-SETUP_SAMPLES = 9
+SETUPS_PER_PASS = 5
 TRACE_PAIRS = 2          # untraced and traced passes, alternated, as time allows
 RUN_BUDGET_S = 170.0     # a run must end within 180 s
 
@@ -75,16 +75,19 @@ def _worker(args, deadline, *extra):
 def _untraced(args, deadline):
     began = time.monotonic()
     passes = []
+    setups = []
     while True:
+        # set-up samples are spread over the run: the host's speed changes every
+        # few seconds, and one set-up is far too short to average that out
+        setups += [_worker(args, deadline, "--setup-only")["setup_s"]
+                   for _ in range(SETUPS_PER_PASS)]
         passes.append(_worker(args, deadline, "--pass-index", str(len(passes))))
+        setups.append(passes[-1]["setup_s"])
         elapsed = time.monotonic() - began
         last = passes[-1]["wall_s"] + passes[-1]["setup_s"]
         if len(passes) >= MIN_PASSES and (elapsed >= args.seconds
                                           or time.monotonic() + 1.5 * last > deadline):
             break
-    setups = [p["setup_s"] for p in passes]
-    while len(setups) < SETUP_SAMPLES:
-        setups.append(_worker(args, deadline, "--setup-only")["setup_s"])
     metrics = {
         "wall_s": statistics.median(p["wall_s"] for p in passes),
         "setup_s": statistics.median(setups),
@@ -121,6 +124,9 @@ def _report(args, passes, metrics, units):
     traced = [p for p in passes if "layers" in p]
     print("  pass wall_s: " + ", ".join(f"{p['wall_s']:.4f}" for p in plain)
           + ("  traced: " + ", ".join(f"{p['wall_s']:.4f}" for p in traced) if traced else ""))
+    # CPU time of the same passes: a wall time well above it was spent waiting
+    # for a processor the host gave to others, not in percolab
+    print("  pass cpu_s:  " + ", ".join(f"{p['cpu_s']:.4f}" for p in plain))
     for op in plain[0]["ops"]:
         label = op["label"]
         times = [o["seconds"] for p in plain for o in p["ops"] if o["label"] == label]

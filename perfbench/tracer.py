@@ -61,8 +61,6 @@ TARGETS = (
     Target("checks", "run_check", "checks.run_check", SPAN, ("corpus", "exact_mid", "mc_pairs")),
     Target("checks", "scan_conjectures", "checks.scan_conjectures", SPAN, ("corpus",)),
     Target("corpus", "run_entry", "corpus.run_entry", SPAN, ("corpus",)),
-    Target("corpus", "run_corpus", "corpus.run_corpus", SPAN, ("corpus",)),
-    Target("cli", "_guarded", "cli.guarded", SPAN, ("corpus",)),
 )
 
 # Every per-layer metric with its unit, in the order BENCHMARK.json lists them.

@@ -65,6 +65,7 @@ def main(argv=None) -> int:
     results = []
     op_s = {}
     start = time.perf_counter()
+    cpu_start = time.process_time()
     for op in ops:
         t = time.perf_counter()
         try:
@@ -79,11 +80,13 @@ def main(argv=None) -> int:
         op_s[op.label] = time.perf_counter() - t
         results.append((op, result, error))
     wall_s = time.perf_counter() - start
+    cpu_s = time.process_time() - cpu_start
 
     reference = json.loads(Path(HERE, "reference.json").read_text(encoding="utf-8"))
     attempted, failed, mismatches = workloads.verify(args.workload, results, reference)
     out.update(
         wall_s=wall_s,
+        cpu_s=cpu_s,
         peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         attempted=attempted,
         failed=failed,

@@ -2,8 +2,9 @@
 
 Each workload is a fixed list of operations run closed-loop, one after the
 other, in a single fresh process.  ``build`` is the set-up (graphs, parsed
-strategies, seeds, the corpus entry list); per-graph truth, flow and weight
-tables are left cold, because every CLI user pays for them on every run.
+strategies, seeds); per-graph truth, flow and weight tables are left cold,
+because every CLI user pays for them on every run.  The corpus entry list is
+not built in set-up, because the CLI builds it inside the timed pass.
 ``verify`` compares each operation's output with the pinned reference in
 ``reference.json``.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import random
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 from typing import Callable
@@ -51,6 +53,22 @@ MC_PAIRS = (
     ("vdbk_tree/dfs@grid:3,4", "vdbk_tree", "family:grid:3,4,p=0.5", "dfs:a,id,S", 1000),
 )
 
+# label, graph spec, strategy spec, configuration pairs drawn.  No exact check
+# reaches the witness-split search (no strategy reads c2), and the MC SqS rows
+# only pin its hit rate to a few standard errors, so these operations pin the
+# answer of ``sq_s_occurrence`` itself on fixed pairs (c1, c2), with S revealed
+# by the strategy as in ``mc_pair``.  Only pairs with A on c1 and B on c1 | c2
+# are searched: without both, no split can succeed.  The pairs are drawn from
+# WITNESS_SEED, not from --seed, so that every answer can be pinned exactly.
+# bfs_cluster puts a's whole open cluster and its closed boundary in S, so the
+# answer turns on the split of S alone; dfs_stop_at stops at b or c, so the
+# edges outside S decide too.
+SQS_WITNESS = (
+    ("sqs_witness/bfs@grid:3,4", "family:grid:3,4,p=0.5", "bfs_cluster:a", 160),
+    ("sqs_witness/stop_at@grid:3,4", "family:grid:3,4,p=0.5", "dfs_stop_at:a,b,c", 160),
+)
+WITNESS_SEED = 20_240_815
+
 # An MC value passes when it lies within SIGMA standard errors of its
 # reference; the standard error is the spread of that value over the seeds of
 # the reference sweep, at the same sample count.
@@ -86,9 +104,6 @@ def build(workload: str, seed: int, pass_index: int) -> list[Op]:
 
 def _corpus_op() -> Op:
     from percolab import cli
-    from percolab.corpus import corpus_entries
-
-    corpus_entries()  # the entry list is an input the CLI rebuilds: built once in set-up
     captured = {}
     inner = cli.run_corpus
 
@@ -132,7 +147,7 @@ def _exact_mid_ops() -> list[Op]:
 
 
 def _mc_pairs_ops(seed: int, pass_index: int) -> list[Op]:
-    from percolab import graph_from_spec, parse_strategy, run_check
+    from percolab import graph_from_spec, parse_event, parse_strategy, run_check
 
     ops = []
     for i, (label, check_id, spec, strategy, samples) in enumerate(MC_PAIRS):
@@ -142,7 +157,31 @@ def _mc_pairs_ops(seed: int, pass_index: int) -> list[Op]:
         ops.append(Op(label, lambda c=check_id, g=g, p=params, n=samples, s=s:
                       run_check(c, g, p, "mc", samples=n, seed=s),
                       edges=g.n_edges, samples=samples, info={"mc_seed": s}))
+    A, B = (parse_event(text) for text in PAIR_EVENTS)
+    for i, (label, spec, strategy, draws) in enumerate(SQS_WITNESS):
+        g = graph_from_spec(spec)
+        rng = random.Random(WITNESS_SEED + i)
+        pairs = [(rng.getrandbits(g.n_edges), rng.getrandbits(g.n_edges)) for _ in range(draws)]
+        ops.append(Op(label, lambda g=g, t=parse_strategy(strategy), pairs=pairs:
+                      _witness_bits(g, t, A, B, pairs), edges=g.n_edges))
     return ops
+
+
+def _witness_bits(g, t, A, B, pairs) -> str:
+    """'1'/'0' per searched pair: does ``sq_s_occurrence`` find a split."""
+    from percolab.events import evaluate_mask, sq_s_occurrence
+    from percolab.graphs import Configuration
+    from percolab.strategies import run
+
+    bits = []
+    for m1, m2 in pairs:
+        if not (evaluate_mask(A, g, m1) and evaluate_mask(B, g, m1 | m2)):
+            continue
+        c1, c2 = Configuration(g, m1), Configuration(g, m2)
+        s_mask = run(t, g, c1, c2).s_mask(g)
+        s_edges = [e for e in g.edge_ids if s_mask >> g.edge_index(e) & 1]
+        bits.append("1" if sq_s_occurrence(A, B, g, c1, c2, s_edges) else "0")
+    return "".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +200,14 @@ def outcome(workload: str, result) -> dict:
                 "rows": [_row(r) for r in result["reports"]]}
     if isinstance(result, float):
         return {"value": result}
+    if isinstance(result, str):
+        return {"bits": result}
     return _row(result)
 
 
 def _mismatch_fields(got: dict, ref: dict) -> list[str]:
     bad = []
-    for key in ("check_id", "graph", "method", "value"):
+    for key in ("check_id", "graph", "method", "value", "bits"):
         if key in ref and got.get(key) != ref[key]:
             bad.append(f"{key} {got.get(key)!r} != {ref[key]!r}")
     if ref.get("method") == "mc":
