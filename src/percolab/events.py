@@ -210,23 +210,25 @@ def _wrap(e, for_union=False):
     return text
 
 
-def event_vertices(e: EventExpr) -> frozenset:
-    if isinstance(e, PartitionAtom):
-        return frozenset(v for grp in e.groups for v in grp)
-    if isinstance(e, NPathsAtom):
-        return frozenset((e.u, e.v))
-    if isinstance(e, Union) or isinstance(e, Intersect):
-        out = frozenset()
+def atoms(e: EventExpr):
+    """The partition and npaths atoms of an expression, left to right."""
+    if isinstance(e, (PartitionAtom, NPathsAtom)):
+        yield e
+    elif isinstance(e, (Union, Intersect)):
         for x in e.items:
-            out |= event_vertices(x)
-        return out
-    return event_vertices(e.item)
+            yield from atoms(x)
+    elif isinstance(e, Complement):
+        yield from atoms(e.item)
+    else:
+        raise TypeError(f"not an event expression: {e!r}")
 
 
 def _resolve(e: EventExpr, g: Graph):
-    for v in event_vertices(e):
-        if v not in g._vidx:
-            raise EvaluationError(f"event references unknown vertex {v!r}")
+    for a in atoms(e):
+        names = (a.u, a.v) if isinstance(a, NPathsAtom) else sum(a.groups, ())
+        for v in names:
+            if v not in g._vidx:
+                raise EvaluationError(f"event references unknown vertex {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +322,9 @@ def evaluate(e: EventExpr, g: Graph, c: Configuration) -> bool:
         raise EvaluationError("configuration belongs to a different graph")
     _resolve(e, g)
     labels = None
-    if _has_partition(e):
+    if any(isinstance(a, PartitionAtom) for a in atoms(e)):
         labels = cluster_labels(g, c.mask)
     return evaluate_mask(e, g, c.mask, labels)
-
-
-def _has_partition(e) -> bool:
-    if isinstance(e, PartitionAtom):
-        return True
-    if isinstance(e, (Union, Intersect)):
-        return any(_has_partition(x) for x in e.items)
-    if isinstance(e, Complement):
-        return _has_partition(e.item)
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,55 @@
 """Exact probabilities by exhaustive enumeration; the ground-truth oracle.
 
-Configurations are enumerated as bitmasks in lexicographic edge-id order.
-Sums use math.fsum so the advertised 1e-12 tolerances are honest for the
-dyadic probabilities the built-in corpus uses.
+Configurations are bitmasks in lexicographic edge-id order.  Enumeration is
+"sampling" with deterministic periodic columns: bit m of the column of edge
+j is bit j of m, so the 2^E bits of the columns list every configuration
+once.  Truth tables run these columns through the bit-parallel evaluator of
+the Monte Carlo engine, a few big-integer AND/OR sweeps per event instead of
+a cluster labelling per mask.
+
+Disjoint-path counts come from Menger levels over the same columns.  Level
+F_k is the bitmask of configurations with at least k pairwise edge-disjoint
+open u-v paths.  Closing one open edge lowers the u-v max-flow by at most
+one, and closing an edge of a minimum cut lowers it by exactly one, so
+
+    F_1 = reach(u, v)
+    F_k = F_1 & AND_j (~col_j | F_{k-1} << 2^j)
+
+where shifting a table left by 2^j moves the value at m - 2^j (m with edge
+j closed) to m.  The levels shrink to a fixed point: 0 by level
+min(deg u, deg v) + 1, or every configuration when u == v.
+
+Sums use math.fsum, which rounds the exact sum once, so the advertised 1e-12
+tolerances are honest for the dyadic probabilities the built-in corpus uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+
+import numpy as np
 
 from . import config
 from .errors import SizeGuardError
-from .events import (EventExpr, evaluate_mask, open_maxflow,
-                     require_increasing, unparse, _resolve, _has_partition)
-from .graphs import Configuration, Graph, cluster_labels
+from .events import (EventExpr, NPathsAtom, atoms, require_increasing,
+                     unparse, _resolve)
+from .graphs import Configuration, Graph
+from .mc import _compile_bitparallel, _group_reps, _reach_masks
 from .strategies import Strategy, run, splice_mask
+
+
+def _check_size(g: Graph) -> None:
+    if g.n_edges > config.MAX_EXACT_EDGES:
+        raise SizeGuardError(f"exact enumeration limited to {config.MAX_EXACT_EDGES} edges")
 
 
 def weights(g: Graph) -> list[float]:
     """Probability of every configuration mask, index-aligned."""
     if g._weights is not None:
         return g._weights
-    if g.n_edges > config.MAX_EXACT_EDGES:
-        raise SizeGuardError(f"exact enumeration limited to {config.MAX_EXACT_EDGES} edges")
+    _check_size(g)
     w = [1.0]
     for p in g.probs:
         q = 1.0 - p
@@ -32,47 +58,83 @@ def weights(g: Graph) -> list[float]:
     return w
 
 
+def _columns(n_edges: int) -> list[int]:
+    """Periodic edge columns over all 2^E masks: bit m of column j is bit j of m."""
+    n = 1 << n_edges
+    nbytes = max(1, n >> 3)
+    full = (1 << n) - 1
+    cols = []
+    for j in range(n_edges):
+        if j < 3:
+            pattern = (b"\xaa", b"\xcc", b"\xf0")[j] * nbytes
+        else:
+            half = 1 << (j - 3)
+            pattern = (bytes(half) + b"\xff" * half) * (nbytes // (2 * half))
+        cols.append(int.from_bytes(pattern, "little") & full)
+    return cols
+
+
+def _unpack(bits: int, n: int) -> bytearray:
+    """One byte per mask m < n: 1 where bit m is set."""
+    raw = np.frombuffer(bits.to_bytes(max(1, n >> 3), "little"), dtype=np.uint8)
+    return bytearray(np.unpackbits(raw, bitorder="little")[:n])
+
+
+def _level(levels: list[int], n: int) -> int:
+    """Menger level F_n; levels past the stored fixed point equal the last."""
+    return levels[min(n, len(levels)) - 1]
+
+
 def truth_table(g: Graph, e: EventExpr) -> bytearray:
     """Indicator of the event over all configuration masks (cached per graph)."""
     key = unparse(e)
     tab = g._event_tables.get(key)
     if tab is not None:
         return tab
-    if g.n_edges > config.MAX_EXACT_EDGES:
-        raise SizeGuardError(f"exact enumeration limited to {config.MAX_EXACT_EDGES} edges")
+    _check_size(g)
     _resolve(e, g)
     n = 1 << g.n_edges
-    tab = bytearray(n)
-    needs_labels = _has_partition(e)
-    for mask in range(n):
-        labels = cluster_labels(g, mask) if needs_labels else None
-        if evaluate_mask(e, g, mask, labels):
-            tab[mask] = 1
+    reach = _reach_masks(g, _columns(g.n_edges), n, _group_reps(e))
+    npaths = {a: _level(flow_table(g, a.u, a.v), a.n)
+              for a in atoms(e) if isinstance(a, NPathsAtom)}
+    tab = _unpack(_compile_bitparallel(e, g, reach, (1 << n) - 1, npaths), n)
     g._event_tables[key] = tab
     return tab
 
 
-def flow_table(g: Graph, u: str, v: str, cap: int = 8) -> bytearray:
-    """min(max-flow, cap) between u and v for every configuration mask."""
+def flow_table(g: Graph, u: str, v: str) -> list[int]:
+    """Menger levels between u and v (cached per graph).
+
+    Entry k-1 is the bitmask of configuration masks with at least k pairwise
+    edge-disjoint open u-v paths.  The list ends at the fixed point of the
+    level recursion, and every deeper level equals its last entry: 0 when
+    u != v, every mask when u == v.
+    """
     key = (u, v)
-    tab = g._flow_tables.get(key)
-    if tab is not None:
-        return tab
-    if g.n_edges > config.MAX_EXACT_EDGES:
-        raise SizeGuardError(f"exact enumeration limited to {config.MAX_EXACT_EDGES} edges")
+    levels = g._flow_tables.get(key)
+    if levels is not None:
+        return levels
+    _check_size(g)
     n = 1 << g.n_edges
-    tab = bytearray(n)
-    for mask in range(n):
-        tab[mask] = min(open_maxflow(g, mask, u, v, cap=cap), cap)
-    g._flow_tables[key] = tab
-    return tab
+    cols = _columns(g.n_edges)
+    first = _reach_masks(g, cols, n, [u])[u][v]
+    levels = [first]
+    while levels[-1]:
+        prev = levels[-1]
+        nxt = first
+        for j, col in enumerate(cols):
+            nxt &= ~col | (prev << (1 << j))
+        if nxt == prev:  # only when u == v: every level is every mask
+            break
+        levels.append(nxt)
+    g._flow_tables[key] = levels
+    return levels
 
 
 def exact_prob(g: Graph, e: EventExpr) -> float:
     """Probability of the event under independent edge openings."""
     w = weights(g)
-    tab = truth_table(g, e)
-    return math.fsum(w[m] for m in range(len(w)) if tab[m])
+    return math.fsum(compress(w, truth_table(g, e)))
 
 
 def exact_npaths(g: Graph, u: str, v: str, n: int) -> float:
@@ -80,9 +142,7 @@ def exact_npaths(g: Graph, u: str, v: str, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     w = weights(g)
-    cap = max(8, n)
-    tab = flow_table(g, u, v, cap=cap)
-    return math.fsum(w[m] for m in range(len(w)) if tab[m] >= n)
+    return math.fsum(compress(w, _unpack(_level(flow_table(g, u, v), n), len(w))))
 
 
 # ---------------------------------------------------------------------------

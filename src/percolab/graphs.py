@@ -138,7 +138,7 @@ class Graph:
 
         self.name = name
         self._event_tables: dict[str, bytearray] = {}
-        self._flow_tables: dict[tuple[str, str], bytearray] = {}
+        self._flow_tables: dict[tuple[str, str], list[int]] = {}
         self._weights: list[float] | None = None
         self._submask_cache: dict[int, list[tuple[int, float]]] = {}
         self._faces: FaceSet | None = None

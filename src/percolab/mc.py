@@ -8,8 +8,10 @@ which preserves monotone couplings across parameter sweeps.
 
 Connectivity events are evaluated for all samples at once: each edge gets a
 bitmask of samples where it is open, and cluster reachability is propagated
-with big-integer AND/OR sweeps.  Events containing npaths atoms fall back to
-a per-sample max-flow loop.
+with big-integer AND/OR sweeps.  The exact engine runs the same evaluator on
+periodic columns that enumerate every configuration.  Events containing
+npaths atoms fall back to a per-sample max-flow loop, on graphs of at most
+63 edges, since each sampled configuration is packed into one uint64.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SizeGuardError
 from .events import (Complement, EventExpr, Intersect, NPathsAtom,
-                     PartitionAtom, Union, event_vertices, evaluate_mask,
-                     open_maxflow, _resolve)
+                     PartitionAtom, Union, atoms, evaluate_mask, open_maxflow,
+                     _resolve)
 from .graphs import Configuration, Graph
 from .strategies import Strategy, run, splice_mask
 
@@ -93,6 +96,9 @@ def _edge_bit_columns(g: Graph, n: int, seed: int, stride: int, offset: int):
 
 def _sample_masks(g: Graph, n: int, seed: int, stride: int, offset: int) -> np.ndarray:
     """Per-sample configuration masks as uint64 (graphs up to 63 edges)."""
+    if g.n_edges >= 64:
+        raise SizeGuardError(
+            f"per-sample configuration masks limited to 63 edges, got {g.n_edges}")
     idx = np.arange(n, dtype=np.uint64)
     masks = np.zeros(n, dtype=np.uint64)
     for j, p in enumerate(g.probs):
@@ -105,7 +111,7 @@ def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:
     """source vertex -> {vertex -> bitmask of samples where connected}."""
     full = (1 << n) - 1
     out = {}
-    edge_list = [(g.edge_index(e), g.vertex_index(u), g.vertex_index(v))
+    edge_list = [(cols[g.edge_index(e)], g.vertex_index(u), g.vertex_index(v))
                  for e, u, v in g.edges]
     for s in sources:
         reach = [0] * g.n_vertices
@@ -113,31 +119,30 @@ def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:
         changed = True
         while changed:
             changed = False
-            for ei, ui, vi in edge_list:
-                col = cols[ei]
-                t = reach[ui] & col
-                if t & ~reach[vi]:
-                    reach[vi] |= t
-                    changed = True
-                t = reach[vi] & col
-                if t & ~reach[ui]:
+            for col, ui, vi in edge_list:
+                # samples where the edge is open and exactly one end is reached
+                t = (reach[ui] ^ reach[vi]) & col
+                if t:
                     reach[ui] |= t
+                    reach[vi] |= t
                     changed = True
         out[s] = {v: reach[g.vertex_index(v)] for v in g.vertices}
     return out
 
 
-def _contains_npaths(e) -> bool:
-    if isinstance(e, NPathsAtom):
-        return True
-    if isinstance(e, (Union, Intersect)):
-        return any(_contains_npaths(x) for x in e.items)
-    if isinstance(e, Complement):
-        return _contains_npaths(e.item)
-    return False
+def _group_reps(e: EventExpr) -> list[str]:
+    """First vertex of every partition group: the reach sources an event reads."""
+    return sorted({grp[0] for a in atoms(e) if isinstance(a, PartitionAtom)
+                   for grp in a.groups})
 
 
-def _compile_bitparallel(e: EventExpr, g: Graph, reach: dict, full: int) -> int:
+def _compile_bitparallel(e: EventExpr, g: Graph, reach: dict, full: int,
+                         npaths: dict | None = None) -> int:
+    """Bitmask of the columns' configurations where the event holds.
+
+    ``reach`` comes from ``_reach_masks`` over ``_group_reps(e)``; npaths
+    atoms are read from ``npaths`` (atom -> bitmask), when given.
+    """
     if isinstance(e, PartitionAtom):
         acc = full
         reps = [grp[0] for grp in e.groups]
@@ -149,18 +154,20 @@ def _compile_bitparallel(e: EventExpr, g: Graph, reach: dict, full: int) -> int:
             for j in range(i + 1, len(reps)):
                 acc &= full ^ reach[reps[i]][reps[j]]
         return acc
+    if isinstance(e, NPathsAtom) and npaths is not None:
+        return npaths[e]
     if isinstance(e, Union):
         acc = 0
         for x in e.items:
-            acc |= _compile_bitparallel(x, g, reach, full)
+            acc |= _compile_bitparallel(x, g, reach, full, npaths)
         return acc
     if isinstance(e, Intersect):
         acc = full
         for x in e.items:
-            acc &= _compile_bitparallel(x, g, reach, full)
+            acc &= _compile_bitparallel(x, g, reach, full, npaths)
         return acc
     if isinstance(e, Complement):
-        return full ^ _compile_bitparallel(e.item, g, reach, full)
+        return full ^ _compile_bitparallel(e.item, g, reach, full, npaths)
     raise TypeError(f"cannot bit-compile {e!r}")
 
 
@@ -169,32 +176,15 @@ def mc_prob(g: Graph, e: EventExpr, n: int, seed: int) -> Estimate:
     if n < 1:
         raise ValueError("need n >= 1 samples")
     _resolve(e, g)
-    if _contains_npaths(e):
+    if any(isinstance(a, NPathsAtom) for a in atoms(e)):
         masks = _sample_masks(g, n, seed, g.n_edges, 0)
         hits = sum(1 for m in masks.tolist() if evaluate_mask(e, g, int(m)))
         return Estimate.from_count(hits, n, seed)
     cols = _edge_bit_columns(g, n, seed, g.n_edges, 0)
-    sources = sorted({grp[0] for grp in _partition_groups(e)} |
-                     {v for v in _rep_vertices(e)})
-    reach = _reach_masks(g, cols, n, sources)
+    reach = _reach_masks(g, cols, n, _group_reps(e))
     full = (1 << n) - 1
     hits = _compile_bitparallel(e, g, reach, full).bit_count()
     return Estimate.from_count(hits, n, seed)
-
-
-def _partition_groups(e):
-    if isinstance(e, PartitionAtom):
-        yield from e.groups
-    elif isinstance(e, (Union, Intersect)):
-        for x in e.items:
-            yield from _partition_groups(x)
-    elif isinstance(e, Complement):
-        yield from _partition_groups(e.item)
-
-
-def _rep_vertices(e):
-    # all vertices referenced; reachability from each lets atoms test pairs
-    return event_vertices(e)
 
 
 def mc_npaths(g: Graph, u: str, v: str, n_paths: int, samples: int, seed: int) -> Estimate:

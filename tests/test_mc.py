@@ -1,5 +1,7 @@
-from percolab import (Estimate, exact_pair, exact_prob, generate,
-                      graph_from_spec, mc_npaths, mc_pair, mc_prob,
+import pytest
+
+from percolab import (Estimate, SizeGuardError, exact_pair, exact_prob,
+                      generate, graph_from_spec, mc_npaths, mc_pair, mc_prob,
                       parse_event, parse_strategy)
 from percolab.exact import Joint, exact_npaths
 from percolab.mc import mc_flow_tail
@@ -139,3 +141,21 @@ def test_pair_bound_on_grid_at_three_sigma():
     se = (joint.std_error ** 2 + (2 * pbc.mean * pu.std_error) ** 2 +
           (2 * pu.mean * pbc.std_error) ** 2) ** 0.5
     assert rhs - joint.mean > -3 * se
+
+
+def test_sixty_four_edges_refused_where_masks_would_wrap():
+    # 84 edges: one uint64 per sampled configuration cannot hold them
+    g = graph_from_spec("family:grid:7,7,p=0.5")
+    assert g.n_edges == 84
+    with pytest.raises(SizeGuardError):
+        mc_npaths(g, "a", "b", 1, 2000, 3)
+    with pytest.raises(SizeGuardError):
+        mc_prob(g, parse_event("npaths(a,b,1)"), 2000, 3)
+    with pytest.raises(SizeGuardError):
+        mc_flow_tail(g, "a", "b", 2, 2000, 3)
+    ab = parse_event("a,b")
+    with pytest.raises(SizeGuardError):
+        mc_pair(g, parse_strategy("bfs_cluster:a"), Joint(ab, ab), 2000, 3)
+    # the column path has no per-sample mask and still runs
+    est = mc_prob(g, ab, 2000, 3)
+    assert 0.0 < est.mean < 1.0
