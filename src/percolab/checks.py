@@ -495,7 +495,9 @@ def run_check(check_id: str, g: Graph, params: dict | None = None,
         rhs = spec.rhs(vals)
         slack = rhs - lhs
         se = _propagated_se(lambda v: spec.rhs(v) - spec.lhs(v), vals, ses)
-        if slack >= sigma * se:
+        if not all(ses.values()):  # 0 or n hits: a zero Wald error, not a known term
+            verdict = "inconclusive"
+        elif slack >= sigma * se:
             verdict = "holds"
         elif slack <= -sigma * se:
             verdict = "violated"

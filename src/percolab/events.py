@@ -17,6 +17,12 @@ A partition atom holds when every group sits inside one open cluster and
 distinct groups sit in distinct clusters.  ``npaths(u,v,n)`` holds when the
 open subgraph carries n pairwise edge-disjoint u-v paths, decided by unit
 capacity max-flow.
+
+One column evaluator decides every configuration set, held as one n-bit
+integer per edge (bit i set when the edge is open in configuration i): one
+configuration for ``evaluate``, samples for Monte Carlo, periodic columns
+for enumeration, monotonicity and the witness splits of disjoint occurrence.
+``evaluate_mask`` (cluster labels, max-flow) is its per-mask reference.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import config
 from .errors import (EvaluationError, EventSyntaxError, MonotonicityError,
@@ -321,10 +329,135 @@ def evaluate(e: EventExpr, g: Graph, c: Configuration) -> bool:
     if c.graph is not g:
         raise EvaluationError("configuration belongs to a different graph")
     _resolve(e, g)
-    labels = None
-    if any(isinstance(a, PartitionAtom) for a in atoms(e)):
-        labels = cluster_labels(g, c.mask)
-    return evaluate_mask(e, g, c.mask, labels)
+    return bool(_evaluate_columns(e, g, [c.mask >> j & 1 for j in range(g.n_edges)], 1))
+
+
+# ---------------------------------------------------------------------------
+# Bit-parallel evaluation on configuration columns
+
+
+def _columns(n_edges: int) -> list[int]:
+    """Periodic edge columns over all 2^E masks: bit m of column j is bit j of m."""
+    n = 1 << n_edges
+    nbytes = max(1, n >> 3)
+    full = (1 << n) - 1
+    cols = []
+    for j in range(n_edges):
+        if j < 3:
+            pattern = (b"\xaa", b"\xcc", b"\xf0")[j] * nbytes
+        else:
+            half = 1 << (j - 3)
+            pattern = (bytes(half) + b"\xff" * half) * (nbytes // (2 * half))
+        cols.append(int.from_bytes(pattern, "little") & full)
+    return cols
+
+
+def _pack(bits: np.ndarray) -> int:
+    """Integer whose bit i is set where bits[i] is true."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit i of output j is bit j of rows[i].
+
+    Turns edge columns (width = n configurations) into per-configuration
+    masks, and masks (width = E edges) back into columns.
+    """
+    nbytes = (width + 7) // 8
+    if nbytes <= 8:  # rows fit one uint64 each: convert in bulk
+        raw = np.array(rows, dtype="<u8").view(np.uint8).reshape(len(rows), 8)[:, :nbytes]
+    else:
+        raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                            dtype=np.uint8).reshape(len(rows), nbytes)
+    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    if packed.shape[1] <= 8:  # outputs fit one uint64 each: convert in bulk
+        words = np.zeros((width, 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        return words.view("<u8")[:, 0].tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:
+    """source vertex -> {vertex -> bitmask of configurations where connected}."""
+    full = (1 << n) - 1
+    out = {}
+    edge_list = [(cols[g.edge_index(e)], g.vertex_index(u), g.vertex_index(v))
+                 for e, u, v in g.edges]
+    for s in sources:
+        reach = [0] * g.n_vertices
+        reach[g.vertex_index(s)] = full
+        changed = True
+        while changed:
+            changed = False
+            for col, ui, vi in edge_list:
+                # configurations where the edge is open and one end is reached
+                t = (reach[ui] ^ reach[vi]) & col
+                if t:
+                    reach[ui] |= t
+                    reach[vi] |= t
+                    changed = True
+        out[s] = {v: reach[g.vertex_index(v)] for v in g.vertices}
+    return out
+
+
+def _flow_levels(g: Graph, masks: list[int], u: str, v: str, cap: int) -> list[int]:
+    """Entry k-1: bitmask of the masks with at least k edge-disjoint open u-v paths."""
+    flows = np.array([open_maxflow(g, m, u, v, cap=cap) for m in masks], dtype=np.int64)
+    return [_pack(flows >= k) for k in range(1, cap + 1)]
+
+
+def _compile_bitparallel(e: EventExpr, reach: dict, full: int, npaths: dict) -> int:
+    """Bitmask of the columns' configurations where the event holds.
+
+    ``reach`` holds ``_reach_masks`` from the first vertex of each group;
+    npaths atoms are read from ``npaths`` (atom -> bitmask).
+    """
+    if isinstance(e, PartitionAtom):
+        acc = full
+        reps = [grp[0] for grp in e.groups]
+        for grp in e.groups:
+            r = grp[0]
+            for v in grp[1:]:
+                acc &= reach[r][v]
+        for i in range(len(reps)):
+            for j in range(i + 1, len(reps)):
+                acc &= full ^ reach[reps[i]][reps[j]]
+        return acc
+    if isinstance(e, NPathsAtom):
+        return npaths[e]
+    if isinstance(e, Union):
+        acc = 0
+        for x in e.items:
+            acc |= _compile_bitparallel(x, reach, full, npaths)
+        return acc
+    if isinstance(e, Intersect):
+        acc = full
+        for x in e.items:
+            acc &= _compile_bitparallel(x, reach, full, npaths)
+        return acc
+    if isinstance(e, Complement):
+        return full ^ _compile_bitparallel(e.item, reach, full, npaths)
+    raise TypeError(f"cannot bit-compile {e!r}")
+
+
+def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int,
+                      npaths: dict | None = None) -> int:
+    """Bitmask of the n column configurations where the (resolved) event holds.
+
+    Without ``npaths`` (atom -> bitmask), npaths atoms run one max-flow per
+    configuration and distinct (u, v), capped at the largest n asked for.
+    """
+    if npaths is None:
+        nps = [a for a in atoms(e) if isinstance(a, NPathsAtom)]
+        caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n)}  # largest n
+        masks = _transpose(cols, n) if nps else []
+        levels = {uv: _flow_levels(g, masks, *uv, cap) for uv, cap in caps.items()}
+        npaths = {a: levels[a.u, a.v][a.n - 1] for a in nps}
+    # reach starts from the first vertex of every partition group
+    reps = sorted({grp[0] for a in atoms(e) if isinstance(a, PartitionAtom)
+                   for grp in a.groups})
+    return _compile_bitparallel(e, _reach_masks(g, cols, n, reps), (1 << n) - 1, npaths)
 
 
 # ---------------------------------------------------------------------------
@@ -332,34 +465,25 @@ def evaluate(e: EventExpr, g: Graph, c: Configuration) -> bool:
 
 
 def monotonicity(e: EventExpr, g: Graph | None = None) -> Monotonicity:
-    """Syntactic monotonicity classification, with a brute-force fallback.
+    """Syntactic monotonicity classification, with an exhaustive fallback.
 
     Without a graph the answer is purely syntactic and may be NONE even for
     monotone events.  With a graph (<= 16 edges) a NONE verdict is settled
-    exactly by checking single-edge flips over all configurations.
+    exactly from the truth table: for each edge j, the configurations with j
+    closed are compared with the same configurations with j opened.
     """
     m = _syntactic(e)
     if m is not Monotonicity.NONE or g is None:
         return m
     if g.n_edges > config.MAX_CONTINUATION_EDGES:
         raise SizeGuardError("brute-force monotonicity limited to 16 edges")
-    _resolve(e, g)
-    inc = dec = True
-    for mask in range(1 << g.n_edges):
-        val = evaluate_mask(e, g, mask)
-        for i in range(g.n_edges):
-            if mask >> i & 1:
-                continue
-            up = evaluate_mask(e, g, mask | (1 << i))
-            if val and not up:
-                inc = False
-            if up and not val:
-                dec = False
-        if not inc and not dec:
-            return Monotonicity.NONE
-    if inc:
+    from .exact import truth_table
+    tab = np.frombuffer(truth_table(g, e), dtype=np.uint8)
+    # axis 1 of view j is bit j of the mask: 0 with edge j closed, 1 open
+    views = [tab.reshape(-1, 2, 1 << j) for j in range(g.n_edges)]
+    if all((v[:, 0] <= v[:, 1]).all() for v in views):
         return Monotonicity.INCREASING
-    if dec:
+    if all((v[:, 0] >= v[:, 1]).all() for v in views):
         return Monotonicity.DECREASING
     return Monotonicity.NONE
 
@@ -399,39 +523,50 @@ def require_increasing(e: EventExpr, g: Graph, what: str = "event") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Disjoint occurrence by witness-split enumeration
+# Disjoint occurrence by witness splits
 #
 # For increasing events A and B, two disjoint witnesses inside open(c) exist
 # exactly when open(c) splits into W and open(c) minus W with A holding on W
 # alone and B holding on the rest alone.  Enumerating splits of the open set
-# is therefore a complete decision procedure.
+# is therefore a complete decision procedure.  The 2^k splits of k open
+# edges are evaluated at once, as the periodic columns over those edges.
 
 
-def _iter_submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def disjoint_occurrence(A: EventExpr, B: EventExpr, g: Graph, c: Configuration) -> bool:
-    """A and B occur on disjoint open edge sets of c (both must be increasing)."""
-    if c.graph is not g:
-        raise EvaluationError("configuration belongs to a different graph")
+def _require_operands(A: EventExpr, B: EventExpr, g: Graph) -> None:
+    """Validate a disjoint-occurrence query: increasing operands on g's vertices."""
     require_increasing(A, g, "first operand")
     require_increasing(B, g, "second operand")
     _resolve(A, g)
     _resolve(B, g)
-    open_mask = c.mask
-    if open_mask.bit_count() > config.MAX_WITNESS_OPEN:
+
+
+def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
+                  s_mask: int) -> bool:
+    """The witness split of ``sq_s_occurrence`` on masks, operands validated.
+
+    Column i of the split set is periodic over the i-th open S-edge of c1.
+    A reads those columns plus the open c1 edges outside S; B reads their
+    complements plus the open c2 edges outside S.
+    """
+    s_open = s_mask & m1
+    k = s_open.bit_count()
+    if k > config.MAX_WITNESS_OPEN:
         raise SizeGuardError(
             f"more than {config.MAX_WITNESS_OPEN} open edges in witness search")
-    for w in _iter_submasks(open_mask):
-        if evaluate_mask(A, g, w) and evaluate_mask(B, g, open_mask & ~w):
-            return True
-    return False
+    n = 1 << k
+    full = (1 << n) - 1
+    fixed_a, fixed_b = m1 & ~s_mask, m2 & ~s_mask
+    cols_a = [full if fixed_a >> j & 1 else 0 for j in range(g.n_edges)]
+    cols_b = [full if fixed_b >> j & 1 else 0 for j in range(g.n_edges)]
+    for j, col in zip([j for j in range(g.n_edges) if s_open >> j & 1], _columns(k)):
+        cols_a[j], cols_b[j] = col, full ^ col
+    t_a = _evaluate_columns(A, g, cols_a, n)
+    return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n))
+
+
+def disjoint_occurrence(A: EventExpr, B: EventExpr, g: Graph, c: Configuration) -> bool:
+    """A and B occur on disjoint open edge sets of c (both must be increasing)."""
+    return sq_s_occurrence(A, B, g, c, c, g.edge_ids)
 
 
 def sq_s_occurrence(A: EventExpr, B: EventExpr, g: Graph,
@@ -446,22 +581,8 @@ def sq_s_occurrence(A: EventExpr, B: EventExpr, g: Graph,
     """
     if c1.graph is not g or c2.graph is not g:
         raise EvaluationError("configurations belong to a different graph")
-    require_increasing(A, g, "first operand")
-    require_increasing(B, g, "second operand")
-    _resolve(A, g)
-    _resolve(B, g)
+    _require_operands(A, B, g)
     s_mask = 0
     for eid in s_edges:
         s_mask |= 1 << g.edge_index(eid)
-    sbar = ((1 << g.n_edges) - 1) & ~s_mask
-    s_open = s_mask & c1.mask
-    if s_open.bit_count() > config.MAX_WITNESS_OPEN:
-        raise SizeGuardError(
-            f"more than {config.MAX_WITNESS_OPEN} open edges in witness search")
-    fixed_a = sbar & c1.mask
-    fixed_b = sbar & c2.mask
-    for w in _iter_submasks(s_open):
-        if evaluate_mask(A, g, w | fixed_a) and \
-           evaluate_mask(B, g, (s_open & ~w) | fixed_b):
-            return True
-    return False
+    return _split_occurs(A, B, g, c1.mask, c2.mask, s_mask)

@@ -3,9 +3,9 @@
 Configurations are bitmasks in lexicographic edge-id order.  Enumeration is
 "sampling" with deterministic periodic columns: bit m of the column of edge
 j is bit j of m, so the 2^E bits of the columns list every configuration
-once.  Truth tables run these columns through the bit-parallel evaluator of
-the Monte Carlo engine, a few big-integer AND/OR sweeps per event instead of
-a cluster labelling per mask.
+once.  Truth tables run these columns through the column evaluator of
+``events``, the one Monte Carlo runs on sampled columns: a few big-integer
+AND/OR sweeps per event instead of a cluster labelling per mask.
 
 Disjoint-path counts come from Menger levels over the same columns.  Level
 F_k is the bitmask of configurations with at least k pairwise edge-disjoint
@@ -33,10 +33,10 @@ import numpy as np
 
 from . import config
 from .errors import SizeGuardError
-from .events import (EventExpr, NPathsAtom, atoms, require_increasing,
-                     unparse, _resolve)
+from .events import (EventExpr, NPathsAtom, atoms, unparse, _columns,
+                     _evaluate_columns, _reach_masks, _require_operands, _resolve,
+                     _split_occurs)
 from .graphs import Configuration, Graph
-from .mc import _compile_bitparallel, _group_reps, _reach_masks
 from .strategies import Strategy, run, splice_mask
 
 
@@ -56,22 +56,6 @@ def weights(g: Graph) -> list[float]:
         w = [x * q for x in w] + [x * p for x in w]
     g._weights = w
     return w
-
-
-def _columns(n_edges: int) -> list[int]:
-    """Periodic edge columns over all 2^E masks: bit m of column j is bit j of m."""
-    n = 1 << n_edges
-    nbytes = max(1, n >> 3)
-    full = (1 << n) - 1
-    cols = []
-    for j in range(n_edges):
-        if j < 3:
-            pattern = (b"\xaa", b"\xcc", b"\xf0")[j] * nbytes
-        else:
-            half = 1 << (j - 3)
-            pattern = (bytes(half) + b"\xff" * half) * (nbytes // (2 * half))
-        cols.append(int.from_bytes(pattern, "little") & full)
-    return cols
 
 
 def _unpack(bits: int, n: int) -> bytearray:
@@ -94,10 +78,9 @@ def truth_table(g: Graph, e: EventExpr) -> bytearray:
     _check_size(g)
     _resolve(e, g)
     n = 1 << g.n_edges
-    reach = _reach_masks(g, _columns(g.n_edges), n, _group_reps(e))
     npaths = {a: _level(flow_table(g, a.u, a.v), a.n)
               for a in atoms(e) if isinstance(a, NPathsAtom)}
-    tab = _unpack(_compile_bitparallel(e, g, reach, (1 << n) - 1, npaths), n)
+    tab = _unpack(_evaluate_columns(e, g, _columns(g.n_edges), n, npaths), n)
     g._event_tables[key] = tab
     return tab
 
@@ -141,6 +124,7 @@ def exact_npaths(g: Graph, u: str, v: str, n: int) -> float:
     """Probability of n pairwise edge-disjoint open u-v paths."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _resolve(NPathsAtom(u, v, n), g)
     w = weights(g)
     return math.fsum(compress(w, _unpack(_level(flow_table(g, u, v), n), len(w))))
 
@@ -161,10 +145,6 @@ class SqS:
     """P of the S-relative disjoint occurrence of A and B (both increasing)."""
     A: EventExpr
     B: EventExpr
-
-
-def _edge_weight_pairs(g: Graph):
-    return [(p, 1.0 - p) for p in g.probs]
 
 
 def _submask_weights(g: Graph, mask: int) -> list[tuple[int, float]]:
@@ -211,8 +191,7 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     if g.n_edges > config.MAX_PAIR_EDGES:
         raise SizeGuardError(f"pair enumeration limited to {config.MAX_PAIR_EDGES} edges")
     if isinstance(q, SqS):
-        require_increasing(q.A, g, "first operand")
-        require_increasing(q.B, g, "second operand")
+        _require_operands(q.A, q.B, g)
     elif not isinstance(q, Joint):
         raise TypeError(f"unknown pair query {q!r}")
     if not t.uses_c2:
@@ -254,24 +233,17 @@ def _pair_fast(g: Graph, t: Strategy, q) -> float:
 
 
 def _pair_general(g: Graph, t: Strategy, q) -> float:
-    from .events import sq_s_occurrence
-
     w = weights(g)
     tab_a = truth_table(g, q.A)
     tab_b = truth_table(g, q.B)
     terms = []
     for m1 in range(len(w)):
-        c1 = Configuration(g, m1)
         for m2 in range(len(w)):
-            c2 = Configuration(g, m2)
-            trace = run(t, g, c1, c2)
-            s_mask = trace.s_mask(g)
+            s_mask = _s_mask_for(g, t, m1, m2)
             if isinstance(q, Joint):
                 ok = tab_a[m1] and tab_b[splice_mask(m1, m2, s_mask)]
             else:
-                ok = sq_s_occurrence(q.A, q.B, g, c1, c2,
-                                     [e for e in g.edge_ids
-                                      if s_mask >> g.edge_index(e) & 1])
+                ok = _split_occurs(q.A, q.B, g, m1, m2, s_mask)
             if ok:
                 terms.append(w[m1] * w[m2])
     return math.fsum(terms)

@@ -206,6 +206,15 @@ def test_mc_method_reports():
     assert r.to_dict() == r2.to_dict() or r.runtime_ms != r2.runtime_ms
 
 
+def test_mc_zero_hit_term_is_inconclusive():
+    # at p = 0.001 ten samples open no edge: every term has 0 hits and a zero
+    # Wald error, which says nothing about how far the slack is from zero
+    g = graph_from_spec("family:cycle:3,p=0.001")
+    r = run_check("dv8", g, method="mc", samples=10, seed=1)
+    assert r.lhs == r.rhs == 0.0
+    assert r.verdict == "inconclusive"
+
+
 def test_mc_requires_seed_and_samples():
     g = generate("cycle", 3, p=0.5)
     with pytest.raises(ValueError):

@@ -1,33 +1,35 @@
 """Bit-sliced enumeration against the per-mask oracle.
 
-Truth tables and Menger flow levels are built from periodic edge columns by
-the shared bit-parallel evaluator; these tests compare them, bit for bit,
-with ``evaluate_mask`` and ``open_maxflow`` run on every configuration mask.
+Truth tables, Menger flow levels, monotonicity and the witness splits of
+disjoint occurrence are all read from edge columns by the shared column
+evaluator; these tests compare them, bit for bit, with ``evaluate_mask`` and
+``open_maxflow`` run on one configuration mask at a time.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percolab import (Graph, exact_npaths, exact_prob, generate,
-                      graph_from_spec, parse_event)
+from percolab import (Configuration, Graph, Monotonicity, evaluate,
+                      exact_npaths, exact_prob, generate, graph_from_spec,
+                      monotonicity, parse_event, sq_s_occurrence)
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
-                             Union, evaluate_mask, open_maxflow)
-from percolab.exact import _columns, _level, flow_table, truth_table
+                             Union, _columns, evaluate_mask, open_maxflow)
+from percolab.exact import _level, flow_table, truth_table
 
 _VERTS = ("a", "b", "c", "d", "e")
 _MAX_EDGES = 9
 
 
 @st.composite
-def _graphs(draw):
-    """Connected simple graphs on 2..5 vertices with 1..9 edges."""
+def _graphs(draw, max_edges=_MAX_EDGES):
+    """Connected simple graphs on 2..5 vertices with 1..max_edges edges."""
     nv = draw(st.integers(2, len(_VERTS)))
     tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
     others = [(i, j) for i in range(nv) for j in range(i + 1, nv)
               if (i, j) not in tree]
     extra = draw(st.lists(st.sampled_from(others), unique=True,
-                          max_size=_MAX_EDGES - len(tree))) if others else []
+                          max_size=max_edges - len(tree))) if others else []
     edges = [(f"e{k}", _VERTS[i], _VERTS[j])
              for k, (i, j) in enumerate(tree + extra)]
     probs = {eid: draw(st.sampled_from((0.25, 0.5, 0.75))) for eid, _, _ in edges}
@@ -75,7 +77,10 @@ def _oracle_table(g, e):
 @settings(max_examples=150, deadline=None)
 def test_truth_table_matches_per_mask_oracle(ge):
     g, e = ge
-    assert truth_table(g, e) == _oracle_table(g, e)
+    want = _oracle_table(g, e)
+    assert truth_table(g, e) == want
+    for m in range(0, len(want), max(1, len(want) // 16)):
+        assert evaluate(e, g, Configuration(g, m)) == want[m], m
 
 
 @given(_graphs())
@@ -125,3 +130,99 @@ def test_npaths_independent_of_call_order():
     assert up == down[::-1]
     assert up[1] == pytest.approx(0.5 ** 9, abs=1e-12)
     assert up[0] == pytest.approx(1.0 - 0.5 ** 9, abs=1e-12)
+
+
+# --- monotonicity from one truth table ----------------------------------------
+
+
+def _monotonicity_oracle(e, g):
+    """Every single-edge flip of every configuration, one evaluate_mask each."""
+    inc = dec = True
+    for mask in range(1 << g.n_edges):
+        val = evaluate_mask(e, g, mask)
+        for i in range(g.n_edges):
+            if mask >> i & 1:
+                continue
+            up = evaluate_mask(e, g, mask | (1 << i))
+            inc = inc and not (val and not up)
+            dec = dec and not (up and not val)
+    if inc:
+        return Monotonicity.INCREASING
+    if dec:
+        return Monotonicity.DECREASING
+    return Monotonicity.NONE
+
+
+@st.composite
+def _small_graph_and_event(draw):
+    g = draw(_graphs(max_edges=8))
+    return g, draw(_events(g.vertices))
+
+
+@given(_small_graph_and_event())
+@settings(max_examples=100, deadline=None)
+def test_monotonicity_matches_flip_oracle(ge):
+    g, e = ge
+    syntactic = monotonicity(e)
+    want = _monotonicity_oracle(e, g) if syntactic is Monotonicity.NONE else syntactic
+    assert monotonicity(e, g) is want
+
+
+@pytest.mark.parametrize("text", ["a,b|c", "!(a,b U b,c)", "a,b|c U a,b,c",
+                                  "npaths(a,b,2) & !(a|c)", "npaths(a,c,1) U a|b"])
+def test_monotonicity_named_events(text):
+    g = graph_from_spec("family:grid:2,3,p=0.5")
+    e = parse_event(text)
+    assert monotonicity(e, g) is _monotonicity_oracle(e, g)
+
+
+# --- witness splits of S-relative disjoint occurrence -------------------------
+
+
+def _split_oracle(A, B, g, m1, m2, s_mask):
+    """The witness-split loop: each W inside the open S-edges of c1 in turn."""
+    full = (1 << g.n_edges) - 1
+    s_open = s_mask & m1
+    fixed_a = full & ~s_mask & m1
+    fixed_b = full & ~s_mask & m2
+    w = s_open
+    while True:
+        if evaluate_mask(A, g, w | fixed_a) and \
+           evaluate_mask(B, g, (s_open & ~w) | fixed_b):
+            return True
+        if w == 0:
+            return False
+        w = (w - 1) & s_open
+
+
+def _increasing_events(names):
+    name = st.sampled_from(names)
+    connect = st.lists(name, min_size=1, max_size=3, unique=True).map(
+        lambda grp: PartitionAtom((tuple(grp),)))
+    npaths = st.builds(NPathsAtom, name, name, st.integers(1, 3))
+    return st.recursive(
+        st.one_of(connect, npaths),
+        lambda sub: st.one_of(
+            st.lists(sub, min_size=2, max_size=3).map(lambda xs: Union(tuple(xs))),
+            st.lists(sub, min_size=2, max_size=3).map(lambda xs: Intersect(tuple(xs)))),
+        max_leaves=4)
+
+
+@st.composite
+def _split_case(draw):
+    g = draw(_graphs())
+    full = (1 << g.n_edges) - 1
+    masks = st.integers(0, full)
+    A = draw(_increasing_events(g.vertices))
+    B = draw(_increasing_events(g.vertices))
+    s_mask = draw(st.one_of(st.just(0), st.just(full), masks))
+    return g, A, B, draw(masks), draw(masks), s_mask
+
+
+@given(_split_case())
+@settings(max_examples=200, deadline=None)
+def test_sq_s_occurrence_matches_split_loop(case):
+    g, A, B, m1, m2, s_mask = case
+    s_edges = [eid for eid in g.edge_ids if s_mask >> g.edge_index(eid) & 1]
+    got = sq_s_occurrence(A, B, g, Configuration(g, m1), Configuration(g, m2), s_edges)
+    assert got == _split_oracle(A, B, g, m1, m2, s_mask)

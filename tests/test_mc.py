@@ -1,10 +1,17 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from percolab import (Estimate, SizeGuardError, exact_pair, exact_prob,
-                      generate, graph_from_spec, mc_npaths, mc_pair, mc_prob,
-                      parse_event, parse_strategy)
-from percolab.exact import Joint, exact_npaths
-from percolab.mc import mc_flow_tail
+from percolab import (Configuration, Estimate, EvaluationError, exact_pair,
+                      exact_prob, generate, graph_from_spec, mc_npaths, mc_pair,
+                      mc_prob, parse_event, parse_strategy)
+from percolab.events import evaluate_mask
+from percolab.exact import Joint, SqS, exact_npaths
+from percolab.mc import _uniforms, mc_flow_tail
+from percolab.strategies import run, splice_mask
+
+from test_enumeration import _events, _graphs
 
 
 def test_determinism_bit_for_bit():
@@ -143,19 +150,77 @@ def test_pair_bound_on_grid_at_three_sigma():
     assert rhs - joint.mean > -3 * se
 
 
-def test_sixty_four_edges_refused_where_masks_would_wrap():
-    # 84 edges: one uint64 per sampled configuration cannot hold them
+def test_eighty_four_edges_run_on_columns():
+    # 84 edges: more than one uint64 per configuration, no size limit applies
     g = graph_from_spec("family:grid:7,7,p=0.5")
     assert g.n_edges == 84
-    with pytest.raises(SizeGuardError):
-        mc_npaths(g, "a", "b", 1, 2000, 3)
-    with pytest.raises(SizeGuardError):
-        mc_prob(g, parse_event("npaths(a,b,1)"), 2000, 3)
-    with pytest.raises(SizeGuardError):
-        mc_flow_tail(g, "a", "b", 2, 2000, 3)
     ab = parse_event("a,b")
-    with pytest.raises(SizeGuardError):
-        mc_pair(g, parse_strategy("bfs_cluster:a"), Joint(ab, ab), 2000, 3)
-    # the column path has no per-sample mask and still runs
     est = mc_prob(g, ab, 2000, 3)
     assert 0.0 < est.mean < 1.0
+    # one open path is connectivity: the same hits from the same stream
+    assert mc_prob(g, parse_event("npaths(a,b,1)"), 2000, 3) == est
+    assert mc_npaths(g, "a", "b", 1, 2000, 3) == est
+    tails = mc_flow_tail(g, "a", "b", 2, 2000, 3)
+    assert tails[0] == est and tails[1].mean <= tails[0].mean
+    joint = mc_pair(g, parse_strategy("bfs_cluster:a"), Joint(ab, ab), 500, 3)
+    assert 0.0 < joint.mean < 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: exact_npaths(g, "a", "zz", 1),
+    lambda g: mc_npaths(g, "a", "zz", 1, 100, 1),
+    lambda g: mc_flow_tail(g, "zz", "b", 2, 100, 1),
+])
+def test_unknown_vertex_in_npaths_is_an_evaluation_error(call):
+    with pytest.raises(EvaluationError):
+        call(generate("cycle", 3, p=0.5))
+
+
+def test_seeded_hit_counts_pinned():
+    # hit counts of the earlier uint64 per-sample sampler: masks transposed
+    # from the edge columns must reproduce them exactly
+    g = graph_from_spec("family:grid:2,6,p=0.5")
+    assert g.n_edges == 16
+    assert [round(mc_npaths(g, "a", "b", k, 2000, 5).mean * 2000) for k in (1, 2, 3)] == \
+        [1099, 144, 0]
+    assert [round(e.mean * 2000) for e in mc_flow_tail(g, "a", "b", 3, 2000, 5)] == \
+        [1099, 144, 0]
+    g = graph_from_spec("family:grid:3,4,p=0.5")
+    A, B = parse_event("a,b"), parse_event("b,c")
+    for spec, joint, sqs in (("bfs_cluster:a", 308, 21), ("dfs_stop_at:a,b,c", 292, 23)):
+        t = parse_strategy(spec)
+        assert round(mc_pair(g, t, Joint(A, B), 2000, 7).mean * 2000) == joint, spec
+        assert round(mc_pair(g, t, SqS(A, B), 400, 8).mean * 400) == sqs, spec
+
+
+def _sample_masks_oracle(g, n, seed, stride, offset):
+    """Per-sample masks straight from the uniforms, one edge bit at a time."""
+    idx = np.arange(n, dtype=np.uint64)
+    masks = [0] * n
+    for j, p in enumerate(g.probs):
+        u = _uniforms(seed, idx * np.uint64(stride) + np.uint64(offset + j))
+        for i in np.flatnonzero(u < p).tolist():
+            masks[i] |= 1 << j
+    return masks
+
+
+@st.composite
+def _joint_case(draw):
+    g = draw(_graphs())
+    return (g, draw(_events(g.vertices)), draw(_events(g.vertices)),
+            draw(st.sampled_from(("stop", "bfs_cluster:a", "dfs_stop_at:a,b", "dfs:a,id,S"))),
+            draw(st.integers(1, 300)), draw(st.integers(0, 2 ** 32)))
+
+
+@given(_joint_case())
+@settings(max_examples=60, deadline=None)
+def test_joint_matches_per_sample_loop(case):
+    g, A, B, spec, n, seed = case
+    t = parse_strategy(spec)
+    m1s = _sample_masks_oracle(g, n, seed, 2 * g.n_edges, 0)
+    m2s = _sample_masks_oracle(g, n, seed, 2 * g.n_edges, g.n_edges)
+    hits = 0
+    for m1, m2 in zip(m1s, m2s):
+        s_mask = run(t, g, Configuration(g, m1), Configuration(g, m2)).s_mask(g)
+        hits += evaluate_mask(A, g, m1) and evaluate_mask(B, g, splice_mask(m1, m2, s_mask))
+    assert mc_pair(g, t, Joint(A, B), n, seed) == Estimate.from_count(hits, n, seed)
