@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import config
 from .errors import HypothesisError, PercolabError
@@ -62,21 +62,7 @@ class CheckReport:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "graph": self.graph,
-            "method": self.method,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "sigma": self.sigma,
-            "samples": self.samples,
-            "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 # term kinds: ("prob", text) | ("pair", strategy, "joint"|"sqs", A, B) | ("npaths", n)
@@ -113,10 +99,6 @@ def _need_outer_face(g: Graph, vs):
         raise HypothesisError(f"marks {vs} do not lie on the outer face together")
 
 
-def _pp(g: Graph, text: str):
-    return parse_event(text)
-
-
 # ---------------------------------------------------------------------------
 # Check builders
 
@@ -124,8 +106,8 @@ def _pp(g: Graph, text: str):
 def _hk_spec(g, params):
     t = _strategy_of(_req(params, "strategy", "hk_tree"))
     ev = _req(params, "events", "hk_tree")
-    A = _pp(g, ev[0])
-    B = _pp(g, ev[1])
+    A = parse_event(ev[0])
+    B = parse_event(ev[1])
     require_increasing(A, g, "first event")
     require_increasing(B, g, "second event")
     terms = {"pa": ("prob", A), "pb": ("prob", B),
@@ -136,8 +118,8 @@ def _hk_spec(g, params):
 def _vdbk_spec(g, params):
     t = _strategy_of(_req(params, "strategy", "vdbk_tree"))
     ev = _req(params, "events", "vdbk_tree")
-    A = _pp(g, ev[0])
-    B = _pp(g, ev[1])
+    A = parse_event(ev[0])
+    B = parse_event(ev[1])
     require_increasing(A, g, "first event")
     require_increasing(B, g, "second event")
     terms = {"pa": ("prob", A), "pb": ("prob", B),
@@ -209,8 +191,8 @@ def _cs_spec_from(g, t1: Strategy, A, M):
 def _cs_spec(g, params):
     t1 = _strategy_of(_req(params, "strategy", "cs_bound"))
     ev = _req(params, "events", "cs_bound")
-    A = _pp(g, ev[0])
-    M = _pp(g, ev[1])
+    A = parse_event(ev[0])
+    M = parse_event(ev[1])
     return _cs_spec_from(g, t1, A, M)
 
 
@@ -218,8 +200,8 @@ def _frac1_spec(g, params):
     _need_marks(g, 3)
     a, b, c = g.marks
     t1 = _strategy_of(f"bfs_cluster:{a}")
-    A = _pp(g, f"{a}|{b} U {a}|{c}")
-    M = _pp(g, f"{a}|{b}|{c}")
+    A = parse_event(f"{a}|{b} U {a}|{c}")
+    M = parse_event(f"{a}|{b}|{c}")
     return _cs_spec_from(g, t1, A, M)
 
 
@@ -227,8 +209,8 @@ def _frac2_spec(g, params):
     _need_marks(g, 3)
     a, b, c = g.marks
     t1 = _strategy_of(f"bfs_cluster:{a}")
-    A = _pp(g, f"{a}|{b} U {a}|{c}")
-    M = _pp(g, f"{b},{c}")
+    A = parse_event(f"{a}|{b} U {a}|{c}")
+    M = parse_event(f"{b},{c}")
     return _cs_spec_from(g, t1, A, M)
 
 
@@ -236,10 +218,10 @@ def _planar_dv2_spec(g, params):
     _need_marks(g, 3)
     a, b, c = g.marks
     _need_outer_face(g, (a, b, c))
-    terms = {"pabc": ("prob", _pp(g, f"{a},{b},{c}")),
-             "pab": ("prob", _pp(g, f"{a},{b}")),
-             "pbc": ("prob", _pp(g, f"{b},{c}")),
-             "pac": ("prob", _pp(g, f"{a},{c}"))}
+    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
+             "pab": ("prob", parse_event(f"{a},{b}")),
+             "pbc": ("prob", parse_event(f"{b},{c}")),
+             "pac": ("prob", parse_event(f"{a},{c}"))}
     return _Spec(terms, lambda v: v["pabc"] ** 2,
                  lambda v: 2.0 * v["pab"] * v["pbc"] * v["pac"])
 
@@ -247,10 +229,10 @@ def _planar_dv2_spec(g, params):
 def _dv8_spec(g, params):
     _need_marks(g, 3)
     a, b, c = g.marks
-    terms = {"pabc": ("prob", _pp(g, f"{a},{b},{c}")),
-             "pab": ("prob", _pp(g, f"{a},{b}")),
-             "pac": ("prob", _pp(g, f"{a},{c}")),
-             "pbc": ("prob", _pp(g, f"{b},{c}"))}
+    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
+             "pab": ("prob", parse_event(f"{a},{b}")),
+             "pac": ("prob", parse_event(f"{a},{c}")),
+             "pbc": ("prob", parse_event(f"{b},{c}"))}
     return _Spec(terms, lambda v: v["pabc"] ** 2,
                  lambda v: 8.0 * v["pab"] * v["pac"] * v["pbc"])
 
@@ -258,9 +240,9 @@ def _dv8_spec(g, params):
 def _dv_union_spec(g, params):
     _need_marks(g, 3)
     a, b, c = g.marks
-    terms = {"pabc": ("prob", _pp(g, f"{a},{b},{c}")),
-             "pu": ("prob", _pp(g, f"{a},{b} U {a},{c}")),
-             "pbc": ("prob", _pp(g, f"{b},{c}"))}
+    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
+             "pu": ("prob", parse_event(f"{a},{b} U {a},{c}")),
+             "pbc": ("prob", parse_event(f"{b},{c}"))}
     return _Spec(terms, lambda v: v["pabc"] ** 2,
                  lambda v: 2.0 * v["pu"] ** 2 * v["pbc"])
 
@@ -268,10 +250,10 @@ def _dv_union_spec(g, params):
 def _q2_terms(g):
     a, b, c = g.marks
     return {
-        "p3": ("prob", _pp(g, f"{a}|{b}|{c}")),
-        "u_ab_ac": ("prob", _pp(g, f"{a}|{b} U {a}|{c}")),
-        "u_ab_bc": ("prob", _pp(g, f"{a}|{b} U {b}|{c}")),
-        "u_ac_bc": ("prob", _pp(g, f"{a}|{c} U {b}|{c}")),
+        "p3": ("prob", parse_event(f"{a}|{b}|{c}")),
+        "u_ab_ac": ("prob", parse_event(f"{a}|{b} U {a}|{c}")),
+        "u_ab_bc": ("prob", parse_event(f"{a}|{b} U {b}|{c}")),
+        "u_ac_bc": ("prob", parse_event(f"{a}|{c} U {b}|{c}")),
     }
 
 
@@ -308,10 +290,10 @@ def _conj2_spec(g, params):
         raise ValueError("eps must lie in (0,1)")
     a, b, c = g.marks
     delta = eps ** 3 / 4.0
-    terms = {"pabc": ("prob", _pp(g, f"{a},{b},{c}")),
-             "p3": ("prob", _pp(g, f"{a}|{b}|{c}")),
-             "pab_c": ("prob", _pp(g, f"{a},{b}|{c}")),
-             "pac_b": ("prob", _pp(g, f"{a},{c}|{b}"))}
+    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
+             "p3": ("prob", parse_event(f"{a}|{b}|{c}")),
+             "pab_c": ("prob", parse_event(f"{a},{b}|{c}")),
+             "pac_b": ("prob", parse_event(f"{a},{c}|{b}"))}
 
     def post(vals):
         if not (vals["pab_c"] < delta and vals["pac_b"] < delta):
@@ -361,11 +343,11 @@ def _conj3_spec(g, params):
         raise ValueError("eps must lie in (0,1)")
     a, b, c = g.marks
     delta = eps ** 3 / 4.0
-    terms = {"pabc": ("prob", _pp(g, f"{a},{b},{c}")),
-             "p3": ("prob", _pp(g, f"{a}|{b}|{c}")),
-             "pab_c": ("prob", _pp(g, f"{a},{b}|{c}")),
-             "pac_b": ("prob", _pp(g, f"{a},{c}|{b}")),
-             "pa_bc": ("prob", _pp(g, f"{a}|{b},{c}"))}
+    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
+             "p3": ("prob", parse_event(f"{a}|{b}|{c}")),
+             "pab_c": ("prob", parse_event(f"{a},{b}|{c}")),
+             "pac_b": ("prob", parse_event(f"{a},{c}|{b}")),
+             "pa_bc": ("prob", parse_event(f"{a}|{b},{c}"))}
 
     def post(vals):
         if not vals["pab_c"] < delta:

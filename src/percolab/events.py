@@ -352,9 +352,17 @@ def _columns(n_edges: int) -> list[int]:
     return cols
 
 
-def _pack(bits: np.ndarray) -> int:
-    """Integer whose bit i is set where bits[i] is true."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _rows(bits: np.ndarray) -> list[int]:
+    """One integer per row of a 0/1 array: bit j is bits[row, j]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _bit_matrix(data: bytes, nrows: int, nbytes: int) -> np.ndarray:
+    """0/1 array of nrows rows of nbytes bytes laid end to end: bit j of row
+    i is bit j of the i-th row."""
+    arr = np.frombuffer(data, dtype=np.uint8).reshape(nrows, nbytes)
+    return np.unpackbits(arr, axis=1, bitorder="little")
 
 
 def _transpose(rows: list[int], width: int) -> list[int]:
@@ -364,18 +372,9 @@ def _transpose(rows: list[int], width: int) -> list[int]:
     masks, and masks (width = E edges) back into columns.
     """
     nbytes = (width + 7) // 8
-    if nbytes <= 8:  # rows fit one uint64 each: convert in bulk
-        raw = np.array(rows, dtype="<u8").view(np.uint8).reshape(len(rows), 8)[:, :nbytes]
-    else:
-        raw = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
-                            dtype=np.uint8).reshape(len(rows), nbytes)
-    bits = np.unpackbits(raw, axis=1, count=width, bitorder="little")
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    if packed.shape[1] <= 8:  # outputs fit one uint64 each: convert in bulk
-        words = np.zeros((width, 8), dtype=np.uint8)
-        words[:, :packed.shape[1]] = packed
-        return words.view("<u8")[:, 0].tolist()
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    bits = _bit_matrix(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                       len(rows), nbytes)
+    return _rows(bits[:, :width].T)
 
 
 def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:
@@ -401,10 +400,29 @@ def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:
     return out
 
 
-def _flow_levels(g: Graph, masks: list[int], u: str, v: str, cap: int) -> list[int]:
-    """Entry k-1: bitmask of the masks with at least k edge-disjoint open u-v paths."""
-    flows = np.array([open_maxflow(g, m, u, v, cap=cap) for m in masks], dtype=np.int64)
-    return [_pack(flows >= k) for k in range(1, cap + 1)]
+def _flow_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int,
+                 need: int) -> list[int]:
+    """Entry k-1: bitmask of the n column configurations with at least k
+    edge-disjoint open u-v paths.
+
+    One capped max-flow runs per configuration in the ``need`` bitmask; the
+    others read 0.  Masks are transposed from the columns one block of
+    configurations at a time, so memory stays at the size of the columns.
+    """
+    nbytes = (n + 7) // 8
+    as_bytes = {c: c.to_bytes(nbytes, "little") for c in set(cols)}  # one copy per distinct column
+    rows = [as_bytes[c] for c in cols] + [need.to_bytes(nbytes, "little")]
+    step = 1 << 13  # bytes per block: 2^16 configurations
+    chunks: list[list[bytes]] = [[] for _ in range(cap)]
+    for lo in range(0, nbytes, step):
+        bits = _bit_matrix(b"".join(r[lo:lo + step] for r in rows), len(rows),
+                           min(step, nbytes - lo))
+        want = np.flatnonzero(bits[-1])  # the last row is need
+        flows = np.zeros(bits.shape[1], dtype=np.int64)
+        flows[want] = [open_maxflow(g, m, u, v, cap=cap) for m in _rows(bits[:-1, want].T)]
+        for k in range(cap):
+            chunks[k].append(np.packbits(flows > k, bitorder="little").tobytes())
+    return [int.from_bytes(b"".join(c), "little") for c in chunks]
 
 
 def _compile_bitparallel(e: EventExpr, reach: dict, full: int, npaths: dict) -> int:
@@ -417,9 +435,8 @@ def _compile_bitparallel(e: EventExpr, reach: dict, full: int, npaths: dict) -> 
         acc = full
         reps = [grp[0] for grp in e.groups]
         for grp in e.groups:
-            r = grp[0]
             for v in grp[1:]:
-                acc &= reach[r][v]
+                acc &= reach[grp[0]][v]
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 acc &= full ^ reach[reps[i]][reps[j]]
@@ -442,22 +459,30 @@ def _compile_bitparallel(e: EventExpr, reach: dict, full: int, npaths: dict) -> 
 
 
 def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int,
-                      npaths: dict | None = None) -> int:
+                      npaths: dict | None = None, need: int | None = None) -> int:
     """Bitmask of the n column configurations where the (resolved) event holds.
 
-    Without ``npaths`` (atom -> bitmask), npaths atoms run one max-flow per
-    configuration and distinct (u, v), capped at the largest n asked for.
+    Without ``npaths`` (atom -> bitmask), npaths(u,v,1) atoms read u-v reach,
+    and the others run one max-flow per configuration and distinct (u, v),
+    capped at the largest n asked for, on the configurations in ``need``
+    (default: all) where u and v are connected.  Outside ``need`` the answer
+    is unspecified.
     """
-    if npaths is None:
-        nps = [a for a in atoms(e) if isinstance(a, NPathsAtom)]
-        caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n)}  # largest n
-        masks = _transpose(cols, n) if nps else []
-        levels = {uv: _flow_levels(g, masks, *uv, cap) for uv, cap in caps.items()}
-        npaths = {a: levels[a.u, a.v][a.n - 1] for a in nps}
-    # reach starts from the first vertex of every partition group
+    nps = [a for a in atoms(e) if isinstance(a, NPathsAtom)] if npaths is None else []
+    # reach starts from the first vertex of every partition group and from
+    # the first end of every npaths atom
     reps = sorted({grp[0] for a in atoms(e) if isinstance(a, PartitionAtom)
-                   for grp in a.groups})
-    return _compile_bitparallel(e, _reach_masks(g, cols, n, reps), (1 << n) - 1, npaths)
+                   for grp in a.groups} | {a.u for a in nps})
+    reach = _reach_masks(g, cols, n, reps)
+    full = (1 << n) - 1
+    if npaths is None:
+        caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n)}  # largest n
+        need = full if need is None else need
+        levels = {(u, v): _flow_levels(g, cols, n, u, v, cap, need & reach[u][v])
+                  for (u, v), cap in caps.items() if cap > 1}
+        npaths = {a: reach[a.u][a.v] if a.n == 1 else levels[a.u, a.v][a.n - 1]
+                  for a in nps}
+    return _compile_bitparallel(e, reach, full, npaths)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +571,8 @@ def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
 
     Column i of the split set is periodic over the i-th open S-edge of c1.
     A reads those columns plus the open c1 edges outside S; B reads their
-    complements plus the open c2 edges outside S.
+    complements plus the open c2 edges outside S.  B runs max-flow only on
+    the splits where A holds.
     """
     s_open = s_mask & m1
     k = s_open.bit_count()
@@ -561,7 +587,7 @@ def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
     for j, col in zip([j for j in range(g.n_edges) if s_open >> j & 1], _columns(k)):
         cols_a[j], cols_b[j] = col, full ^ col
     t_a = _evaluate_columns(A, g, cols_a, n)
-    return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n))
+    return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n, need=t_a))
 
 
 def disjoint_occurrence(A: EventExpr, B: EventExpr, g: Graph, c: Configuration) -> bool:
@@ -582,7 +608,4 @@ def sq_s_occurrence(A: EventExpr, B: EventExpr, g: Graph,
     if c1.graph is not g or c2.graph is not g:
         raise EvaluationError("configurations belong to a different graph")
     _require_operands(A, B, g)
-    s_mask = 0
-    for eid in s_edges:
-        s_mask |= 1 << g.edge_index(eid)
-    return _split_occurs(A, B, g, c1.mask, c2.mask, s_mask)
+    return _split_occurs(A, B, g, c1.mask, c2.mask, Configuration.from_open(g, s_edges).mask)

@@ -34,8 +34,7 @@ import numpy as np
 from . import config
 from .errors import SizeGuardError
 from .events import (EventExpr, NPathsAtom, atoms, unparse, _columns,
-                     _evaluate_columns, _reach_masks, _require_operands, _resolve,
-                     _split_occurs)
+                     _evaluate_columns, _reach_masks, _require_operands, _resolve)
 from .graphs import Configuration, Graph
 from .strategies import Strategy, run, splice_mask
 
@@ -242,8 +241,11 @@ def _pair_general(g: Graph, t: Strategy, q) -> float:
             s_mask = _s_mask_for(g, t, m1, m2)
             if isinstance(q, Joint):
                 ok = tab_a[m1] and tab_b[splice_mask(m1, m2, s_mask)]
-            else:
-                ok = _split_occurs(q.A, q.B, g, m1, m2, s_mask)
+            else:  # the witness splits of sq_s_occurrence, read from the tables
+                s_open = s_mask & m1
+                fixed_a, fixed_b = m1 & ~s_mask, m2 & ~s_mask
+                ok = any(tab_a[wm | fixed_a] and tab_b[(s_open & ~wm) | fixed_b]
+                         for wm, _ in _submask_weights(g, s_open))
             if ok:
                 terms.append(w[m1] * w[m2])
     return math.fsum(terms)
@@ -262,21 +264,13 @@ def verify_splice_independence(g: Graph, t: Strategy) -> float:
     w = weights(g)
     n = len(w)
     joint: dict[tuple[int, int], float] = {}
-    if not t.uses_c2:
-        s_of = [_s_mask_for(g, t, m1) for m1 in range(n)]
-        for m1 in range(n):
-            s_mask = s_of[m1]
-            w1 = w[m1]
-            for m2 in range(n):
-                key = (splice_mask(m1, m2, s_mask), splice_mask(m2, m1, s_mask))
-                joint[key] = joint.get(key, 0.0) + w1 * w[m2]
-    else:
-        for m1 in range(n):
-            c1 = Configuration(g, m1)
-            for m2 in range(n):
-                s_mask = run(t, g, c1, Configuration(g, m2)).s_mask(g)
-                key = (splice_mask(m1, m2, s_mask), splice_mask(m2, m1, s_mask))
-                joint[key] = joint.get(key, 0.0) + w[m1] * w[m2]
+    for m1 in range(n):
+        s_row = ([_s_mask_for(g, t, m1, m2) for m2 in range(n)] if t.uses_c2
+                 else [_s_mask_for(g, t, m1)] * n)
+        w1 = w[m1]
+        for m2, s_mask in enumerate(s_row):
+            key = (splice_mask(m1, m2, s_mask), splice_mask(m2, m1, s_mask))
+            joint[key] = joint.get(key, 0.0) + w1 * w[m2]
     dev = 0.0
     for x in range(n):
         wx = w[x]

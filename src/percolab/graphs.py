@@ -183,9 +183,6 @@ class Graph:
     def config(self, open_edges) -> "Configuration":
         return Configuration.from_open(self, open_edges)
 
-    def config_from_mask(self, mask: int) -> "Configuration":
-        return Configuration(self, mask)
-
     def __repr__(self):
         return f"Graph({self.name!r}, |V|={self.n_vertices}, |E|={self.n_edges})"
 

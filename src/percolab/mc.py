@@ -10,9 +10,10 @@ Samples are held as edge columns: each edge gets a bitmask of the samples
 where it is open, and events are evaluated for all samples at once by the
 column evaluator of ``events``, the one the exact engine runs on periodic
 columns.  Per-sample configuration masks are transposed from the columns
-only where a loop needs one sample at a time: the max-flow behind npaths
-atoms, strategy runs, and the witness splits of pair queries.  No graph
-size limit applies.
+only where a loop needs one sample at a time: strategy runs, the witness
+splits of pair queries, and the max-flow behind npaths atoms, which runs
+only on the samples where the two ends are connected.  No graph size limit
+applies.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# _reach_masks is not called here, but stays bound in this module: the
-# benchmark's tracer (perfbench/tracer.py) wraps it as percolab.mc._reach_masks.
-from .events import (EventExpr, NPathsAtom, _evaluate_columns, _flow_levels,  # noqa: F401
-                     _pack, _reach_masks, _require_operands, _resolve,
+from .events import (EventExpr, NPathsAtom, _evaluate_columns, _flow_levels,
+                     _reach_masks, _require_operands, _resolve,
                      _split_occurs, _transpose)
 from .exact import Joint, SqS, _s_mask_for
 from .graphs import Graph
@@ -81,6 +80,11 @@ class Estimate:
 # Sampling
 
 
+def _pack(bits: np.ndarray) -> int:
+    """Integer whose bit i is set where bits[i] is true."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _edge_bit_columns(g: Graph, n: int, seed: int, stride: int, offset: int):
     """Per-edge bitmask over samples: bit i set when edge open in sample i."""
     idx = np.arange(n, dtype=np.uint64)
@@ -111,7 +115,9 @@ def mc_flow_tail(g: Graph, u: str, v: str, n_max: int, samples: int, seed: int) 
     """Estimates of the disjoint-path counts 1..n_max from shared samples."""
     _resolve(NPathsAtom(u, v, n_max), g)
     cols = _edge_bit_columns(g, samples, seed, g.n_edges, 0)
-    levels = _flow_levels(g, _transpose(cols, samples), u, v, n_max)
+    # max-flow runs only on the samples where u and v are connected
+    levels = _flow_levels(g, cols, samples, u, v, n_max,
+                          _reach_masks(g, cols, samples, [u])[u][v])
     return [Estimate.from_count(level.bit_count(), samples, seed) for level in levels]
 
 

@@ -6,6 +6,8 @@ evaluator; these tests compare them, bit for bit, with ``evaluate_mask`` and
 ``open_maxflow`` run on one configuration mask at a time.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,8 @@ from percolab import (Configuration, Graph, Monotonicity, evaluate,
                       exact_npaths, exact_prob, generate, graph_from_spec,
                       monotonicity, parse_event, sq_s_occurrence)
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
-                             Union, _columns, evaluate_mask, open_maxflow)
+                             Union, _columns, _flow_levels, _transpose,
+                             evaluate_mask, open_maxflow)
 from percolab.exact import _level, flow_table, truth_table
 
 _VERTS = ("a", "b", "c", "d", "e")
@@ -94,6 +97,24 @@ def test_flow_levels_match_maxflow(g):
                 flow = open_maxflow(g, m, u, v)
                 for k in range(1, depth + 1):
                     assert (_level(levels, k) >> m & 1) == (flow >= k), (u, v, m, k)
+
+
+def test_flow_levels_run_only_needed_configurations():
+    # a sparse need mask over three blocks of 2^16 configurations, the last
+    # one partial and not a whole number of bytes
+    g = graph_from_spec("family:grid:2,3,p=0.5")
+    n = (1 << 17) + 5
+    rng = random.Random(3)
+    masks = [rng.getrandbits(g.n_edges) for _ in range(n)]
+    picked = set(rng.sample(range(n), 300)) | {0, 65535, 65536, n - 1}
+    need = sum(1 << i for i in picked)
+    levels = _flow_levels(g, _transpose(masks, g.n_edges), n, "a", "c", 3, need)
+    assert len(levels) == 3
+    for level in levels:
+        assert level & ~need == 0
+    for i in picked:
+        flow = open_maxflow(g, masks[i], "a", "c", cap=3)
+        assert [level >> i & 1 for level in levels] == [flow > k for k in range(3)], i
 
 
 @pytest.mark.parametrize("n_edges", [1, 2, 3, 4])

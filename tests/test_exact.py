@@ -100,21 +100,32 @@ def test_pair_fast_path_matches_oracle(spec, gspec):
             pytest.approx(_pair_oracle(g, t, SqS(A, B)), abs=TOL)
 
 
+class _FromC2(Strategy):
+    """Queries e0; continues to e1 only when e0 is open in c2."""
+    name = "fromc2"
+    uses_c2 = True
+
+    def policy(self, g):
+        _b1, b2 = yield (g.edge_ids[0], S)
+        if b2:
+            _ = yield (g.edge_ids[1], S)
+
+
 def test_pair_general_path_with_c2_reading_strategy():
-    class FromC2(Strategy):
-        name = "fromc2"
-        uses_c2 = True
+    t = _FromC2()
+    for g in (generate("cycle", 3, p=0.5), generate("theta", 3, p=0.25)):
+        for Atxt, Btxt in (("a,b", "a,b"), ("a,b", "npaths(a,b,2)"),
+                           ("npaths(a,b,1)", "b,c U a,b,c")):
+            A, B = parse_event(Atxt), parse_event(Btxt)
+            assert exact_pair(g, t, Joint(A, B)) == \
+                pytest.approx(_pair_oracle(g, t, Joint(A, B)), abs=TOL)
+            assert exact_pair(g, t, SqS(A, B)) == \
+                pytest.approx(_pair_oracle(g, t, SqS(A, B)), abs=TOL)
 
-        def policy(self, g):
-            _b1, b2 = yield (g.edge_ids[0], S)
-            if b2:
-                _ = yield (g.edge_ids[1], S)
 
-    g = generate("cycle", 3, p=0.5)
-    t = FromC2()
-    A = parse_event("a,b")
-    assert exact_pair(g, t, Joint(A, A)) == \
-        pytest.approx(_pair_oracle(g, t, Joint(A, A)), abs=TOL)
+def test_splice_independence_with_c2_reading_strategy():
+    for g in (generate("cycle", 3, p=0.5), generate("theta", 3, p=0.25)):
+        assert verify_splice_independence(g, _FromC2()) <= TOL
 
 
 def test_pair_size_guard():
