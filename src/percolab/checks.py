@@ -34,9 +34,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 
 from . import config
-from .errors import HypothesisError, PercolabError
+from .errors import HypothesisError, PercolabError, SizeGuardError
 from .events import Intersect, Monotonicity, monotonicity, parse_event, require_increasing
 from .exact import Joint, SqS, exact_npaths, exact_pair, exact_prob, truth_table
 from .graphs import Configuration, Graph, same_face
@@ -65,7 +66,7 @@ class CheckReport:
         return asdict(self)
 
 
-# term kinds: ("prob", text) | ("pair", strategy, "joint"|"sqs", A, B) | ("npaths", n)
+# term kinds: ("prob", event) | ("pair", strategy, Joint or SqS query) | ("npaths", n)
 
 
 @dataclass
@@ -99,31 +100,31 @@ def _need_outer_face(g: Graph, vs):
         raise HypothesisError(f"marks {vs} do not lie on the outer face together")
 
 
+def _marked_events(g: Graph, texts: dict) -> dict:
+    """("prob", event) terms from templates over the three marks {a}, {b}, {c}."""
+    _need_marks(g, 3)
+    a, b, c = g.marks
+    return {k: ("prob", parse_event(t.format(a=a, b=b, c=c))) for k, t in texts.items()}
+
+
 # ---------------------------------------------------------------------------
 # Check builders
 
 
-def _hk_spec(g, params):
-    t = _strategy_of(_req(params, "strategy", "hk_tree"))
-    ev = _req(params, "events", "hk_tree")
+def _tree_spec(check_id, g, params):
+    """hk_tree: P(A) P(B) <= joint; vdbk_tree: S-relative disjoint occurrence
+    <= P(A) P(B)."""
+    t = _strategy_of(_req(params, "strategy", check_id))
+    ev = _req(params, "events", check_id)
     A = parse_event(ev[0])
     B = parse_event(ev[1])
     require_increasing(A, g, "first event")
     require_increasing(B, g, "second event")
-    terms = {"pa": ("prob", A), "pb": ("prob", B),
-             "joint": ("pair", t, "joint", A, B)}
-    return _Spec(terms, lambda v: v["pa"] * v["pb"], lambda v: v["joint"])
-
-
-def _vdbk_spec(g, params):
-    t = _strategy_of(_req(params, "strategy", "vdbk_tree"))
-    ev = _req(params, "events", "vdbk_tree")
-    A = parse_event(ev[0])
-    B = parse_event(ev[1])
-    require_increasing(A, g, "first event")
-    require_increasing(B, g, "second event")
-    terms = {"pa": ("prob", A), "pb": ("prob", B),
-             "sqs": ("pair", t, "sqs", A, B)}
+    terms = {"pa": ("prob", A), "pb": ("prob", B)}
+    if check_id == "hk_tree":
+        terms["joint"] = ("pair", t, Joint(A, B))
+        return _Spec(terms, lambda v: v["pa"] * v["pb"], lambda v: v["joint"])
+    terms["sqs"] = ("pair", t, SqS(A, B))
     return _Spec(terms, lambda v: v["sqs"], lambda v: v["pa"] * v["pb"])
 
 
@@ -164,10 +165,13 @@ def _all_s_decisions(t: Strategy, g: Graph) -> bool:
 
 
 def _cs_spec_from(g, t1: Strategy, A, M):
+    # every hypothesis below is checked by enumerating configurations
+    if g.n_edges > config.MAX_CONTINUATION_EDGES:
+        raise SizeGuardError("cs_bound/frac1/frac2 hypotheses are checked by enumeration, "
+                             f"limited to {config.MAX_CONTINUATION_EDGES} edges")
     if t1.uses_c2:
         raise HypothesisError("prefix strategy must branch on the first configuration only")
-    mono = monotonicity(M, g) if g.n_edges <= config.MAX_CONTINUATION_EDGES else monotonicity(M)
-    if mono is Monotonicity.NONE:
+    if monotonicity(M, g) is Monotonicity.NONE:
         raise HypothesisError("the refining event must be monotone")
     if not _all_s_decisions(t1, g):
         raise HypothesisError("prefix strategy must reveal everything into S")
@@ -178,7 +182,7 @@ def _cs_spec_from(g, t1: Strategy, A, M):
         raise HypothesisError("continuation check failed")
     B = Intersect((A, M))
     terms = {"pa": ("prob", A), "pb": ("prob", B),
-             "joint": ("pair", t2, "joint", B, B)}
+             "joint": ("pair", t2, Joint(B, B))}
 
     def post(vals):
         if vals["pa"] <= config.DEFAULT_TOL:
@@ -196,104 +200,62 @@ def _cs_spec(g, params):
     return _cs_spec_from(g, t1, A, M)
 
 
-def _frac1_spec(g, params):
+def _frac_spec(refining, g, params):
+    """cs_bound with the open cluster of the first mark as the prefix;
+    ``refining`` is the refining event over the marks {a}, {b}, {c}."""
     _need_marks(g, 3)
     a, b, c = g.marks
-    t1 = _strategy_of(f"bfs_cluster:{a}")
     A = parse_event(f"{a}|{b} U {a}|{c}")
-    M = parse_event(f"{a}|{b}|{c}")
-    return _cs_spec_from(g, t1, A, M)
+    M = parse_event(refining.format(a=a, b=b, c=c))
+    return _cs_spec_from(g, _strategy_of(f"bfs_cluster:{a}"), A, M)
 
 
-def _frac2_spec(g, params):
-    _need_marks(g, 3)
-    a, b, c = g.marks
-    t1 = _strategy_of(f"bfs_cluster:{a}")
-    A = parse_event(f"{a}|{b} U {a}|{c}")
-    M = parse_event(f"{b},{c}")
-    return _cs_spec_from(g, t1, A, M)
-
-
-def _planar_dv2_spec(g, params):
-    _need_marks(g, 3)
-    a, b, c = g.marks
-    _need_outer_face(g, (a, b, c))
-    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
-             "pab": ("prob", parse_event(f"{a},{b}")),
-             "pbc": ("prob", parse_event(f"{b},{c}")),
-             "pac": ("prob", parse_event(f"{a},{c}"))}
+def _dv_spec(const, pairs, planar, g, params):
+    """P(abc)^2 <= const * the product of the pair terms, in the given order."""
+    terms = _marked_events(g, {"pabc": "{a},{b},{c}", "pab": "{a},{b}",
+                               "pbc": "{b},{c}", "pac": "{a},{c}"})
+    if planar:
+        _need_outer_face(g, g.marks[:3])
+    x, y, z = pairs
     return _Spec(terms, lambda v: v["pabc"] ** 2,
-                 lambda v: 2.0 * v["pab"] * v["pbc"] * v["pac"])
-
-
-def _dv8_spec(g, params):
-    _need_marks(g, 3)
-    a, b, c = g.marks
-    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
-             "pab": ("prob", parse_event(f"{a},{b}")),
-             "pac": ("prob", parse_event(f"{a},{c}")),
-             "pbc": ("prob", parse_event(f"{b},{c}"))}
-    return _Spec(terms, lambda v: v["pabc"] ** 2,
-                 lambda v: 8.0 * v["pab"] * v["pac"] * v["pbc"])
+                 lambda v: const * v[x] * v[y] * v[z])
 
 
 def _dv_union_spec(g, params):
-    _need_marks(g, 3)
-    a, b, c = g.marks
-    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
-             "pu": ("prob", parse_event(f"{a},{b} U {a},{c}")),
-             "pbc": ("prob", parse_event(f"{b},{c}"))}
+    terms = _marked_events(g, {"pabc": "{a},{b},{c}", "pu": "{a},{b} U {a},{c}",
+                               "pbc": "{b},{c}"})
     return _Spec(terms, lambda v: v["pabc"] ** 2,
                  lambda v: 2.0 * v["pu"] ** 2 * v["pbc"])
 
 
-def _q2_terms(g):
-    a, b, c = g.marks
-    return {
-        "p3": ("prob", parse_event(f"{a}|{b}|{c}")),
-        "u_ab_ac": ("prob", parse_event(f"{a}|{b} U {a}|{c}")),
-        "u_ab_bc": ("prob", parse_event(f"{a}|{b} U {b}|{c}")),
-        "u_ac_bc": ("prob", parse_event(f"{a}|{c} U {b}|{c}")),
-    }
+def _q2_spec(den, sq, g, params):
+    """p3^2 / den + p3^2 / u_ac_bc <= p3 + sq^2 (q2 and its a<->b swap)."""
+    terms = _marked_events(g, {"p3": "{a}|{b}|{c}", "u_ab_ac": "{a}|{b} U {a}|{c}",
+                               "u_ab_bc": "{a}|{b} U {b}|{c}",
+                               "u_ac_bc": "{a}|{c} U {b}|{c}"})
 
-
-def _q2_post(keys):
     def post(vals):
-        for k in keys:
+        for k in (den, "u_ac_bc"):
             if vals[k] <= config.DEFAULT_TOL:
                 raise HypothesisError(f"degenerate denominator {k}")
-    return post
 
-
-def _q2_spec(g, params):
-    _need_marks(g, 3)
-    terms = _q2_terms(g)
     return _Spec(terms,
-                 lambda v: v["p3"] ** 2 / v["u_ab_bc"] + v["p3"] ** 2 / v["u_ac_bc"],
-                 lambda v: v["p3"] + v["u_ab_ac"] ** 2,
-                 post_hypothesis=_q2_post(("u_ab_bc", "u_ac_bc")))
+                 lambda v: v["p3"] ** 2 / v[den] + v["p3"] ** 2 / v["u_ac_bc"],
+                 lambda v: v["p3"] + v[sq] ** 2,
+                 post_hypothesis=post)
 
 
-def _q2_swapped_spec(g, params):
-    _need_marks(g, 3)
-    terms = _q2_terms(g)
-    return _Spec(terms,
-                 lambda v: v["p3"] ** 2 / v["u_ab_ac"] + v["p3"] ** 2 / v["u_ac_bc"],
-                 lambda v: v["p3"] + v["u_ab_bc"] ** 2,
-                 post_hypothesis=_q2_post(("u_ab_ac", "u_ac_bc")))
-
-
-def _conj2_spec(g, params):
-    _need_marks(g, 3)
+def _eps_delta(params) -> tuple[float, float]:
     eps = float(_req(params, "eps", "conj2_demo/conj3_scan"))
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
-    a, b, c = g.marks
-    delta = eps ** 3 / 4.0
-    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
-             "p3": ("prob", parse_event(f"{a}|{b}|{c}")),
-             "pab_c": ("prob", parse_event(f"{a},{b}|{c}")),
-             "pac_b": ("prob", parse_event(f"{a},{c}|{b}"))}
+    return eps, eps ** 3 / 4.0
+
+
+def _conj2_spec(g, params):
+    terms = _marked_events(g, {"pabc": "{a},{b},{c}", "p3": "{a}|{b}|{c}",
+                               "pab_c": "{a},{b}|{c}", "pac_b": "{a},{c}|{b}"})
+    eps, delta = _eps_delta(params)
 
     def post(vals):
         if not (vals["pab_c"] < delta and vals["pac_b"] < delta):
@@ -306,16 +268,14 @@ def _conj2_spec(g, params):
 
 def _arms23_spec(g, params):
     _need_marks(g, 2)
-    a, b = g.marks[:2]
-    _need_outer_face(g, (a, b))
+    _need_outer_face(g, g.marks[:2])
     terms = {"f3": ("npaths", 3), "f2": ("npaths", 2)}
     return _Spec(terms, lambda v: v["f3"] ** 2, lambda v: v["f2"] ** 3)
 
 
 def _arms_klm_spec(g, params):
     _need_marks(g, 2)
-    a, b = g.marks[:2]
-    _need_outer_face(g, (a, b))
+    _need_outer_face(g, g.marks[:2])
     n, k, l, m = (int(_req(params, x, "arms_klm")) for x in ("n", "k", "l", "m"))
     if not (1 <= k <= n and 1 <= l <= n and 1 <= m <= n and k + l + m == 2 * n):
         raise ValueError("need k, l, m <= n and k + l + m = 2n")
@@ -337,17 +297,10 @@ def _submult_spec(g, params):
 
 
 def _conj3_spec(g, params):
-    _need_marks(g, 3)
-    eps = float(_req(params, "eps", "conj2_demo/conj3_scan"))
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0,1)")
-    a, b, c = g.marks
-    delta = eps ** 3 / 4.0
-    terms = {"pabc": ("prob", parse_event(f"{a},{b},{c}")),
-             "p3": ("prob", parse_event(f"{a}|{b}|{c}")),
-             "pab_c": ("prob", parse_event(f"{a},{b}|{c}")),
-             "pac_b": ("prob", parse_event(f"{a},{c}|{b}")),
-             "pa_bc": ("prob", parse_event(f"{a}|{b},{c}"))}
+    terms = _marked_events(g, {"pabc": "{a},{b},{c}", "p3": "{a}|{b}|{c}",
+                               "pab_c": "{a},{b}|{c}", "pac_b": "{a},{c}|{b}",
+                               "pa_bc": "{a}|{b},{c}"})
+    eps, delta = _eps_delta(params)
 
     def post(vals):
         if not vals["pab_c"] < delta:
@@ -360,16 +313,16 @@ def _conj3_spec(g, params):
 
 
 _CHECKS = {
-    "hk_tree": _hk_spec,
-    "vdbk_tree": _vdbk_spec,
+    "hk_tree": partial(_tree_spec, "hk_tree"),
+    "vdbk_tree": partial(_tree_spec, "vdbk_tree"),
     "cs_bound": _cs_spec,
-    "frac1": _frac1_spec,
-    "frac2": _frac2_spec,
-    "planar_dv2": _planar_dv2_spec,
-    "dv8": _dv8_spec,
+    "frac1": partial(_frac_spec, "{a}|{b}|{c}"),
+    "frac2": partial(_frac_spec, "{b},{c}"),
+    "planar_dv2": partial(_dv_spec, 2.0, ("pab", "pbc", "pac"), True),
+    "dv8": partial(_dv_spec, 8.0, ("pab", "pac", "pbc"), False),
     "dv_union": _dv_union_spec,
-    "q2": _q2_spec,
-    "q2_swapped": _q2_swapped_spec,
+    "q2": partial(_q2_spec, "u_ab_bc", "u_ab_ac"),
+    "q2_swapped": partial(_q2_spec, "u_ab_ac", "u_ab_bc"),
     "conj2_demo": _conj2_spec,
     "arms23": _arms23_spec,
     "arms_klm": _arms_klm_spec,
@@ -385,55 +338,47 @@ def check_ids() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Term evaluation
+# Terms and verdicts
 
 
-def _derived_seed(seed: int, i: int) -> int:
-    return (seed * 1000003 + 17 * i + 1) & 0x7FFFFFFFFFFFFFFF
+def _check_args(method: str, samples, seed, sigma: float) -> None:
+    """Reject run settings that would give a wrong or meaningless verdict."""
+    if method not in ("exact", "mc"):
+        raise ValueError("method must be 'exact' or 'mc'")
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if method == "mc":
+        if samples is None or seed is None:
+            raise ValueError("mc method requires samples and seed")
+        if samples < 1:
+            raise ValueError(f"mc method needs samples >= 1, got {samples}")
 
 
-def _eval_exact(g: Graph, terms: dict) -> dict:
-    vals = {}
-    a, b = g.marks[0], g.marks[1]
-    for name, spec in terms.items():
-        if spec[0] == "prob":
-            vals[name] = exact_prob(g, spec[1])
-        elif spec[0] == "pair":
-            _, t, kind, A, B = spec
-            q = Joint(A, B) if kind == "joint" else SqS(A, B)
-            vals[name] = exact_pair(g, t, q)
-        elif spec[0] == "npaths":
-            vals[name] = exact_npaths(g, a, b, spec[1])
-        else:
-            raise PercolabError(f"unknown term kind {spec[0]!r}")
-    return vals
+def _derived_seed(seed: int | None, i: int) -> int | None:
+    """Seed of term i; None (an exact run) stays None."""
+    return None if seed is None else (seed * 1000003 + 17 * i + 1) & 0x7FFFFFFFFFFFFFFF
 
 
-def _eval_mc(g: Graph, terms: dict, samples: int, seed: int):
-    vals, ses = {}, {}
-    a, b = g.marks[0], g.marks[1]
-    for i, (name, spec) in enumerate(sorted(terms.items())):
-        s_i = _derived_seed(seed, i)
-        if spec[0] == "prob":
-            est = mc_prob(g, spec[1], samples, s_i)
-        elif spec[0] == "pair":
-            _, t, kind, A, B = spec
-            q = Joint(A, B) if kind == "joint" else SqS(A, B)
-            est = mc_pair(g, t, q, samples, s_i)
-        elif spec[0] == "npaths":
-            est = mc_npaths(g, a, b, spec[1], samples, s_i)
-        else:
-            raise PercolabError(f"unknown term kind {spec[0]!r}")
-        vals[name] = est.mean
-        ses[name] = est.std_error
-    return vals, ses
+def _term(g: Graph, spec: tuple, method: str, samples, seed) -> tuple[float, float]:
+    """(value, standard error) of one term; exact values have error 0."""
+    kind, *args = spec
+    if kind == "npaths":  # disjoint paths between the first two marks
+        args = [g.marks[0], g.marks[1], *args]
+    exact, mc = {"prob": (exact_prob, mc_prob), "pair": (exact_pair, mc_pair),
+                 "npaths": (exact_npaths, mc_npaths)}[kind]
+    if method == "exact":
+        return exact(g, *args), 0.0
+    est = mc(g, *args, samples, seed)
+    return est.mean, est.std_error
 
 
 def _propagated_se(fn, vals: dict, ses: dict) -> float:
+    """Delta-method error of fn.  A term at 0 or n hits has a zero Wald error,
+    which bounds nothing, so the result is then infinite."""
+    if not all(ses.values()):
+        return math.inf
     var = 0.0
     for k, se in ses.items():
-        if se == 0.0:
-            continue
         h = max(se * 1e-2, 1e-9)
         up = dict(vals)
         dn = dict(vals)
@@ -444,6 +389,31 @@ def _propagated_se(fn, vals: dict, ses: dict) -> float:
     return math.sqrt(var)
 
 
+def _verdict(check_id: str, g: Graph, lhs: float, rhs: float, se: float, method: str,
+             *, sigma: float, tol: float, samples, seed, t0: float,
+             note: str | None = None) -> CheckReport:
+    """The report on the claim lhs <= rhs.
+
+    Exact: ``holds`` iff the slack is at least -tol, else ``violated``.
+    MC: ``holds`` or ``violated`` only when the slack lies at least sigma
+    standard errors from 0, else ``inconclusive``.
+    """
+    slack = rhs - lhs
+    runtime_ms = (time.perf_counter() - t0) * 1e3
+    if method == "exact":
+        return CheckReport(check_id, g.name, method, lhs, rhs, slack,
+                           "holds" if slack >= -tol else "violated",
+                           tol, None, None, None, runtime_ms, note)
+    if slack >= sigma * se:
+        verdict = "holds"
+    elif slack <= -sigma * se:
+        verdict = "violated"
+    else:
+        verdict = "inconclusive"
+    return CheckReport(check_id, g.name, method, lhs, rhs, slack, verdict,
+                       None, sigma, samples, seed, runtime_ms, note)
+
+
 def run_check(check_id: str, g: Graph, params: dict | None = None,
               method: str = "exact", *, samples: int | None = None,
               seed: int | None = None, sigma: float = 3.0,
@@ -451,44 +421,21 @@ def run_check(check_id: str, g: Graph, params: dict | None = None,
     """Evaluate one named check on one graph and return its report."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}")
-    if method not in ("exact", "mc"):
-        raise ValueError("method must be 'exact' or 'mc'")
+    _check_args(method, samples, seed, sigma)
     tol = config.DEFAULT_TOL if tol is None else tol
     t0 = time.perf_counter()
     spec = _CHECKS[check_id](g, params or {})
-    if method == "exact":
-        vals = _eval_exact(g, spec.terms)
-        if spec.post_hypothesis:
-            spec.post_hypothesis(vals)
-        lhs = spec.lhs(vals)
-        rhs = spec.rhs(vals)
-        slack = rhs - lhs
-        verdict = "holds" if slack >= -tol else "violated"
-        report = CheckReport(check_id, g.name, "exact", lhs, rhs, slack, verdict,
-                             tol, None, None, None,
-                             (time.perf_counter() - t0) * 1e3, spec.note)
-    else:
-        if samples is None or seed is None:
-            raise ValueError("mc method requires samples and seed")
-        vals, ses = _eval_mc(g, spec.terms, samples, seed)
-        if spec.post_hypothesis:
-            spec.post_hypothesis(vals)
-        lhs = spec.lhs(vals)
-        rhs = spec.rhs(vals)
-        slack = rhs - lhs
-        se = _propagated_se(lambda v: spec.rhs(v) - spec.lhs(v), vals, ses)
-        if not all(ses.values()):  # 0 or n hits: a zero Wald error, not a known term
-            verdict = "inconclusive"
-        elif slack >= sigma * se:
-            verdict = "holds"
-        elif slack <= -sigma * se:
-            verdict = "violated"
-        else:
-            verdict = "inconclusive"
-        report = CheckReport(check_id, g.name, "mc", lhs, rhs, slack, verdict,
-                             None, sigma, samples, seed,
-                             (time.perf_counter() - t0) * 1e3, spec.note)
-    return report
+    vals, ses = {}, {}
+    for i, name in enumerate(sorted(spec.terms)):
+        vals[name], ses[name] = _term(g, spec.terms[name], method, samples,
+                                      _derived_seed(seed, i))
+    if spec.post_hypothesis:
+        spec.post_hypothesis(vals)
+    se = _propagated_se(lambda v: spec.rhs(v) - spec.lhs(v), vals, ses) \
+        if method == "mc" else 0.0
+    return _verdict(check_id, g, spec.lhs(vals), spec.rhs(vals), se, method,
+                    sigma=sigma, tol=tol, samples=samples, seed=seed, t0=t0,
+                    note=spec.note)
 
 
 # ---------------------------------------------------------------------------
@@ -552,20 +499,6 @@ def alpha3_root() -> float:
 # Conjecture scans
 
 
-def _npaths_values(g: Graph, nmax: int, method, samples, seed):
-    a, b = g.marks[0], g.marks[1]
-    vals, ses = [], []
-    for k in range(1, nmax + 1):
-        if method == "exact":
-            vals.append(exact_npaths(g, a, b, k))
-            ses.append(0.0)
-        else:
-            est = mc_npaths(g, a, b, k, samples, _derived_seed(seed, k))
-            vals.append(est.mean)
-            ses.append(est.std_error)
-    return vals, ses
-
-
 def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
                      method: str = "exact", *, samples: int | None = None,
                      seed: int | None = None, sigma: float = 3.0,
@@ -577,9 +510,8 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
     quantity is degenerate (disjoint-path probability exactly 0 or 1).
     """
     params = params or {}
+    _check_args(method, samples, seed, sigma)
     tol = config.DEFAULT_TOL if tol is None else tol
-    if method == "mc" and (samples is None or seed is None):
-        raise ValueError("mc method requires samples and seed")
 
     if scan_id == "conj3":
         out = []
@@ -599,31 +531,17 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
     if nmax < 2:
         raise ValueError("scan needs nmax >= 2")
     t0 = time.perf_counter()
-    f, ses = _npaths_values(g, nmax, method, samples, seed)
+    f, ses = zip(*(_term(g, ("npaths", k), method, samples, _derived_seed(seed, k))
+                   for k in range(1, nmax + 1)))
     for k, v in enumerate(f, start=1):
         if v <= 0.0 or v >= 1.0:
             raise HypothesisError(
                 f"disjoint-path probability degenerate at index {k} (got {v})")
     out = []
 
-    def emit(cid, lhs, rhs, se, note=None):
-        slack = rhs - lhs
-        if method == "exact":
-            verdict = "holds" if slack >= -tol else "violated"
-            rep = CheckReport(cid, g.name, "exact", lhs, rhs, slack, verdict,
-                              tol, None, None, None,
-                              (time.perf_counter() - t0) * 1e3, note)
-        else:
-            if slack >= sigma * se:
-                verdict = "holds"
-            elif slack <= -sigma * se:
-                verdict = "violated"
-            else:
-                verdict = "inconclusive"
-            rep = CheckReport(cid, g.name, "mc", lhs, rhs, slack, verdict,
-                              None, sigma, samples, seed,
-                              (time.perf_counter() - t0) * 1e3, note)
-        out.append(rep)
+    def emit(cid, lhs, rhs, se):
+        out.append(_verdict(cid, g, lhs, rhs, se, method, sigma=sigma, tol=tol,
+                            samples=samples, seed=seed, t0=t0))
 
     if scan_id == "logconcave":
         for n in range(2, nmax):

@@ -195,7 +195,7 @@ def corpus_run(filter_glob, out_dir, quiet):
     t0 = time.perf_counter()
     echo = None if quiet else (lambda line: click.echo(line))
     try:
-        reports, skips, ok = _guarded(lambda: run_corpus(filter_glob, echo))
+        reports, skips, _ok = _guarded(lambda: run_corpus(filter_glob, echo))
     except _Fail as f:
         click.echo(f.message, err=True)
         sys.exit(f.code)
@@ -221,7 +221,7 @@ def corpus_run(filter_glob, out_dir, quiet):
                f"skipped (hypothesis): {len(skips)}  elapsed: {dt:.1f}s")
     for s in skips:
         click.echo(f"  skipped {s}")
-    sys.exit(0 if (ok and n_viol == 0) else 1)
+    sys.exit(_exit_code(reports))
 
 
 @cmd_corpus.command("list")

@@ -87,6 +87,8 @@ def _pack(bits: np.ndarray) -> int:
 
 def _edge_bit_columns(g: Graph, n: int, seed: int, stride: int, offset: int):
     """Per-edge bitmask over samples: bit i set when edge open in sample i."""
+    if n < 1:
+        raise ValueError("need n >= 1 samples")
     idx = np.arange(n, dtype=np.uint64)
     cols = []
     for j, p in enumerate(g.probs):
@@ -97,8 +99,6 @@ def _edge_bit_columns(g: Graph, n: int, seed: int, stride: int, offset: int):
 
 def mc_prob(g: Graph, e: EventExpr, n: int, seed: int) -> Estimate:
     """Monte Carlo estimate of an event probability."""
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
     _resolve(e, g)
     cols = _edge_bit_columns(g, n, seed, g.n_edges, 0)
     return Estimate.from_count(_evaluate_columns(e, g, cols, n).bit_count(), n, seed)
@@ -113,6 +113,8 @@ def mc_npaths(g: Graph, u: str, v: str, n_paths: int, samples: int, seed: int) -
 
 def mc_flow_tail(g: Graph, u: str, v: str, n_max: int, samples: int, seed: int) -> list[Estimate]:
     """Estimates of the disjoint-path counts 1..n_max from shared samples."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     _resolve(NPathsAtom(u, v, n_max), g)
     cols = _edge_bit_columns(g, samples, seed, g.n_edges, 0)
     # max-flow runs only on the samples where u and v are connected

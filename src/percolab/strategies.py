@@ -36,6 +36,7 @@ open hugs the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import config
 from .errors import SizeGuardError, StrategyError
@@ -436,21 +437,12 @@ def verify_continuation(t1: Strategy, t2: Strategy, g: Graph) -> bool:
         raise SizeGuardError(
             f"continuation check limited to {config.MAX_CONTINUATION_EDGES} edges")
     n = g.n_edges
-    if not t1.uses_c2 and not t2.uses_c2:
-        c2 = Configuration(g, 0)
-        for m1 in range(1 << n):
-            c1 = Configuration(g, m1)
-            s1 = trace_signature(t1, g, c1, c2)
-            s2 = trace_signature(t2, g, c1, c2)
-            if s2[:len(s1)] != s1:
-                return False
-        return True
-    for m1 in range(1 << n):
-        c1 = Configuration(g, m1)
-        for m2 in range(1 << n):
-            c2 = Configuration(g, m2)
-            s1 = trace_signature(t1, g, c1, c2)
-            s2 = trace_signature(t2, g, c1, c2)
-            if s2[:len(s1)] != s1:
-                return False
+    # strategies that never read c2 are checked against c2 = 0 only
+    c2_masks = range(1 << n) if t1.uses_c2 or t2.uses_c2 else (0,)
+    for m1, m2 in product(range(1 << n), c2_masks):
+        c1, c2 = Configuration(g, m1), Configuration(g, m2)
+        s1 = trace_signature(t1, g, c1, c2)
+        s2 = trace_signature(t2, g, c1, c2)
+        if s2[:len(s1)] != s1:
+            return False
     return True

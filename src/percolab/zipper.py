@@ -30,6 +30,7 @@ richards   two mixtures of triplet distributions; the exchange condition
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -188,11 +189,17 @@ class ProductEvent:
 
     def __init__(self, g: Graph, exprs):
         self.g = g
-        self.tabs = [truth_table(g, e) for e in exprs]
+        self.layers = [(k, truth_table(g, e)) for k, e in enumerate(exprs)]
+
+    def without(self, drop: int) -> "ProductEvent":
+        """The same event with layer ``drop`` left unconstrained."""
+        sub = copy.copy(self)
+        sub.layers = [(k, tab) for k, tab in self.layers if k != drop]
+        return sub
 
     def __call__(self, symbols: dict) -> bool:
         g = self.g
-        for layer, tab in enumerate(self.tabs):
+        for layer, tab in self.layers:
             mask = 0
             for eid in g.edge_ids:
                 sym = symbols[eid][1]
@@ -387,10 +394,10 @@ def check_gen_inequality(g: Graph, ds: DualSpace, t: GeneralStrategy,
     else:
         lo, hi = p1 - pm, pm - p2
     extras = {}
-    if isinstance(event, ProductEvent) and len(event.tabs) >= 2:
+    if isinstance(event, ProductEvent) and len(event.layers) >= 2:
         deltas = []
-        for drop in range(len(event.tabs)):
-            sub = _SubProduct(event, drop)
+        for drop in range(len(event.layers)):
+            sub = event.without(drop)
             q1 = event_probability(gen_enumerate(g, ds, ConstChoice(1)), sub)
             qm = event_probability(gen_enumerate(g, ds, t), sub)
             q2 = event_probability(gen_enumerate(g, ds, ConstChoice(2)), sub)
@@ -399,21 +406,3 @@ def check_gen_inequality(g: Graph, ds: DualSpace, t: GeneralStrategy,
     return GenReport(p1, pm, p2, lo, hi, lo >= -tol and hi >= -tol,
                      ds.direction, extras)
 
-
-class _SubProduct:
-    """Product event with one layer dropped (used for two-factor checks)."""
-
-    def __init__(self, base: ProductEvent, drop: int):
-        self.g = base.g
-        self.layers = [(i, tab) for i, tab in enumerate(base.tabs) if i != drop]
-
-    def __call__(self, symbols: dict) -> bool:
-        g = self.g
-        for layer, tab in self.layers:
-            mask = 0
-            for eid in g.edge_ids:
-                if symbols[eid][1][layer] == "1":
-                    mask |= 1 << g.edge_index(eid)
-            if not tab[mask]:
-                return False
-        return True

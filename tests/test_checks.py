@@ -1,9 +1,10 @@
 import math
+import time
 
 import pytest
 
-from percolab import (HypothesisError, alpha3_root, generate, graph_from_spec,
-                      implied_lambda, run_check, scan_conjectures)
+from percolab import (HypothesisError, SizeGuardError, alpha3_root, generate,
+                      graph_from_spec, implied_lambda, run_check, scan_conjectures)
 from percolab.checks import alpha3_cubic, check_ids, poisson_upper_tail
 
 TOL = 1e-12
@@ -203,7 +204,95 @@ def test_mc_method_reports():
     assert r.method == "mc" and r.sigma == 3.0 and r.samples == 20000
     assert r.verdict == "holds"
     r2 = run_check("dv8", g, method="mc", samples=20000, seed=5)
-    assert r.to_dict() == r2.to_dict() or r.runtime_ms != r2.runtime_ms
+    assert _without_runtime(r) == _without_runtime(r2)
+
+
+def _without_runtime(rep) -> dict:
+    d = rep.to_dict()
+    del d["runtime_ms"]
+    return d
+
+
+# report dicts recorded before the exact and MC verdict paths were merged
+_GOLDEN_SCANS = [
+    (("logconcave", "family:grid:2,6,p=0.7", 2, 20000, 11), [
+        {'check_id': 'logconcave#ratio[n=1]', 'graph': 'family:grid:2,6,p=0.7', 'method': 'mc', 'lhs': -0.6375554160796378, 'rhs': -0.19540679634261007, 'slack': 0.4421486197370278, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 20000, 'seed': 11, 'note': None},  # noqa: E501
+    ]),
+    (("lambda_monotone", "family:grid:2,6,p=0.7", 2, 20000, 12), [
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:grid:2,6,p=0.7', 'method': 'mc', 'lhs': 1.0414896019869508, 'rhs': 1.7164664851926235, 'slack': 0.6749768832056726, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 20000, 'seed': 12, 'note': None},  # noqa: E501
+    ]),
+    (("logconcave", "family:parallel:4,q=0.5", 4, 3000, 11), [
+        {'check_id': 'logconcave#sq[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.27942466666666665, 'rhs': 0.45832900000000004, 'slack': 0.1789043333333334, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#sq[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.041522666666666666, 'rhs': 0.088804, 'slack': 0.04728133333333333, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=1]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.195042003034931, 'rhs': -0.06436075916038991, 'slack': 0.13068124387454108, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.40355393082557756, 'rhs': -0.195042003034931, 'slack': 0.20851192779064656, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.6978579525103153, 'rhs': -0.40355393082557756, 'slack': 0.2943040216847378, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+    ]),
+    (("lambda_monotone", "family:parallel:4,q=0.5", 4, 3000, 12), [
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 2.3299772290295016, 'rhs': 2.7385094085869177, 'slack': 0.40853217955741616, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.9717094045881534, 'rhs': 2.3299772290295016, 'slack': 0.3582678244413482, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.4650544143759525, 'rhs': 1.9717094045881534, 'slack': 0.5066549902122008, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 12, 'note': None},  # noqa: E501
+    ]),
+]
+
+# hk_tree with the empty strategy on cycle:4: the slack is -0.0082, within
+# three standard errors of 0
+_STOP = {"strategy": "stop", "events": ("a,b", "b,c")}
+_GOLDEN_INCONCLUSIVE = {'check_id': 'hk_tree', 'graph': 'family:cycle:4,p=0.5', 'method': 'mc', 'lhs': 0.3127275, 'rhs': 0.3045, 'slack': -0.008227499999999999, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 2000, 'seed': 1, 'note': None}  # noqa: E501
+
+
+@pytest.mark.parametrize("case", _GOLDEN_SCANS, ids=lambda c: f"{c[0][0]}@{c[0][1]}")
+def test_mc_scan_reports_golden(case):
+    (scan_id, spec, nmax, samples, seed), want = case
+    reps = scan_conjectures(scan_id, graph_from_spec(spec), {"nmax": nmax}, "mc",
+                            samples=samples, seed=seed)
+    assert [_without_runtime(r) for r in reps] == want
+
+
+def test_mc_inconclusive_check_golden():
+    r = run_check("hk_tree", graph_from_spec("family:cycle:4,p=0.5"), _STOP, "mc",
+                  samples=2000, seed=1)
+    assert _without_runtime(r) == _GOLDEN_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("sigma", [0.0, -3.0, float("nan")])
+def test_sigma_must_be_positive(sigma):
+    # at sigma -3 the slack above read "holds", at sigma 0 "violated"
+    g = graph_from_spec("family:cycle:4,p=0.5")
+    with pytest.raises(ValueError, match="sigma"):
+        run_check("hk_tree", g, _STOP, "mc", samples=2000, seed=1, sigma=sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        run_check("dv8", g, sigma=sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        scan_conjectures("logconcave", graph_from_spec("family:parallel:4,q=0.5"),
+                         {"nmax": 3}, "mc", samples=100, seed=1, sigma=sigma)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_mc_samples_below_one_refused(samples):
+    g = generate("cycle", 3, p=0.5)
+    with pytest.raises(ValueError, match="samples"):
+        run_check("hk_tree", g, {"strategy": "bfs_cluster:a", "events": ("a,b", "b,c")},
+                  "mc", samples=samples, seed=1)
+    with pytest.raises(ValueError, match="samples"):
+        scan_conjectures("logconcave", graph_from_spec("family:parallel:4,q=0.5"),
+                         {"nmax": 3}, "mc", samples=samples, seed=1)
+
+
+@pytest.mark.parametrize("check_id,spec,params,method", [
+    ("frac1", "family:grid:3,4,p=0.5", None, "exact"),
+    ("frac2", "family:grid:2,7,p=0.5", None, "exact"),
+    ("cs_bound", "family:grid:5,5,p=0.5",
+     {"strategy": "dfs_stop_at:a,b,c", "events": ("a,b U a,c", "b,c")}, "mc"),
+])
+def test_cs_hypotheses_refused_before_enumerating(check_id, spec, params, method):
+    # the hypotheses are checked over all 2^E configurations, which the
+    # 16-edge continuation guard refuses; the refusal must come first
+    g = graph_from_spec(spec)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeGuardError):
+        run_check(check_id, g, params, method, samples=100, seed=1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_mc_zero_hit_term_is_inconclusive():

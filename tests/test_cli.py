@@ -85,6 +85,36 @@ def test_mc_without_seed_exits_2(runner):
     assert res.exit_code == 2
 
 
+_HK_STOP = ["check", "hk_tree", "--graph", "family:cycle:4,p=0.5", "--strategy", "stop",
+            "--events", "a,b", "b,c", "--method", "mc", "--samples", "2000", "--seed", "1"]
+
+
+def test_mc_sigma_exit_codes(runner):
+    # slack -0.0082 at 2000 samples: inconclusive at the default sigma; a
+    # non-positive sigma would turn noise into a verdict, so it is refused
+    res = runner.invoke(main, _HK_STOP)
+    assert res.exit_code == 0
+    assert json.loads(res.output)[0]["verdict"] == "inconclusive"
+    for sigma in ("0", "-3"):
+        res = runner.invoke(main, _HK_STOP + ["--sigma", sigma])
+        assert res.exit_code == 2, res.output
+        assert "sigma must be > 0" in res.output
+
+
+def test_mc_zero_samples_exits_2(runner):
+    res = runner.invoke(main, _HK_STOP[:-4] + ["--samples", "0", "--seed", "1"])
+    assert res.exit_code == 2, res.output
+    assert "samples >= 1" in res.output
+
+
+def test_cs_bound_mc_on_large_graph_exits_3(runner):
+    res = runner.invoke(main, ["check", "cs_bound", "--graph", "family:grid:5,5,p=0.5",
+                               "--strategy", "dfs_stop_at:a,b,c",
+                               "--events", "a,b U a,c", "b,c", "--method", "mc",
+                               "--samples", "100", "--seed", "1"])
+    assert res.exit_code == 3, res.output
+
+
 def test_estimate_exact(runner):
     res = runner.invoke(main, ["estimate", "--graph", "family:cycle:3,p=0.5",
                                "--event", "a,b,c", "--method", "exact"])

@@ -176,6 +176,21 @@ def test_unknown_vertex_in_npaths_is_an_evaluation_error(call):
         call(generate("cycle", 3, p=0.5))
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: mc_prob(g, parse_event("a,b"), 0, 1),
+    lambda g: mc_npaths(g, "a", "b", 1, 0, 1),
+    lambda g: mc_flow_tail(g, "a", "b", 2, 0, 1),
+    lambda g: mc_flow_tail(g, "a", "b", 0, 100, 1),
+    lambda g: mc_pair(g, parse_strategy("bfs_cluster:a"),
+                      Joint(parse_event("a,b"), parse_event("b,c")), 0, 1),
+    lambda g: mc_pair(g, parse_strategy("bfs_cluster:a"),
+                      SqS(parse_event("a,b"), parse_event("b,c")), -1, 1),
+])
+def test_no_samples_or_no_levels_refused(call):
+    with pytest.raises(ValueError):
+        call(generate("cycle", 3, p=0.5))
+
+
 def test_seeded_hit_counts_pinned():
     # hit counts of the earlier uint64 per-sample sampler: masks transposed
     # from the edge columns must reproduce them exactly

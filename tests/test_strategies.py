@@ -204,6 +204,19 @@ def test_verify_continuation_general_path():
     assert t2.uses_c2
     assert verify_continuation(t1, t2, g)
 
+    class SbarFromC2(Strategy):
+        """Queries e0; then e1 into Sbar only when e0 is open in c2."""
+        name = "sbarfromc2"
+        uses_c2 = True
+
+        def policy(self, g):
+            _b1, b2 = yield (g.edge_ids[0], S)
+            if b2:
+                _ = yield (g.edge_ids[1], SBAR)
+
+    # the traces part only where e0 is open in c2, so every c2 is needed
+    assert not verify_continuation(SbarFromC2(), parse_strategy("reveal_all:S"), g)
+
 
 def test_adaptedness_same_prefix_same_next():
     # strategies are functions of the revealed trace: runs whose traces agree

@@ -169,6 +169,18 @@ def test_colored_single_edge_values():
     assert p2 == pytest.approx(1 / 8, abs=TOL)
 
 
+def test_product_event_without_a_layer():
+    g = generate("path", 1, p=0.5)
+    U = parse_event("a,b")
+    ev = ProductEvent(g, (U, U, U))
+    (eid,) = g.edge_ids
+    assert not ev({eid: (1, "101")})
+    assert ev.without(1)({eid: (1, "101")})
+    assert not ev.without(0)({eid: (1, "101")})
+    with pytest.raises(PercolabError, match="too short"):
+        ev.without(0)({eid: (1, "1")})
+
+
 def test_richards_reversed_direction():
     ds = build_preset("richards")
     U = parse_event("a,b")
