@@ -39,7 +39,8 @@ from functools import partial
 from . import config
 from .errors import HypothesisError, PercolabError, SizeGuardError
 from .events import Intersect, Monotonicity, monotonicity, parse_event, require_increasing
-from .exact import Joint, SqS, exact_npaths, exact_pair, exact_prob, truth_table
+from .exact import (Joint, SqS, _check_pair_size, _submasks, _view, exact_npaths, exact_pair,
+                    exact_prob, truth_table)
 from .graphs import Configuration, Graph, same_face
 from .mc import mc_npaths, mc_pair, mc_prob
 from .strategies import (S, SBAR, Strategy, extend_with_rest, parse_strategy,
@@ -76,6 +77,7 @@ class _Spec:
     rhs: callable
     post_hypothesis: callable | None = None
     note: str | None = None
+    pre_hypothesis: callable | None = None  # enumerating checks, run after the size guards
 
 
 def _strategy_of(x) -> Strategy:
@@ -128,40 +130,22 @@ def _tree_spec(check_id, g, params):
     return _Spec(terms, lambda v: v["sqs"], lambda v: v["pa"] * v["pb"])
 
 
-def _decides(t: Strategy, g: Graph, expr) -> bool:
-    """The strategy's revealed edges always determine the event on c1."""
-    tab = truth_table(g, expr)
+def _check_prefix(t: Strategy, g: Graph, expr) -> None:
+    """The prefix reveals everything into S, and the revealed part of c1
+    always decides the event: the event is constant on its completions."""
     c0 = Configuration(g, 0)
-    full = (1 << g.n_edges) - 1
-    seen = set()
-    for m1 in range(1 << g.n_edges):
-        trace = run(t, g, Configuration(g, m1), c0)
-        r_mask = 0
-        for st in trace.steps:
-            r_mask |= 1 << g.edge_index(st.edge)
-        key = (r_mask, m1 & r_mask)
-        if key in seen:
-            continue
-        seen.add(key)
-        free = full & ~r_mask
-        want = tab[m1]
-        sub = free
-        while True:
-            if tab[(m1 & r_mask) | sub] != want:
-                return False
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-    return True
-
-
-def _all_s_decisions(t: Strategy, g: Graph) -> bool:
-    c0 = Configuration(g, 0)
+    revealed = []
     for m1 in range(1 << g.n_edges):
         trace = run(t, g, Configuration(g, m1), c0)
         if any(st.decision != S for st in trace.steps):
-            return False
-    return True
+            raise HypothesisError("prefix strategy must reveal everything into S")
+        revealed.append(trace.s_mask(g))
+    tab = _view(truth_table(g, expr))
+    full = (1 << g.n_edges) - 1
+    for r_mask, pinned in {(r, m1 & r) for m1, r in enumerate(revealed)}:
+        on = tab[pinned | _submasks(g, full & ~r_mask)[0]]
+        if on.any() != on.all():
+            raise HypothesisError("prefix strategy does not decide the conditioning event")
 
 
 def _cs_spec_from(g, t1: Strategy, A, M):
@@ -171,25 +155,24 @@ def _cs_spec_from(g, t1: Strategy, A, M):
                              f"limited to {config.MAX_CONTINUATION_EDGES} edges")
     if t1.uses_c2:
         raise HypothesisError("prefix strategy must branch on the first configuration only")
-    if monotonicity(M, g) is Monotonicity.NONE:
-        raise HypothesisError("the refining event must be monotone")
-    if not _all_s_decisions(t1, g):
-        raise HypothesisError("prefix strategy must reveal everything into S")
-    if not _decides(t1, g, A):
-        raise HypothesisError("prefix strategy does not decide the conditioning event")
     t2 = extend_with_rest(t1, SBAR)
-    if not verify_continuation(t1, t2, g):
-        raise HypothesisError("continuation check failed")
     B = Intersect((A, M))
     terms = {"pa": ("prob", A), "pb": ("prob", B),
              "joint": ("pair", t2, Joint(B, B))}
+
+    def pre():
+        if monotonicity(M, g) is Monotonicity.NONE:
+            raise HypothesisError("the refining event must be monotone")
+        _check_prefix(t1, g, A)
+        if not verify_continuation(t1, t2, g):
+            raise HypothesisError("continuation check failed")
 
     def post(vals):
         if vals["pa"] <= config.DEFAULT_TOL:
             raise HypothesisError("conditioning event has probability zero")
 
     return _Spec(terms, lambda v: v["pb"] ** 2 / v["pa"], lambda v: v["joint"],
-                 post_hypothesis=post)
+                 post_hypothesis=post, pre_hypothesis=pre)
 
 
 def _cs_spec(g, params):
@@ -330,7 +313,11 @@ _CHECKS = {
     "conj3_scan": _conj3_spec,
 }
 
-CONJECTURE_CHECKS = frozenset({"conj3_scan", "logconcave", "lambda_monotone"})
+# conjecture scans: two over disjoint-path indices, one over eps (conj3_scan)
+_NPATHS_SCANS = ("logconcave", "lambda_monotone")
+SCAN_IDS = _NPATHS_SCANS + ("conj3",)
+# report ids (before any '#') whose violations are findings, not failures
+CONJECTURE_CHECKS = frozenset(_NPATHS_SCANS + ("conj3_scan",))
 
 
 def check_ids() -> tuple:
@@ -414,6 +401,27 @@ def _verdict(check_id: str, g: Graph, lhs: float, rhs: float, se: float, method:
                        None, sigma, samples, seed, runtime_ms, note)
 
 
+def _evaluate(g: Graph, spec: _Spec, method: str, samples, seed) -> tuple[dict, dict]:
+    """(values, standard errors) of the spec's terms, seeded by sorted name."""
+    vals, ses = {}, {}
+    for i, name in enumerate(sorted(spec.terms)):
+        vals[name], ses[name] = _term(g, spec.terms[name], method, samples,
+                                      _derived_seed(seed, i))
+    return vals, ses
+
+
+def _judge(check_id: str, g: Graph, spec: _Spec, vals: dict, ses: dict, method: str,
+           *, sigma: float, tol: float, samples, seed, t0: float) -> CheckReport:
+    """The report of a spec on evaluated terms, after its post-hypothesis."""
+    if spec.post_hypothesis:
+        spec.post_hypothesis(vals)
+    se = _propagated_se(lambda v: spec.rhs(v) - spec.lhs(v), vals, ses) \
+        if method == "mc" else 0.0
+    return _verdict(check_id, g, spec.lhs(vals), spec.rhs(vals), se, method,
+                    sigma=sigma, tol=tol, samples=samples, seed=seed, t0=t0,
+                    note=spec.note)
+
+
 def run_check(check_id: str, g: Graph, params: dict | None = None,
               method: str = "exact", *, samples: int | None = None,
               seed: int | None = None, sigma: float = 3.0,
@@ -425,17 +433,13 @@ def run_check(check_id: str, g: Graph, params: dict | None = None,
     tol = config.DEFAULT_TOL if tol is None else tol
     t0 = time.perf_counter()
     spec = _CHECKS[check_id](g, params or {})
-    vals, ses = {}, {}
-    for i, name in enumerate(sorted(spec.terms)):
-        vals[name], ses[name] = _term(g, spec.terms[name], method, samples,
-                                      _derived_seed(seed, i))
-    if spec.post_hypothesis:
-        spec.post_hypothesis(vals)
-    se = _propagated_se(lambda v: spec.rhs(v) - spec.lhs(v), vals, ses) \
-        if method == "mc" else 0.0
-    return _verdict(check_id, g, spec.lhs(vals), spec.rhs(vals), se, method,
-                    sigma=sigma, tol=tol, samples=samples, seed=seed, t0=t0,
-                    note=spec.note)
+    if method == "exact" and any(kind == "pair" for kind, *_ in spec.terms.values()):
+        _check_pair_size(g)
+    if spec.pre_hypothesis:
+        spec.pre_hypothesis()
+    vals, ses = _evaluate(g, spec, method, samples, seed)
+    return _judge(check_id, g, spec, vals, ses, method, sigma=sigma, tol=tol,
+                  samples=samples, seed=seed, t0=t0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +519,19 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
 
     if scan_id == "conj3":
         out = []
+        terms = None  # the terms do not depend on eps: evaluated once
         for eps in params.get("eps_grid", (0.2, 0.3)):
+            t0 = time.perf_counter()
             try:
-                rep = run_check("conj3_scan", g, {"eps": eps}, method,
-                                samples=samples, seed=seed, sigma=sigma, tol=tol)
+                spec = _conj3_spec(g, {"eps": eps})
+                terms = terms or _evaluate(g, spec, method, samples, seed)
+                out.append(_judge(f"conj3_scan#eps={eps:g}", g, spec, *terms, method,
+                                  sigma=sigma, tol=tol, samples=samples, seed=seed, t0=t0))
             except HypothesisError:
                 continue
-            rep.check_id = f"conj3_scan#eps={eps:g}"
-            out.append(rep)
         return out
 
-    if scan_id not in ("logconcave", "lambda_monotone"):
+    if scan_id not in SCAN_IDS:
         raise ValueError(f"unknown scan id {scan_id!r}")
     nmax = int(params.get("nmax", 3))
     if nmax < 2:

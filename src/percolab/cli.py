@@ -16,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from .checks import (CheckReport, check_ids, implied_lambda, run_check,
+from .checks import (SCAN_IDS, CheckReport, check_ids, implied_lambda, run_check,
                      scan_conjectures)
 from .corpus import corpus_entries, is_conjecture, run_corpus
 from .errors import (EvaluationError, EventSyntaxError, GraphFormatError,
@@ -30,8 +30,6 @@ from .mc import mc_prob
 _USAGE_ERRORS = (GraphFormatError, EventSyntaxError, EvaluationError,
                  MonotonicityError, StrategyError, HypothesisError,
                  ValueError, click.UsageError)
-
-SCAN_IDS = ("logconcave", "lambda_monotone", "conj3")
 
 
 def _load_graph(spec: str) -> Graph:

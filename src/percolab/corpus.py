@@ -310,17 +310,14 @@ def run_entry(entry: CorpusEntry, get_graph=None, tol: float = config.DEFAULT_TO
     if entry.kind == "splice":
         return [_run_splice(entry, g, tol)]
     if entry.kind == "scan":
-        scan_id = entry.check_id if entry.check_id in ("logconcave", "lambda_monotone") \
-            else "conj3"
-        return scan_conjectures(scan_id, g, entry.params, entry.method,
+        return scan_conjectures(entry.check_id, g, entry.params, entry.method,
                                 samples=entry.samples, seed=entry.seed, tol=tol)
     return [run_check(entry.check_id, g, entry.params, entry.method,
                       samples=entry.samples, seed=entry.seed, tol=tol)]
 
 
 def is_conjecture(check_id: str) -> bool:
-    base = check_id.split("#", 1)[0]
-    return base in CONJECTURE_CHECKS or base in ("logconcave", "lambda_monotone")
+    return check_id.split("#", 1)[0] in CONJECTURE_CHECKS
 
 
 def run_corpus(filter_glob: str | None = None, echo=None):

@@ -19,15 +19,17 @@ where shifting a table left by 2^j moves the value at m - 2^j (m with edge
 j closed) to m.  The levels shrink to a fixed point: 0 by level
 min(deg u, deg v) + 1, or every configuration when u == v.
 
-Sums use math.fsum, which rounds the exact sum once, so the advertised 1e-12
-tolerances are honest for the dyadic probabilities the built-in corpus uses.
+Probabilities are float64 arrays indexed by mask, and truth tables are read
+through zero-copy bool views, so a sum is one fancy-indexing step.  Sums use
+math.fsum, which rounds the exact sum once: the result depends only on the
+set of floats summed, not their order, and the advertised 1e-12 tolerances
+are honest for the dyadic probabilities the built-in corpus uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -44,23 +46,69 @@ def _check_size(g: Graph) -> None:
         raise SizeGuardError(f"exact enumeration limited to {config.MAX_EXACT_EDGES} edges")
 
 
-def weights(g: Graph) -> list[float]:
+def _check_pair_size(g: Graph) -> None:
+    if g.n_edges > config.MAX_PAIR_EDGES:
+        raise SizeGuardError(f"pair enumeration limited to {config.MAX_PAIR_EDGES} edges")
+
+
+def _submasks(g: Graph, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """The submasks of mask and their probabilities over the edges of mask
+    (cached per graph).
+
+    Built by doubling over the edges of mask in index order: the second half
+    of each step sets the edge with weight p, the first keeps it closed with
+    weight 1 - p.
+    """
+    cached = g._submask_cache.get(mask)
+    if cached is not None:
+        return cached
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    subs = np.zeros(1 << len(bits), dtype=np.int64)
+    probs = np.ones(1 << len(bits))
+    h = 1
+    for bit in bits:
+        p = g.probs[bit.bit_length() - 1]
+        np.multiply(probs[:h], p, out=probs[h:2 * h])
+        probs[:h] *= 1.0 - p
+        np.bitwise_or(subs[:h], bit, out=subs[h:2 * h])
+        h *= 2
+    g._submask_cache[mask] = subs, probs
+    return subs, probs
+
+
+def weights(g: Graph) -> np.ndarray:
     """Probability of every configuration mask, index-aligned."""
-    if g._weights is not None:
-        return g._weights
     _check_size(g)
-    w = [1.0]
-    for p in g.probs:
-        q = 1.0 - p
-        w = [x * q for x in w] + [x * p for x in w]
-    g._weights = w
-    return w
+    return _submasks(g, (1 << g.n_edges) - 1)[1]
 
 
-def _unpack(bits: int, n: int) -> bytearray:
-    """One byte per mask m < n: 1 where bit m is set."""
+def _view(tab: bytearray) -> np.ndarray:
+    """A truth table as a bool array, without a copy."""
+    return np.frombuffer(tab, dtype=np.bool_)
+
+
+def _fsum(a: np.ndarray) -> float:
+    """fsum of a contiguous float64 array, read as Python floats without a list."""
+    return math.fsum(memoryview(a))
+
+
+def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, ws: np.ndarray, fixed_a: int,
+               rest: int, fixed_b):
+    """Is there a witness split W in ws with A on W | fixed_a and B on
+    (rest & ~W) | fixed_b?
+
+    tab_a and tab_b are truth tables read through ``_view``; ws holds
+    submasks of rest.  fixed_b is one c2 side or an array of them; the
+    answer is a numpy bool of the same shape, one per side.
+    """
+    b_side = rest ^ ws[tab_a[ws | fixed_a]]
+    return tab_b[b_side | np.asarray(fixed_b)[..., None]].any(axis=-1)
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """One bool per mask m < n: True where bit m is set."""
     raw = np.frombuffer(bits.to_bytes(max(1, n >> 3), "little"), dtype=np.uint8)
-    return bytearray(np.unpackbits(raw, bitorder="little")[:n])
+    return np.unpackbits(raw, bitorder="little")[:n].view(np.bool_)
 
 
 def _level(levels: list[int], n: int) -> int:
@@ -79,7 +127,7 @@ def truth_table(g: Graph, e: EventExpr) -> bytearray:
     n = 1 << g.n_edges
     npaths = {a: _level(flow_table(g, a.u, a.v), a.n)
               for a in atoms(e) if isinstance(a, NPathsAtom)}
-    tab = _unpack(_evaluate_columns(e, g, _columns(g.n_edges), n, npaths), n)
+    tab = bytearray(_unpack(_evaluate_columns(e, g, _columns(g.n_edges), n, npaths), n))
     g._event_tables[key] = tab
     return tab
 
@@ -116,7 +164,7 @@ def flow_table(g: Graph, u: str, v: str) -> list[int]:
 def exact_prob(g: Graph, e: EventExpr) -> float:
     """Probability of the event under independent edge openings."""
     w = weights(g)
-    return math.fsum(compress(w, truth_table(g, e)))
+    return _fsum(w[_view(truth_table(g, e))])
 
 
 def exact_npaths(g: Graph, u: str, v: str, n: int) -> float:
@@ -125,7 +173,7 @@ def exact_npaths(g: Graph, u: str, v: str, n: int) -> float:
         raise ValueError("n must be >= 1")
     _resolve(NPathsAtom(u, v, n), g)
     w = weights(g)
-    return math.fsum(compress(w, _unpack(_level(flow_table(g, u, v), n), len(w))))
+    return _fsum(w[_unpack(_level(flow_table(g, u, v), n), len(w))])
 
 
 # ---------------------------------------------------------------------------
@@ -146,38 +194,9 @@ class SqS:
     B: EventExpr
 
 
-def _submask_weights(g: Graph, mask: int) -> list[tuple[int, float]]:
-    """(submask, probability) for the edges selected by mask, cached."""
-    cached = g._submask_cache.get(mask)
-    if cached is not None:
-        return cached
-    pairs = [(0, 1.0)]
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            p = g.probs[i]
-            bit = 1 << i
-            pairs = [(sm, wt * (1.0 - p)) for sm, wt in pairs] + \
-                    [(sm | bit, wt * p) for sm, wt in pairs]
-        m >>= 1
-        i += 1
-    g._submask_cache[mask] = pairs
-    return pairs
-
-
 def _s_mask_for(g: Graph, t: Strategy, m1: int, m2: int = 0) -> int:
     trace = run(t, g, Configuration(g, m1), Configuration(g, m2))
     return trace.s_mask(g)
-
-
-def _minimal_antichain(masks: list[int]) -> list[int]:
-    masks = sorted(masks, key=lambda m: m.bit_count())
-    keep: list[int] = []
-    for m in masks:
-        if not any(k & m == k for k in keep):
-            keep.append(m)
-    return keep
 
 
 def exact_pair(g: Graph, t: Strategy, q) -> float:
@@ -187,8 +206,7 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     sum: enumerate c1, run the strategy once, and integrate the second
     configuration analytically over the complement of S.
     """
-    if g.n_edges > config.MAX_PAIR_EDGES:
-        raise SizeGuardError(f"pair enumeration limited to {config.MAX_PAIR_EDGES} edges")
+    _check_pair_size(g)
     if isinstance(q, SqS):
         _require_operands(q.A, q.B, g)
     elif not isinstance(q, Joint):
@@ -201,52 +219,38 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
 def _pair_fast(g: Graph, t: Strategy, q) -> float:
     w = weights(g)
     full = (1 << g.n_edges) - 1
-    tab_a = truth_table(g, q.A)
-    tab_b = truth_table(g, q.B)
+    tab_a = _view(truth_table(g, q.A))
+    tab_b = _view(truth_table(g, q.B))
     terms = []
-    for m1 in range(len(w)):
-        w1 = w[m1]
-        if w1 == 0.0:
-            continue
-        if isinstance(q, Joint) and not tab_a[m1]:
-            continue
+    # A is increasing, so no split of c1 has A on its part unless c1 is in A
+    for m1 in np.flatnonzero((w != 0.0) & tab_a).tolist():
         s_mask = _s_mask_for(g, t, m1)
         sbar = full & ~s_mask
+        subs, probs = _submasks(g, sbar)  # c2 over the complement of S
         if isinstance(q, Joint):
-            pinned = m1 & s_mask
-            inner = math.fsum(wt for sub, wt in _submask_weights(g, sbar)
-                              if tab_b[pinned | sub])
+            hit = tab_b[(m1 & s_mask) | subs]
         else:
             s_open = s_mask & m1
-            fixed_a = sbar & m1
-            ok_w = [wm for wm, _ in _submask_weights(g, s_open)
-                    if tab_a[wm | fixed_a]]
-            if not ok_w:
-                continue
-            ok_w = _minimal_antichain(ok_w)
-            inner = math.fsum(
-                wt for sub, wt in _submask_weights(g, sbar)
-                if any(tab_b[(s_open & ~wm) | sub] for wm in ok_w))
-        terms.append(w1 * inner)
+            hit = _split_any(tab_a, tab_b, _submasks(g, s_open)[0], sbar & m1, s_open, subs)
+        terms.append(w[m1] * _fsum(probs[hit]))
     return math.fsum(terms)
 
 
 def _pair_general(g: Graph, t: Strategy, q) -> float:
     w = weights(g)
-    tab_a = truth_table(g, q.A)
-    tab_b = truth_table(g, q.B)
+    tab_a = _view(truth_table(g, q.A))
+    tab_b = _view(truth_table(g, q.B))
     terms = []
-    for m1 in range(len(w)):
+    for m1 in np.flatnonzero(tab_a).tolist():
         for m2 in range(len(w)):
             s_mask = _s_mask_for(g, t, m1, m2)
             if isinstance(q, Joint):
-                ok = tab_a[m1] and tab_b[splice_mask(m1, m2, s_mask)]
+                hit = tab_b[splice_mask(m1, m2, s_mask)]
             else:  # the witness splits of sq_s_occurrence, read from the tables
                 s_open = s_mask & m1
-                fixed_a, fixed_b = m1 & ~s_mask, m2 & ~s_mask
-                ok = any(tab_a[wm | fixed_a] and tab_b[(s_open & ~wm) | fixed_b]
-                         for wm, _ in _submask_weights(g, s_open))
-            if ok:
+                hit = _split_any(tab_a, tab_b, _submasks(g, s_open)[0], m1 & ~s_mask,
+                                 s_open, m2 & ~s_mask)
+            if hit:
                 terms.append(w[m1] * w[m2])
     return math.fsum(terms)
 
@@ -263,17 +267,13 @@ def verify_splice_independence(g: Graph, t: Strategy) -> float:
             f"splice-independence check limited to {config.MAX_SPLICE_EDGES} edges")
     w = weights(g)
     n = len(w)
-    joint: dict[tuple[int, int], float] = {}
-    for m1 in range(n):
-        s_row = ([_s_mask_for(g, t, m1, m2) for m2 in range(n)] if t.uses_c2
-                 else [_s_mask_for(g, t, m1)] * n)
-        w1 = w[m1]
-        for m2, s_mask in enumerate(s_row):
-            key = (splice_mask(m1, m2, s_mask), splice_mask(m2, m1, s_mask))
-            joint[key] = joint.get(key, 0.0) + w1 * w[m2]
-    dev = 0.0
-    for x in range(n):
-        wx = w[x]
-        for y in range(n):
-            dev = max(dev, abs(joint.get((x, y), 0.0) - wx * w[y]))
-    return dev
+    if t.uses_c2:
+        s = np.array([[_s_mask_for(g, t, m1, m2) for m2 in range(n)] for m1 in range(n)])
+    else:
+        s = np.array([_s_mask_for(g, t, m1) for m1 in range(n)])[:, None]
+    m1s, m2s = np.arange(n)[:, None], np.arange(n)
+    product = np.outer(w, w)
+    joint = np.zeros((n, n))
+    np.add.at(joint, (splice_mask(m1s, m2s, s).ravel(), splice_mask(m2s, m1s, s).ravel()),
+              product.ravel())  # accumulates in (m1, m2) order
+    return float(np.abs(joint - product).max())

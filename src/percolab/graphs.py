@@ -139,8 +139,7 @@ class Graph:
         self.name = name
         self._event_tables: dict[str, bytearray] = {}
         self._flow_tables: dict[tuple[str, str], list[int]] = {}
-        self._weights: list[float] | None = None
-        self._submask_cache: dict[int, list[tuple[int, float]]] = {}
+        self._submask_cache: dict[int, tuple] = {}  # mask -> (submasks, probabilities)
         self._faces: FaceSet | None = None
 
     def _connected(self) -> bool:

@@ -35,9 +35,11 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from . import config
 from .errors import PercolabError, SizeGuardError
-from .exact import truth_table
+from .exact import _split_any, _submasks, _view, truth_table
 from .graphs import Graph
 
 # witness capability of a symbol in paired-witness events
@@ -151,13 +153,13 @@ class BowtieEvent:
         if caps is None:
             raise PercolabError("this preset has no paired-witness capability table")
         self.g = g
-        self.pairs = [(truth_table(g, a), truth_table(g, b)) for a, b in pairs]
+        self.pairs = [(_view(truth_table(g, a)), _view(truth_table(g, b))) for a, b in pairs]
         self.caps = caps
+        self._answers: dict[tuple[int, int], np.ndarray] = {}  # by (A side, free)
 
     def __call__(self, symbols: dict) -> bool:
         g = self.g
-        base_a = base_b = 0
-        free = []
+        base_a = base_b = free = 0
         for eid in g.edge_ids:
             cap = self.caps[symbols[eid][1]]
             bit = 1 << g.edge_index(eid)
@@ -169,18 +171,15 @@ class BowtieEvent:
             elif cap == CAP_B:
                 base_b |= bit
             elif cap == CAP_ONE:
-                free.append(bit)
-        for tab_a, tab_b in self.pairs:
-            for pick in range(1 << len(free)):
-                wa, wb = base_a, base_b
-                for i, bit in enumerate(free):
-                    if pick >> i & 1:
-                        wa |= bit
-                    else:
-                        wb |= bit
-                if tab_a[wa] and tab_b[wb]:
-                    return True
-        return False
+                free |= bit
+        hits = self._answers.get((base_a, free))
+        if hits is None:  # split the free edges, for every B side at once
+            ws = _submasks(g, free)[0]
+            sides = np.arange(1 << g.n_edges)
+            hits = np.logical_or.reduce([_split_any(tab_a, tab_b, ws, base_a, free, sides)
+                                         for tab_a, tab_b in self.pairs])
+            self._answers[base_a, free] = hits
+        return bool(hits[base_b])
 
 
 class ProductEvent:
@@ -386,9 +385,8 @@ def check_gen_inequality(g: Graph, ds: DualSpace, t: GeneralStrategy,
     carries the pairwise two-factor equalities (they must be exact).
     """
     event = event_factory(g)
-    p1 = event_probability(gen_enumerate(g, ds, ConstChoice(1)), event)
-    pm = event_probability(gen_enumerate(g, ds, t), event)
-    p2 = event_probability(gen_enumerate(g, ds, ConstChoice(2)), event)
+    dists = [gen_enumerate(g, ds, tree) for tree in (ConstChoice(1), t, ConstChoice(2))]
+    p1, pm, p2 = (event_probability(d, event) for d in dists)
     if ds.direction == "forward":
         lo, hi = pm - p1, p2 - pm
     else:
@@ -398,11 +396,8 @@ def check_gen_inequality(g: Graph, ds: DualSpace, t: GeneralStrategy,
         deltas = []
         for drop in range(len(event.layers)):
             sub = event.without(drop)
-            q1 = event_probability(gen_enumerate(g, ds, ConstChoice(1)), sub)
-            qm = event_probability(gen_enumerate(g, ds, t), sub)
-            q2 = event_probability(gen_enumerate(g, ds, ConstChoice(2)), sub)
+            q1, qm, q2 = (event_probability(d, sub) for d in dists)
             deltas.append(max(abs(q1 - qm), abs(q2 - qm)))
         extras["two_factor_max_delta"] = max(deltas)
     return GenReport(p1, pm, p2, lo, hi, lo >= -tol and hi >= -tol,
                      ds.direction, extras)
-

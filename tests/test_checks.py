@@ -336,3 +336,49 @@ def test_exact_and_mc_backends_agree():
         se = abs(rmc.slack - rex.slack) / 4.0
         assert rmc.verdict != "violated"
         assert abs(rmc.lhs - rex.lhs) < 0.02 and abs(rmc.rhs - rex.rhs) < 0.02
+
+
+_PAIR_REFUSALS = [
+    ("frac2", "family:grid:2,6,p=0.5", None),
+    ("frac1", "family:grid:2,5,p=0.5", None),
+    ("cs_bound", "family:grid:2,6,p=0.5",
+     {"strategy": "dfs_stop_at:a,b,c", "events": ("a,b U a,c", "b,c")}),
+]
+
+
+@pytest.mark.parametrize("check_id,spec,params", _PAIR_REFUSALS)
+def test_exact_cs_pair_guard_refuses_before_hypotheses(check_id, spec, params):
+    # 13 to 16 edges pass the continuation guard; the exact joint term is
+    # refused at 12 edges, before the hypotheses enumerate 2^E configurations
+    g = graph_from_spec(spec)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="pair enumeration"):
+        run_check(check_id, g, params)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_mc_frac1_on_thirteen_edges_still_runs():
+    r = run_check("frac1", graph_from_spec("family:grid:2,5,p=0.5"), method="mc",
+                  samples=200, seed=3)
+    assert r.verdict in ("holds", "inconclusive")
+
+
+def test_conj3_mc_scan_evaluates_terms_once(monkeypatch):
+    import percolab.checks as checks
+    g = graph_from_spec("family:cycle:3,p=0.0009765625")
+    grid = (0.1, 0.2, 0.3)  # the two-vs-one hypothesis fails at eps 0.1 only
+    want = []
+    for eps in grid:
+        try:
+            rep = run_check("conj3_scan", g, {"eps": eps}, "mc", samples=20000, seed=7)
+        except HypothesisError:
+            continue
+        rep.check_id = f"conj3_scan#eps={eps:g}"
+        want.append(_without_runtime(rep))
+    calls = []
+    mc_prob = checks.mc_prob
+    monkeypatch.setattr(checks, "mc_prob", lambda *a: calls.append(a) or mc_prob(*a))
+    reps = scan_conjectures("conj3", g, {"eps_grid": grid}, "mc", samples=20000, seed=7)
+    assert len(calls) == 5  # one per term, not one per term and eps
+    assert [_without_runtime(r) for r in reps] == want
+    assert [r.check_id for r in reps] == ["conj3_scan#eps=0.2", "conj3_scan#eps=0.3"]

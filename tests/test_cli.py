@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -184,3 +185,24 @@ def test_scan_via_cli(runner):
     assert res.exit_code == 0, res.output
     reps = json.loads(res.output)
     assert all(r["verdict"] == "holds" for r in reps)
+
+
+@pytest.mark.parametrize("args", [
+    ["frac2", "--graph", "family:grid:2,6,p=0.5"],
+    ["frac1", "--graph", "family:grid:2,5,p=0.5"],
+    ["cs_bound", "--graph", "family:grid:2,6,p=0.5", "--strategy", "dfs_stop_at:a,b,c",
+     "--events", "a,b U a,c", "b,c"],
+])
+def test_exact_cs_pair_guard_exits_3_at_once(runner, args):
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["check", *args])
+    assert res.exit_code == 3, res.output
+    assert "pair enumeration limited to 12 edges" in res.output
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_scan_ids_named_once():
+    from percolab import checks, cli, corpus
+    assert cli.SCAN_IDS is checks.SCAN_IDS
+    scans = {e.check_id for e in corpus.corpus_entries() if e.kind == "scan"}
+    assert scans == set(checks.SCAN_IDS)

@@ -3,11 +3,14 @@
 Truth tables, Menger flow levels, monotonicity and the witness splits of
 disjoint occurrence are all read from edge columns by the shared column
 evaluator; these tests compare them, bit for bit, with ``evaluate_mask`` and
-``open_maxflow`` run on one configuration mask at a time.
+``open_maxflow`` run on one configuration mask at a time.  The table split
+test and the submask probability arrays of the exact engine are compared
+with plain Python loops.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,14 +21,15 @@ from percolab import (Configuration, Graph, Monotonicity, evaluate,
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
                              Union, _columns, _flow_levels, _transpose,
                              evaluate_mask, open_maxflow)
-from percolab.exact import _level, flow_table, truth_table
+from percolab.exact import (_level, _split_any, _submasks, _view, flow_table, truth_table,
+                           weights)
 
 _VERTS = ("a", "b", "c", "d", "e")
 _MAX_EDGES = 9
 
 
 @st.composite
-def _graphs(draw, max_edges=_MAX_EDGES):
+def _graphs(draw, max_edges=_MAX_EDGES, probs=(0.25, 0.5, 0.75)):
     """Connected simple graphs on 2..5 vertices with 1..max_edges edges."""
     nv = draw(st.integers(2, len(_VERTS)))
     tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
@@ -35,7 +39,7 @@ def _graphs(draw, max_edges=_MAX_EDGES):
                           max_size=max_edges - len(tree))) if others else []
     edges = [(f"e{k}", _VERTS[i], _VERTS[j])
              for k, (i, j) in enumerate(tree + extra)]
-    probs = {eid: draw(st.sampled_from((0.25, 0.5, 0.75))) for eid, _, _ in edges}
+    probs = {eid: draw(st.sampled_from(probs)) for eid, _, _ in edges}
     return Graph(_VERTS[:nv], edges, probs, ("a", "b"))
 
 
@@ -247,3 +251,53 @@ def test_sq_s_occurrence_matches_split_loop(case):
     s_edges = [eid for eid in g.edge_ids if s_mask >> g.edge_index(eid) & 1]
     got = sq_s_occurrence(A, B, g, Configuration(g, m1), Configuration(g, m2), s_edges)
     assert got == _split_oracle(A, B, g, m1, m2, s_mask)
+
+
+def _submask_list(mask):
+    return [w for w in range(mask + 1) if w & ~mask == 0]
+
+
+@st.composite
+def _table_split_case(draw):
+    n_edges = draw(st.integers(1, 8))
+    n = 1 << n_edges
+    tables = st.lists(st.booleans(), min_size=n, max_size=n).map(bytearray)
+    masks = st.integers(0, n - 1)
+    sides = st.lists(masks, min_size=1, max_size=6)
+    return (draw(tables), draw(tables), draw(masks), draw(masks), draw(masks),
+            draw(sides))
+
+
+@given(_table_split_case())
+@settings(max_examples=200, deadline=None)
+def test_split_any_matches_per_split_loop(case):
+    tab_a, tab_b, rest, fixed_a, fixed_b, sides = case
+
+    def loop(fb):
+        return any(tab_a[w | fixed_a] and tab_b[(rest & ~w) | fb]
+                   for w in _submask_list(rest))
+
+    ws = np.array(_submask_list(rest), dtype=np.int64)
+    a, b = _view(tab_a), _view(tab_b)
+    one = _split_any(a, b, ws, fixed_a, rest, fixed_b)
+    assert one.shape == () and one == loop(fixed_b)
+    got = _split_any(a, b, ws, fixed_a, rest, np.array(sides, dtype=np.int64))
+    assert got.tolist() == [loop(fb) for fb in sides]
+
+
+@given(_graphs(probs=(0.1, 0.3, 1 / 3, 0.7, 0.9)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_submasks_match_list_doubling(g, data):
+    """Same submasks, order and floats as doubling Python lists edge by edge
+    (the probabilities are not dyadic, so the products round)."""
+    mask = data.draw(st.integers(0, (1 << g.n_edges) - 1))
+    pairs = [(0, 1.0)]
+    for i in range(g.n_edges):
+        if mask >> i & 1:
+            p = g.probs[i]
+            pairs = [(sm, wt * (1.0 - p)) for sm, wt in pairs] + \
+                    [(sm | 1 << i, wt * p) for sm, wt in pairs]
+    subs, probs = _submasks(g, mask)
+    assert subs.tolist() == [sm for sm, _ in pairs]
+    assert probs.tolist() == [wt for _, wt in pairs]
+    assert weights(g).tolist() == _submasks(g, (1 << g.n_edges) - 1)[1].tolist()

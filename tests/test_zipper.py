@@ -263,3 +263,46 @@ def test_condition_worst_case_is_reported():
     rep = check_zipper_condition(ds, _bowtie_factory(ds, ab, ab), g)
     assert rep.ok
     assert rep.worst_edge in g.edge_ids
+
+
+def test_gen_inequality_enumerates_each_tree_once(monkeypatch):
+    import percolab.zipper as zipper
+    g = graph_from_spec("family:path:2,p=0.5")
+    ds = build_preset("colored")
+    ab = parse_event("a,b")
+    calls = []
+    enumerate_tree = zipper.gen_enumerate
+    monkeypatch.setattr(zipper, "gen_enumerate",
+                        lambda *a: calls.append(a[2].name) or enumerate_tree(*a))
+    rep = check_gen_inequality(g, ds, SplitChoice(g.edge_ids[:1]),
+                               lambda gg: ProductEvent(gg, (ab, ab, ab)))
+    assert calls == ["all-1", f"split:{g.edge_ids[0]}", "all-2"]
+    assert rep.extras["two_factor_max_delta"] == 0.0
+
+
+def test_bowtie_event_matches_split_loop():
+    # the table split test against every pick of the free (CAP_ONE) edges
+    g = graph_from_spec("family:cycle:3,p=0.5")
+    ds = build_preset("strongbk", 0.5)
+    A, B = parse_event("a,b"), parse_event("b,c")
+    ev = BowtieEvent(g, [(A, B)], ds.caps)
+    from itertools import product as cartesian
+    from percolab.exact import truth_table
+    from percolab.zipper import CAP_A, CAP_B, CAP_BOTH, CAP_ONE
+    ta, tb = truth_table(g, A), truth_table(g, B)
+    for combo in cartesian(ds.union_symbols, repeat=g.n_edges):
+        symbols = {eid: (0, s) for eid, s in zip(g.edge_ids, combo)}
+        base_a = base_b = 0
+        free = []
+        for eid, s in zip(g.edge_ids, combo):
+            bit, cap = 1 << g.edge_index(eid), ds.caps[s]
+            if cap in (CAP_A, CAP_BOTH):
+                base_a |= bit
+            if cap in (CAP_B, CAP_BOTH):
+                base_b |= bit
+            if cap == CAP_ONE:
+                free.append(bit)
+        want = any(ta[base_a | sum(b for i, b in enumerate(free) if pick >> i & 1)] and
+                   tb[base_b | sum(b for i, b in enumerate(free) if not pick >> i & 1)]
+                   for pick in range(1 << len(free)))
+        assert ev(symbols) is want
