@@ -22,7 +22,10 @@ One column evaluator decides every configuration set, held as one n-bit
 integer per edge (bit i set when the edge is open in configuration i): one
 configuration for ``evaluate``, samples for Monte Carlo, periodic columns
 for enumeration, monotonicity and the witness splits of disjoint occurrence.
-``evaluate_mask`` (cluster labels, max-flow) is its per-mask reference.
+Partition atoms read bit-parallel reachability; npaths atoms read the levels
+of one max-flow that augments on the columns, for every configuration at
+once.  ``evaluate_mask`` (cluster labels, ``open_maxflow``) is its per-mask
+reference.
 """
 
 from __future__ import annotations
@@ -352,19 +355,6 @@ def _columns(n_edges: int) -> list[int]:
     return cols
 
 
-def _rows(bits: np.ndarray) -> list[int]:
-    """One integer per row of a 0/1 array: bit j is bits[row, j]."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _bit_matrix(data: bytes, nrows: int, nbytes: int) -> np.ndarray:
-    """0/1 array of nrows rows of nbytes bytes laid end to end: bit j of row
-    i is bit j of the i-th row."""
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(nrows, nbytes)
-    return np.unpackbits(arr, axis=1, bitorder="little")
-
-
 def _transpose(rows: list[int], width: int) -> list[int]:
     """Bit-matrix transpose: bit i of output j is bit j of rows[i].
 
@@ -372,9 +362,11 @@ def _transpose(rows: list[int], width: int) -> list[int]:
     masks, and masks (width = E edges) back into columns.
     """
     nbytes = (width + 7) // 8
-    bits = _bit_matrix(b"".join(r.to_bytes(nbytes, "little") for r in rows),
-                       len(rows), nbytes)
-    return _rows(bits[:, :width].T)
+    data = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    bits = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nbytes)
+    packed = np.packbits(np.unpackbits(bits, axis=1, bitorder="little")[:, :width].T,
+                         axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:
@@ -400,29 +392,66 @@ def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:
     return out
 
 
-def _flow_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int,
-                 need: int) -> list[int]:
+def _flow_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int) -> list[int]:
     """Entry k-1: bitmask of the n column configurations with at least k
-    edge-disjoint open u-v paths.
+    pairwise edge-disjoint open u-v paths, for k up to min(cap, deg u, deg v).
 
-    One capped max-flow runs per configuration in the ``need`` bitmask; the
-    others read 0.  Masks are transposed from the columns one block of
-    configurations at a time, so memory stays at the size of the columns.
+    Deeper levels are 0, or every configuration when u == v.  Unit-capacity
+    augmenting paths run on all configurations at once.  Arcs 2j and 2j+1
+    cross edge j in its two directions, and ``flow[x]`` holds the
+    configurations where edge j carries flow along arc x.  Round k grows the
+    residual reach of u, from the configurations of level k-1, and records in
+    ``into[x]`` where arc x first reached its head; the configurations that
+    reach v form level k, and each augments along its arrival arcs, walked
+    back from v.
     """
-    nbytes = (n + 7) // 8
-    as_bytes = {c: c.to_bytes(nbytes, "little") for c in set(cols)}  # one copy per distinct column
-    rows = [as_bytes[c] for c in cols] + [need.to_bytes(nbytes, "little")]
-    step = 1 << 13  # bytes per block: 2^16 configurations
-    chunks: list[list[bytes]] = [[] for _ in range(cap)]
-    for lo in range(0, nbytes, step):
-        bits = _bit_matrix(b"".join(r[lo:lo + step] for r in rows), len(rows),
-                           min(step, nbytes - lo))
-        want = np.flatnonzero(bits[-1])  # the last row is need
-        flows = np.zeros(bits.shape[1], dtype=np.int64)
-        flows[want] = [open_maxflow(g, m, u, v, cap=cap) for m in _rows(bits[:-1, want].T)]
-        for k in range(cap):
-            chunks[k].append(np.packbits(flows > k, bitorder="little").tobytes())
-    return [int.from_bytes(b"".join(c), "little") for c in chunks]
+    depth = min(cap, g.degree(u), g.degree(v))
+    if u == v:
+        return [(1 << n) - 1] * depth
+    s, t = g.vertex_index(u), g.vertex_index(v)
+    arcs = [arc for a, b in zip(g._u_arr, g._v_arr) for arc in ((a, b), (b, a))]
+    flow = [0] * len(arcs)
+    levels = []
+    alive = (1 << n) - 1
+    while len(levels) < depth:
+        # flow runs on open edges only, so col ^ f is col & ~f
+        res = [cols[x >> 1] ^ f for x, f in enumerate(flow)]
+        walk = len(levels) + 1 < depth  # no walk back after the last level
+        into = [0] * len(arcs)
+        reach = [0] * g.n_vertices
+        reach[s] = alive
+        changed = True
+        while changed:
+            changed = False
+            for x, (a, b) in enumerate(arcs):
+                new = reach[a] & res[x]
+                new ^= new & reach[b]
+                if new:
+                    reach[b] |= new
+                    if walk:
+                        into[x] |= new
+                    changed = True
+        alive = reach[t]
+        if not alive:
+            break
+        levels.append(alive)
+        if not walk:
+            break
+        at = [0] * g.n_vertices  # configurations whose walk back is at each vertex
+        at[t] = alive
+        moved = True
+        while moved:
+            moved = False
+            for x, (a, b) in enumerate(arcs):
+                step = at[b] & into[x]
+                if step:
+                    undo = step & flow[x ^ 1]  # cancels flow the other way
+                    flow[x ^ 1] ^= undo
+                    flow[x] |= step ^ undo
+                    at[b] ^= step
+                    at[a] |= step
+                    moved = True
+    return levels
 
 
 def _compile_bitparallel(e: EventExpr, reach: dict, full: int, npaths: dict) -> int:
@@ -458,30 +487,26 @@ def _compile_bitparallel(e: EventExpr, reach: dict, full: int, npaths: dict) -> 
     raise TypeError(f"cannot bit-compile {e!r}")
 
 
-def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int,
-                      npaths: dict | None = None, need: int | None = None) -> int:
+def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int) -> int:
     """Bitmask of the n column configurations where the (resolved) event holds.
 
-    Without ``npaths`` (atom -> bitmask), npaths(u,v,1) atoms read u-v reach,
-    and the others run one max-flow per configuration and distinct (u, v),
-    capped at the largest n asked for, on the configurations in ``need``
-    (default: all) where u and v are connected.  Outside ``need`` the answer
-    is unspecified.
+    npaths(u,v,1) atoms read u-v reach; the others read the flow levels of
+    their (u, v), computed once per distinct pair up to the largest n asked
+    for.
     """
-    nps = [a for a in atoms(e) if isinstance(a, NPathsAtom)] if npaths is None else []
+    nps = [a for a in atoms(e) if isinstance(a, NPathsAtom)]
     # reach starts from the first vertex of every partition group and from
-    # the first end of every npaths atom
+    # the first end of every npaths(u,v,1) atom
     reps = sorted({grp[0] for a in atoms(e) if isinstance(a, PartitionAtom)
-                   for grp in a.groups} | {a.u for a in nps})
+                   for grp in a.groups} | {a.u for a in nps if a.n == 1})
     reach = _reach_masks(g, cols, n, reps)
     full = (1 << n) - 1
-    if npaths is None:
-        caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n)}  # largest n
-        need = full if need is None else need
-        levels = {(u, v): _flow_levels(g, cols, n, u, v, cap, need & reach[u][v])
-                  for (u, v), cap in caps.items() if cap > 1}
-        npaths = {a: reach[a.u][a.v] if a.n == 1 else levels[a.u, a.v][a.n - 1]
-                  for a in nps}
+    caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n) if a.n > 1}  # largest n
+    levels = {(u, v): _flow_levels(g, cols, n, u, v, cap) for (u, v), cap in caps.items()}
+    npaths = {}
+    for a in nps:
+        got = [reach[a.u][a.v]] if a.n == 1 else levels[a.u, a.v]
+        npaths[a] = got[a.n - 1] if a.n <= len(got) else full if a.u == a.v else 0
     return _compile_bitparallel(e, reach, full, npaths)
 
 
@@ -571,8 +596,7 @@ def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
 
     Column i of the split set is periodic over the i-th open S-edge of c1.
     A reads those columns plus the open c1 edges outside S; B reads their
-    complements plus the open c2 edges outside S.  B runs max-flow only on
-    the splits where A holds.
+    complements plus the open c2 edges outside S.
     """
     s_open = s_mask & m1
     k = s_open.bit_count()
@@ -587,7 +611,7 @@ def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
     for j, col in zip([j for j in range(g.n_edges) if s_open >> j & 1], _columns(k)):
         cols_a[j], cols_b[j] = col, full ^ col
     t_a = _evaluate_columns(A, g, cols_a, n)
-    return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n, need=t_a))
+    return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n))
 
 
 def disjoint_occurrence(A: EventExpr, B: EventExpr, g: Graph, c: Configuration) -> bool:

@@ -5,19 +5,8 @@ Configurations are bitmasks in lexicographic edge-id order.  Enumeration is
 j is bit j of m, so the 2^E bits of the columns list every configuration
 once.  Truth tables run these columns through the column evaluator of
 ``events``, the one Monte Carlo runs on sampled columns: a few big-integer
-AND/OR sweeps per event instead of a cluster labelling per mask.
-
-Disjoint-path counts come from Menger levels over the same columns.  Level
-F_k is the bitmask of configurations with at least k pairwise edge-disjoint
-open u-v paths.  Closing one open edge lowers the u-v max-flow by at most
-one, and closing an edge of a minimum cut lowers it by exactly one, so
-
-    F_1 = reach(u, v)
-    F_k = F_1 & AND_j (~col_j | F_{k-1} << 2^j)
-
-where shifting a table left by 2^j moves the value at m - 2^j (m with edge
-j closed) to m.  The levels shrink to a fixed point: 0 by level
-min(deg u, deg v) + 1, or every configuration when u == v.
+AND/OR sweeps per event instead of a cluster labelling or a max-flow per
+mask.
 
 Probabilities are float64 arrays indexed by mask, and truth tables are read
 through zero-copy bool views, so a sum is one fancy-indexing step.  Sums use
@@ -35,8 +24,8 @@ import numpy as np
 
 from . import config
 from .errors import SizeGuardError
-from .events import (EventExpr, NPathsAtom, atoms, unparse, _columns,
-                     _evaluate_columns, _reach_masks, _require_operands, _resolve)
+from .events import (EventExpr, NPathsAtom, unparse, _columns, _evaluate_columns,
+                     _require_operands, _resolve)
 from .graphs import Configuration, Graph
 from .strategies import Strategy, run, splice_mask
 
@@ -51,35 +40,46 @@ def _check_pair_size(g: Graph) -> None:
         raise SizeGuardError(f"pair enumeration limited to {config.MAX_PAIR_EDGES} edges")
 
 
-def _submasks(g: Graph, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """The submasks of mask and their probabilities over the edges of mask
-    (cached per graph).
+def _doubling(g: Graph, mask: int) -> tuple:
+    """(submasks, probabilities) of mask over its edges, cached per graph.
 
     Built by doubling over the edges of mask in index order: the second half
     of each step sets the edge with weight p, the first keeps it closed with
-    weight 1 - p.
+    weight 1 - p.  The submasks of the full mask are 0 .. 2^E - 1 in order,
+    so they are not built: their entry is None.
     """
     cached = g._submask_cache.get(mask)
     if cached is not None:
         return cached
     bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-    subs = np.zeros(1 << len(bits), dtype=np.int64)
+    whole = len(bits) == g.n_edges
+    subs = None if whole else np.zeros(1 << len(bits), dtype=np.int64)
     probs = np.ones(1 << len(bits))
     h = 1
     for bit in bits:
         p = g.probs[bit.bit_length() - 1]
         np.multiply(probs[:h], p, out=probs[h:2 * h])
         probs[:h] *= 1.0 - p
-        np.bitwise_or(subs[:h], bit, out=subs[h:2 * h])
+        if not whole:
+            np.bitwise_or(subs[:h], bit, out=subs[h:2 * h])
         h *= 2
     g._submask_cache[mask] = subs, probs
     return subs, probs
 
 
+def _submasks(g: Graph, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """The submasks of mask and their probabilities over the edges of mask.
+
+    The full mask's submasks are an index built on each call.
+    """
+    subs, probs = _doubling(g, mask)
+    return (np.arange(len(probs)) if subs is None else subs), probs
+
+
 def weights(g: Graph) -> np.ndarray:
     """Probability of every configuration mask, index-aligned."""
     _check_size(g)
-    return _submasks(g, (1 << g.n_edges) - 1)[1]
+    return _doubling(g, (1 << g.n_edges) - 1)[1]
 
 
 def _view(tab: bytearray) -> np.ndarray:
@@ -111,11 +111,6 @@ def _unpack(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:n].view(np.bool_)
 
 
-def _level(levels: list[int], n: int) -> int:
-    """Menger level F_n; levels past the stored fixed point equal the last."""
-    return levels[min(n, len(levels)) - 1]
-
-
 def truth_table(g: Graph, e: EventExpr) -> bytearray:
     """Indicator of the event over all configuration masks (cached per graph)."""
     key = unparse(e)
@@ -125,40 +120,9 @@ def truth_table(g: Graph, e: EventExpr) -> bytearray:
     _check_size(g)
     _resolve(e, g)
     n = 1 << g.n_edges
-    npaths = {a: _level(flow_table(g, a.u, a.v), a.n)
-              for a in atoms(e) if isinstance(a, NPathsAtom)}
-    tab = bytearray(_unpack(_evaluate_columns(e, g, _columns(g.n_edges), n, npaths), n))
+    tab = bytearray(_unpack(_evaluate_columns(e, g, _columns(g.n_edges), n), n))
     g._event_tables[key] = tab
     return tab
-
-
-def flow_table(g: Graph, u: str, v: str) -> list[int]:
-    """Menger levels between u and v (cached per graph).
-
-    Entry k-1 is the bitmask of configuration masks with at least k pairwise
-    edge-disjoint open u-v paths.  The list ends at the fixed point of the
-    level recursion, and every deeper level equals its last entry: 0 when
-    u != v, every mask when u == v.
-    """
-    key = (u, v)
-    levels = g._flow_tables.get(key)
-    if levels is not None:
-        return levels
-    _check_size(g)
-    n = 1 << g.n_edges
-    cols = _columns(g.n_edges)
-    first = _reach_masks(g, cols, n, [u])[u][v]
-    levels = [first]
-    while levels[-1]:
-        prev = levels[-1]
-        nxt = first
-        for j, col in enumerate(cols):
-            nxt &= ~col | (prev << (1 << j))
-        if nxt == prev:  # only when u == v: every level is every mask
-            break
-        levels.append(nxt)
-    g._flow_tables[key] = levels
-    return levels
 
 
 def exact_prob(g: Graph, e: EventExpr) -> float:
@@ -171,9 +135,7 @@ def exact_npaths(g: Graph, u: str, v: str, n: int) -> float:
     """Probability of n pairwise edge-disjoint open u-v paths."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _resolve(NPathsAtom(u, v, n), g)
-    w = weights(g)
-    return _fsum(w[_unpack(_level(flow_table(g, u, v), n), len(w))])
+    return exact_prob(g, NPathsAtom(u, v, n))
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,7 @@ class Graph:
 
         self.name = name
         self._event_tables: dict[str, bytearray] = {}
-        self._flow_tables: dict[tuple[str, str], list[int]] = {}
-        self._submask_cache: dict[int, tuple] = {}  # mask -> (submasks, probabilities)
+        self._submask_cache: dict[int, tuple] = {}  # mask -> (submasks or None, probabilities)
         self._faces: FaceSet | None = None
 
     def _connected(self) -> bool:

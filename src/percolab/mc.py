@@ -9,11 +9,10 @@ which preserves monotone couplings across parameter sweeps.
 Samples are held as edge columns: each edge gets a bitmask of the samples
 where it is open, and events are evaluated for all samples at once by the
 column evaluator of ``events``, the one the exact engine runs on periodic
-columns.  Per-sample configuration masks are transposed from the columns
-only where a loop needs one sample at a time: strategy runs, the witness
-splits of pair queries, and the max-flow behind npaths atoms, which runs
-only on the samples where the two ends are connected.  No graph size limit
-applies.
+columns, disjoint-path counts included.  Per-sample configuration masks
+are transposed from the columns only where a loop needs one sample at a
+time: strategy runs and the witness splits of pair queries.  No graph size
+limit applies.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import (EventExpr, NPathsAtom, _evaluate_columns, _flow_levels,
-                     _reach_masks, _require_operands, _resolve,
-                     _split_occurs, _transpose)
+                     _require_operands, _resolve, _split_occurs, _transpose)
+from .events import _reach_masks  # noqa: F401  (perfbench traces reachability by this name)
 from .exact import Joint, SqS, _s_mask_for
 from .graphs import Graph
 from .strategies import Strategy
@@ -117,10 +116,10 @@ def mc_flow_tail(g: Graph, u: str, v: str, n_max: int, samples: int, seed: int) 
         raise ValueError("n_max must be >= 1")
     _resolve(NPathsAtom(u, v, n_max), g)
     cols = _edge_bit_columns(g, samples, seed, g.n_edges, 0)
-    # max-flow runs only on the samples where u and v are connected
-    levels = _flow_levels(g, cols, samples, u, v, n_max,
-                          _reach_masks(g, cols, samples, [u])[u][v])
-    return [Estimate.from_count(level.bit_count(), samples, seed) for level in levels]
+    levels = _flow_levels(g, cols, samples, u, v, n_max)
+    deeper = samples if u == v else 0
+    return [Estimate.from_count(levels[k].bit_count() if k < len(levels) else deeper,
+                                samples, seed) for k in range(n_max)]
 
 
 def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:

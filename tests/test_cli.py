@@ -4,6 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from percolab import exact_prob, graph_from_spec, mc_prob, parse_event
 from percolab.cli import main
 
 TRIANGLE = """vertex a
@@ -67,6 +68,23 @@ def test_mc_npaths_on_84_edges_exits_0(runner):
                                "--samples", "100", "--seed", "3"])
     assert res.exit_code == 0
     assert 0.0 <= json.loads(res.output)["probability"] <= 1.0
+
+
+@pytest.mark.parametrize("text, want", [("npaths(a,b,1000000000)", 0.0),
+                                         ("npaths(a,a,1000000000)", 1.0)])
+def test_npaths_with_huge_n_is_immediate(runner, text, want):
+    # flow levels stop at the smaller end degree: no level is built per n
+    g = graph_from_spec("family:grid:2,3,p=0.5")
+    e = parse_event(text)
+    start = time.perf_counter()
+    assert mc_prob(g, e, 1000, 1).mean == want
+    assert exact_prob(g, e) == want
+    res = runner.invoke(main, ["estimate", "--graph", "family:grid:2,3,p=0.5",
+                               "--event", text, "--method", "mc",
+                               "--samples", "1000", "--seed", "1"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["probability"] == want
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hypothesis_error_exits_2(runner):

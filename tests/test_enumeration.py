@@ -1,8 +1,8 @@
 """Bit-sliced enumeration against the per-mask oracle.
 
-Truth tables, Menger flow levels, monotonicity and the witness splits of
-disjoint occurrence are all read from edge columns by the shared column
-evaluator; these tests compare them, bit for bit, with ``evaluate_mask`` and
+Truth tables, flow levels, monotonicity and the witness splits of disjoint
+occurrence are all read from edge columns by the shared column evaluator;
+these tests compare them, bit for bit, with ``evaluate_mask`` and
 ``open_maxflow`` run on one configuration mask at a time.  The table split
 test and the submask probability arrays of the exact engine are compared
 with plain Python loops.
@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from percolab import (Configuration, Graph, Monotonicity, evaluate,
@@ -21,8 +21,7 @@ from percolab import (Configuration, Graph, Monotonicity, evaluate,
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
                              Union, _columns, _flow_levels, _transpose,
                              evaluate_mask, open_maxflow)
-from percolab.exact import (_level, _split_any, _submasks, _view, flow_table, truth_table,
-                           weights)
+from percolab.exact import _split_any, _submasks, _view, truth_table, weights
 
 _VERTS = ("a", "b", "c", "d", "e")
 _MAX_EDGES = 9
@@ -90,35 +89,66 @@ def test_truth_table_matches_per_mask_oracle(ge):
         assert evaluate(e, g, Configuration(g, m)) == want[m], m
 
 
+def _level(levels, k, u, v, n):
+    """Level k of ``_flow_levels``: entries past the end are 0, or every
+    configuration when u == v."""
+    return levels[k - 1] if k <= len(levels) else (1 << n) - 1 if u == v else 0
+
+
 @given(_graphs())
 @settings(max_examples=40, deadline=None)
 def test_flow_levels_match_maxflow(g):
     depth = max(g.degree(v) for v in g.vertices) + 2
+    n = 1 << g.n_edges
     for u in g.vertices:
         for v in g.vertices:
-            levels = flow_table(g, u, v)
-            for m in range(1 << g.n_edges):
+            levels = _flow_levels(g, _columns(g.n_edges), n, u, v, depth)
+            for m in range(n):
                 flow = open_maxflow(g, m, u, v)
                 for k in range(1, depth + 1):
-                    assert (_level(levels, k) >> m & 1) == (flow >= k), (u, v, m, k)
+                    assert (_level(levels, k, u, v, n) >> m & 1) == (flow >= k), (u, v, m, k)
 
 
-def test_flow_levels_run_only_needed_configurations():
-    # a sparse need mask over three blocks of 2^16 configurations, the last
-    # one partial and not a whole number of bytes
+@st.composite
+def _samples(draw):
+    """A graph, sampled configuration masks (not a whole number of bytes,
+    each vertex with every edge closed in one of them), a cap up to the
+    largest degree + 2, and the indices of the masks to check."""
+    g = draw(_graphs())
+    n = draw(st.integers(1, 60).filter(lambda n: n % 8))
+    masks = draw(st.lists(st.integers(0, (1 << g.n_edges) - 1), min_size=n, max_size=n))
+    for i, w in enumerate(g.vertices[:n]):
+        masks[i] &= ~sum(1 << g.edge_index(eid) for eid in g.incident[w])
+    cap = draw(st.integers(1, max(g.degree(v) for v in g.vertices) + 2))
+    return g, masks, cap, range(n)
+
+
+def _block_boundary_samples():
+    # 2^17 + 5 samples, across the 2^16-sample block boundaries that an
+    # implementation working one block at a time would cross
     g = graph_from_spec("family:grid:2,3,p=0.5")
     n = (1 << 17) + 5
     rng = random.Random(3)
     masks = [rng.getrandbits(g.n_edges) for _ in range(n)]
     picked = set(rng.sample(range(n), 300)) | {0, 65535, 65536, n - 1}
-    need = sum(1 << i for i in picked)
-    levels = _flow_levels(g, _transpose(masks, g.n_edges), n, "a", "c", 3, need)
-    assert len(levels) == 3
-    for level in levels:
-        assert level & ~need == 0
-    for i in picked:
-        flow = open_maxflow(g, masks[i], "a", "c", cap=3)
-        assert [level >> i & 1 for level in levels] == [flow > k for k in range(3)], i
+    return g, masks, 3, sorted(picked)
+
+
+@given(_samples())
+@example(_block_boundary_samples())
+@settings(max_examples=60, deadline=None)
+def test_flow_levels_on_samples_match_maxflow(case):
+    g, masks, cap, checked = case
+    n = len(masks)
+    cols = _transpose(masks, g.n_edges)
+    for u in g.vertices:
+        for v in g.vertices:
+            levels = _flow_levels(g, cols, n, u, v, cap)
+            assert len(levels) <= min(cap, g.degree(u), g.degree(v))
+            for i in checked:
+                flow = open_maxflow(g, masks[i], u, v, cap=cap)
+                got = [_level(levels, k, u, v, n) >> i & 1 for k in range(1, cap + 1)]
+                assert got == [flow >= k for k in range(1, cap + 1)], (u, v, i)
 
 
 @pytest.mark.parametrize("n_edges", [1, 2, 3, 4])
@@ -140,8 +170,9 @@ def test_short_paths_match_oracle(n):
 
 def test_self_pair_always_holds():
     g = generate("cycle", 4, p=0.5)
-    full = (1 << (1 << g.n_edges)) - 1
-    assert flow_table(g, "a", "a") == [full]
+    n = 1 << g.n_edges
+    # every level up to deg a = 2 holds everywhere; deeper ones read the same
+    assert _flow_levels(g, _columns(g.n_edges), n, "a", "a", 5) == [(1 << n) - 1] * 2
     assert exact_npaths(g, "a", "a", 5) == pytest.approx(1.0, abs=1e-12)
     assert exact_prob(g, parse_event("npaths(a,a,7)")) == pytest.approx(1.0, abs=1e-12)
 
