@@ -247,9 +247,13 @@ def _resolve(e: EventExpr, g: Graph):
 
 
 def open_maxflow(g: Graph, mask: int, u: str, v: str, cap: int | None = None) -> int:
-    """Number of pairwise edge-disjoint open u-v paths (stops early at cap)."""
+    """Number of pairwise edge-disjoint open u-v paths (stops early at cap).
+
+    For u == v the empty path repeats without limit: the count is cap, or
+    1 << 30 without one.
+    """
     if u == v:
-        return 1 << 30
+        return 1 << 30 if cap is None else cap
     s = g.vertex_index(u)
     t = g.vertex_index(v)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]

@@ -2,9 +2,12 @@
 
 Randomness is counter based: sample i of a run derives every edge bit from
 (seed, counter) through a SplitMix64-style mix, so results are reproducible
-bit for bit from (seed, n) alone and independent of batching.  Raising an
-edge probability can only turn closed edges open within a fixed stream,
-which preserves monotone couplings across parameter sweeps.
+bit for bit from (seed, n) alone and independent of batching.  An edge of
+probability p is open when the mixed 64-bit word lies below
+ceil(p·2^53) << 11, which is exactly u < p for the 53-bit uniform
+u = (word >> 11)·2^-53; no float is formed.  Raising an edge probability
+can only turn closed edges open within a fixed stream, which preserves
+monotone couplings across parameter sweeps.
 
 Samples are held as edge columns: each edge gets a bitmask of the samples
 where it is open, and events are evaluated for all samples at once by the
@@ -29,28 +32,20 @@ from .exact import Joint, SqS, _s_mask_for
 from .graphs import Graph
 from .strategies import Strategy
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_BLOCK = 1 << 16  # samples mixed per buffer pass; a multiple of 8, so packed blocks concatenate
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
-
-
-def _seed_base(seed: int) -> np.uint64:
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA
-    return _mix_array(np.array([z], dtype=np.uint64))[0]
-
-
-def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Deterministic uniforms in [0, 1) for an array of uint64 counters."""
-    z = _seed_base(seed) + (counters + np.uint64(1)) * _GAMMA
-    bits = _mix_array(z)
-    return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+def _seed_base(seed: int) -> int:
+    """The SplitMix64 finalizer of seed + gamma, in Python ints modulo 2^64."""
+    z = (seed + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * int(_M1)) & _MASK64
+    z = ((z ^ (z >> 27)) * int(_M2)) & _MASK64
+    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -79,20 +74,43 @@ class Estimate:
 # Sampling
 
 
-def _pack(bits: np.ndarray) -> int:
-    """Integer whose bit i is set where bits[i] is true."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 def _edge_bit_columns(g: Graph, n: int, seed: int, stride: int, offset: int):
-    """Per-edge bitmask over samples: bit i set when edge open in sample i."""
+    """Per-edge bitmask over samples: bit i set when edge open in sample i.
+
+    Edge j of sample i mixes the word base + (i·stride + offset + j + 1)·gamma
+    mod 2^64 and compares it with the integer threshold of the module
+    docstring.  Blocks of samples are mixed in place in fixed buffers.  An
+    edge with p >= 1 draws nothing: its threshold 2^64 does not fit a uint64.
+    """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    idx = np.arange(n, dtype=np.uint64)
+    size = min(_BLOCK, n)
+    ramp = np.arange(size, dtype=np.uint64) * np.uint64(stride * _GAMMA & _MASK64)
+    z = np.empty(size, dtype=np.uint64)
+    t = np.empty(size, dtype=np.uint64)
+    bits = np.empty(size, dtype=bool)
+    base = _seed_base(seed)
     cols = []
     for j, p in enumerate(g.probs):
-        u = _uniforms(seed, idx * np.uint64(stride) + np.uint64(offset + j))
-        cols.append(_pack(u < p))
+        if p <= 0.0 or p >= 1.0:
+            cols.append(0 if p <= 0.0 else (1 << n) - 1)
+            continue
+        threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
+        word = base + (offset + j + 1) * _GAMMA
+        chunks = []
+        for start in range(0, n, _BLOCK):
+            np.add(ramp, np.uint64((word + start * stride * _GAMMA) & _MASK64), out=z)
+            np.right_shift(z, np.uint64(30), out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, _M1, out=z)
+            np.right_shift(z, np.uint64(27), out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, _M2, out=z)
+            np.right_shift(z, np.uint64(31), out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.less(z, threshold, out=bits)
+            chunks.append(np.packbits(bits[:n - start], bitorder="little").tobytes())
+        cols.append(int.from_bytes(b"".join(chunks), "little"))
     return cols
 
 

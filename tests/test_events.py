@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from percolab import (Configuration, EventSyntaxError, Monotonicity,
                       MonotonicityError, disjoint_occurrence, evaluate,
-                      generate, monotonicity, parse_event, sq_s_occurrence,
-                      unparse)
+                      exact_prob, generate, graph_from_spec, monotonicity,
+                      parse_event, sq_s_occurrence, unparse)
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
                              Union, evaluate_mask, open_maxflow)
 
@@ -163,6 +163,16 @@ def test_maxflow_matches_menger_packing(spec):
         flow = open_maxflow(g, mask, u, v)
         packing = _max_disjoint_packing(_all_simple_open_paths(g, mask, u, v))
         assert flow == packing, (spec, bin(mask))
+
+
+def test_npaths_from_a_vertex_to_itself_holds_for_every_n():
+    # the empty path repeats without limit: no n is too large
+    g = graph_from_spec("family:cycle:3,p=0.5")
+    e = NPathsAtom("a", "a", 2 ** 31)
+    for m in range(1 << g.n_edges):
+        assert evaluate_mask(e, g, m)
+        assert evaluate(e, g, Configuration(g, m))
+    assert exact_prob(g, e) == 1.0
 
 
 # --- disjoint occurrence ------------------------------------------------------

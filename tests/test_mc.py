@@ -1,14 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percolab import (Configuration, Estimate, EvaluationError, exact_pair,
+from percolab import (Configuration, Estimate, EvaluationError, Graph, exact_pair,
                       exact_prob, generate, graph_from_spec, mc_npaths, mc_pair,
                       mc_prob, parse_event, parse_strategy)
 from percolab.events import evaluate_mask
 from percolab.exact import Joint, SqS, exact_npaths
-from percolab.mc import _uniforms, mc_flow_tail
+from percolab.mc import _edge_bit_columns, mc_flow_tail
 from percolab.strategies import run, splice_mask
 
 from test_enumeration import _events, _graphs
@@ -206,6 +209,101 @@ def test_seeded_hit_counts_pinned():
         t = parse_strategy(spec)
         assert round(mc_pair(g, t, Joint(A, B), 2000, 7).mean * 2000) == joint, spec
         assert round(mc_pair(g, t, SqS(A, B), 400, 8).mean * 400) == sqs, spec
+
+
+def _mix_array(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _uniforms(seed, counters):
+    """Float reference: SplitMix64 uniforms in [0, 1) for uint64 counters."""
+    gamma = 0x9E3779B97F4A7C15
+    base = _mix_array(np.array([(seed + gamma) & (2 ** 64 - 1)], dtype=np.uint64))
+    z = base + (counters + np.uint64(1)) * np.uint64(gamma)
+    return (_mix_array(z) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _columns_oracle(g, n, seed, stride, offset):
+    """Edge columns packed from the float uniforms: bit i where u < p."""
+    idx = np.arange(n, dtype=np.uint64)
+    return [int.from_bytes(np.packbits(
+                _uniforms(seed, idx * np.uint64(stride) + np.uint64(offset + j)) < p,
+                bitorder="little").tobytes(), "little")
+            for j, p in enumerate(g.probs)]
+
+
+_EDGE_PROBS = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 5e-324, 1 - 2 ** -53,
+                     math.nextafter(0.5, 0), math.nextafter(0.5, 1)]),
+    st.floats(0.0, 1.0))
+
+
+@st.composite
+def _column_case(draw):
+    """A graph of at most four edges, a sample count around byte and 2^16-sample
+    block boundaries or small, any 64-bit seed, and the stride and offset of
+    mc_prob or of either mc_pair set.  An edge probability is special, any
+    float in [0, 1], or a uniform that the edge draws in some sample, or one
+    ulp either side of it, where rounding the threshold the wrong way shows."""
+    shape = draw(_graphs(max_edges=4))
+    e = shape.n_edges
+    n = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 65535, 65536, 65537, 131085]),
+                       st.integers(1, 300)))
+    stride, offset = draw(st.sampled_from([(e, 0), (2 * e, 0), (2 * e, e)]))
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    probs = {}
+    for j, eid in enumerate(shape.edge_ids):
+        if draw(st.booleans()):
+            probs[eid] = draw(_EDGE_PROBS)
+        else:
+            i = draw(st.integers(0, n - 1))
+            u = float(_uniforms(seed, np.array([i * stride + offset + j], dtype=np.uint64))[0])
+            probs[eid] = draw(st.sampled_from([u, math.nextafter(u, 0), math.nextafter(u, 1)]))
+    return Graph(shape.vertices, shape.edges, probs, shape.marks), n, seed, stride, offset
+
+
+@given(_column_case())
+@settings(max_examples=80, deadline=None)
+def test_edge_columns_equal_float_reference(case):
+    g, n, seed, stride, offset = case
+    assert _edge_bit_columns(g, n, seed, stride, offset) == \
+        _columns_oracle(g, n, seed, stride, offset)
+
+
+def _unmix(z):
+    """Inverse of the SplitMix64 finalizer on a Python int word."""
+    for shift, mult in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
+        x = z
+        for _ in range(64 // shift + 1):
+            x = z ^ (x >> shift)
+        z = x if mult is None else x * pow(mult, -1, 2 ** 64) % 2 ** 64
+    return z
+
+
+@pytest.mark.parametrize("p", [0.5, 1 / 3, 5e-324, 1 - 2 ** -53])
+def test_threshold_word_is_the_first_closed_word(p):
+    # a seed whose first word is chosen: below ceil(p·2^53) << 11 opens the edge,
+    # the threshold itself closes it, as u < p does on the float reference
+    gamma, mask = 0x9E3779B97F4A7C15, 2 ** 64 - 1
+    g = generate("path", 1, p=p)
+    threshold = math.ceil(p * 2 ** 53) << 11
+    for word, bit in ((threshold - 1, 1), (threshold, 0)):
+        seed = (_unmix((_unmix(word) - gamma) & mask) - gamma) & mask
+        assert _edge_bit_columns(g, 1, seed, 1, 0) == [bit] == _columns_oracle(g, 1, seed, 1, 0)
+
+
+@pytest.mark.parametrize("seed", [2 ** 63 + 11, 2 ** 64 - 1])
+def test_high_seeds_draw_without_overflow_warning(seed):
+    # seeds of 2^64 - gamma or more wrap the seed base modulo 2^64
+    g = graph_from_spec("family:grid:2,3,p=0.3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = _edge_bit_columns(g, 1000, seed, g.n_edges, 0)
+        est = mc_prob(g, parse_event("a,b"), 1000, seed)
+    assert cols == _columns_oracle(g, 1000, seed, g.n_edges, 0)
+    assert 0.0 < est.mean < 1.0
 
 
 def _sample_masks_oracle(g, n, seed, stride, offset):
