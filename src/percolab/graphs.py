@@ -600,6 +600,8 @@ def graph_from_spec(spec: str) -> Graph:
             key, _, val = part.partition("=")
             if key not in ("p", "q"):
                 raise GraphFormatError(f"unknown family parameter {key!r}")
+            if key in kw:
+                raise GraphFormatError(f"repeated family parameter {key!r} in {spec!r}")
             try:
                 kw[key] = float(val)
             except ValueError:

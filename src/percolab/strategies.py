@@ -11,20 +11,23 @@ Policies are generators: they yield (edge_id, decision) and receive the pair
 of revealed bits via send().  This makes adaptedness structural: a policy
 only ever sees what it has queried.
 
-Catalog (see ``make_strategy`` / ``parse_strategy``):
+The catalog (``parse_strategy``; ``make_strategy(kind, *args)`` builds the
+spec text) is made of depth-first passes that share the set of queried
+edges.  A pass reveals from a start vertex along edges open in c1, scanning
+candidates in ``id``, ``right_hand`` or ``left_hand`` order (the hand rules
+need a rotation and outer anchor), and assigns ``S`` or ``Sbar`` to all it
+queries, or S until it visits a target (``until:w``, ``untilany:w+x``),
+which ends the run.
 
-* ``bfs_cluster:v``       breadth-first reveal of v's open cluster, all to S.
-* ``dfs:v,ORDER,DEC``     depth-first reveal from v.  ORDER is ``id``,
-  ``right_hand`` or ``left_hand`` (the hand rules need a rotation and outer
-  anchor); DEC is ``S``, ``Sbar``, ``until:w`` or ``untilany:w+x`` (reveal
-  to S and stop once the target is visited).
-* ``seq:[dfs:...;dfs:...]`` several depth-first passes sharing the set of
-  queried edges; each pass restarts vertex visits.
-* ``rhw_walks:a,b,k``     k successive right-hand walks from a toward b,
-  everything queried goes to S; later walks skip edges already queried.
-* ``dfs_stop_at:a,b,c``   sugar for ``dfs:a,id,untilany:b+c``.
-* ``stop``                query nothing (S is empty).
-* ``reveal_all:DEC``      query every edge in index order with one decision.
+* ``dfs:v,ORDER,DEC``; ``dfs_stop_at:v,w,x`` is ``dfs:v,id,untilany:w+x``.
+* ``seq:[dfs:...;dfs:...]``  passes in turn, each restarting vertex visits.
+* ``stop``  no pass (S is empty); its continuation ``reveal_all:S|Sbar``
+  reveals every edge in index order with one decision.
+* ``rhw_walks:a,b,k``  k right-hand passes until b, ending at the first miss.
+* ``bfs_cluster:v``  breadth-first reveal of v's open cluster, all to S.
+
+Malformed specs raise StrategyError when built, unknown vertices when run.
+The spec text is the strategy's name.
 
 The hand rules: arriving at v along edge e, candidates are scanned starting
 from the sharpest right turn, i.e. counterclockwise from e through the stored
@@ -134,15 +137,6 @@ def splice_mask(m1: int, m2: int, s_mask: int) -> int:
 # Shared depth-first machinery
 
 
-def _rh_candidates(g: Graph, v: str, arrival: str, mirror: bool):
-    rot = g.rotation[v]
-    d = len(rot)
-    i = rot.index(arrival)
-    if mirror:  # left hand: clockwise successors, arrival last
-        return [rot[(i + k) % d] for k in range(1, d + 1)]
-    return [rot[(i - k) % d] for k in range(1, d + 1)]
-
-
 def _outer_leaving_edge(g: Graph, v: str) -> str:
     """Edge of the outer face cycle that leaves v (first occurrence)."""
     fs = faces(g)
@@ -155,12 +149,14 @@ def _outer_leaving_edge(g: Graph, v: str) -> str:
 def _candidates(g: Graph, v: str, arrival: str | None, order: str):
     if order == "id":
         return g.incident[v]
-    if order in ("right_hand", "left_hand"):
-        if g.rotation is None or g.outer_anchor is None:
-            raise StrategyError(f"{order} order needs a rotation and outer anchor")
-        pretend = arrival if arrival is not None else _outer_leaving_edge(g, v)
-        return _rh_candidates(g, v, pretend, mirror=(order == "left_hand"))
-    raise StrategyError(f"unknown order {order!r}")
+    if g.rotation is None or g.outer_anchor is None:
+        raise StrategyError(f"{order} order needs a rotation and outer anchor")
+    rot = g.rotation[v]
+    d = len(rot)
+    i = rot.index(arrival if arrival is not None else _outer_leaving_edge(g, v))
+    if order == "left_hand":  # clockwise successors, arrival last
+        return [rot[(i + k) % d] for k in range(1, d + 1)]
+    return [rot[(i - k) % d] for k in range(1, d + 1)]
 
 
 def _dfs_pass(g, start, order, decision, targets, queried):
@@ -199,46 +195,17 @@ def _dfs_pass(g, start, order, decision, targets, queried):
     return (yield from go(start, None))
 
 
-class _Dfs(Strategy):
-    def __init__(self, start, order, decision_spec):
-        kind = decision_spec[0]
-        if kind not in (S, SBAR, "until", "until_any"):
-            raise StrategyError(f"unknown dfs decision {kind!r}")
-        self.start = start
-        self.order = order
-        self.spec = decision_spec
-        self.name = f"dfs:{start},{order},{_dec_text(decision_spec)}"
+class _Passes(Strategy):
+    """(start, order, decision, targets) passes sharing the queried edges;
+    the first pass that reaches a target ends the run."""
 
-    def policy(self, g):
-        kind = self.spec[0]
-        if kind in (S, SBAR):
-            decision, targets = kind, frozenset()
-        else:
-            decision, targets = S, frozenset(self.spec[1])
-        yield from _dfs_pass(g, self.start, self.order, decision, targets, set())
-
-
-class _Seq(Strategy):
-    """Several depth-first passes sharing the queried-edge set."""
-
-    def __init__(self, subs):
-        self.subs = tuple(subs)
-        for s in self.subs:
-            if not isinstance(s, _Dfs):
-                raise StrategyError("seq takes dfs strategies")
-        self.name = "seq:[" + ";".join(s.name for s in self.subs) + "]"
+    def __init__(self, passes):
+        self.passes = tuple(passes)
 
     def policy(self, g):
         queried = set()
-        for sub in self.subs:
-            kind = sub.spec[0]
-            if kind in (S, SBAR):
-                decision, targets = kind, frozenset()
-            else:
-                decision, targets = S, frozenset(sub.spec[1])
-            stopped = yield from _dfs_pass(g, sub.start, sub.order, decision,
-                                           targets, queried)
-            if stopped:
+        for start, order, decision, targets in self.passes:
+            if (yield from _dfs_pass(g, start, order, decision, targets, queried)):
                 return
 
 
@@ -272,41 +239,18 @@ class _BfsCluster(Strategy):
 
 
 class _RhwWalks(Strategy):
-    """k right-hand walks from a toward b; everything queried goes to S."""
+    """k right-hand walks from a toward b, all to S; unlike a pass list, the
+    run ends at the first walk that misses b."""
 
     def __init__(self, a, b, k):
-        if k < 0:
-            raise StrategyError("walk count must be >= 0")
-        self.a, self.b, self.k = a, b, int(k)
-        self.name = f"rhw_walks:{a},{b},{k}"
+        self.a, self.b, self.k = a, b, k
 
     def policy(self, g):
         queried = set()
         for _ in range(self.k):
-            reached = yield from _dfs_pass(g, self.a, "right_hand", S,
-                                           frozenset((self.b,)), queried)
-            if not reached:
+            if not (yield from _dfs_pass(g, self.a, "right_hand", S,
+                                         frozenset((self.b,)), queried)):
                 return
-
-
-class _Stop(Strategy):
-    name = "stop"
-
-    def policy(self, g):
-        return
-        yield  # pragma: no cover
-
-
-class _RevealAll(Strategy):
-    def __init__(self, decision):
-        if decision not in (S, SBAR):
-            raise StrategyError(f"bad decision {decision!r}")
-        self.decision = decision
-        self.name = f"reveal_all:{decision}"
-
-    def policy(self, g):
-        for e in g.edge_ids:
-            _ = yield (e, self.decision)
 
 
 class _ExtendRest(Strategy):
@@ -335,92 +279,87 @@ class _ExtendRest(Strategy):
 
 
 def extend_with_rest(base: Strategy, decision: str = SBAR) -> Strategy:
+    if decision not in (S, SBAR):
+        raise StrategyError(f"bad decision {decision!r}")
     return _ExtendRest(base, decision)
-
-
-def _dec_text(spec) -> str:
-    if spec[0] in (S, SBAR):
-        return spec[0]
-    if spec[0] == "until":
-        return f"until:{spec[1][0]}"
-    return "untilany:" + "+".join(sorted(spec[1]))
 
 
 # ---------------------------------------------------------------------------
 # Construction
 
+_USAGE = {
+    "stop": "stop",
+    "reveal_all": "reveal_all:S|Sbar",
+    "bfs_cluster": "bfs_cluster:v",
+    "dfs": "dfs:v,id|right_hand|left_hand,S|Sbar|until:w|untilany:w+x",
+    "dfs_stop_at": "dfs_stop_at:v,w[,x...]",
+    "seq": "seq:[dfs:...;dfs:...]",
+    "rhw_walks": "rhw_walks:a,b,k with k >= 0",
+}
 
-def make_strategy(kind: str, *args) -> Strategy:
-    if kind == "bfs_cluster":
-        (v,) = args
-        return _BfsCluster(v)
+
+def _pass(text):
+    """(start, order, decision, targets) of one ``dfs:v,ORDER,DEC`` spec."""
+    head, _, args = text.partition(":")
+    start, order, dec = args.split(",")
+    if head != "dfs" or not start or order not in ("id", "right_hand", "left_hand"):
+        raise ValueError
+    if dec in (S, SBAR):
+        return start, order, dec, frozenset()
+    mode, _, names = dec.partition(":")
+    targets = names.split("+")
+    if all(targets) and (mode == "untilany" or mode == "until" and len(targets) == 1):
+        return start, order, S, frozenset(targets)
+    raise ValueError
+
+
+def _build(spec):
+    """The strategy a well-formed spec names; ValueError otherwise."""
+    kind, colon, rest = spec.partition(":")
+    args = rest.split(",") if colon else []
+    if not all(args):
+        raise ValueError
+    if kind == "stop" and not args:
+        return _Passes(())
+    if kind == "reveal_all" and len(args) == 1 and args[0] in (S, SBAR):
+        return _ExtendRest(_Passes(()), args[0])
+    if kind == "bfs_cluster" and len(args) == 1:
+        return _BfsCluster(args[0])
     if kind == "dfs":
-        start, order, dec = args
-        return _Dfs(start, order, _parse_decision(dec))
-    if kind == "seq":
-        return _Seq([s if isinstance(s, _Dfs) else _dfs_from_spec(s) for s in args[0]])
-    if kind == "rhw_walks":
-        a, b, k = args
-        return _RhwWalks(a, b, int(k))
-    if kind == "dfs_stop_at":
-        start, targets = args[0], args[1:]
-        if not targets:
-            raise StrategyError("dfs_stop_at needs at least one target")
-        return _Dfs(start, "id", ("until_any", frozenset(targets)))
-    if kind == "stop":
-        return _Stop()
-    if kind == "reveal_all":
-        (dec,) = args
-        return _RevealAll(dec)
-    raise StrategyError(f"unknown strategy kind {kind!r}")
-
-
-def _parse_decision(text):
-    if isinstance(text, tuple):
-        return text
-    if text == "S":
-        return (S,)
-    if text == "Sbar":
-        return (SBAR,)
-    if text.startswith("until:"):
-        return ("until", (text[len("until:"):],))
-    if text.startswith("untilany:"):
-        return ("until_any", frozenset(text[len("untilany:"):].split("+")))
-    raise StrategyError(f"unknown dfs decision {text!r}")
-
-
-def _dfs_from_spec(text: str) -> _Dfs:
-    if not text.startswith("dfs:"):
-        raise StrategyError(f"seq items must be dfs specs, got {text!r}")
-    parts = text[len("dfs:"):].split(",", 2)
-    if len(parts) != 3:
-        raise StrategyError(f"dfs spec needs start,order,decision: {text!r}")
-    return _Dfs(parts[0], parts[1], _parse_decision(parts[2]))
+        return _Passes((_pass(spec),))
+    if kind == "seq" and rest[:1] + rest[-1:] == "[]":
+        return _Passes(map(_pass, rest[1:-1].split(";")))
+    if kind == "dfs_stop_at" and len(args) >= 2:
+        return _Passes(((args[0], "id", S, frozenset(args[1:])),))
+    if kind == "rhw_walks" and len(args) == 3 and int(args[2]) >= 0:
+        return _RhwWalks(args[0], args[1], int(args[2]))
+    raise ValueError
 
 
 def parse_strategy(spec: str) -> Strategy:
-    """Build a catalog strategy from its CLI string form."""
+    """Build a catalog strategy from its spec text, which becomes its name.
+
+    A malformed spec raises StrategyError here, before any run; vertex
+    names are checked against the graph when the strategy runs.
+    """
     spec = spec.strip()
-    if spec == "stop":
-        return _Stop()
-    kind, _, rest = spec.partition(":")
+    kind = spec.partition(":")[0]
+    if kind not in _USAGE:
+        raise StrategyError(f"unknown strategy kind {kind!r} in {spec!r}")
+    try:
+        t = _build(spec)
+    except ValueError:
+        raise StrategyError(
+            f"malformed strategy spec {spec!r}; expected {_USAGE[kind]}") from None
+    t.name = spec
+    return t
+
+
+def make_strategy(kind: str, *args) -> Strategy:
+    """parse_strategy of ``kind:arg,arg,...``; seq takes one list of dfs specs."""
     if kind == "seq":
-        if not (rest.startswith("[") and rest.endswith("]")):
-            raise StrategyError("seq spec looks like seq:[dfs:...;dfs:...]")
-        return _Seq([_dfs_from_spec(x) for x in rest[1:-1].split(";") if x])
-    if kind == "dfs":
-        return _dfs_from_spec(spec)
-    if kind == "bfs_cluster":
-        return make_strategy("bfs_cluster", rest)
-    if kind == "rhw_walks":
-        a, b, k = rest.split(",")
-        return make_strategy("rhw_walks", a, b, int(k))
-    if kind == "dfs_stop_at":
-        parts = rest.split(",")
-        return make_strategy("dfs_stop_at", *parts)
-    if kind == "reveal_all":
-        return make_strategy("reveal_all", rest)
-    raise StrategyError(f"unknown strategy spec {spec!r}")
+        args = ["[" + ";".join(items) + "]" for items in args]
+    return parse_strategy(kind + (":" + ",".join(map(str, args)) if args else ""))
 
 
 # ---------------------------------------------------------------------------

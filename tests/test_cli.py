@@ -224,3 +224,21 @@ def test_scan_ids_named_once():
     assert cli.SCAN_IDS is checks.SCAN_IDS
     scans = {e.check_id for e in corpus.corpus_entries() if e.kind == "scan"}
     assert scans == set(checks.SCAN_IDS)
+
+
+@pytest.mark.parametrize("spec", ["dfs:a,bogus,until:a", "rhw_walks:a,b", "rhw_walks:a,b,x",
+                                  "stop:x"])
+def test_check_refuses_malformed_strategy(runner, spec):
+    # dfs:a,bogus,until:a ends before scanning a candidate, so only the
+    # parser can see the bad order
+    res = runner.invoke(main, ["check", "hk_tree", "--graph", "family:cycle:4,p=0.5",
+                               "--strategy", spec, "--events", "a,b", "b,c"])
+    assert res.exit_code == 2, res.output
+    assert f"malformed strategy spec {spec!r}" in res.output
+
+
+def test_check_refuses_repeated_family_parameter(runner):
+    res = runner.invoke(main, ["estimate", "--graph", "family:grid:3,3,p=0.5,p=0.25",
+                               "--event", "a,b", "--method", "exact"])
+    assert res.exit_code == 2, res.output
+    assert "repeated family parameter 'p'" in res.output

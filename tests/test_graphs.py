@@ -57,6 +57,13 @@ def test_parse_needs_marks():
         parse_graph("vertex a\nvertex b\nedge ab a b 0.5\nmark a\n")
 
 
+
+@pytest.mark.parametrize("spec", ["family:grid:3,3,p=0.5,p=0.25",
+                                  "family:parallel:3,q=0.5,q=0.5"])
+def test_family_spec_refuses_repeated_parameter(spec):
+    with pytest.raises(GraphFormatError, match="repeated family parameter"):
+        graph_from_spec(spec)
+
 def test_parse_rejects_disconnected():
     text = ("vertex a\nvertex b\nvertex c\nvertex d\n"
             "edge ab a b 0.5\nedge cd c d 0.5\nmark a b\n")

@@ -239,7 +239,53 @@ def test_adaptedness_same_prefix_same_next():
 
 
 def test_parse_strategy_rejects_unknown():
-    with pytest.raises(StrategyError):
+    with pytest.raises(StrategyError, match="unknown strategy kind 'warp'"):
         parse_strategy("warp:a")
-    with pytest.raises(StrategyError):
-        parse_strategy("dfs:a,id")
+
+
+@pytest.mark.parametrize("spec", [
+    "dfs:a,id", "dfs:a,bogus,until:a", "dfs:,id,S", "dfs:a,id,S,b", "dfs:a,id,until:",
+    "dfs:a,id,until:b+c", "dfs:a,id,untilany:b+", "dfs:a,id,within:b", "dfs",
+    "seq:dfs:a,id,S", "seq:[]", "seq:[dfs:a,id,S;]", "seq:[bfs_cluster:a]",
+    "seq:[dfs:a,bogus,S]", "rhw_walks:a,b", "rhw_walks:a,b,x", "rhw_walks:a,b,-1",
+    "rhw_walks:a,b,1,2", "bfs_cluster", "bfs_cluster:", "bfs_cluster:a,b", "stop:x",
+    "reveal_all", "reveal_all:bogus", "dfs_stop_at:a", "dfs_stop_at:a,,c",
+])
+def test_parse_strategy_refuses_malformed_spec_when_built(spec):
+    with pytest.raises(StrategyError, match="malformed strategy spec") as exc:
+        parse_strategy(spec)
+    assert repr(spec) in str(exc.value)
+
+
+@pytest.mark.parametrize("kind,args", [
+    ("bfs_cluster", ()), ("stop", ("x",)), ("dfs", ("a", "id")), ("rhw_walks", ("a", "b")),
+    ("rhw_walks", ("a", "b", "x")), ("dfs_stop_at", ("a",)), ("reveal_all", ("S", "Sbar")),
+    ("seq", (["dfs:a,id,S"], ["dfs:b,id,S"])), ("seq", ()),
+])
+def test_make_strategy_refuses_wrong_arguments(kind, args):
+    with pytest.raises(StrategyError, match=f"malformed strategy spec '{kind}"):
+        make_strategy(kind, *args)
+
+
+def test_make_strategy_builds_the_spec_text():
+    assert make_strategy("dfs", "a", "right_hand", "untilany:b+c").name == \
+        "dfs:a,right_hand,untilany:b+c"
+    assert make_strategy("rhw_walks", "a", "b", 2).name == "rhw_walks:a,b,2"
+    assert make_strategy("stop").name == "stop"
+    t = make_strategy("seq", ["dfs:c,id,S", "dfs:a,id,Sbar", "dfs:b,id,S"])
+    assert t.name == "seq:[dfs:c,id,S;dfs:a,id,Sbar;dfs:b,id,S]"
+    assert repr(t) == f"<Strategy {t.name}>"
+
+
+def test_extend_with_rest_refuses_bad_decision():
+    with pytest.raises(StrategyError, match="bad decision 'bogus'"):
+        extend_with_rest(parse_strategy("stop"), "bogus")
+
+
+def test_reveal_all_is_the_continuation_of_stop():
+    g = generate("cycle", 4, p=0.5)
+    for dec in (S, SBAR):
+        t = parse_strategy(f"reveal_all:{dec}")
+        assert verify_continuation(parse_strategy("stop"), t, g)
+        assert verify_continuation(t, extend_with_rest(parse_strategy("stop"), dec), g)
+        assert verify_continuation(extend_with_rest(parse_strategy("stop"), dec), t, g)
