@@ -191,8 +191,9 @@ def test_npaths_independent_of_call_order():
 # --- monotonicity from one truth table ----------------------------------------
 
 
-def _monotonicity_oracle(e, g):
-    """Every single-edge flip of every configuration, one evaluate_mask each."""
+def _flip_flags(e, g):
+    """(no single-edge opening turns the event off, none turns it on), from
+    every single-edge flip of every configuration, one evaluate_mask each."""
     inc = dec = True
     for mask in range(1 << g.n_edges):
         val = evaluate_mask(e, g, mask)
@@ -202,6 +203,11 @@ def _monotonicity_oracle(e, g):
             up = evaluate_mask(e, g, mask | (1 << i))
             inc = inc and not (val and not up)
             dec = dec and not (up and not val)
+    return inc, dec
+
+
+def _monotonicity_oracle(e, g):
+    inc, dec = _flip_flags(e, g)
     if inc:
         return Monotonicity.INCREASING
     if dec:
@@ -222,6 +228,20 @@ def test_monotonicity_matches_flip_oracle(ge):
     syntactic = monotonicity(e)
     want = _monotonicity_oracle(e, g) if syntactic is Monotonicity.NONE else syntactic
     assert monotonicity(e, g) is want
+
+
+@given(_small_graph_and_event())
+@settings(max_examples=150, deadline=None)
+def test_syntactic_monotonicity_is_sound(ge):
+    # a syntactic verdict is trusted without a table, so it must never
+    # claim a direction that some single-edge opening contradicts
+    g, e = ge
+    inc, dec = _flip_flags(e, g)
+    syntactic = monotonicity(e)
+    if syntactic is Monotonicity.INCREASING:
+        assert inc
+    elif syntactic is Monotonicity.DECREASING:
+        assert dec
 
 
 @pytest.mark.parametrize("text", ["a,b|c", "!(a,b U b,c)", "a,b|c U a,b,c",
