@@ -38,11 +38,12 @@ from functools import partial
 
 from . import config
 from .errors import HypothesisError, PercolabError, SizeGuardError
-from .events import Intersect, Monotonicity, monotonicity, parse_event, require_increasing
-from .exact import (Joint, SqS, _check_pair_size, _submasks, _view, exact_npaths, exact_pair,
-                    exact_prob, truth_table)
+from .events import (Intersect, Monotonicity, NPathsAtom, monotonicity, parse_event,
+                     require_increasing)
+from .exact import (Joint, SqS, _check_pair_size, _submasks, exact_pair, exact_prob,
+                    truth_table)
 from .graphs import Configuration, Graph, same_face
-from .mc import mc_npaths, mc_pair, mc_prob
+from .mc import mc_pair, mc_prob
 from .strategies import (S, SBAR, Strategy, extend_with_rest, parse_strategy,
                          run, verify_continuation)
 
@@ -67,7 +68,7 @@ class CheckReport:
         return asdict(self)
 
 
-# term kinds: ("prob", event) | ("pair", strategy, Joint or SqS query) | ("npaths", n)
+# term kinds: ("prob", event) | ("pair", strategy, Joint or SqS query)
 
 
 @dataclass
@@ -100,6 +101,11 @@ def _need_outer_face(g: Graph, vs):
         raise HypothesisError("check needs a plane embedding with an outer anchor")
     if not same_face(g, vs, "outer"):
         raise HypothesisError(f"marks {vs} do not lie on the outer face together")
+
+
+def _paths(g: Graph, n: int) -> tuple:
+    """The term of n edge-disjoint open paths between the first two marks."""
+    return "prob", NPathsAtom(g.marks[0], g.marks[1], n)
 
 
 def _marked_events(g: Graph, texts: dict) -> dict:
@@ -140,7 +146,7 @@ def _check_prefix(t: Strategy, g: Graph, expr) -> None:
         if any(st.decision != S for st in trace.steps):
             raise HypothesisError("prefix strategy must reveal everything into S")
         revealed.append(trace.s_mask(g))
-    tab = _view(truth_table(g, expr))
+    tab = truth_table(g, expr)
     full = (1 << g.n_edges) - 1
     for r_mask, pinned in {(r, m1 & r) for m1, r in enumerate(revealed)}:
         on = tab[pinned | _submasks(g, full & ~r_mask)[0]]
@@ -252,7 +258,7 @@ def _conj2_spec(g, params):
 def _arms23_spec(g, params):
     _need_marks(g, 2)
     _need_outer_face(g, g.marks[:2])
-    terms = {"f3": ("npaths", 3), "f2": ("npaths", 2)}
+    terms = {"f3": _paths(g, 3), "f2": _paths(g, 2)}
     return _Spec(terms, lambda v: v["f3"] ** 2, lambda v: v["f2"] ** 3)
 
 
@@ -262,8 +268,7 @@ def _arms_klm_spec(g, params):
     n, k, l, m = (int(_req(params, x, "arms_klm")) for x in ("n", "k", "l", "m"))
     if not (1 <= k <= n and 1 <= l <= n and 1 <= m <= n and k + l + m == 2 * n):
         raise ValueError("need k, l, m <= n and k + l + m = 2n")
-    terms = {"fn": ("npaths", n), "fk": ("npaths", k),
-             "fl": ("npaths", l), "fm": ("npaths", m)}
+    terms = {"fn": _paths(g, n), "fk": _paths(g, k), "fl": _paths(g, l), "fm": _paths(g, m)}
     return _Spec(terms, lambda v: v["fn"] ** 2,
                  lambda v: v["fk"] * v["fl"] * v["fm"],
                  note=f"(n,k,l,m)=({n},{k},{l},{m})")
@@ -274,7 +279,7 @@ def _submult_spec(g, params):
     n, m = int(_req(params, "n", "submult")), int(_req(params, "m", "submult"))
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    terms = {"fnm": ("npaths", n + m), "fn": ("npaths", n), "fm": ("npaths", m)}
+    terms = {"fnm": _paths(g, n + m), "fn": _paths(g, n), "fm": _paths(g, m)}
     return _Spec(terms, lambda v: v["fnm"], lambda v: v["fn"] * v["fm"],
                  note=f"(n,m)=({n},{m})")
 
@@ -349,10 +354,7 @@ def _derived_seed(seed: int | None, i: int) -> int | None:
 def _term(g: Graph, spec: tuple, method: str, samples, seed) -> tuple[float, float]:
     """(value, standard error) of one term; exact values have error 0."""
     kind, *args = spec
-    if kind == "npaths":  # disjoint paths between the first two marks
-        args = [g.marks[0], g.marks[1], *args]
-    exact, mc = {"prob": (exact_prob, mc_prob), "pair": (exact_pair, mc_pair),
-                 "npaths": (exact_npaths, mc_npaths)}[kind]
+    exact, mc = {"prob": (exact_prob, mc_prob), "pair": (exact_pair, mc_pair)}[kind]
     if method == "exact":
         return exact(g, *args), 0.0
     est = mc(g, *args, samples, seed)
@@ -537,7 +539,7 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
     if nmax < 2:
         raise ValueError("scan needs nmax >= 2")
     t0 = time.perf_counter()
-    f, ses = zip(*(_term(g, ("npaths", k), method, samples, _derived_seed(seed, k))
+    f, ses = zip(*(_term(g, _paths(g, k), method, samples, _derived_seed(seed, k))
                    for k in range(1, nmax + 1)))
     for k, v in enumerate(f, start=1):
         if v <= 0.0 or v >= 1.0:

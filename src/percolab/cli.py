@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -49,7 +50,8 @@ def _emit(reports: list[CheckReport], fmt: str, out=None):
         out.write("\n")
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        # the header comes from the schema, so an empty list writes it alone
+        writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(CheckReport)])
         writer.writeheader()
         writer.writerows(rows)
         out.write(buf.getvalue())
@@ -59,19 +61,16 @@ def _exit_code(reports: list[CheckReport]) -> int:
     return 1 if any(r.verdict == "violated" for r in reports) else 0
 
 
-class _Fail(Exception):
-    def __init__(self, code, message):
-        self.code = code
-        self.message = message
-
-
 def _guarded(fn):
+    """fn(), or exit 3 on a size guard and 2 on a usage error, with the message."""
     try:
         return fn()
     except SizeGuardError as exc:
-        raise _Fail(3, f"size guard: {exc}") from exc
+        click.echo(f"size guard: {exc}", err=True)
+        sys.exit(3)
     except _USAGE_ERRORS as exc:
-        raise _Fail(2, f"error: {exc}") from exc
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
 
 
 @click.group()
@@ -129,11 +128,7 @@ def cmd_check(check_id, graph_spec, strategy, events, method, samples, seed,
         return [run_check(check_id, g, params, method, samples=samples,
                           seed=seed, sigma=sigma)]
 
-    try:
-        reports = _guarded(work)
-    except _Fail as f:
-        click.echo(f.message, err=True)
-        sys.exit(f.code)
+    reports = _guarded(work)
     _emit(reports, fmt)
     sys.exit(_exit_code(reports))
 
@@ -168,11 +163,7 @@ def cmd_estimate(graph_spec, event_text, method, samples, seed, lambda_k):
             result["implied_lambda"] = implied_lambda(lambda_k, prob)
         return result
 
-    try:
-        result = _guarded(work)
-    except _Fail as f:
-        click.echo(f.message, err=True)
-        sys.exit(f.code)
+    result = _guarded(work)
     click.echo(json.dumps(result, indent=2, sort_keys=True))
     sys.exit(0)
 
@@ -192,11 +183,7 @@ def corpus_run(filter_glob, out_dir, quiet):
     """Run the corpus; exit 0 only if every theorem-backed check holds."""
     t0 = time.perf_counter()
     echo = None if quiet else (lambda line: click.echo(line))
-    try:
-        reports, skips, _ok = _guarded(lambda: run_corpus(filter_glob, echo))
-    except _Fail as f:
-        click.echo(f.message, err=True)
-        sys.exit(f.code)
+    reports, skips, _ok = _guarded(lambda: run_corpus(filter_glob, echo))
     if out_dir:
         root = Path(out_dir)
         root.mkdir(parents=True, exist_ok=True)

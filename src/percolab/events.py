@@ -18,14 +18,17 @@ distinct groups sit in distinct clusters.  ``npaths(u,v,n)`` holds when the
 open subgraph carries n pairwise edge-disjoint u-v paths, decided by unit
 capacity max-flow.
 
-One column evaluator decides every configuration set, held as one n-bit
-integer per edge (bit i set when the edge is open in configuration i): one
-configuration for ``evaluate``, samples for Monte Carlo, periodic columns
-for enumeration, monotonicity and the witness splits of disjoint occurrence.
-Partition atoms read bit-parallel reachability; npaths atoms read the levels
-of one max-flow that augments on the columns, for every configuration at
-once.  ``evaluate_mask`` (cluster labels, ``open_maxflow``) is its per-mask
-reference.
+One walker, ``_fold``, knows the shapes of unions, intersections and
+complements: printing, atom lists, syntactic monotonicity and the column
+evaluator are folds of the tree.  That evaluator decides every
+configuration set, held as one n-bit integer per edge (bit i set when the
+edge is open in configuration i): one configuration for ``evaluate``,
+samples for Monte Carlo, periodic columns for enumeration, monotonicity and
+the witness splits of disjoint occurrence.  Partition atoms read
+bit-parallel reachability; npaths atoms read the levels of one max-flow
+that augments on the columns, for every configuration at once.
+``evaluate_mask`` (cluster labels, ``open_maxflow``) is its per-mask
+reference and walks the tree on its own, so the two share no code.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import and_, or_
 
 import numpy as np
 
@@ -199,39 +205,44 @@ def parse_event(text: str) -> EventExpr:
     return e
 
 
-def unparse(e: EventExpr) -> str:
-    """Canonical text for an expression; parse(unparse(e)) == e."""
-    if isinstance(e, PartitionAtom):
-        return "|".join(",".join(grp) for grp in e.groups)
-    if isinstance(e, NPathsAtom):
-        return f"npaths({e.u},{e.v},{e.n})"
+def _fold(e: EventExpr, atom, join, meet, neg):
+    """The one walk over an expression tree, bottom up: ``atom(a)`` at each
+    partition or npaths atom, ``join`` and ``meet`` over the list of folded
+    items of a union and an intersection, ``neg`` over the folded item of a
+    complement."""
+    if isinstance(e, (PartitionAtom, NPathsAtom)):
+        return atom(e)
     if isinstance(e, Union):
-        return " U ".join(_wrap(x, for_union=True) for x in e.items)
+        return join([_fold(x, atom, join, meet, neg) for x in e.items])
     if isinstance(e, Intersect):
-        return " & ".join(_wrap(x) for x in e.items)
+        return meet([_fold(x, atom, join, meet, neg) for x in e.items])
     if isinstance(e, Complement):
-        return "!" + _wrap(e.item)
+        return neg(_fold(e.item, atom, join, meet, neg))
     raise TypeError(f"not an event expression: {e!r}")
 
 
-def _wrap(e, for_union=False):
-    text = unparse(e)
-    if isinstance(e, Union) or (isinstance(e, Intersect) and not for_union):
-        return f"({text})"
-    return text
+def unparse(e: EventExpr) -> str:
+    """Canonical text for an expression; parse(unparse(e)) == e."""
+    # a part is (text, binding): 0 union, 1 intersection, 2 other; looser parts get parens
+    def wrap(parts, tight):
+        return [f"({text})" if binding < tight else text for text, binding in parts]
+
+    def atom(a):
+        if isinstance(a, NPathsAtom):
+            return f"npaths({a.u},{a.v},{a.n})", 2
+        return "|".join(",".join(grp) for grp in a.groups), 2
+
+    return _fold(e, atom,
+                 lambda xs: (" U ".join(wrap(xs, 1)), 0),
+                 lambda xs: (" & ".join(wrap(xs, 2)), 1),
+                 lambda x: ("!" + wrap([x], 2)[0], 2))[0]
 
 
-def atoms(e: EventExpr):
+def atoms(e: EventExpr) -> list:
     """The partition and npaths atoms of an expression, left to right."""
-    if isinstance(e, (PartitionAtom, NPathsAtom)):
-        yield e
-    elif isinstance(e, (Union, Intersect)):
-        for x in e.items:
-            yield from atoms(x)
-    elif isinstance(e, Complement):
-        yield from atoms(e.item)
-    else:
-        raise TypeError(f"not an event expression: {e!r}")
+    def concat(lists):
+        return [a for xs in lists for a in xs]
+    return _fold(e, lambda a: [a], concat, concat, lambda xs: xs)
 
 
 def _resolve(e: EventExpr, g: Graph):
@@ -308,10 +319,10 @@ def open_maxflow(g: Graph, mask: int, u: str, v: str, cap: int | None = None) ->
 # Evaluation
 
 
-def evaluate_mask(e: EventExpr, g: Graph, mask: int, labels=None) -> bool:
+def evaluate_mask(e: EventExpr, g: Graph, mask: int) -> bool:
+    """The per-mask reference of the column evaluator, walking the tree itself."""
     if isinstance(e, PartitionAtom):
-        if labels is None:
-            labels = cluster_labels(g, mask)
+        labels = cluster_labels(g, mask)
         reps = []
         for grp in e.groups:
             first = labels[g.vertex_index(grp[0])]
@@ -323,11 +334,11 @@ def evaluate_mask(e: EventExpr, g: Graph, mask: int, labels=None) -> bool:
     if isinstance(e, NPathsAtom):
         return open_maxflow(g, mask, e.u, e.v, cap=e.n) >= e.n
     if isinstance(e, Union):
-        return any(evaluate_mask(x, g, mask, labels) for x in e.items)
+        return any(evaluate_mask(x, g, mask) for x in e.items)
     if isinstance(e, Intersect):
-        return all(evaluate_mask(x, g, mask, labels) for x in e.items)
+        return all(evaluate_mask(x, g, mask) for x in e.items)
     if isinstance(e, Complement):
-        return not evaluate_mask(e.item, g, mask, labels)
+        return not evaluate_mask(e.item, g, mask)
     raise TypeError(f"not an event expression: {e!r}")
 
 
@@ -458,60 +469,39 @@ def _flow_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int) ->
     return levels
 
 
-def _compile_bitparallel(e: EventExpr, reach: dict, full: int, npaths: dict) -> int:
-    """Bitmask of the columns' configurations where the event holds.
-
-    ``reach`` holds ``_reach_masks`` from the first vertex of each group;
-    npaths atoms are read from ``npaths`` (atom -> bitmask).
-    """
-    if isinstance(e, PartitionAtom):
-        acc = full
-        reps = [grp[0] for grp in e.groups]
-        for grp in e.groups:
-            for v in grp[1:]:
-                acc &= reach[grp[0]][v]
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                acc &= full ^ reach[reps[i]][reps[j]]
-        return acc
-    if isinstance(e, NPathsAtom):
-        return npaths[e]
-    if isinstance(e, Union):
-        acc = 0
-        for x in e.items:
-            acc |= _compile_bitparallel(x, reach, full, npaths)
-        return acc
-    if isinstance(e, Intersect):
-        acc = full
-        for x in e.items:
-            acc &= _compile_bitparallel(x, reach, full, npaths)
-        return acc
-    if isinstance(e, Complement):
-        return full ^ _compile_bitparallel(e.item, reach, full, npaths)
-    raise TypeError(f"cannot bit-compile {e!r}")
-
-
 def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int) -> int:
     """Bitmask of the n column configurations where the (resolved) event holds.
 
+    A partition atom reads reach from the first vertex of each group.
     npaths(u,v,1) atoms read u-v reach; the others read the flow levels of
     their (u, v), computed once per distinct pair up to the largest n asked
     for.
     """
-    nps = [a for a in atoms(e) if isinstance(a, NPathsAtom)]
+    found = atoms(e)
+    nps = [a for a in found if isinstance(a, NPathsAtom)]
     # reach starts from the first vertex of every partition group and from
     # the first end of every npaths(u,v,1) atom
-    reps = sorted({grp[0] for a in atoms(e) if isinstance(a, PartitionAtom)
+    reps = sorted({grp[0] for a in found if isinstance(a, PartitionAtom)
                    for grp in a.groups} | {a.u for a in nps if a.n == 1})
     reach = _reach_masks(g, cols, n, reps)
     full = (1 << n) - 1
     caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n) if a.n > 1}  # largest n
     levels = {(u, v): _flow_levels(g, cols, n, u, v, cap) for (u, v), cap in caps.items()}
-    npaths = {}
-    for a in nps:
-        got = [reach[a.u][a.v]] if a.n == 1 else levels[a.u, a.v]
-        npaths[a] = got[a.n - 1] if a.n <= len(got) else full if a.u == a.v else 0
-    return _compile_bitparallel(e, reach, full, npaths)
+
+    def atom(a):
+        if isinstance(a, NPathsAtom):
+            got = [reach[a.u][a.v]] if a.n == 1 else levels[a.u, a.v]
+            return got[a.n - 1] if a.n <= len(got) else full if a.u == a.v else 0
+        acc = full
+        for grp in a.groups:
+            for v in grp[1:]:
+                acc &= reach[grp[0]][v]
+        for x, y in combinations([grp[0] for grp in a.groups], 2):
+            acc &= full ^ reach[x][y]
+        return acc
+
+    return _fold(e, atom, lambda xs: reduce(or_, xs, 0), lambda xs: reduce(and_, xs, full),
+                 full.__xor__)
 
 
 # ---------------------------------------------------------------------------
@@ -522,17 +512,16 @@ def monotonicity(e: EventExpr, g: Graph | None = None) -> Monotonicity:
     """Syntactic monotonicity classification, with an exhaustive fallback.
 
     Without a graph the answer is purely syntactic and may be NONE even for
-    monotone events.  With a graph (<= 16 edges) a NONE verdict is settled
-    exactly from the truth table: for each edge j, the configurations with j
-    closed are compared with the same configurations with j opened.
+    monotone events.  With a graph a NONE verdict is settled exactly from
+    the truth table (so up to ``MAX_EXACT_EDGES`` edges): for each edge j,
+    the configurations with j closed are compared with the same
+    configurations with j opened.
     """
     m = _syntactic(e)
     if m is not Monotonicity.NONE or g is None:
         return m
-    if g.n_edges > config.MAX_CONTINUATION_EDGES:
-        raise SizeGuardError("brute-force monotonicity limited to 16 edges")
     from .exact import truth_table
-    tab = np.frombuffer(truth_table(g, e), dtype=np.uint8)
+    tab = truth_table(g, e)
     # axis 1 of view j is bit j of the mask: 0 with edge j closed, 1 open
     views = [tab.reshape(-1, 2, 1 << j) for j in range(g.n_edges)]
     if all((v[:, 0] <= v[:, 1]).all() for v in views):
@@ -543,35 +532,25 @@ def monotonicity(e: EventExpr, g: Graph | None = None) -> Monotonicity:
 
 
 def _syntactic(e) -> Monotonicity:
-    if isinstance(e, PartitionAtom):
-        if len(e.groups) == 1:
-            return Monotonicity.INCREASING
-        if all(len(grp) == 1 for grp in e.groups):
-            return Monotonicity.DECREASING
-        return Monotonicity.NONE
-    if isinstance(e, NPathsAtom):
-        return Monotonicity.INCREASING
-    if isinstance(e, (Union, Intersect)):
-        kinds = {_syntactic(x) for x in e.items}
-        if kinds == {Monotonicity.INCREASING}:
-            return Monotonicity.INCREASING
-        if kinds == {Monotonicity.DECREASING}:
-            return Monotonicity.DECREASING
-        return Monotonicity.NONE
-    if isinstance(e, Complement):
-        inner = _syntactic(e.item)
-        if inner is Monotonicity.INCREASING:
-            return Monotonicity.DECREASING
-        if inner is Monotonicity.DECREASING:
-            return Monotonicity.INCREASING
-        return Monotonicity.NONE
-    raise TypeError(f"not an event expression: {e!r}")
+    inc, dec, none = Monotonicity.INCREASING, Monotonicity.DECREASING, Monotonicity.NONE
+
+    def atom(a):
+        if isinstance(a, NPathsAtom) or len(a.groups) == 1:
+            return inc
+        return dec if all(len(grp) == 1 for grp in a.groups) else none
+
+    def same(kinds):  # a union or intersection of like items keeps their kind
+        return kinds[0] if len(set(kinds)) == 1 else none
+
+    return _fold(e, atom, same, same, {inc: dec, dec: inc, none: none}.get)
 
 
 def require_increasing(e: EventExpr, g: Graph, what: str = "event") -> None:
-    m = monotonicity(e)
-    if m is Monotonicity.NONE and g.n_edges <= config.MAX_CONTINUATION_EDGES:
+    try:
         m = monotonicity(e, g)
+    except SizeGuardError as exc:
+        raise SizeGuardError(f"{what} {unparse(e)} is not syntactically monotone, "
+                             f"and its truth table is refused: {exc}") from exc
     if m is not Monotonicity.INCREASING:
         raise MonotonicityError(f"{what} must be increasing, got {m.value}: {unparse(e)}")
 

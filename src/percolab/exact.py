@@ -8,11 +8,12 @@ once.  Truth tables run these columns through the column evaluator of
 AND/OR sweeps per event instead of a cluster labelling or a max-flow per
 mask.
 
-Probabilities are float64 arrays indexed by mask, and truth tables are read
-through zero-copy bool views, so a sum is one fancy-indexing step.  Sums use
-math.fsum, which rounds the exact sum once: the result depends only on the
-set of floats summed, not their order, and the advertised 1e-12 tolerances
-are honest for the dyadic probabilities the built-in corpus uses.
+Probabilities are float64 arrays indexed by mask, and truth tables are
+read-only numpy bool arrays indexed the same way, so a sum is one
+fancy-indexing step.  Sums use math.fsum, which rounds the exact sum once:
+the result depends only on the set of floats summed, not their order, and
+the advertised 1e-12 tolerances are honest for the dyadic probabilities the
+built-in corpus uses.
 """
 
 from __future__ import annotations
@@ -82,11 +83,6 @@ def weights(g: Graph) -> np.ndarray:
     return _doubling(g, (1 << g.n_edges) - 1)[1]
 
 
-def _view(tab: bytearray) -> np.ndarray:
-    """A truth table as a bool array, without a copy."""
-    return np.frombuffer(tab, dtype=np.bool_)
-
-
 def _fsum(a: np.ndarray) -> float:
     """fsum of a contiguous float64 array, read as Python floats without a list."""
     return math.fsum(memoryview(a))
@@ -97,9 +93,9 @@ def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, ws: np.ndarray, fixed_a: in
     """Is there a witness split W in ws with A on W | fixed_a and B on
     (rest & ~W) | fixed_b?
 
-    tab_a and tab_b are truth tables read through ``_view``; ws holds
-    submasks of rest.  fixed_b is one c2 side or an array of them; the
-    answer is a numpy bool of the same shape, one per side.
+    tab_a and tab_b are truth tables; ws holds submasks of rest.  fixed_b
+    is one c2 side or an array of them; the answer is a numpy bool of the
+    same shape, one per side.
     """
     b_side = rest ^ ws[tab_a[ws | fixed_a]]
     return tab_b[b_side | np.asarray(fixed_b)[..., None]].any(axis=-1)
@@ -111,8 +107,9 @@ def _unpack(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:n].view(np.bool_)
 
 
-def truth_table(g: Graph, e: EventExpr) -> bytearray:
-    """Indicator of the event over all configuration masks (cached per graph)."""
+def truth_table(g: Graph, e: EventExpr) -> np.ndarray:
+    """Indicator of the event over all configuration masks, as a read-only
+    bool array (cached per graph, keyed by the event's canonical text)."""
     key = unparse(e)
     tab = g._event_tables.get(key)
     if tab is not None:
@@ -120,7 +117,8 @@ def truth_table(g: Graph, e: EventExpr) -> bytearray:
     _check_size(g)
     _resolve(e, g)
     n = 1 << g.n_edges
-    tab = bytearray(_unpack(_evaluate_columns(e, g, _columns(g.n_edges), n), n))
+    tab = _unpack(_evaluate_columns(e, g, _columns(g.n_edges), n), n)
+    tab.flags.writeable = False
     g._event_tables[key] = tab
     return tab
 
@@ -128,7 +126,7 @@ def truth_table(g: Graph, e: EventExpr) -> bytearray:
 def exact_prob(g: Graph, e: EventExpr) -> float:
     """Probability of the event under independent edge openings."""
     w = weights(g)
-    return _fsum(w[_view(truth_table(g, e))])
+    return _fsum(w[truth_table(g, e)])
 
 
 def exact_npaths(g: Graph, u: str, v: str, n: int) -> float:
@@ -181,8 +179,8 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
 def _pair_fast(g: Graph, t: Strategy, q) -> float:
     w = weights(g)
     full = (1 << g.n_edges) - 1
-    tab_a = _view(truth_table(g, q.A))
-    tab_b = _view(truth_table(g, q.B))
+    tab_a = truth_table(g, q.A)
+    tab_b = truth_table(g, q.B)
     terms = []
     # A is increasing, so no split of c1 has A on its part unless c1 is in A
     for m1 in np.flatnonzero((w != 0.0) & tab_a).tolist():
@@ -200,8 +198,8 @@ def _pair_fast(g: Graph, t: Strategy, q) -> float:
 
 def _pair_general(g: Graph, t: Strategy, q) -> float:
     w = weights(g)
-    tab_a = _view(truth_table(g, q.A))
-    tab_b = _view(truth_table(g, q.B))
+    tab_a = truth_table(g, q.A)
+    tab_b = truth_table(g, q.B)
     terms = []
     for m1 in np.flatnonzero(tab_a).tolist():
         for m2 in range(len(w)):

@@ -137,7 +137,7 @@ class Graph:
                 raise GraphFormatError("rotation does not describe a plane embedding")
 
         self.name = name
-        self._event_tables: dict[str, bytearray] = {}
+        self._event_tables: dict = {}  # unparse(e) -> read-only bool truth table
         self._submask_cache: dict[int, tuple] = {}  # mask -> (submasks or None, probabilities)
         self._faces: FaceSet | None = None
 
@@ -408,42 +408,40 @@ def parse_graph(text: str, name: str = "file") -> Graph:
 # All families use a uniform edge probability p and carry canonical marks
 # named literally "a", "b" (and "c" where the family defines one).  Planar
 # families ship a clockwise rotation and an outer anchor chosen so the
-# anchored directed edge leaves "a" along the outer boundary.
+# anchored directed edge leaves "a" along the outer boundary.  A builder
+# returns (vertices, edges, marks, rotation, anchor); ``generate`` builds the
+# Graph.
 
 
-def _path(n: int, p: float) -> Graph:
+def _chain(verts: list, n: int) -> tuple:
+    """n edges along verts, the last back to the first when n == len(verts),
+    each vertex listing its edges in edge order: (edges, rotation)."""
+    w = len(str(n))
+    edges = [(f"e{i:0{w}d}", verts[i], verts[(i + 1) % len(verts)]) for i in range(n)]
+    rot = {v: [] for v in verts}
+    for eid, u, v in edges:
+        rot[u].append(eid)
+        rot[v].append(eid)
+    return edges, rot
+
+
+def _path(n: int) -> tuple:
     if n < 1:
         raise GraphFormatError("path needs n >= 1 edges")
     verts = ["a"] + [f"x{i}" for i in range(1, n)] + ["b"]
-    edges = []
-    w = len(str(n))
-    for i in range(n):
-        edges.append((f"e{i:0{w}d}", verts[i], verts[i + 1]))
-    rot = {v: [] for v in verts}
-    for eid, u, v in edges:
-        rot[u].append(eid)
-        rot[v].append(eid)
-    probs = {e: p for e, _, _ in edges}
-    return Graph(verts, edges, probs, ("a", "b"), rotation=rot,
-                 outer_anchor=(edges[0][0], "a"))
+    edges, rot = _chain(verts, n)
+    return verts, edges, ("a", "b"), rot, (edges[0][0], "a")
 
 
-def _cycle(n: int, p: float) -> Graph:
+def _cycle(n: int) -> tuple:
     if n < 3:
         raise GraphFormatError("cycle needs n >= 3")
     verts = ["a", "b", "c"] + [f"v{i}" for i in range(3, n)]
-    w = len(str(n))
-    edges = [(f"e{i:0{w}d}", verts[i], verts[(i + 1) % n]) for i in range(n)]
-    rot = {v: [] for v in verts}
-    for eid, u, v in edges:
-        rot[u].append(eid)
-        rot[v].append(eid)
-    probs = {e: p for e, _, _ in edges}
-    return Graph(verts, edges, probs, ("a", "b", "c"), rotation=rot,
-                 outer_anchor=(edges[0][0], "a"))
+    edges, rot = _chain(verts, n)
+    return verts, edges, ("a", "b", "c"), rot, (edges[0][0], "a")
 
 
-def _grid(w: int, h: int, p: float) -> Graph:
+def _grid(w: int, h: int) -> tuple:
     if w < 2 or h < 2:
         raise GraphFormatError("grid needs w, h >= 2")
 
@@ -483,67 +481,47 @@ def _grid(w: int, h: int, p: float) -> Graph:
             if i > 0:
                 order.append(eid_of[("h", i - 1, j)])   # W
             rot[vname(i, j)] = order
-    probs = {e: p for e, _, _ in edges}
-    return Graph(verts, edges, probs, ("a", "b", "c"), rotation=rot,
-                 outer_anchor=(eid_of[("v", 0, 0)], "a"))
+    return verts, edges, ("a", "b", "c"), rot, (eid_of[("v", 0, 0)], "a")
 
 
-def _parallel(n: int, p: float) -> Graph:
+def _routes(mids: list, w: int) -> tuple:
+    """Two-edge a-b routes r1, r2, ... through mids, drawn as stacked arcs
+    with the last outermost: (edges, rotation, anchor)."""
+    names = [f"r{i:0{w}d}" for i in range(1, len(mids) + 1)]
+    edges = [e for r, m in zip(names, mids) for e in ((r + "a", "a", m), (r + "b", m, "b"))]
+    rot = {"a": [r + "a" for r in reversed(names)], "b": [r + "b" for r in names]}
+    rot.update({m: [r + "a", r + "b"] for r, m in zip(names, mids)})
+    return edges, rot, (names[-1] + "a", "a")
+
+
+def _parallel(n: int) -> tuple:
     if n < 1:
         raise GraphFormatError("parallel needs n >= 1 routes")
-    verts = ["a", "b"] + [f"m{i}" for i in range(1, n + 1)]
-    edges = []
-    w = len(str(n))
-    for i in range(1, n + 1):
-        edges.append((f"r{i:0{w}d}a", "a", f"m{i}"))
-        edges.append((f"r{i:0{w}d}b", f"m{i}", "b"))
-    # routes drawn as stacked arcs, route n outermost
-    rot = {
-        "a": [f"r{i:0{w}d}a" for i in range(n, 0, -1)],
-        "b": [f"r{i:0{w}d}b" for i in range(1, n + 1)],
-    }
-    for i in range(1, n + 1):
-        rot[f"m{i}"] = [f"r{i:0{w}d}a", f"r{i:0{w}d}b"]
-    probs = {e: p for e, _, _ in edges}
-    return Graph(verts, edges, probs, ("a", "b"), rotation=rot,
-                 outer_anchor=(f"r{n:0{w}d}a", "a"))
+    mids = [f"m{i}" for i in range(1, n + 1)]
+    edges, rot, anchor = _routes(mids, len(str(n)))
+    return ["a", "b"] + mids, edges, ("a", "b"), rot, anchor
 
 
-def _theta(k: int, p: float) -> Graph:
+def _theta(k: int) -> tuple:
     """Direct a-b edge plus k-1 two-edge routes; c is the outermost midpoint."""
     if k < 2:
         raise GraphFormatError("theta needs k >= 2 disjoint routes")
     mids = [f"t{i}" for i in range(1, k - 1)] + ["c"]
-    verts = ["a", "b"] + mids
-    edges = [("d", "a", "b")]
-    w = len(str(k))
-    for i, m in enumerate(mids, start=1):
-        edges.append((f"r{i:0{w}d}a", "a", m))
-        edges.append((f"r{i:0{w}d}b", m, "b"))
-    rot = {
-        "a": [f"r{i:0{w}d}a" for i in range(k - 1, 0, -1)] + ["d"],
-        "b": ["d"] + [f"r{i:0{w}d}b" for i in range(1, k)],
-    }
-    for i, m in enumerate(mids, start=1):
-        rot[m] = [f"r{i:0{w}d}a", f"r{i:0{w}d}b"]
-    probs = {e: p for e, _, _ in edges}
-    return Graph(verts, edges, probs, ("a", "b", "c"), rotation=rot,
-                 outer_anchor=(f"r{k - 1:0{w}d}a", "a"))
+    edges, rot, anchor = _routes(mids, len(str(k)))
+    rot["a"].append("d")
+    rot["b"].insert(0, "d")
+    return ["a", "b"] + mids, [("d", "a", "b")] + edges, ("a", "b", "c"), rot, anchor
 
 
-def _complete(n: int, p: float) -> Graph:
+def _complete(n: int) -> tuple:
     if n < 3:
         raise GraphFormatError("complete needs n >= 3")
     base = ["a", "b", "c", "d", "e", "f", "g_", "h_"]
     if n > len(base):
         raise GraphFormatError("complete supports n <= 8")
     verts = base[:n]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((f"k{i}{j}", verts[i], verts[j]))
-    probs = {e: p for e, _, _ in edges}
-    return Graph(verts, edges, probs, ("a", "b", "c"), name="complete")
+    edges = [(f"k{i}{j}", verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
+    return verts, edges, ("a", "b", "c"), None, None
 
 
 _FAMILIES = {
@@ -579,10 +557,11 @@ def generate(family: str, *args, p: float | None = None, q: float | None = None)
         raise GraphFormatError("missing edge probability p")
     if not 0.0 <= p <= 1.0:
         raise GraphFormatError("p outside [0,1]")
-    g = fn(*args, p)
+    verts, edges, marks, rot, anchor = fn(*args)
     qtxt = f"q={q:g}" if q is not None else f"p={p:g}"
-    g.name = f"family:{family}:{','.join(str(a) for a in args)},{qtxt}"
-    return g
+    return Graph(verts, edges, {e: p for e, _, _ in edges}, marks, rotation=rot,
+                 outer_anchor=anchor,
+                 name=f"family:{family}:{','.join(str(a) for a in args)},{qtxt}")
 
 
 def graph_from_spec(spec: str) -> Graph:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import config
 from .errors import PercolabError, SizeGuardError
-from .exact import _split_any, _submasks, _view, truth_table
+from .exact import _split_any, _submasks, truth_table
 from .graphs import Graph
 
 # witness capability of a symbol in paired-witness events
@@ -153,7 +153,7 @@ class BowtieEvent:
         if caps is None:
             raise PercolabError("this preset has no paired-witness capability table")
         self.g = g
-        self.pairs = [(_view(truth_table(g, a)), _view(truth_table(g, b))) for a, b in pairs]
+        self.pairs = [(truth_table(g, a), truth_table(g, b)) for a, b in pairs]
         self.caps = caps
         self._answers: dict[tuple[int, int], np.ndarray] = {}  # by (A side, free)
 

@@ -175,6 +175,29 @@ def test_check_csv_matches_json(runner):
     assert row["verdict"] == js["verdict"]
 
 
+def test_check_csv_of_no_report_is_the_header(runner):
+    # conj3 on a triangle meets its hypothesis at no eps: no report, exit 0
+    res = runner.invoke(main, ["check", "conj3", "--graph", "family:cycle:3,p=0.5",
+                               "--eps", "0.2", "--out", "csv"])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines() == [
+        "check_id,graph,method,lhs,rhs,slack,verdict,tolerance,sigma,samples,seed,"
+        "runtime_ms,note"]
+
+
+@pytest.mark.parametrize("grid, code", [("3,4", 0), ("5,5", 3)])
+def test_non_syntactic_event_settled_by_table_or_refused(runner, grid, code):
+    # 17 edges: a truth table shows a,b|c U a,b,c increasing; 40 edges: no
+    # table, so the monotonicity test is a size guard, not a verdict of "none"
+    res = runner.invoke(main, ["check", "hk_tree", "--graph", f"family:grid:{grid},p=0.5",
+                               "--method", "mc", "--samples", "100", "--seed", "1",
+                               "--strategy", "bfs_cluster:a",
+                               "--events", "a,b|c U a,b,c", "b,c"])
+    assert res.exit_code == code, res.output
+    if code == 3:
+        assert "first event a,b|c U a,b,c" in res.output
+
+
 def test_corpus_filtered_run(runner, tmp_path):
     res = runner.invoke(main, ["corpus", "run", "--filter", "q2*", "--quiet",
                                "--out", str(tmp_path / "r")])
