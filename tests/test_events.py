@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolab import (Configuration, EventSyntaxError, Monotonicity,
-                      MonotonicityError, SizeGuardError, disjoint_occurrence,
-                      evaluate, exact_prob, generate, graph_from_spec,
-                      monotonicity, parse_event, sq_s_occurrence, unparse)
+                      MonotonicityError, disjoint_occurrence, evaluate,
+                      exact_prob, generate, graph_from_spec, monotonicity,
+                      parse_event, sq_s_occurrence, unparse)
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
-                             Union, evaluate_mask, open_maxflow, require_increasing)
+                             Union, evaluate_mask, open_maxflow)
 
 
 def test_parse_atoms():
@@ -103,22 +103,6 @@ def test_monotonicity_brute_force():
     assert monotonicity(parse_event("a,b|c"), g) is Monotonicity.NONE
     # complement of a non-syntactic union still detected exactly
     assert monotonicity(parse_event("!(a,b U b,c)"), g) is Monotonicity.DECREASING
-
-
-def test_monotonicity_settled_from_a_17_edge_table():
-    # a,b|c U a,b,c is a,b: increasing, though not syntactically
-    g = graph_from_spec("family:grid:3,4,p=0.5")
-    assert g.n_edges == 17
-    e = parse_event("a,b|c U a,b,c")
-    assert monotonicity(e, g) is Monotonicity.INCREASING
-    require_increasing(e, g)
-
-
-def test_require_increasing_past_the_table_cap_is_a_size_guard():
-    g = graph_from_spec("family:grid:5,5,p=0.5")
-    assert g.n_edges == 40
-    with pytest.raises(SizeGuardError, match=r"first event a,b\|c U a,b,c "):
-        require_increasing(parse_event("a,b|c U a,b,c"), g, "first event")
 
 
 def test_increasing_evaluate_monotone():
