@@ -235,6 +235,36 @@ _GOLDEN_SCANS = [
     ]),
 ]
 
+# scans whose standard errors decide the verdict: near the sigma boundary,
+# where an error rule that claims more certainty turns inconclusive into holds
+# (a tangent derivative of implied_lambda reads holds at k=1 of the first)
+_GOLDEN_SCAN_ERRORS = [
+    (('lambda_monotone', 'family:parallel:4,q=0.5', 4, 300, 12), [
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 2.2466892806951586, 'rhs': 3.138833117194663, 'slack': 0.8921438364995042, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.938440813219632, 'rhs': 2.2466892806951586, 'slack': 0.3082484674755266, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.4539799363577512, 'rhs': 1.938440813219632, 'slack': 0.4844608768618808, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 12, 'note': None},  # noqa: E501
+    ]),
+    (('lambda_monotone', 'family:parallel:5,q=0.5', 5, 100, 8), [
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.866469566626418, 'rhs': 3.2188758248681983, 'slack': 0.3524062582417802, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.7977089172687197, 'rhs': 2.866469566626418, 'slack': 0.06876064935769843, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.581596354540806, 'rhs': 2.7977089172687197, 'slack': 0.2161125627279139, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=4', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 1.5295257054343563, 'rhs': 2.581596354540806, 'slack': 1.0520706491064495, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
+    ]),
+    (('lambda_monotone', 'family:parallel:5,q=0.5', 5, 1000, 13), [
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.987653277891976, 'rhs': 3.611918412977805, 'slack': 0.624265135085829, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.6984673902088687, 'rhs': 2.987653277891976, 'slack': 0.28918588768310727, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.2720747890696353, 'rhs': 2.6984673902088687, 'slack': 0.4263926011392334, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=4', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 1.7943560427215197, 'rhs': 2.2720747890696353, 'slack': 0.4777187463481156, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
+    ]),
+    (('logconcave', 'family:parallel:4,q=0.5', 4, 60, 2), [
+        {'check_id': 'logconcave#sq[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.18666666666666668, 'rhs': 0.48999999999999994, 'slack': 0.30333333333333323, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#sq[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.06999999999999999, 'rhs': 0.04000000000000001, 'slack': -0.029999999999999985, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=1]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.17833747196936622, 'rhs': -0.06899287148695143, 'slack': 0.10934460048241479, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.5364793041447001, 'rhs': -0.17833747196936622, 'slack': 0.3581418321753339, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.5756462732485114, 'rhs': -0.5364793041447001, 'slack': 0.03916696910381123, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+    ]),
+]
+
 # hk_tree with the empty strategy on cycle:4: the slack is -0.0082, within
 # three standard errors of 0
 _STOP = {"strategy": "stop", "events": ("a,b", "b,c")}
@@ -248,6 +278,12 @@ def test_mc_scan_reports_golden(case):
                             samples=samples, seed=seed)
     assert [_without_runtime(r) for r in reps] == want
 
+
+
+@pytest.mark.parametrize("case", _GOLDEN_SCAN_ERRORS,
+                         ids=lambda c: "{}@{}@{}/{}".format(*c[0][:2], *c[0][3:]))
+def test_mc_scan_errors_golden(case):
+    test_mc_scan_reports_golden(case)
 
 def test_mc_inconclusive_check_golden():
     r = run_check("hk_tree", graph_from_spec("family:cycle:4,p=0.5"), _STOP, "mc",
