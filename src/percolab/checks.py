@@ -1,10 +1,11 @@
 """Named inequality checks with uniform reports, on exact or Monte Carlo
 backends.
 
-Every check is normalized to the claim ``lhs <= rhs`` so that
-``slack = rhs - lhs`` is nonnegative when the claim holds.  Exact verdicts
-compare the slack against the global tolerance; Monte Carlo verdicts are
-significance statements at a configurable sigma level and may come back
+Every check, and every index of a scan, states its claim ``lhs <= rhs`` as
+callables over its term values (``slack = rhs - lhs``), and ``_verdict`` alone
+turns a claim into a report.  Exact verdicts compare the slack against the
+global tolerance; Monte Carlo verdicts are significance statements at a
+configurable sigma level over delta-method errors, and may come back
 ``inconclusive`` when the interval straddles zero.
 
 Check ids
@@ -26,7 +27,12 @@ arms23        P(three disjoint a-b paths)^2 <= P(two)^3 (marks on one face).
 arms_klm      P(n)^2 <= P(k) P(l) P(m) for k+l+m = 2n, k,l,m <= n.
 submult       P(n+m disjoint paths) <= P(n) P(m).
 conj3_scan    reports P(abc)P(a|b|c) - P(ac|b)P(a|bc) against eps whenever
-              P(ab|c) < eps^3/4 (conjecture scan; findings, not assertions).
+              P(ab|c) < eps^3/4 (the conj3 scan runs it over an eps grid;
+              conjecture scans report findings, not assertions).
+logconcave    scan: f[n-1] f[n+1] <= f[n]^2 and log f[n+1]/(n+1) <= log f[n]/n
+              over f[k] = P(k disjoint paths).
+lambda_monotone  scan: implied Poisson rates fall, lam[k+1] <= lam[k]; a rate's
+              error is a secant of implied_lambda over f[k] +- its error.
 """
 
 from __future__ import annotations
@@ -44,8 +50,7 @@ from .exact import (Joint, SqS, _check_pair_size, _submasks, exact_pair, exact_p
                     truth_table)
 from .graphs import Configuration, Graph, same_face
 from .mc import mc_pair, mc_prob
-from .strategies import (S, SBAR, Strategy, extend_with_rest, parse_strategy,
-                         run, verify_continuation)
+from .strategies import S, Strategy, parse_strategy, run
 
 
 @dataclass
@@ -161,17 +166,14 @@ def _cs_spec_from(g, t1: Strategy, A, M):
                              f"limited to {config.MAX_CONTINUATION_EDGES} edges")
     if t1.uses_c2:
         raise HypothesisError("prefix strategy must branch on the first configuration only")
-    t2 = extend_with_rest(t1, SBAR)
     B = Intersect((A, M))
     terms = {"pa": ("prob", A), "pb": ("prob", B),
-             "joint": ("pair", t2, Joint(B, B))}
+             "joint": ("pair", t1, Joint(B, B))}
 
     def pre():
         if monotonicity(M, g) is Monotonicity.NONE:
             raise HypothesisError("the refining event must be monotone")
         _check_prefix(t1, g, A)
-        if not verify_continuation(t1, t2, g):
-            raise HypothesisError("continuation check failed")
 
     def post(vals):
         if vals["pa"] <= config.DEFAULT_TOL:
@@ -369,38 +371,37 @@ def _propagated_se(fn, vals: dict, ses: dict) -> float:
     var = 0.0
     for k, se in ses.items():
         h = max(se * 1e-2, 1e-9)
-        up = dict(vals)
-        dn = dict(vals)
-        up[k] = vals[k] + h
-        dn[k] = vals[k] - h
-        grad = (fn(up) - fn(dn)) / (2.0 * h)
+        grad = (fn({**vals, k: vals[k] + h}) - fn({**vals, k: vals[k] - h})) / (2.0 * h)
         var += (grad * se) ** 2
     return math.sqrt(var)
 
 
-def _verdict(check_id: str, g: Graph, lhs: float, rhs: float, se: float, method: str,
+def _exact_report(check_id: str, graph: str, lhs, rhs, slack, ok: bool, tol: float,
+                  t0: float, note: str | None) -> CheckReport:
+    """``holds`` if ok, else ``violated``: each caller keeps its own rule."""
+    return CheckReport(check_id, graph, "exact", lhs, rhs, slack,
+                       "holds" if ok else "violated", tol, None, None, None,
+                       (time.perf_counter() - t0) * 1e3, note)
+
+
+def _verdict(check_id: str, g: Graph, lhs, rhs, vals: dict, ses: dict, method: str,
              *, sigma: float, tol: float, samples, seed, t0: float,
              note: str | None = None) -> CheckReport:
-    """The report on the claim lhs <= rhs.
+    """The report on the claim lhs(vals) <= rhs(vals) over term values.
 
     Exact: ``holds`` iff the slack is at least -tol, else ``violated``.
     MC: ``holds`` or ``violated`` only when the slack lies at least sigma
-    standard errors from 0, else ``inconclusive``.
+    propagated standard errors from 0, else ``inconclusive``.
     """
-    slack = rhs - lhs
-    runtime_ms = (time.perf_counter() - t0) * 1e3
+    lo, hi = lhs(vals), rhs(vals)
+    slack = hi - lo
     if method == "exact":
-        return CheckReport(check_id, g.name, method, lhs, rhs, slack,
-                           "holds" if slack >= -tol else "violated",
-                           tol, None, None, None, runtime_ms, note)
-    if slack >= sigma * se:
-        verdict = "holds"
-    elif slack <= -sigma * se:
-        verdict = "violated"
-    else:
-        verdict = "inconclusive"
-    return CheckReport(check_id, g.name, method, lhs, rhs, slack, verdict,
-                       None, sigma, samples, seed, runtime_ms, note)
+        return _exact_report(check_id, g.name, lo, hi, slack, slack >= -tol, tol, t0, note)
+    se = _propagated_se(lambda v: rhs(v) - lhs(v), vals, ses)
+    verdict = ("holds" if slack >= sigma * se else
+               "violated" if slack <= -sigma * se else "inconclusive")
+    return CheckReport(check_id, g.name, method, lo, hi, slack, verdict,
+                       None, sigma, samples, seed, (time.perf_counter() - t0) * 1e3, note)
 
 
 def _evaluate(g: Graph, spec: _Spec, method: str, samples, seed) -> tuple[dict, dict]:
@@ -410,18 +411,6 @@ def _evaluate(g: Graph, spec: _Spec, method: str, samples, seed) -> tuple[dict, 
         vals[name], ses[name] = _term(g, spec.terms[name], method, samples,
                                       _derived_seed(seed, i))
     return vals, ses
-
-
-def _judge(check_id: str, g: Graph, spec: _Spec, vals: dict, ses: dict, method: str,
-           *, sigma: float, tol: float, samples, seed, t0: float) -> CheckReport:
-    """The report of a spec on evaluated terms, after its post-hypothesis."""
-    if spec.post_hypothesis:
-        spec.post_hypothesis(vals)
-    se = _propagated_se(lambda v: spec.rhs(v) - spec.lhs(v), vals, ses) \
-        if method == "mc" else 0.0
-    return _verdict(check_id, g, spec.lhs(vals), spec.rhs(vals), se, method,
-                    sigma=sigma, tol=tol, samples=samples, seed=seed, t0=t0,
-                    note=spec.note)
 
 
 def run_check(check_id: str, g: Graph, params: dict | None = None,
@@ -440,8 +429,10 @@ def run_check(check_id: str, g: Graph, params: dict | None = None,
     if spec.pre_hypothesis:
         spec.pre_hypothesis()
     vals, ses = _evaluate(g, spec, method, samples, seed)
-    return _judge(check_id, g, spec, vals, ses, method, sigma=sigma, tol=tol,
-                  samples=samples, seed=seed, t0=t0)
+    if spec.post_hypothesis:
+        spec.post_hypothesis(vals)
+    return _verdict(check_id, g, spec.lhs, spec.rhs, vals, ses, method, sigma=sigma,
+                    tol=tol, samples=samples, seed=seed, t0=t0, note=spec.note)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +496,14 @@ def alpha3_root() -> float:
 # Conjecture scans
 
 
+def _rate_se(k: int, prob: float, se: float) -> float:
+    """Error of implied_lambda(k, prob): its secant over prob +- se in (0, 1)."""
+    h = max(min(se, 0.5 * min(prob, 1 - prob)), 1e-9)
+    dlam = (implied_lambda(k, min(prob + h, 1 - 1e-12)) -
+            implied_lambda(k, max(prob - h, 1e-12))) / (2 * h)
+    return abs(dlam) * se
+
+
 def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
                      method: str = "exact", *, samples: int | None = None,
                      seed: int | None = None, sigma: float = 3.0,
@@ -512,25 +511,30 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
     """Run a conjecture scan; violations are findings, never assertions.
 
     Returns one report per scanned index.  Instances that do not meet a
-    scan's hypothesis are simply omitted (conj3), or raise when the scanned
-    quantity is degenerate (disjoint-path probability exactly 0 or 1).
+    scan's hypothesis are simply omitted (conj3, per eps), or raise when the
+    scanned quantity is degenerate (disjoint-path probability exactly 0 or 1)
+    or the graph lacks the marks the scan needs.
     """
     params = params or {}
     _check_args(method, samples, seed, sigma)
     tol = config.DEFAULT_TOL if tol is None else tol
+    judge = partial(_verdict, g=g, method=method, sigma=sigma, tol=tol,
+                    samples=samples, seed=seed)
 
     if scan_id == "conj3":
+        _need_marks(g, 3)
         out = []
         terms = None  # the terms do not depend on eps: evaluated once
         for eps in params.get("eps_grid", (0.2, 0.3)):
             t0 = time.perf_counter()
+            spec = _conj3_spec(g, {"eps": eps})
+            terms = terms or _evaluate(g, spec, method, samples, seed)
             try:
-                spec = _conj3_spec(g, {"eps": eps})
-                terms = terms or _evaluate(g, spec, method, samples, seed)
-                out.append(_judge(f"conj3_scan#eps={eps:g}", g, spec, *terms, method,
-                                  sigma=sigma, tol=tol, samples=samples, seed=seed, t0=t0))
+                spec.post_hypothesis(terms[0])
             except HypothesisError:
                 continue
+            out.append(judge(f"conj3_scan#eps={eps:g}", lhs=spec.lhs, rhs=spec.rhs,
+                             vals=terms[0], ses=terms[1], t0=t0, note=spec.note))
         return out
 
     if scan_id not in SCAN_IDS:
@@ -539,43 +543,21 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
     if nmax < 2:
         raise ValueError("scan needs nmax >= 2")
     t0 = time.perf_counter()
-    f, ses = zip(*(_term(g, _paths(g, k), method, samples, _derived_seed(seed, k))
-                   for k in range(1, nmax + 1)))
-    for k, v in enumerate(f, start=1):
-        if v <= 0.0 or v >= 1.0:
+    f, ses = {}, {}  # f[k]: P(k disjoint paths), seeded by k
+    for k in range(1, nmax + 1):
+        f[k], ses[k] = _term(g, _paths(g, k), method, samples, _derived_seed(seed, k))
+        if f[k] <= 0.0 or f[k] >= 1.0:
             raise HypothesisError(
-                f"disjoint-path probability degenerate at index {k} (got {v})")
-    out = []
-
-    def emit(cid, lhs, rhs, se):
-        out.append(_verdict(cid, g, lhs, rhs, se, method, sigma=sigma, tol=tol,
-                            samples=samples, seed=seed, t0=t0))
-
+                f"disjoint-path probability degenerate at index {k} (got {f[k]})")
     if scan_id == "logconcave":
-        for n in range(2, nmax):
-            se = math.sqrt((f[n] * ses[n - 2]) ** 2 + (f[n - 2] * ses[n]) ** 2 +
-                           (2 * f[n - 1] * ses[n - 1]) ** 2)
-            emit(f"logconcave#sq[n={n}]", f[n - 2] * f[n], f[n - 1] ** 2, se)
-        for n in range(1, nmax):
-            lhs = math.log(f[n]) / (n + 1)
-            rhs = math.log(f[n - 1]) / n
-            se = math.sqrt((ses[n] / (f[n] * (n + 1))) ** 2 +
-                           (ses[n - 1] / (f[n - 1] * n)) ** 2)
-            emit(f"logconcave#ratio[n={n}]", lhs, rhs, se)
-    else:
-        lams = []
-        lam_ses = []
-        for k in range(1, nmax + 1):
-            lam = implied_lambda(k, f[k - 1])
-            if method == "mc":
-                h = max(min(ses[k - 1], 0.5 * min(f[k - 1], 1 - f[k - 1])), 1e-9)
-                dlam = (implied_lambda(k, min(f[k - 1] + h, 1 - 1e-12)) -
-                        implied_lambda(k, max(f[k - 1] - h, 1e-12))) / (2 * h)
-                lam_ses.append(abs(dlam) * ses[k - 1])
-            else:
-                lam_ses.append(0.0)
-            lams.append(lam)
-        for k in range(1, nmax):
-            se = math.hypot(lam_ses[k - 1], lam_ses[k])
-            emit(f"lambda_monotone#k={k}", lams[k], lams[k - 1], se)
-    return out
+        claims = [(f"logconcave#sq[n={n}]", lambda v, n=n: v[n - 1] * v[n + 1],
+                   lambda v, n=n: v[n] ** 2) for n in range(2, nmax)]
+        claims += [(f"logconcave#ratio[n={n}]", lambda v, n=n: math.log(v[n + 1]) / (n + 1),
+                    lambda v, n=n: math.log(v[n]) / n) for n in range(1, nmax)]
+    else:  # the terms become the implied rates
+        if method == "mc":
+            ses = {k: _rate_se(k, f[k], ses[k]) for k in f}
+        f = {k: implied_lambda(k, f[k]) for k in f}
+        claims = [(f"lambda_monotone#k={k}", lambda v, k=k: v[k + 1], lambda v, k=k: v[k])
+                  for k in range(1, nmax)]
+    return [judge(cid, lhs=lhs, rhs=rhs, vals=f, ses=ses, t0=t0) for cid, lhs, rhs in claims]

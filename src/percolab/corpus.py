@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import config
-from .checks import CONJECTURE_CHECKS, CheckReport, run_check, scan_conjectures
+from .checks import (CONJECTURE_CHECKS, CheckReport, _exact_report, run_check,
+                     scan_conjectures)
 from .errors import HypothesisError
 from .exact import verify_splice_independence
 from .graphs import Graph, graph_from_spec
@@ -250,11 +251,8 @@ def _run_zipper_cases(entry: CorpusEntry, tol: float) -> CheckReport:
         for x1, x2, want1, want2 in expected:
             worst = max(worst, abs(ds.measure1(x1) - want1),
                         abs(ds.measure2(x2) - want2))
-    verdict = "holds" if worst <= tol else "violated"
-    return CheckReport(entry.check_id, "-", "exact", worst, tol, tol - worst,
-                       verdict, tol, None, None, None,
-                       (time.perf_counter() - t0) * 1e3,
-                       "preset case-table reproduction")
+    return _exact_report(entry.check_id, "-", worst, tol, tol - worst, worst <= tol, tol,
+                         t0, "preset case-table reproduction")
 
 
 def _run_zipper_dir(entry: CorpusEntry, g: Graph, tol: float) -> CheckReport:
@@ -283,20 +281,15 @@ def _run_zipper_dir(entry: CorpusEntry, g: Graph, tol: float) -> CheckReport:
     note = f"three-point: {rep.p_all1:.6g} / {rep.p_mid:.6g} / {rep.p_all2:.6g}"
     if extras is not None:
         note += f"; two-factor delta {extras:.3g}"
-    return CheckReport(entry.check_id, g.name, "exact", None, None, slack,
-                       "holds" if ok else "violated", tol, None, None, None,
-                       (time.perf_counter() - t0) * 1e3, note)
+    return _exact_report(entry.check_id, g.name, None, None, slack, ok, tol, t0, note)
 
 
 def _run_splice(entry: CorpusEntry, g: Graph, tol: float) -> CheckReport:
     t0 = time.perf_counter()
     t = parse_strategy(entry.params["strategy"])
     dev = verify_splice_independence(g, t)
-    verdict = "holds" if dev <= tol else "violated"
-    return CheckReport("splice_independence", g.name, "exact", dev, tol,
-                       tol - dev, verdict, tol, None, None, None,
-                       (time.perf_counter() - t0) * 1e3,
-                       f"strategy {entry.params['strategy']}")
+    return _exact_report("splice_independence", g.name, dev, tol, tol - dev, dev <= tol,
+                         tol, t0, f"strategy {entry.params['strategy']}")
 
 
 def run_entry(entry: CorpusEntry, get_graph=None, tol: float = config.DEFAULT_TOL):

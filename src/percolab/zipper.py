@@ -49,6 +49,16 @@ CAP_A = 2        # serves the first witness only
 CAP_B = 3        # serves the second witness only
 CAP_BOTH = 4     # may serve both witnesses at once
 
+# capability -> (serves the first witness, serves the second, free to serve either)
+_CAP_ROLES = {CAP_NONE: (False, False, False), CAP_ONE: (False, False, True),
+              CAP_A: (True, False, False), CAP_B: (False, True, False),
+              CAP_BOTH: (True, True, False)}
+
+
+def _mass(omega: tuple, mu: tuple, symbols) -> float:
+    weight = dict(zip(omega, mu))
+    return math.fsum(weight[s] for s in symbols)
+
 
 @dataclass(frozen=True)
 class DualSpace:
@@ -73,12 +83,10 @@ class DualSpace:
                 raise PercolabError(f"measure does not sum to 1 in preset {self.name}")
 
     def measure1(self, symbols) -> float:
-        idx = {s: i for i, s in enumerate(self.omega1)}
-        return math.fsum(self.mu1[idx[s]] for s in symbols)
+        return _mass(self.omega1, self.mu1, symbols)
 
     def measure2(self, symbols) -> float:
-        idx = {s: i for i, s in enumerate(self.omega2)}
-        return math.fsum(self.mu2[idx[s]] for s in symbols)
+        return _mass(self.omega2, self.mu2, symbols)
 
     @property
     def union_symbols(self) -> tuple:
@@ -152,26 +160,23 @@ class BowtieEvent:
     def __init__(self, g: Graph, pairs, caps):
         if caps is None:
             raise PercolabError("this preset has no paired-witness capability table")
+        self.roles = {}  # symbol -> the roles of its capability
+        for sym, cap in caps.items():
+            if cap not in _CAP_ROLES:
+                raise PercolabError(f"symbol {sym!r} has unknown witness capability {cap!r}")
+            self.roles[sym] = _CAP_ROLES[cap]
         self.g = g
         self.pairs = [(truth_table(g, a), truth_table(g, b)) for a, b in pairs]
-        self.caps = caps
         self._answers: dict[tuple[int, int], np.ndarray] = {}  # by (A side, free)
 
     def __call__(self, symbols: dict) -> bool:
         g = self.g
         base_a = base_b = free = 0
-        for eid in g.edge_ids:
-            cap = self.caps[symbols[eid][1]]
-            bit = 1 << g.edge_index(eid)
-            if cap == CAP_BOTH:
-                base_a |= bit
-                base_b |= bit
-            elif cap == CAP_A:
-                base_a |= bit
-            elif cap == CAP_B:
-                base_b |= bit
-            elif cap == CAP_ONE:
-                free |= bit
+        for i, eid in enumerate(g.edge_ids):  # edge i is bit i
+            serves_a, serves_b, either = self.roles[symbols[eid][1]]
+            base_a |= serves_a << i
+            base_b |= serves_b << i
+            free |= either << i
         hits = self._answers.get((base_a, free))
         if hits is None:  # split the free edges, for every B side at once
             ws = _submasks(g, free)[0]
@@ -340,24 +345,14 @@ def check_zipper_condition(ds: DualSpace, event_factory, g: Graph,
     event = event_factory(g)
     worst = math.inf
     at = (None, None)
-    others_template = list(g.edge_ids)
+    sides = ((1, ds.omega1, ds.mu1), (2, ds.omega2, ds.mu2))
     for eid in g.edge_ids:
-        others = [e for e in others_template if e != eid]
+        others = [e for e in g.edge_ids if e != eid]
         for combo in product(union, repeat=len(others)):
             symbols = {e: (0, s) for e, s in zip(others, combo)}
-            x1 = []
-            for s in ds.omega1:
-                symbols[eid] = (1, s)
-                if event(symbols):
-                    x1.append(s)
-            x2 = []
-            for s in ds.omega2:
-                symbols[eid] = (2, s)
-                if event(symbols):
-                    x2.append(s)
-            del symbols[eid]
-            m1 = ds.measure1(x1)
-            m2 = ds.measure2(x2)
+            m1, m2 = (_mass(omega, mu, [s for s in omega  # X1, then X2
+                                        if event({**symbols, eid: (which, s)})])
+                      for which, omega, mu in sides)
             slack = m2 - m1 if ds.direction == "forward" else m1 - m2
             if slack < worst:
                 worst = slack

@@ -137,6 +137,14 @@ def test_conj3_scan():
     assert scan_conjectures("conj3", generate("cycle", 3, p=0.5)) == []
 
 
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_conj3_scan_refuses_two_marks(method):
+    # the per-eps hypothesis skips an eps; a missing mark refuses the scan
+    g = generate("parallel", 3, q=0.5)
+    with pytest.raises(HypothesisError, match="needs 3 marked vertices, graph has 2"):
+        scan_conjectures("conj3", g, {"eps_grid": (0.2, 0.3)}, method, samples=100, seed=1)
+
 def test_logconcave_scan_exact_parallel4():
     g = graph_from_spec("family:parallel:4,q=0.5")
     reps = scan_conjectures("logconcave", g, {"nmax": 4})

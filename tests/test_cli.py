@@ -93,6 +93,12 @@ def test_hypothesis_error_exits_2(runner):
     assert res.exit_code == 2
 
 
+
+def test_conj3_scan_without_three_marks_exits_2(runner):
+    res = runner.invoke(main, ["check", "conj3", "--graph", "family:parallel:3,q=0.5"])
+    assert res.exit_code == 2
+    assert "check needs 3 marked vertices, graph has 2" in res.output
+
 def test_unknown_check_exits_2(runner):
     res = runner.invoke(main, ["check", "wat", "--graph", "family:cycle:3,p=0.5"])
     assert res.exit_code == 2

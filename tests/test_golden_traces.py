@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from percolab import (Configuration, PercolabError, extend_with_rest, graph_from_spec,
-                      parse_strategy, run)
+                      parse_strategy, run, verify_continuation)
 from percolab.strategies import S, SBAR
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
@@ -68,6 +68,24 @@ def test_catalog_traces_unchanged(gs):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[gs]
     assert fingerprints(gs) == want
 
+
+
+@pytest.mark.parametrize("gs", GRAPHS)
+def test_rest_into_sbar_keeps_s_and_continues(gs):
+    # why cs_bound runs on its prefix: extending it into Sbar leaves S alone
+    g = graph_from_spec(gs)
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[gs]
+    full = (1 << g.n_edges) - 1
+    for spec in SPECS:
+        if ":" in want[spec]:  # an error message: the strategy does not run here
+            continue
+        t = parse_strategy(spec)
+        ext = extend_with_rest(t, SBAR)
+        for m1 in range(1 << g.n_edges):
+            c1 = Configuration(g, m1)
+            c2 = Configuration(g, (m1 * 0x9E3779B1 + 0x7F4A7C15) & full)
+            assert run(ext, g, c1, c2).s_mask(g) == run(t, g, c1, c2).s_mask(g), (spec, m1)
+        assert verify_continuation(t, ext, g), spec
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({gs: fingerprints(gs) for gs in GRAPHS}, indent=1,

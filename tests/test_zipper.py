@@ -306,3 +306,11 @@ def test_bowtie_event_matches_split_loop():
                    tb[base_b | sum(b for i, b in enumerate(free) if not pick >> i & 1)]
                    for pick in range(1 << len(free)))
         assert ev(symbols) is want
+
+
+def test_bowtie_event_refuses_unknown_capability():
+    # a capability outside the CAP_* table used to serve no witness, silently
+    g = graph_from_spec("family:path:2,p=0.5")
+    ab = parse_event("a,b")
+    with pytest.raises(PercolabError, match="symbol '1'.*capability 9"):
+        BowtieEvent(g, [(ab, ab)], {"0": 0, "1": 9})
