@@ -36,10 +36,11 @@ _USAGE_ERRORS = (GraphFormatError, EventSyntaxError, EvaluationError,
 def _load_graph(spec: str) -> Graph:
     if spec.startswith("family:"):
         return graph_from_spec(spec)
-    path = Path(spec)
-    if not path.exists():
-        raise GraphFormatError(f"graph file not found: {spec}")
-    return parse_graph(path.read_text(encoding="utf-8"), name=spec)
+    try:
+        text = Path(spec).read_text(encoding="utf-8")
+    except OSError as exc:  # not found, a directory, unreadable
+        raise GraphFormatError(f"cannot read graph file {spec}: {exc}") from exc
+    return parse_graph(text, name=spec)
 
 
 def _emit(reports: list[CheckReport], fmt: str, out=None):
@@ -173,6 +174,16 @@ def cmd_corpus():
     """Built-in verification corpus."""
 
 
+def _out_dir(path: str) -> Path:
+    """The report directory, made before the run so that a bad --out exits 2 at once."""
+    root = Path(path)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"cannot create output directory {path}: {exc}") from exc
+    return root
+
+
 @cmd_corpus.command("run")
 @click.option("--filter", "filter_glob", default=None,
               help="Glob over check ids, e.g. 'hk_*'.")
@@ -183,10 +194,9 @@ def corpus_run(filter_glob, out_dir, quiet):
     """Run the corpus; exit 0 only if every theorem-backed check holds."""
     t0 = time.perf_counter()
     echo = None if quiet else (lambda line: click.echo(line))
+    root = _guarded(lambda: _out_dir(out_dir)) if out_dir else None
     reports, skips, _ok = _guarded(lambda: run_corpus(filter_glob, echo))
-    if out_dir:
-        root = Path(out_dir)
-        root.mkdir(parents=True, exist_ok=True)
+    if root:
         by_file: dict[str, list] = {}
         for r in reports:
             safe = f"{r.check_id}__{r.graph}".replace("/", "_").replace(":", "_")

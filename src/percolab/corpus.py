@@ -10,6 +10,7 @@ for bit.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -113,17 +114,6 @@ class CorpusEntry:
             if "events" in self.params:
                 extra += "#" + "/".join(self.params["events"])
         return f"{self.check_id}{extra}__{self.graph_spec}"
-
-
-def _graph_cache():
-    cache: dict[str, Graph] = {}
-
-    def get(spec: str) -> Graph:
-        if spec not in cache:
-            cache[spec] = graph_from_spec(spec)
-        return cache[spec]
-
-    return get
 
 
 def corpus_entries() -> list[CorpusEntry]:
@@ -322,7 +312,7 @@ def run_corpus(filter_glob: str | None = None, echo=None):
     """
     reports: list[CheckReport] = []
     skips: list[str] = []
-    get_graph = _graph_cache()
+    get_graph = functools.cache(graph_from_spec)
     for entry in corpus_entries():
         if filter_glob and not fnmatch.fnmatch(entry.check_id, filter_glob):
             continue

@@ -22,13 +22,13 @@ One walker, ``_fold``, knows the shapes of unions, intersections and
 complements: printing, atom lists, syntactic monotonicity and the column
 evaluator are folds of the tree.  That evaluator decides every
 configuration set, held as one n-bit integer per edge (bit i set when the
-edge is open in configuration i): one configuration for ``evaluate``,
-samples for Monte Carlo, periodic columns for enumeration, monotonicity and
-the witness splits of disjoint occurrence.  Partition atoms read
-bit-parallel reachability; npaths atoms read the levels of one max-flow
-that augments on the columns, for every configuration at once.
-``evaluate_mask`` (cluster labels, ``open_maxflow``) is its per-mask
-reference and walks the tree on its own, so the two share no code.
+edge is open in configuration i): one configuration for ``evaluate`` and
+``evaluate_mask``, samples for Monte Carlo, periodic columns for
+enumeration, monotonicity and the witness splits of disjoint occurrence.
+Partition atoms read bit-parallel reachability; npaths atoms read the
+levels of one max-flow that augments on the columns, for every
+configuration at once.  The tests keep an independent per-mask reference
+(cluster labels and a per-mask max-flow) in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 from . import config
 from .errors import (EvaluationError, EventSyntaxError, MonotonicityError,
                      SizeGuardError)
-from .graphs import Configuration, Graph, cluster_labels
+from .graphs import Configuration, Graph
 
 
 @dataclass(frozen=True)
@@ -254,92 +254,12 @@ def _resolve(e: EventExpr, g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# Unit-capacity max-flow on the open subgraph (edge-disjoint paths)
-
-
-def open_maxflow(g: Graph, mask: int, u: str, v: str, cap: int | None = None) -> int:
-    """Number of pairwise edge-disjoint open u-v paths (stops early at cap).
-
-    For u == v the empty path repeats without limit: the count is cap, or
-    1 << 30 without one.
-    """
-    if u == v:
-        return 1 << 30 if cap is None else cap
-    s = g.vertex_index(u)
-    t = g.vertex_index(v)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
-    m = mask
-    i = 0
-    while m:
-        if m & 1:
-            a, b = g._u_arr[i], g._v_arr[i]
-            adj[a].append((i, b))
-            adj[b].append((i, a))
-        m >>= 1
-        i += 1
-    # flow state per edge: 0 unused, +1 used u->v, -1 used v->u
-    state = [0] * g.n_edges
-    flow = 0
-    while cap is None or flow < cap:
-        prev = [-1] * g.n_vertices
-        prev_edge = [-1] * g.n_vertices
-        prev[s] = s
-        queue = [s]
-        qi = 0
-        found = False
-        while qi < len(queue) and not found:
-            x = queue[qi]
-            qi += 1
-            for eidx, y in adj[x]:
-                if prev[y] != -1:
-                    continue
-                direction = 1 if x == g._u_arr[eidx] else -1
-                # traversable if unused, or undoing the opposite direction
-                if state[eidx] == 0 or state[eidx] == -direction:
-                    prev[y] = x
-                    prev_edge[y] = eidx
-                    if y == t:
-                        found = True
-                        break
-                    queue.append(y)
-        if not found:
-            break
-        y = t
-        while y != s:
-            eidx = prev_edge[y]
-            x = prev[y]
-            direction = 1 if x == g._u_arr[eidx] else -1
-            state[eidx] = 0 if state[eidx] == -direction else direction
-            y = x
-        flow += 1
-    return flow
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
 
 def evaluate_mask(e: EventExpr, g: Graph, mask: int) -> bool:
-    """The per-mask reference of the column evaluator, walking the tree itself."""
-    if isinstance(e, PartitionAtom):
-        labels = cluster_labels(g, mask)
-        reps = []
-        for grp in e.groups:
-            first = labels[g.vertex_index(grp[0])]
-            for v in grp[1:]:
-                if labels[g.vertex_index(v)] != first:
-                    return False
-            reps.append(first)
-        return len(set(reps)) == len(reps)
-    if isinstance(e, NPathsAtom):
-        return open_maxflow(g, mask, e.u, e.v, cap=e.n) >= e.n
-    if isinstance(e, Union):
-        return any(evaluate_mask(x, g, mask) for x in e.items)
-    if isinstance(e, Intersect):
-        return all(evaluate_mask(x, g, mask) for x in e.items)
-    if isinstance(e, Complement):
-        return not evaluate_mask(e.item, g, mask)
-    raise TypeError(f"not an event expression: {e!r}")
+    """Truth of the (resolved) event on one configuration mask."""
+    return bool(_evaluate_columns(e, g, [mask >> j & 1 for j in range(g.n_edges)], 1))
 
 
 def evaluate(e: EventExpr, g: Graph, c: Configuration) -> bool:
@@ -347,7 +267,7 @@ def evaluate(e: EventExpr, g: Graph, c: Configuration) -> bool:
     if c.graph is not g:
         raise EvaluationError("configuration belongs to a different graph")
     _resolve(e, g)
-    return bool(_evaluate_columns(e, g, [c.mask >> j & 1 for j in range(g.n_edges)], 1))
+    return evaluate_mask(e, g, c.mask)
 
 
 # ---------------------------------------------------------------------------

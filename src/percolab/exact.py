@@ -159,6 +159,29 @@ def _s_mask_for(g: Graph, t: Strategy, m1: int, m2: int = 0) -> int:
     return trace.s_mask(g)
 
 
+def _check_query(g: Graph, q) -> None:
+    """Validate a pair query: a Joint, or an SqS of increasing operands, on g's vertices."""
+    if isinstance(q, SqS):
+        _require_operands(q.A, q.B, g)
+    elif isinstance(q, Joint):
+        _resolve(q.A, g)
+        _resolve(q.B, g)
+    else:
+        raise TypeError(f"unknown pair query {q!r}")
+
+
+def _hits(g: Graph, q, tab_a: np.ndarray, tab_b: np.ndarray, m1: int, s_mask: int,
+          c2_out):
+    """Does the query hold for c1 = m1, revealed set S and c2 equal to c2_out
+    outside S?  c2_out is one mask or an array of them; the answer is a
+    numpy bool of the same shape."""
+    if isinstance(q, Joint):
+        return tab_b[(m1 & s_mask) | c2_out]
+    # the witness splits of sq_s_occurrence, read from the tables
+    s_open = s_mask & m1
+    return _split_any(tab_a, tab_b, _submasks(g, s_open)[0], m1 & ~s_mask, s_open, c2_out)
+
+
 def exact_pair(g: Graph, t: Strategy, q) -> float:
     """Exact probability of a pair query, with S rebuilt per configuration pair.
 
@@ -167,50 +190,23 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     configuration analytically over the complement of S.
     """
     _check_pair_size(g)
-    if isinstance(q, SqS):
-        _require_operands(q.A, q.B, g)
-    elif not isinstance(q, Joint):
-        raise TypeError(f"unknown pair query {q!r}")
-    if not t.uses_c2:
-        return _pair_fast(g, t, q)
-    return _pair_general(g, t, q)
-
-
-def _pair_fast(g: Graph, t: Strategy, q) -> float:
+    _check_query(g, q)
     w = weights(g)
     full = (1 << g.n_edges) - 1
     tab_a = truth_table(g, q.A)
     tab_b = truth_table(g, q.B)
     terms = []
-    # A is increasing, so no split of c1 has A on its part unless c1 is in A
+    # Joint asks for c1 in A; for SqS A is increasing, so no split of c1 has A
+    # on its part unless c1 is in A
     for m1 in np.flatnonzero((w != 0.0) & tab_a).tolist():
-        s_mask = _s_mask_for(g, t, m1)
-        sbar = full & ~s_mask
-        subs, probs = _submasks(g, sbar)  # c2 over the complement of S
-        if isinstance(q, Joint):
-            hit = tab_b[(m1 & s_mask) | subs]
-        else:
-            s_open = s_mask & m1
-            hit = _split_any(tab_a, tab_b, _submasks(g, s_open)[0], sbar & m1, s_open, subs)
-        terms.append(w[m1] * _fsum(probs[hit]))
-    return math.fsum(terms)
-
-
-def _pair_general(g: Graph, t: Strategy, q) -> float:
-    w = weights(g)
-    tab_a = truth_table(g, q.A)
-    tab_b = truth_table(g, q.B)
-    terms = []
-    for m1 in np.flatnonzero(tab_a).tolist():
+        if not t.uses_c2:
+            s_mask = _s_mask_for(g, t, m1)
+            subs, probs = _submasks(g, full & ~s_mask)  # c2 over the complement of S
+            terms.append(w[m1] * _fsum(probs[_hits(g, q, tab_a, tab_b, m1, s_mask, subs)]))
+            continue
         for m2 in range(len(w)):
             s_mask = _s_mask_for(g, t, m1, m2)
-            if isinstance(q, Joint):
-                hit = tab_b[splice_mask(m1, m2, s_mask)]
-            else:  # the witness splits of sq_s_occurrence, read from the tables
-                s_open = s_mask & m1
-                hit = _split_any(tab_a, tab_b, _submasks(g, s_open)[0], m1 & ~s_mask,
-                                 s_open, m2 & ~s_mask)
-            if hit:
+            if _hits(g, q, tab_a, tab_b, m1, s_mask, m2 & ~s_mask):
                 terms.append(w[m1] * w[m2])
     return math.fsum(terms)
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import (EventExpr, NPathsAtom, _evaluate_columns, _flow_levels,
-                     _require_operands, _resolve, _split_occurs, _transpose)
+from .events import (EventExpr, NPathsAtom, _evaluate_columns, _flow_levels, _resolve,
+                     _split_occurs, _transpose)
 from .events import _reach_masks  # noqa: F401  (perfbench traces reachability by this name)
-from .exact import Joint, SqS, _s_mask_for
+from .exact import SqS, _check_query, _s_mask_for
 from .graphs import Graph
 from .strategies import Strategy
 
@@ -147,13 +147,7 @@ def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:
     c1 columns and B on the spliced columns (c1 over S, c2 elsewhere); SqS
     searches the witness splits of each sample.
     """
-    if isinstance(q, SqS):
-        _require_operands(q.A, q.B, g)
-    elif isinstance(q, Joint):
-        _resolve(q.A, g)
-        _resolve(q.B, g)
-    else:
-        raise TypeError(f"unknown pair query {q!r}")
+    _check_query(g, q)
     cols1 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, 0)
     cols2 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, g.n_edges)
     pairs = zip(_transpose(cols1, n), _transpose(cols2, n))

@@ -123,10 +123,8 @@ def splice(c1: Configuration, c2: Configuration, s_edges) -> Configuration:
     g = c1.graph
     if c2.graph is not g:
         raise ValueError("configurations belong to different graphs")
-    s_mask = 0
-    for eid in s_edges:
-        s_mask |= 1 << g.edge_index(eid)
-    return Configuration(g, (c1.mask & s_mask) | (c2.mask & ~s_mask))
+    s_mask = Configuration.from_open(g, s_edges).mask
+    return Configuration(g, splice_mask(c1.mask, c2.mask, s_mask))
 
 
 def splice_mask(m1: int, m2: int, s_mask: int) -> int:

@@ -54,6 +54,8 @@ def test_malformed_file_exits_2(runner, tmp_path):
     assert res.exit_code == 2
     res2 = runner.invoke(main, ["check", "dv8", "--graph", str(tmp_path / "no.graph")])
     assert res2.exit_code == 2
+    res3 = runner.invoke(main, ["check", "dv8", "--graph", str(tmp_path)])  # a directory
+    assert res3.exit_code == 2
 
 
 def test_size_guard_exits_3(runner):
@@ -212,6 +214,15 @@ def test_corpus_filtered_run(runner, tmp_path):
     assert files
     rows = json.loads(files[0].read_text())
     assert rows[0]["verdict"] == "holds"
+
+
+def test_corpus_out_onto_a_file_exits_2_before_the_run(runner, tmp_path):
+    f = tmp_path / "taken"
+    f.write_text("keep")
+    res = runner.invoke(main, ["corpus", "run", "--filter", "dv8", "--out", str(f)])
+    assert res.exit_code == 2
+    assert "checks:" not in res.output  # refused before any check ran
+    assert f.read_text() == "keep"
 
 
 def test_corpus_filter_selects_only_matches(runner):

@@ -2,10 +2,11 @@
 
 Truth tables, flow levels, monotonicity and the witness splits of disjoint
 occurrence are all read from edge columns by the shared column evaluator;
-these tests compare them, bit for bit, with ``evaluate_mask`` and
-``open_maxflow`` run on one configuration mask at a time.  The table split
-test and the submask probability arrays of the exact engine are compared
-with plain Python loops.
+these tests compare them, bit for bit, with the per-mask oracle of
+``tests/oracles.py``: ``evaluate_mask``, which walks the tree itself on
+cluster labels, and ``open_maxflow``, run on one configuration mask at a
+time.  The table split test and the submask probability arrays of the
+exact engine are compared with plain Python loops.
 """
 
 import random
@@ -19,9 +20,10 @@ from percolab import (Configuration, Graph, Monotonicity, evaluate,
                       exact_npaths, exact_prob, generate, graph_from_spec,
                       monotonicity, parse_event, sq_s_occurrence)
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
-                             Union, _columns, _flow_levels, _transpose,
-                             evaluate_mask, open_maxflow)
+                             Union, _columns, _flow_levels, _transpose)
 from percolab.exact import _split_any, _submasks, truth_table, weights
+
+from oracles import evaluate_mask, open_maxflow
 
 _VERTS = ("a", "b", "c", "d", "e")
 _MAX_EDGES = 9

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percolab import (Configuration, Estimate, EvaluationError, Graph, exact_pair,
-                      exact_prob, generate, graph_from_spec, mc_npaths, mc_pair,
-                      mc_prob, parse_event, parse_strategy)
-from percolab.events import evaluate_mask
+from percolab import (Configuration, Estimate, EvaluationError, Graph,
+                      MonotonicityError, exact_pair, exact_prob, generate,
+                      graph_from_spec, mc_npaths, mc_pair, mc_prob, parse_event,
+                      parse_strategy)
 from percolab.exact import Joint, SqS, exact_npaths
 from percolab.mc import _edge_bit_columns, mc_flow_tail
 from percolab.strategies import run, splice_mask
 
+from oracles import evaluate_mask
 from test_enumeration import _events, _graphs
 
 
@@ -177,6 +178,18 @@ def test_eighty_four_edges_run_on_columns():
 def test_unknown_vertex_in_npaths_is_an_evaluation_error(call):
     with pytest.raises(EvaluationError):
         call(generate("cycle", 3, p=0.5))
+
+
+@pytest.mark.parametrize("engine", [exact_pair, lambda g, t, q: mc_pair(g, t, q, 100, 1)],
+                         ids=["exact", "mc"])
+@pytest.mark.parametrize("query, error", [
+    ("nope", TypeError),
+    (Joint(parse_event("a,zz"), parse_event("a,b")), EvaluationError),
+    (SqS(parse_event("a|b"), parse_event("a,b")), MonotonicityError),
+], ids=["not-a-query", "unknown-vertex", "decreasing-operand"])
+def test_both_engines_refuse_malformed_pair_queries(engine, query, error):
+    with pytest.raises(error):
+        engine(generate("cycle", 3, p=0.5), parse_strategy("bfs_cluster:a"), query)
 
 
 @pytest.mark.parametrize("call", [
