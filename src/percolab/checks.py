@@ -45,12 +45,12 @@ from functools import partial
 from . import config
 from .errors import HypothesisError, PercolabError, SizeGuardError
 from .events import (Intersect, Monotonicity, NPathsAtom, monotonicity, parse_event,
-                     require_increasing)
+                     require_increasing, _columns, _transpose)
 from .exact import (Joint, SqS, _check_pair_size, _submasks, exact_pair, exact_prob,
                     truth_table)
-from .graphs import Configuration, Graph, same_face
+from .graphs import Graph, same_face
 from .mc import mc_pair, mc_prob
-from .strategies import S, Strategy, parse_strategy, run
+from .strategies import Strategy, _revealed, parse_strategy
 
 
 @dataclass
@@ -144,13 +144,11 @@ def _tree_spec(check_id, g, params):
 def _check_prefix(t: Strategy, g: Graph, expr) -> None:
     """The prefix reveals everything into S, and the revealed part of c1
     always decides the event: the event is constant on its completions."""
-    c0 = Configuration(g, 0)
-    revealed = []
-    for m1 in range(1 << g.n_edges):
-        trace = run(t, g, Configuration(g, m1), c0)
-        if any(st.decision != S for st in trace.steps):
-            raise HypothesisError("prefix strategy must reveal everything into S")
-        revealed.append(trace.s_mask(g))
+    n = 1 << g.n_edges
+    queried, s_cols = _revealed(g, t, n, _columns(g.n_edges))
+    if any(q & ~s for q, s in zip(queried, s_cols)):
+        raise HypothesisError("prefix strategy must reveal everything into S")
+    revealed = _transpose(s_cols, n)
     tab = truth_table(g, expr)
     full = (1 << g.n_edges) - 1
     for r_mask, pinned in {(r, m1 & r) for m1, r in enumerate(revealed)}:

@@ -34,6 +34,7 @@ configuration at once.  The tests keep an independent per-mask reference
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -389,13 +390,32 @@ def _flow_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int) ->
     return levels
 
 
-def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int) -> int:
+def _served_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int,
+                   cache: dict) -> list[int]:
+    """``_flow_levels`` through a cache of (u, v) -> (cap served, levels).
+
+    An entry serves any cap up to the one it was built for.  It serves every
+    cap once its list is complete: when it ended below its cap, or the cap
+    reached the smaller degree of u and v, every deeper level is 0 (every
+    configuration when u == v).
+    """
+    hit = cache.get((u, v))
+    if hit is None or cap > hit[0]:
+        levels = _flow_levels(g, cols, n, u, v, cap)
+        complete = len(levels) < cap or cap >= min(g.degree(u), g.degree(v))
+        hit = cache[u, v] = (math.inf if complete else cap, levels)
+    return hit[1]
+
+
+def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int,
+                      flows: dict | None = None) -> int:
     """Bitmask of the n column configurations where the (resolved) event holds.
 
     A partition atom reads reach from the first vertex of each group.
     npaths(u,v,1) atoms read u-v reach; the others read the flow levels of
     their (u, v), computed once per distinct pair up to the largest n asked
-    for.
+    for, or served from ``flows``, a cache of levels on these same columns
+    (see ``_served_levels``).
     """
     found = atoms(e)
     nps = [a for a in found if isinstance(a, NPathsAtom)]
@@ -406,7 +426,8 @@ def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int) -> int:
     reach = _reach_masks(g, cols, n, reps)
     full = (1 << n) - 1
     caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n) if a.n > 1}  # largest n
-    levels = {(u, v): _flow_levels(g, cols, n, u, v, cap) for (u, v), cap in caps.items()}
+    levels = {(u, v): _flow_levels(g, cols, n, u, v, cap) if flows is None
+              else _served_levels(g, cols, n, u, v, cap, flows) for (u, v), cap in caps.items()}
 
     def atom(a):
         if isinstance(a, NPathsAtom):

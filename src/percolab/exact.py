@@ -6,7 +6,9 @@ j is bit j of m, so the 2^E bits of the columns list every configuration
 once.  Truth tables run these columns through the column evaluator of
 ``events``, the one Monte Carlo runs on sampled columns: a few big-integer
 AND/OR sweeps per event instead of a cluster labelling or a max-flow per
-mask.
+mask.  The flow levels behind npaths atoms are cached per graph and vertex
+pair, so the tables of npaths(u,v,n) for several n share one max-flow when
+the levels allow it.
 
 Probabilities are float64 arrays indexed by mask, and truth tables are
 read-only numpy bool arrays indexed the same way, so a sum is one
@@ -26,9 +28,9 @@ import numpy as np
 from . import config
 from .errors import SizeGuardError
 from .events import (EventExpr, NPathsAtom, unparse, _columns, _evaluate_columns,
-                     _require_operands, _resolve)
-from .graphs import Configuration, Graph
-from .strategies import Strategy, run, splice_mask
+                     _require_operands, _resolve, _transpose)
+from .graphs import Graph
+from .strategies import Strategy, _revealed, splice_mask
 
 
 def _check_size(g: Graph) -> None:
@@ -117,7 +119,7 @@ def truth_table(g: Graph, e: EventExpr) -> np.ndarray:
     _check_size(g)
     _resolve(e, g)
     n = 1 << g.n_edges
-    tab = _unpack(_evaluate_columns(e, g, _columns(g.n_edges), n), n)
+    tab = _unpack(_evaluate_columns(e, g, _columns(g.n_edges), n, g._flow_tables), n)
     tab.flags.writeable = False
     g._event_tables[key] = tab
     return tab
@@ -154,9 +156,9 @@ class SqS:
     B: EventExpr
 
 
-def _s_mask_for(g: Graph, t: Strategy, m1: int, m2: int = 0) -> int:
-    trace = run(t, g, Configuration(g, m1), Configuration(g, m2))
-    return trace.s_mask(g)
+def _s_masks(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None) -> list[int]:
+    """The S mask of t on each of the n configuration pairs of the columns."""
+    return _transpose(_revealed(g, t, n, cols1, cols2)[1], n)
 
 
 def _check_query(g: Graph, q) -> None:
@@ -183,11 +185,13 @@ def _hits(g: Graph, q, tab_a: np.ndarray, tab_b: np.ndarray, m1: int, s_mask: in
 
 
 def exact_pair(g: Graph, t: Strategy, q) -> float:
-    """Exact probability of a pair query, with S rebuilt per configuration pair.
+    """Exact probability of a pair query, with S read per configuration pair.
 
     Strategies that never read the second configuration admit a factorized
-    sum: enumerate c1, run the strategy once, and integrate the second
-    configuration analytically over the complement of S.
+    sum: S of every c1 comes from one pass over the columns of the c1 that
+    count, and the second configuration is integrated analytically over the
+    complement of S.  The others get the S of every c2 per c1, over the
+    periodic columns.
     """
     _check_pair_size(g)
     _check_query(g, q)
@@ -195,17 +199,19 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     full = (1 << g.n_edges) - 1
     tab_a = truth_table(g, q.A)
     tab_b = truth_table(g, q.B)
-    terms = []
     # Joint asks for c1 in A; for SqS A is increasing, so no split of c1 has A
     # on its part unless c1 is in A
-    for m1 in np.flatnonzero((w != 0.0) & tab_a).tolist():
-        if not t.uses_c2:
-            s_mask = _s_mask_for(g, t, m1)
+    m1s = np.flatnonzero((w != 0.0) & tab_a).tolist()
+    terms = []
+    if not t.uses_c2:
+        for m1, s_mask in zip(m1s, _s_masks(g, t, len(m1s), _transpose(m1s, g.n_edges))):
             subs, probs = _submasks(g, full & ~s_mask)  # c2 over the complement of S
             terms.append(w[m1] * _fsum(probs[_hits(g, q, tab_a, tab_b, m1, s_mask, subs)]))
-            continue
-        for m2 in range(len(w)):
-            s_mask = _s_mask_for(g, t, m1, m2)
+        return math.fsum(terms)
+    cols, every = _columns(g.n_edges), (1 << len(w)) - 1
+    for m1 in m1s:
+        c1_cols = [every * (m1 >> j & 1) for j in range(g.n_edges)]  # c1 = m1 in every pair
+        for m2, s_mask in enumerate(_s_masks(g, t, len(w), c1_cols, cols)):
             if _hits(g, q, tab_a, tab_b, m1, s_mask, m2 & ~s_mask):
                 terms.append(w[m1] * w[m2])
     return math.fsum(terms)
@@ -223,10 +229,13 @@ def verify_splice_independence(g: Graph, t: Strategy) -> float:
             f"splice-independence check limited to {config.MAX_SPLICE_EDGES} edges")
     w = weights(g)
     n = len(w)
+    e = g.n_edges
     if t.uses_c2:
-        s = np.array([[_s_mask_for(g, t, m1, m2) for m2 in range(n)] for m1 in range(n)])
+        # pair m1·n + m2: c2 is the low E bits of the pair index, c1 the high
+        cols = _columns(2 * e)
+        s = np.array(_s_masks(g, t, n * n, cols[e:], cols[:e])).reshape(n, n)
     else:
-        s = np.array([_s_mask_for(g, t, m1) for m1 in range(n)])[:, None]
+        s = np.array(_s_masks(g, t, n, _columns(e)))[:, None]
     m1s, m2s = np.arange(n)[:, None], np.arange(n)
     product = np.outer(w, w)
     joint = np.zeros((n, n))

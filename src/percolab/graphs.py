@@ -139,6 +139,7 @@ class Graph:
         self.name = name
         self._event_tables: dict = {}  # unparse(e) -> read-only bool truth table
         self._submask_cache: dict[int, tuple] = {}  # mask -> (submasks or None, probabilities)
+        self._flow_tables: dict = {}  # (u, v) -> (cap served, flow levels on periodic columns)
         self._faces: FaceSet | None = None
 
     def _connected(self) -> bool:

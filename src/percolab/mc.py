@@ -12,10 +12,12 @@ monotone couplings across parameter sweeps.
 Samples are held as edge columns: each edge gets a bitmask of the samples
 where it is open, and events are evaluated for all samples at once by the
 column evaluator of ``events``, the one the exact engine runs on periodic
-columns, disjoint-path counts included.  Per-sample configuration masks
-are transposed from the columns only where a loop needs one sample at a
-time: strategy runs and the witness splits of pair queries.  No graph size
-limit applies.
+columns, disjoint-path counts included.  A pair query reads the revealed
+set S as edge columns too: cluster-revealing strategies give them from
+reachability on the c1 columns, and the others run once per sample pair,
+with the masks transposed from and back into columns.  Per-sample masks
+are otherwise transposed only for the witness splits of SqS queries, which
+search one sample at a time.  No graph size limit applies.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import numpy as np
 from .events import (EventExpr, NPathsAtom, _evaluate_columns, _flow_levels, _resolve,
                      _split_occurs, _transpose)
 from .events import _reach_masks  # noqa: F401  (perfbench traces reachability by this name)
-from .exact import SqS, _check_query, _s_mask_for
+from .exact import SqS, _check_query
 from .graphs import Graph
-from .strategies import Strategy
+from .strategies import Strategy, _revealed
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -143,19 +145,19 @@ def mc_flow_tail(g: Graph, u: str, v: str, n_max: int, samples: int, seed: int) 
 def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:
     """Monte Carlo estimate of a pair query (see the exact engine for kinds).
 
-    The strategy runs once per sample pair.  Joint then evaluates A on the
-    c1 columns and B on the spliced columns (c1 over S, c2 elsewhere); SqS
-    searches the witness splits of each sample.
+    The S columns come from the strategy's column form, or from one run per
+    sample pair.  Joint then evaluates A on the c1 columns and B on the
+    spliced columns (c1 over S, c2 elsewhere); SqS searches the witness
+    splits of each sample.
     """
     _check_query(g, q)
     cols1 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, 0)
     cols2 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, g.n_edges)
-    pairs = zip(_transpose(cols1, n), _transpose(cols2, n))
+    s_cols = _revealed(g, t, n, cols1, cols2)[1]
     if isinstance(q, SqS):
-        hits = sum(_split_occurs(q.A, q.B, g, m1, m2, _s_mask_for(g, t, m1, m2))
-                   for m1, m2 in pairs)
+        hits = sum(_split_occurs(q.A, q.B, g, m1, m2, s_mask) for m1, m2, s_mask in
+                   zip(_transpose(cols1, n), _transpose(cols2, n), _transpose(s_cols, n)))
     else:
-        s_cols = _transpose([_s_mask_for(g, t, m1, m2) for m1, m2 in pairs], g.n_edges)
         full = (1 << n) - 1
         spliced = [(c1 & s) | (c2 & (full ^ s)) for c1, c2, s in zip(cols1, cols2, s_cols)]
         hits = (_evaluate_columns(q.A, g, cols1, n) &

@@ -29,6 +29,19 @@ which ends the run.
 Malformed specs raise StrategyError when built, unknown vertices when run.
 The spec text is the strategy's name.
 
+``run`` records the steps of one configuration pair; it is the public
+per-pair view.  The engines read a strategy through ``_revealed`` instead,
+which gives the queried and S sets of many configurations at once as edge
+columns (bit i of column j: edge j in configuration i).  ``bfs_cluster``,
+passes without targets (``dfs:v,ORDER,S|Sbar``, ``seq`` lists of them and
+``stop``) and continuations of those (``reveal_all``) reveal a reach fixed
+point, whatever their scan order: pass k reaches from its start over the
+open edges that no earlier pass queried, and queries the unqueried edges at
+the vertices it reaches.  Their ``_reveal_columns`` reads it from the
+bit-parallel reachability of ``events``.  Target-stopped passes,
+``rhw_walks`` and user subclasses have no column form, so ``_revealed``
+runs them once per configuration and transposes the masks into columns.
+
 The hand rules: arriving at v along edge e, candidates are scanned starting
 from the sharpest right turn, i.e. counterclockwise from e through the stored
 clockwise rotation (left_hand mirrors this).  At the start vertex the scan
@@ -43,6 +56,7 @@ from itertools import product
 
 from . import config
 from .errors import SizeGuardError, StrategyError
+from .events import _reach_masks, _transpose
 from .graphs import Configuration, Graph, faces
 
 S = "S"
@@ -88,6 +102,12 @@ class Strategy:
     def policy(self, g: Graph):
         raise NotImplementedError
 
+    def _reveal_columns(self, g: Graph, cols: list[int], n: int):
+        """(queried, S) edge columns over the n configurations c1 given as
+        edge columns (c2 unread), equal to the runs' sets, or None when the
+        policy has no column form; engines then run it per configuration."""
+        return None
+
     def __repr__(self):
         return f"<Strategy {self.name}>"
 
@@ -116,6 +136,30 @@ def run(t: Strategy, g: Graph, c1: Configuration, c2: Configuration) -> RunTrace
     except StopIteration:
         pass
     return RunTrace(tuple(steps))
+
+
+def _revealed(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None):
+    """(queried, S) edge columns of t over n configuration pairs.
+
+    cols1 and cols2 are the edge columns of c1 and c2; cols2 None means c2
+    is empty in every pair.  The columns come from ``_reveal_columns``, or
+    else from one run per pair, transposed.
+    """
+    got = t._reveal_columns(g, cols1, n)
+    if got is not None:
+        return got
+    m2s = _transpose(cols2, n) if cols2 is not None else [0] * n
+    queried, s_masks = [], []
+    for m1, m2 in zip(_transpose(cols1, n), m2s):
+        q = s = 0
+        for st in run(t, g, Configuration(g, m1), Configuration(g, m2)).steps:
+            bit = 1 << g._eidx[st.edge]
+            q |= bit
+            if st.decision == S:
+                s |= bit
+        queried.append(q)
+        s_masks.append(s)
+    return _transpose(queried, g.n_edges), _transpose(s_masks, g.n_edges)
 
 
 def splice(c1: Configuration, c2: Configuration, s_edges) -> Configuration:
@@ -157,6 +201,16 @@ def _candidates(g: Graph, v: str, arrival: str | None, order: str):
     return [rot[(i - k) % d] for k in range(1, d + 1)]
 
 
+def _check_start(g, start):
+    if start not in g._vidx:
+        raise StrategyError(f"unknown start vertex {start!r}")
+
+
+def _touching(g, reach) -> list[int]:
+    """Per edge, the configurations where an end of it is in the reach map."""
+    return [reach[x] | reach[y] for _, x, y in g.edges]
+
+
 def _dfs_pass(g, start, order, decision, targets, queried):
     """One depth-first reveal; returns True when a target stopped the pass.
 
@@ -165,8 +219,7 @@ def _dfs_pass(g, start, order, decision, targets, queried):
     Traversal follows edges open in c1 only, but closed candidates are still
     queried as they are scanned.
     """
-    if start not in g._vidx:
-        raise StrategyError(f"unknown start vertex {start!r}")
+    _check_start(g, start)
     for w in targets:
         if w not in g._vidx:
             raise StrategyError(f"unknown target vertex {w!r}")
@@ -206,6 +259,24 @@ class _Passes(Strategy):
             if (yield from _dfs_pass(g, start, order, decision, targets, queried)):
                 return
 
+    def _reveal_columns(self, g, cols, n):
+        if any(targets for *_, targets in self.passes):
+            return None
+        full = (1 << n) - 1
+        queried = [0] * g.n_edges
+        s = [0] * g.n_edges
+        for start, order, decision, _ in self.passes:
+            _check_start(g, start)
+            _candidates(g, start, None, order)  # the errors of the pass's first scan
+            free = [col & (full ^ q) for col, q in zip(cols, queried)]
+            reach = _reach_masks(g, free, n, (start,))[start]
+            for j, touch in enumerate(_touching(g, reach)):
+                new = touch & (full ^ queried[j])
+                queried[j] |= new
+                if decision == S:
+                    s[j] |= new
+        return queried, s
+
 
 class _BfsCluster(Strategy):
     """Reveal every edge with an end in the start vertex's open cluster, to S."""
@@ -215,8 +286,7 @@ class _BfsCluster(Strategy):
         self.name = f"bfs_cluster:{v}"
 
     def policy(self, g):
-        if self.start not in g._vidx:
-            raise StrategyError(f"unknown start vertex {self.start!r}")
+        _check_start(g, self.start)
         visited = {self.start}
         queue = [self.start]
         qi = 0
@@ -234,6 +304,11 @@ class _BfsCluster(Strategy):
                     if u not in visited:
                         visited.add(u)
                         queue.append(u)
+
+    def _reveal_columns(self, g, cols, n):
+        _check_start(g, self.start)
+        queried = _touching(g, _reach_masks(g, cols, n, (self.start,))[self.start])
+        return queried, queried
 
 
 class _RhwWalks(Strategy):
@@ -274,6 +349,16 @@ class _ExtendRest(Strategy):
         for e in g.edge_ids:
             if e not in queried:
                 _ = yield (e, self.decision)
+
+    def _reveal_columns(self, g, cols, n):
+        got = self.base._reveal_columns(g, cols, n)
+        if got is None:
+            return None
+        queried, s = got
+        full = (1 << n) - 1
+        if self.decision == S:
+            s = [sj | (full ^ qj) for sj, qj in zip(s, queried)]
+        return [full] * g.n_edges, s
 
 
 def extend_with_rest(base: Strategy, decision: str = SBAR) -> Strategy:

@@ -96,6 +96,18 @@ def test_hypothesis_error_exits_2(runner):
 
 
 
+@pytest.mark.parametrize("method", [["--method", "exact"],
+                                    ["--method", "mc", "--samples", "200", "--seed", "1"]])
+@pytest.mark.parametrize("spec", ["bfs_cluster:zz", "dfs:zz,id,S",
+                                  "seq:[dfs:a,id,S;dfs:zz,id,S]"])
+@pytest.mark.parametrize("check", ["hk_tree", "vdbk_tree"])
+def test_unknown_start_vertex_exits_2(runner, check, spec, method):
+    res = runner.invoke(main, ["check", check, "--graph", "family:cycle:3,p=0.5",
+                               "--strategy", spec, "--events", "a,b", "b,c", *method])
+    assert res.exit_code == 2, res.output
+    assert "unknown start vertex 'zz'" in res.output
+
+
 def test_conj3_scan_without_three_marks_exits_2(runner):
     res = runner.invoke(main, ["check", "conj3", "--graph", "family:parallel:3,q=0.5"])
     assert res.exit_code == 2

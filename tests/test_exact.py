@@ -1,13 +1,18 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from percolab import (Configuration, SizeGuardError, exact_npaths, exact_pair,
-                      exact_prob, generate, graph_from_spec, parse_event,
-                      parse_strategy, run, verify_splice_independence)
+from percolab import (Configuration, Monotonicity, SizeGuardError, exact_npaths,
+                      exact_pair, exact_prob, generate, graph_from_spec, monotonicity,
+                      parse_event, parse_strategy, run, verify_splice_independence)
+from percolab import events
 from percolab.exact import Joint, SqS, truth_table, weights
 from percolab.strategies import Strategy, S, splice_mask
 from percolab.events import sq_s_occurrence
+
+from test_enumeration import _events, _graphs
 
 TOL = 1e-12
 
@@ -199,3 +204,69 @@ def test_vdbk_classical_anchor():
         w[m] for m in range(len(w))
         if disjoint_occurrence(A, A, g, Configuration(g, m)))
     assert sqs == pytest.approx(direct, abs=TOL)
+
+
+class _Delegate(Strategy):
+    """The policy of another strategy behind a plain subclass, which has no
+    column form: the engines run it once per configuration."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def policy(self, g):
+        return self.inner.policy(g)
+
+
+def _increasing(names):
+    return _events(names).filter(lambda e: monotonicity(e) is Monotonicity.INCREASING)
+
+
+@st.composite
+def _column_vs_run_case(draw):
+    g = draw(_graphs(max_edges=7))
+    v = st.sampled_from(g.vertices)
+    spec = draw(st.sampled_from((
+        "stop", "reveal_all:S", "reveal_all:Sbar", "bfs_cluster:{}", "dfs:{},id,S",
+        "dfs:{},id,Sbar", "seq:[dfs:{},id,S;dfs:{},id,Sbar]",
+        "seq:[dfs:{},id,Sbar;dfs:{},id,S;dfs:{},id,S]")))
+    spec = spec.format(*(draw(v) for _ in range(spec.count("{}"))))
+    return (g, spec, draw(_events(g.vertices)), draw(_events(g.vertices)),
+            draw(_increasing(g.vertices)), draw(_increasing(g.vertices)))
+
+
+@given(_column_vs_run_case())
+@settings(max_examples=40, deadline=None)
+def test_column_form_equals_run_fallback_exactly(case):
+    g, spec, A, B, A_inc, B_inc = case
+    t = parse_strategy(spec)
+    runs = _Delegate(t)
+    assert t._reveal_columns(g, [0] * g.n_edges, 1) is not None
+    assert runs._reveal_columns(g, [0] * g.n_edges, 1) is None
+    assert exact_pair(g, t, Joint(A, B)) == exact_pair(g, runs, Joint(A, B))
+    assert exact_pair(g, t, SqS(A_inc, B_inc)) == exact_pair(g, runs, SqS(A_inc, B_inc))
+    assert verify_splice_independence(g, t) == verify_splice_independence(g, runs)
+
+
+def test_npaths_flow_levels_served_from_the_graph_cache(monkeypatch):
+    calls = []
+    inner = events._flow_levels
+
+    def counted(*args):
+        calls.append((args[0], *args[3:]))
+        return inner(*args)
+
+    def fresh(text):
+        return exact_prob(graph_from_spec("family:grid:3,3,p=0.5"), parse_event(text))
+
+    monkeypatch.setattr(events, "_flow_levels", counted)
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    # the corner marks have degree 2, so the levels built for n = 2 are complete
+    assert exact_npaths(g, "a", "c", 2) == fresh("npaths(a,c,2)")
+    assert exact_npaths(g, "a", "c", 3) == fresh("npaths(a,c,3)")
+    assert [c[1:] for c in calls if c[0] is g] == [("a", "c", 2)]
+    # v1_1 and v0_1 have degrees 4 and 3: the levels for n = 2 serve no
+    # deeper n, and those for n = 3 serve n = 2 in another event
+    for text in ("npaths(v1_1,v0_1,2)", "npaths(v1_1,v0_1,3)", "npaths(v1_1,v0_1,2) U a,c"):
+        assert exact_prob(g, parse_event(text)) == fresh(text)
+    assert [c[1:] for c in calls if c[0] is g] == \
+        [("a", "c", 2), ("v1_1", "v0_1", 2), ("v1_1", "v0_1", 3)]

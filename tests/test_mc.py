@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolab import (Configuration, Estimate, EvaluationError, Graph,
-                      MonotonicityError, exact_pair, exact_prob, generate,
+                      MonotonicityError, StrategyError, exact_pair, exact_prob, generate,
                       graph_from_spec, mc_npaths, mc_pair, mc_prob, parse_event,
                       parse_strategy)
 from percolab.exact import Joint, SqS, exact_npaths
@@ -192,6 +192,20 @@ def test_both_engines_refuse_malformed_pair_queries(engine, query, error):
         engine(generate("cycle", 3, p=0.5), parse_strategy("bfs_cluster:a"), query)
 
 
+@pytest.mark.parametrize("engine", [exact_pair, lambda g, t, q: mc_pair(g, t, q, 100, 1)],
+                         ids=["exact", "mc"])
+@pytest.mark.parametrize("query", [Joint, SqS])
+@pytest.mark.parametrize("spec", ["bfs_cluster:zz", "dfs:zz,id,S",
+                                  "seq:[dfs:a,id,S;dfs:zz,id,S]"])
+def test_both_engines_refuse_an_unknown_start_vertex(engine, query, spec):
+    g = generate("cycle", 3, p=0.5)
+    t = parse_strategy(spec)
+    with pytest.raises(StrategyError, match="unknown start vertex 'zz'"):
+        run(t, g, Configuration(g, 0), Configuration(g, 0))
+    with pytest.raises(StrategyError, match="unknown start vertex 'zz'"):
+        engine(g, t, query(parse_event("a,b"), parse_event("b,c")))
+
+
 @pytest.mark.parametrize("call", [
     lambda g: mc_prob(g, parse_event("a,b"), 0, 1),
     lambda g: mc_npaths(g, "a", "b", 1, 0, 1),
@@ -330,16 +344,23 @@ def _sample_masks_oracle(g, n, seed, stride, offset):
     return masks
 
 
+# the corpus's seq strategies, over marks a, b and c
+CORPUS_SEQS = ("seq:[dfs:c,id,S;dfs:a,id,Sbar;dfs:b,id,S]",
+               "seq:[dfs:b,id,S;dfs:a,id,Sbar;dfs:c,id,S]",
+               "seq:[dfs:a,id,Sbar;dfs:b,id,S;dfs:c,id,S]")
+
+
 @st.composite
 def _joint_case(draw):
     g = draw(_graphs())
+    specs = ("stop", "reveal_all:S", "bfs_cluster:a", "dfs_stop_at:a,b", "dfs:a,id,S")
     return (g, draw(_events(g.vertices)), draw(_events(g.vertices)),
-            draw(st.sampled_from(("stop", "bfs_cluster:a", "dfs_stop_at:a,b", "dfs:a,id,S"))),
+            draw(st.sampled_from(specs + (CORPUS_SEQS if "c" in g.vertices else ()))),
             draw(st.integers(1, 300)), draw(st.integers(0, 2 ** 32)))
 
 
 @given(_joint_case())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_joint_matches_per_sample_loop(case):
     g, A, B, spec, n, seed = case
     t = parse_strategy(spec)

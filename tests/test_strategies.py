@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from percolab import (Configuration, StrategyError, generate, make_strategy,
-                      parse_strategy, run, splice, verify_continuation)
+from percolab import (Configuration, StrategyError, generate, graph_from_spec,
+                      make_strategy, parse_strategy, run, splice, verify_continuation)
+from percolab.events import _columns, _transpose
+from percolab.mc import _edge_bit_columns
 from percolab.strategies import S, SBAR, Strategy, extend_with_rest
 from percolab.graphs import faces
+
+from test_enumeration import _graphs
 
 
 def _all_closed(g):
@@ -289,3 +295,115 @@ def test_reveal_all_is_the_continuation_of_stop():
         assert verify_continuation(parse_strategy("stop"), t, g)
         assert verify_continuation(t, extend_with_rest(parse_strategy("stop"), dec), g)
         assert verify_continuation(extend_with_rest(parse_strategy("stop"), dec), t, g)
+
+
+# ---------------------------------------------------------------------------
+# Column form of cluster-revealing strategies
+
+
+def _run_masks(t, g, m1):
+    """(queried, S) masks of one run against c1 = m1 and an empty c2."""
+    tr = run(t, g, Configuration(g, m1), Configuration(g, 0))
+    return (sum(1 << g.edge_index(e) for e in tr.queried), tr.s_mask(g))
+
+
+def _assert_columns_match_runs(t, g, cols, n):
+    queried, s = t._reveal_columns(g, cols, n)
+    assert len(queried) == len(s) == g.n_edges
+    got = list(zip(_transpose(queried, n), _transpose(s, n)))
+    assert got == [_run_masks(t, g, m1) for m1 in _transpose(cols, n)]
+
+
+@st.composite
+def _covered_case(draw):
+    """A random graph, a covered strategy on its vertices (possibly behind a
+    continuation), and its periodic columns or sampled ones."""
+    g = draw(_graphs())
+    vertex = st.sampled_from(g.vertices)
+    decision = st.sampled_from((S, SBAR))
+
+    def dfs():
+        return f"dfs:{draw(vertex)},id,{draw(decision)}"
+
+    kind = draw(st.sampled_from(("stop", "reveal_all", "bfs_cluster", "dfs", "seq")))
+    if kind == "stop":
+        spec = "stop"
+    elif kind == "reveal_all":
+        spec = f"reveal_all:{draw(decision)}"
+    elif kind == "bfs_cluster":
+        spec = f"bfs_cluster:{draw(vertex)}"
+    elif kind == "dfs":
+        spec = dfs()
+    else:
+        spec = "seq:[" + ";".join(dfs() for _ in range(draw(st.integers(1, 3)))) + "]"
+    t = parse_strategy(spec)
+    if draw(st.booleans()):
+        t = extend_with_rest(t, draw(decision))
+    if draw(st.booleans()):
+        n = 1 << g.n_edges
+        cols = _columns(g.n_edges)
+    else:
+        n = draw(st.integers(1, 200))
+        cols = _edge_bit_columns(g, n, draw(st.integers(0, 2 ** 32)), g.n_edges, 0)
+    return t, g, cols, n
+
+
+@given(_covered_case())
+@settings(max_examples=200, deadline=None)
+def test_reveal_columns_equal_runs(case):
+    _assert_columns_match_runs(*case)
+
+
+@pytest.mark.parametrize("spec", [
+    "bfs_cluster:b", "dfs:a,right_hand,S", "dfs:c,left_hand,Sbar",
+    "seq:[dfs:c,id,S;dfs:a,id,Sbar;dfs:b,id,S]",
+    "seq:[dfs:b,right_hand,S;dfs:a,left_hand,Sbar;dfs:c,id,S]",
+])
+def test_reveal_columns_equal_runs_on_grids(spec):
+    # every configuration of grid:3,3, and samples of grid:5,5 (hand orders
+    # need the families' rotations)
+    t = parse_strategy(spec)
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    _assert_columns_match_runs(t, g, _columns(g.n_edges), 1 << g.n_edges)
+    g = graph_from_spec("family:grid:5,5,p=0.5")
+    _assert_columns_match_runs(t, g, _edge_bit_columns(g, 500, 3, g.n_edges, 0), 500)
+
+
+class _Delegate(Strategy):
+    """The policy of another strategy, without its column form."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def policy(self, g):
+        return self.inner.policy(g)
+
+
+@pytest.mark.parametrize("t", [
+    parse_strategy("dfs_stop_at:a,b,c"),
+    parse_strategy("dfs:a,id,until:c"),
+    parse_strategy("seq:[dfs:a,id,S;dfs:b,id,untilany:c+a]"),
+    parse_strategy("rhw_walks:a,b,2"),
+    extend_with_rest(parse_strategy("dfs:a,right_hand,until:c"), S),
+    _Delegate(parse_strategy("bfs_cluster:a")),
+], ids=repr)
+def test_order_dependent_strategies_have_no_column_form(t):
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    assert t._reveal_columns(g, _columns(g.n_edges), 1 << g.n_edges) is None
+
+
+@pytest.mark.parametrize("spec, gspec, match", [
+    ("bfs_cluster:zz", "family:cycle:3,p=0.5", "unknown start vertex 'zz'"),
+    ("dfs:zz,id,S", "family:cycle:3,p=0.5", "unknown start vertex 'zz'"),
+    ("seq:[dfs:a,id,S;dfs:zz,id,Sbar]", "family:cycle:3,p=0.5", "unknown start vertex 'zz'"),
+    ("dfs:a,right_hand,S", "family:complete:4,p=0.5", "rotation"),
+    ("seq:[dfs:a,id,S;dfs:b,left_hand,S]", "family:complete:4,p=0.5", "rotation"),
+    ("dfs:v1_1,right_hand,S", "family:grid:3,3,p=0.5", "outer face"),
+])
+def test_reveal_columns_raise_what_runs_raise(spec, gspec, match):
+    g = graph_from_spec(gspec)
+    t = parse_strategy(spec)
+    with pytest.raises(StrategyError, match=match):
+        run(t, g, _all_open(g), _all_closed(g))
+    with pytest.raises(StrategyError, match=match):
+        t._reveal_columns(g, _columns(g.n_edges), 1 << g.n_edges)
