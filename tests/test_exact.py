@@ -13,6 +13,7 @@ from percolab.strategies import Strategy, S, splice_mask
 from percolab.events import sq_s_occurrence
 
 from test_enumeration import _events, _graphs
+from test_strategies import _Delegate
 
 TOL = 1e-12
 
@@ -204,17 +205,6 @@ def test_vdbk_classical_anchor():
         w[m] for m in range(len(w))
         if disjoint_occurrence(A, A, g, Configuration(g, m)))
     assert sqs == pytest.approx(direct, abs=TOL)
-
-
-class _Delegate(Strategy):
-    """The policy of another strategy behind a plain subclass, which has no
-    column form: the engines run it once per configuration."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def policy(self, g):
-        return self.inner.policy(g)
 
 
 def _increasing(names):

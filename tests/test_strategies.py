@@ -370,7 +370,8 @@ def test_reveal_columns_equal_runs_on_grids(spec):
 
 
 class _Delegate(Strategy):
-    """The policy of another strategy, without its column form."""
+    """The policy of another strategy behind a plain subclass, which has no
+    column form: the engines run it once per configuration."""
 
     def __init__(self, inner):
         self.inner = inner
