@@ -11,7 +11,7 @@ Grammar (ASCII)::
 
 Names match [A-Za-z_][A-Za-z0-9_]*; 'U' and 'npaths' are reserved.  The
 partition bar binds tighter than '&', which binds tighter than 'U'; '!' is
-prefix negation.
+prefix negation.  At most 100 '(' and '!' may be open at once.
 
 A partition atom holds when every group sits inside one open cluster and
 distinct groups sit in distinct clusters.  ``npaths(u,v,n)`` holds when the
@@ -87,6 +87,9 @@ class Monotonicity(enum.Enum):
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+)|([,|&!()U]))")
 _RESERVED = {"U", "npaths"}
+# the parser spends about three frames per '(' and the walkers one per
+# level, so nesting stays far below the interpreter's recursion limit
+_MAX_NESTING = 100
 
 
 class _Parser:
@@ -114,6 +117,7 @@ class _Parser:
                 self.toks.append(("op", sym, at))
             pos = m.end()
         self.i = 0
+        self.depth = 0  # '(' and '!' open around the current factor
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", len(self.text))
@@ -141,15 +145,19 @@ class _Parser:
 
     def factor(self):
         t = self.peek()
-        if t[:2] == ("op", "!"):
-            self.take()
-            return Complement(self.factor())
-        if t[:2] == ("op", "("):
-            self.take()
+        if t[:2] not in (("op", "!"), ("op", "(")):
+            return self.atom()
+        self.take()
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise EventSyntaxError(f"more than {_MAX_NESTING} nested '(' or '!'", t[2])
+        if t[1] == "!":
+            e = Complement(self.factor())
+        else:
             e = self.expr()
             self.take("op", ")")
-            return e
-        return self.atom()
+        self.depth -= 1
+        return e
 
     def atom(self):
         t = self.peek()
@@ -397,10 +405,15 @@ def _served_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int,
     An entry serves any cap up to the one it was built for.  It serves every
     cap once its list is complete: when it ended below its cap, or the cap
     reached the smaller degree of u and v, every deeper level is 0 (every
-    configuration when u == v).
+    configuration when u == v).  A first request builds to its own cap
+    (building to the smaller degree nearly doubles a lone ``npaths(u,v,2)``
+    between degree-4 vertices of ``grid:4,4``); a second miss builds every
+    level, so ascending scans over n build twice at most.
     """
     hit = cache.get((u, v))
     if hit is None or cap > hit[0]:
+        if hit is not None:
+            cap = math.inf
         levels = _flow_levels(g, cols, n, u, v, cap)
         complete = len(levels) < cap or cap >= min(g.degree(u), g.degree(v))
         hit = cache[u, v] = (math.inf if complete else cap, levels)

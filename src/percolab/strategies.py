@@ -12,12 +12,14 @@ of revealed bits via send().  This makes adaptedness structural: a policy
 only ever sees what it has queried.
 
 The catalog (``parse_strategy``; ``make_strategy(kind, *args)`` builds the
-spec text) is made of depth-first passes that share the set of queried
-edges.  A pass reveals from a start vertex along edges open in c1, scanning
+spec text) is made of reveal passes that share the set of queried edges.
+A pass reveals from a start vertex along edges open in c1, scanning
 candidates in ``id``, ``right_hand`` or ``left_hand`` order (the hand rules
 need a rotation and outer anchor), and assigns ``S`` or ``Sbar`` to all it
 queries, or S until it visits a target (``until:w``, ``untilany:w+x``),
-which ends the run.
+which ends the run.  Passes are depth-first, or breadth-first for
+``bfs_cluster``; one iterative scan (``_scan``) runs them all, with no
+depth limit.
 
 * ``dfs:v,ORDER,DEC``; ``dfs_stop_at:v,w,x`` is ``dfs:v,id,untilany:w+x``.
 * ``seq:[dfs:...;dfs:...]``  passes in turn, each restarting vertex visits.
@@ -32,8 +34,8 @@ The spec text is the strategy's name.
 ``run`` records the steps of one configuration pair; it is the public
 per-pair view.  The engines read a strategy through ``_revealed`` instead,
 which gives the queried and S sets of many configurations at once as edge
-columns (bit i of column j: edge j in configuration i).  ``bfs_cluster``,
-passes without targets (``dfs:v,ORDER,S|Sbar``, ``seq`` lists of them and
+columns (bit i of column j: edge j in configuration i).  Passes without
+targets (``bfs_cluster``, ``dfs:v,ORDER,S|Sbar``, ``seq`` lists of them and
 ``stop``) and continuations of those (``reveal_all``) reveal a reach fixed
 point, whatever their scan order: pass k reaches from its start over the
 open edges that no earlier pass queried, and queries the unqueried edges at
@@ -51,6 +53,7 @@ open hugs the boundary.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -176,7 +179,7 @@ def splice_mask(m1: int, m2: int, s_mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shared depth-first machinery
+# Reveal passes
 
 
 def _outer_leaving_edge(g: Graph, v: str) -> str:
@@ -189,7 +192,7 @@ def _outer_leaving_edge(g: Graph, v: str) -> str:
 
 
 def _candidates(g: Graph, v: str, arrival: str | None, order: str):
-    if order == "id":
+    if order in ("id", "bfs"):
         return g.incident[v]
     if g.rotation is None or g.outer_anchor is None:
         raise StrategyError(f"{order} order needs a rotation and outer anchor")
@@ -211,13 +214,16 @@ def _touching(g, reach) -> list[int]:
     return [reach[x] | reach[y] for _, x, y in g.edges]
 
 
-def _dfs_pass(g, start, order, decision, targets, queried):
-    """One depth-first reveal; returns True when a target stopped the pass.
+def _scan(g, start, order, decision, targets, queried):
+    """One reveal pass; returns True when a target stopped the pass.
 
     decision is "S" or "Sbar" applied to every queried edge; passes with
     targets always assign S (they stop as soon as a target is visited).
     Traversal follows edges open in c1 only, but closed candidates are still
-    queried as they are scanned.
+    queried as they are scanned.  The frontier holds (vertex, candidates)
+    entries of the visited vertices: depth-first orders read the newest, so
+    they descend along each open edge as soon as it is revealed, and ``bfs``
+    reads the oldest; an entry leaves when its candidates run out.
     """
     _check_start(g, start)
     for w in targets:
@@ -226,11 +232,14 @@ def _dfs_pass(g, start, order, decision, targets, queried):
     if start in targets:
         return True
     visited = {start}
-
-    def go(v, arrival):
-        for e in _candidates(g, v, arrival, order):
-            if e in queried:
-                continue
+    frontier = deque([(start, iter(_candidates(g, start, None, order)))])
+    read = 0 if order == "bfs" else -1
+    while frontier:
+        v, cands = frontier[read]
+        e = next(cands, None)
+        if e is None:
+            del frontier[read]
+        elif e not in queried:
             queried.add(e)
             b1, _b2 = yield (e, decision)
             if b1:
@@ -239,11 +248,8 @@ def _dfs_pass(g, start, order, decision, targets, queried):
                     visited.add(u)
                     if u in targets:
                         return True
-                    if (yield from go(u, e)):
-                        return True
-        return False
-
-    return (yield from go(start, None))
+                    frontier.append((u, iter(_candidates(g, u, e, order))))
+    return False
 
 
 class _Passes(Strategy):
@@ -256,7 +262,7 @@ class _Passes(Strategy):
     def policy(self, g):
         queried = set()
         for start, order, decision, targets in self.passes:
-            if (yield from _dfs_pass(g, start, order, decision, targets, queried)):
+            if (yield from _scan(g, start, order, decision, targets, queried)):
                 return
 
     def _reveal_columns(self, g, cols, n):
@@ -278,39 +284,6 @@ class _Passes(Strategy):
         return queried, s
 
 
-class _BfsCluster(Strategy):
-    """Reveal every edge with an end in the start vertex's open cluster, to S."""
-
-    def __init__(self, v):
-        self.start = v
-        self.name = f"bfs_cluster:{v}"
-
-    def policy(self, g):
-        _check_start(g, self.start)
-        visited = {self.start}
-        queue = [self.start]
-        qi = 0
-        queried = set()
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for e in g.incident[v]:
-                if e in queried:
-                    continue
-                queried.add(e)
-                b1, _b2 = yield (e, S)
-                if b1:
-                    u = g.other_end(e, v)
-                    if u not in visited:
-                        visited.add(u)
-                        queue.append(u)
-
-    def _reveal_columns(self, g, cols, n):
-        _check_start(g, self.start)
-        queried = _touching(g, _reach_masks(g, cols, n, (self.start,))[self.start])
-        return queried, queried
-
-
 class _RhwWalks(Strategy):
     """k right-hand walks from a toward b, all to S; unlike a pass list, the
     run ends at the first walk that misses b."""
@@ -321,8 +294,8 @@ class _RhwWalks(Strategy):
     def policy(self, g):
         queried = set()
         for _ in range(self.k):
-            if not (yield from _dfs_pass(g, self.a, "right_hand", S,
-                                         frozenset((self.b,)), queried)):
+            if not (yield from _scan(g, self.a, "right_hand", S,
+                                     frozenset((self.b,)), queried)):
                 return
 
 
@@ -407,7 +380,7 @@ def _build(spec):
     if kind == "reveal_all" and len(args) == 1 and args[0] in (S, SBAR):
         return _ExtendRest(_Passes(()), args[0])
     if kind == "bfs_cluster" and len(args) == 1:
-        return _BfsCluster(args[0])
+        return _Passes(((args[0], "bfs", S, frozenset()),))
     if kind == "dfs":
         return _Passes((_pass(spec),))
     if kind == "seq" and rest[:1] + rest[-1:] == "[]":

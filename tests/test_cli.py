@@ -108,6 +108,22 @@ def test_unknown_start_vertex_exits_2(runner, check, spec, method):
     assert "unknown start vertex 'zz'" in res.output
 
 
+def test_mc_pair_on_a_1500_edge_open_path_exits_0(runner):
+    # the depth-first pass walks all 1500 edges before it reaches b
+    res = runner.invoke(main, ["check", "hk_tree", "--graph", "family:path:1500,p=0.999",
+                               "--strategy", "dfs:a,id,until:b", "--events", "a,b", "a,b",
+                               "--method", "mc", "--samples", "10", "--seed", "1"])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("event", ["(" * 400 + "a,b" + ")" * 400, "!" * 2000 + "a,b"])
+def test_event_nested_past_the_parser_bound_exits_2(runner, event):
+    res = runner.invoke(main, ["estimate", "--graph", "family:cycle:3,p=0.5",
+                               "--event", event])
+    assert res.exit_code == 2, res.output
+    assert "more than 100 nested '(' or '!' (at position 100)" in res.output
+
+
 def test_conj3_scan_without_three_marks_exits_2(runner):
     res = runner.invoke(main, ["check", "conj3", "--graph", "family:parallel:3,q=0.5"])
     assert res.exit_code == 2

@@ -36,6 +36,16 @@ def test_parse_errors(text):
         parse_event(text)
 
 
+@pytest.mark.parametrize("head, tail", [("(" * 100, ")" * 100), ("!" * 100, ""),
+                                        ("!(" * 50, ")" * 50)])
+def test_parse_bounds_nesting_at_100(head, tail):
+    parse_event(head + "a,b" + tail)
+    for deeper in ("(a,b)", "!a,b"):
+        with pytest.raises(EventSyntaxError, match="more than 100 nested") as got:
+            parse_event(head + deeper + tail)
+        assert got.value.pos == len(head)
+
+
 _names = st.sampled_from(["a", "b", "c", "x1", "v2"])
 
 

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from percolab import (Configuration, Monotonicity, SizeGuardError, exact_npaths,
                       exact_pair, exact_prob, generate, graph_from_spec, monotonicity,
-                      parse_event, parse_strategy, run, verify_splice_independence)
+                      parse_event, parse_strategy, run, scan_conjectures,
+                      verify_splice_independence)
 from percolab import events
 from percolab.exact import Joint, SqS, truth_table, weights
 from percolab.strategies import Strategy, S, splice_mask
@@ -255,8 +256,24 @@ def test_npaths_flow_levels_served_from_the_graph_cache(monkeypatch):
     assert exact_npaths(g, "a", "c", 3) == fresh("npaths(a,c,3)")
     assert [c[1:] for c in calls if c[0] is g] == [("a", "c", 2)]
     # v1_1 and v0_1 have degrees 4 and 3: the levels for n = 2 serve no
-    # deeper n, and those for n = 3 serve n = 2 in another event
+    # deeper n, so n = 3 builds every level, which serve n = 2 in another event
     for text in ("npaths(v1_1,v0_1,2)", "npaths(v1_1,v0_1,3)", "npaths(v1_1,v0_1,2) U a,c"):
         assert exact_prob(g, parse_event(text)) == fresh(text)
     assert [c[1:] for c in calls if c[0] is g] == \
-        [("a", "c", 2), ("v1_1", "v0_1", 2), ("v1_1", "v0_1", 3)]
+        [("a", "c", 2), ("v1_1", "v0_1", 2), ("v1_1", "v0_1", math.inf)]
+
+
+def test_ascending_npaths_scan_builds_flow_levels_twice(monkeypatch):
+    calls = []
+    inner = events._flow_levels
+
+    def counted(*args):
+        calls.append(args[3:])
+        return inner(*args)
+
+    monkeypatch.setattr(events, "_flow_levels", counted)
+    # the marks have degree 5, and the scan asks n = 1, 2, ..., 5 in turn
+    reps = scan_conjectures("logconcave", graph_from_spec("family:parallel:5,q=0.5"),
+                            {"nmax": 5})
+    assert reps and all(r.verdict == "holds" for r in reps)
+    assert calls == [("a", "b", 2), ("a", "b", math.inf)]

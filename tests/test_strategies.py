@@ -152,6 +152,17 @@ def test_rhw_walks_peel_disjoint_routes():
     assert tr.s_edges == frozenset(st.edge for st in tr.steps)
 
 
+@pytest.mark.parametrize("spec", ["dfs:a,id,S", "dfs:a,id,until:b", "dfs:a,right_hand,until:b",
+                                  "rhw_walks:a,b,1", "bfs_cluster:a"])
+def test_passes_walk_a_1500_edge_open_path(spec):
+    # a depth-first pass is 1500 vertices deep here; the scan holds them in
+    # its frontier, not in nested frames
+    g = graph_from_spec("family:path:1500,p=0.5")
+    tr = run(parse_strategy(spec), g, _all_open(g), _all_closed(g))
+    assert tr.queried == g.edge_ids
+    assert len(tr.steps) == 1500
+
+
 def test_right_hand_requires_rotation():
     g = generate("complete", 4, p=0.5)
     with pytest.raises(StrategyError, match="rotation"):

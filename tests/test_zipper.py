@@ -4,7 +4,7 @@ import pytest
 
 from percolab import (PercolabError, exact_pair, exact_prob, generate,
                       graph_from_spec, parse_event, parse_strategy)
-from percolab.exact import Joint
+from percolab.exact import Joint, SqS
 from percolab.strategies import S
 from percolab.zipper import (AdaptiveChoice, BowtieEvent, ConstChoice,
                              GeneralStrategy, ProductEvent, SplitChoice,
@@ -206,35 +206,28 @@ def test_richards_single_edge_values():
 
 
 class _TreeAdapter(GeneralStrategy):
-    """Drive a reveal strategy through the paired-bit preset: the second
-    measure plays the revealed set (both digits equal), the first measure
-    plays its complement (independent digits)."""
+    """Replay a catalog reveal strategy on the first-layer bits drawn so far:
+    the edges it puts in S draw from measure ``s_measure``, every other edge,
+    revealed or not, from the other one.  Catalog strategies read the first
+    configuration only, so the replay feeds them no second bit."""
 
-    def __init__(self, strategy):
+    def __init__(self, strategy, s_measure):
         self.strategy = strategy
+        self.s_measure = s_measure
         self.name = f"adapter:{strategy.name}"
 
     def choose(self, prefix, g):
+        drawn = {eid: sym for eid, _which, sym in prefix}
         gen = self.strategy.policy(g)
-        assigned = {eid: sym for eid, _which, sym in prefix}
         try:
             edge, dec = next(gen)
-            k = 0
-            while True:
-                if edge not in assigned:
-                    break
-                sym = assigned[edge]
-                bits = (sym[0] == "1", sym[1] == "1")
-                k += 1
-                edge, dec = gen.send(bits)
+            while edge in drawn:
+                edge, dec = gen.send((drawn[edge][0] == "1", False))
+            return edge, self.s_measure if dec == S else 3 - self.s_measure
         except StopIteration:
-            edge, dec = None, None
-        if edge is not None:
-            return edge, (2 if dec == S else 1)
-        for eid in g.edge_ids:
-            if eid not in assigned:
-                return eid, 1
-        return None
+            pass
+        rest = [eid for eid in g.edge_ids if eid not in drawn]
+        return (rest[0], 3 - self.s_measure) if rest else None
 
 
 @pytest.mark.parametrize("spec", ["bfs_cluster:a", "dfs_stop_at:a,b,c", "stop"])
@@ -247,13 +240,33 @@ def test_hk_preset_specializes_to_pair_engine(spec):
     t = parse_strategy(spec)
     A, B = parse_event("a,b"), parse_event("b,c")
     ev = lambda gg: ProductEvent(gg, (A, B))
-    pm = event_probability(gen_enumerate(g, ds, _TreeAdapter(t)), ev(g))
+    pm = event_probability(gen_enumerate(g, ds, _TreeAdapter(t, 2)), ev(g))
     want = exact_pair(g, t, Joint(A, B))
     assert pm == pytest.approx(want, abs=TOL)
     # and the whole sandwich agrees with the product / intersection endpoints
-    rep = check_gen_inequality(g, ds, _TreeAdapter(t), ev)
+    rep = check_gen_inequality(g, ds, _TreeAdapter(t, 2), ev)
     assert rep.ok
     assert rep.p_all1 == pytest.approx(exact_prob(g, A) * exact_prob(g, B), abs=TOL)
+
+
+@pytest.mark.parametrize("spec", ["bfs_cluster:a", "dfs:a,right_hand,until:c",
+                                  "dfs_stop_at:a,b,c", "stop", "reveal_all:S"])
+@pytest.mark.parametrize("gspec, p", [("family:cycle:4,p=0.5", 0.5),
+                                      ("family:grid:3,2,p=0.5", 0.5),
+                                      ("family:theta:3,p=0.25", 0.25)])
+def test_tree_pair_queries_are_dual_measure_trees(gspec, p, spec):
+    # the tree HK and vdBK bounds as zipper trees: hk draws S from the
+    # diagonal pair (the splice copies c1 there), vdbk draws S as one bit
+    # that may serve only one witness, and both draw the rest as two bits
+    g = graph_from_spec(gspec)
+    t = parse_strategy(spec)
+    A, B = parse_event("a,b"), parse_event("b,c")
+    hk, vdbk = build_preset("hk", p), build_preset("vdbk", p)
+    joint = event_probability(gen_enumerate(g, hk, _TreeAdapter(t, 2)), ProductEvent(g, (A, B)))
+    assert joint == pytest.approx(exact_pair(g, t, Joint(A, B)), abs=TOL)
+    sqs = event_probability(gen_enumerate(g, vdbk, _TreeAdapter(t, 1)),
+                            BowtieEvent(g, [(A, B)], vdbk.caps))
+    assert sqs == pytest.approx(exact_pair(g, t, SqS(A, B)), abs=TOL)
 
 
 def test_condition_worst_case_is_reported():
