@@ -14,10 +14,12 @@ where it is open, and events are evaluated for all samples at once by the
 column evaluator of ``events``, the one the exact engine runs on periodic
 columns, disjoint-path counts included.  A pair query reads the revealed
 set S as edge columns too: cluster-revealing strategies give them from
-reachability on the c1 columns, and the others run once per sample pair,
-with the masks transposed from and back into columns.  Per-sample masks
-are otherwise transposed only for the witness splits of SqS queries, which
-search one sample at a time.  No graph size limit applies.
+reachability on the c1 columns, target-stopped passes and ``rhw_walks``
+from one lock-step scan of every sample's frontier (from 64 samples up),
+and only user ``Strategy`` subclasses run once per sample pair, with the
+masks transposed from and back into columns.  Per-sample masks are otherwise
+transposed only for the witness splits of SqS queries, which search one
+sample at a time.  No graph size limit applies.
 """
 
 from __future__ import annotations

@@ -40,9 +40,12 @@ targets (``bfs_cluster``, ``dfs:v,ORDER,S|Sbar``, ``seq`` lists of them and
 point, whatever their scan order: pass k reaches from its start over the
 open edges that no earlier pass queried, and queries the unqueried edges at
 the vertices it reaches.  Their ``_reveal_columns`` reads it from the
-bit-parallel reachability of ``events``.  Target-stopped passes,
-``rhw_walks`` and user subclasses have no column form, so ``_revealed``
-runs them once per configuration and transposes the masks into columns.
+bit-parallel reachability of ``events``.  Pass lists with a target and
+``rhw_walks`` run ``_scan_columns``, a numpy twin of ``_scan`` that steps
+the frontiers of every configuration in lock step; under 64 configurations
+they run once per configuration instead, which costs less.  Only user
+subclasses have no column form; ``_revealed`` runs them once per
+configuration and transposes the masks into columns.
 
 The hand rules: arriving at v along edge e, candidates are scanned starting
 from the sharpest right turn, i.e. counterclockwise from e through the stored
@@ -56,6 +59,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from . import config
 from .errors import SizeGuardError, StrategyError
@@ -146,11 +151,14 @@ def _revealed(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None):
 
     cols1 and cols2 are the edge columns of c1 and c2; cols2 None means c2
     is empty in every pair.  The columns come from ``_reveal_columns``, or
-    else from one run per pair, transposed.
+    else from one run per pair (``_run_columns``).
     """
     got = t._reveal_columns(g, cols1, n)
-    if got is not None:
-        return got
+    return got if got is not None else _run_columns(g, t, n, cols1, cols2)
+
+
+def _run_columns(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None):
+    """``_revealed`` from one run per configuration pair, transposed."""
     m2s = _transpose(cols2, n) if cols2 is not None else [0] * n
     queried, s_masks = [], []
     for m1, m2 in zip(_transpose(cols1, n), m2s):
@@ -191,22 +199,37 @@ def _outer_leaving_edge(g: Graph, v: str) -> str:
     raise StrategyError(f"vertex {v!r} does not lie on the outer face")
 
 
-def _candidates(g: Graph, v: str, arrival: str | None, order: str):
+def _scan_order(g: Graph, v: str, arrival: str | None, order: str):
+    """(seq, i, step): the candidates of v, reached along ``arrival`` (None
+    at the start), are seq[(i + step*k) % len(seq)] for k = 1 .. len(seq)."""
     if order in ("id", "bfs"):
-        return g.incident[v]
+        return g.incident[v], -1, 1
     if g.rotation is None or g.outer_anchor is None:
         raise StrategyError(f"{order} order needs a rotation and outer anchor")
     rot = g.rotation[v]
-    d = len(rot)
     i = rot.index(arrival if arrival is not None else _outer_leaving_edge(g, v))
-    if order == "left_hand":  # clockwise successors, arrival last
-        return [rot[(i + k) % d] for k in range(1, d + 1)]
-    return [rot[(i - k) % d] for k in range(1, d + 1)]
+    # left_hand takes clockwise successors, right_hand counterclockwise; arrival last
+    return rot, i, (1 if order == "left_hand" else -1)
 
 
-def _check_start(g, start):
+def _candidates(g: Graph, v: str, arrival: str | None, order: str):
+    if order in ("id", "bfs"):  # the hot path of runs: no list is built
+        return g.incident[v]
+    rot, i, step = _scan_order(g, v, arrival, order)
+    d = len(rot)
+    return [rot[(i + step * k) % d] for k in range(1, d + 1)]
+
+
+def _first_candidates(g, start, order, targets):
+    """The start's candidates, or None when the start is a target.  Raises
+    what a run of the pass raises before its first query, in the same order:
+    the start vertex, the targets, then the start's candidates."""
     if start not in g._vidx:
         raise StrategyError(f"unknown start vertex {start!r}")
+    for w in targets:
+        if w not in g._vidx:
+            raise StrategyError(f"unknown target vertex {w!r}")
+    return None if start in targets else _candidates(g, start, None, order)
 
 
 def _touching(g, reach) -> list[int]:
@@ -225,14 +248,11 @@ def _scan(g, start, order, decision, targets, queried):
     they descend along each open edge as soon as it is revealed, and ``bfs``
     reads the oldest; an entry leaves when its candidates run out.
     """
-    _check_start(g, start)
-    for w in targets:
-        if w not in g._vidx:
-            raise StrategyError(f"unknown target vertex {w!r}")
-    if start in targets:
+    first = _first_candidates(g, start, order, targets)
+    if first is None:
         return True
     visited = {start}
-    frontier = deque([(start, iter(_candidates(g, start, None, order)))])
+    frontier = deque([(start, iter(first))])
     read = 0 if order == "bfs" else -1
     while frontier:
         v, cands = frontier[read]
@@ -252,6 +272,133 @@ def _scan(g, start, order, decision, targets, queried):
     return False
 
 
+# Lock-step scans keep [b, V] frontier and [b, E] edge arrays per block of b
+# configurations: b is at most 2^16, and smaller on graphs with over 64
+# vertices and edges, so that a block holds about 2^22 cells (some 30 MB).
+_BLOCK = 1 << 16
+_BLOCK_CELLS = 1 << 22
+# Each lock-step iteration costs some 50 numpy calls whatever the number of
+# configurations, so under this many one run per configuration is cheaper.
+_MIN_LOCKSTEP = 64
+
+
+def _lockstep(g, t, passes, cols, n, scan):
+    """(queried, S) edge columns of strategy t, made of the given passes, on
+    the n configurations c1 given as edge columns.
+
+    Every pass is checked first, as its run would check it.  The plan holds
+    (``_pass_table``, decision, targets) of each pass up to the first that
+    starts on one of its targets, which stops every run before it queries an
+    edge; ``scan(plan, open1, queried, s)`` fills the [b, E] bool arrays of
+    each block of b configurations.  Columns are unpacked into blocks and
+    packed back as ``events._transpose`` does.
+    """
+    for start, order, _, targets in passes:
+        _first_candidates(g, start, order, targets)
+    if n < _MIN_LOCKSTEP:
+        return _run_columns(g, t, n, cols)
+    plan = []
+    for start, order, decision, targets in passes:
+        if start in targets:
+            break
+        plan.append((_pass_table(g, start, order), decision, targets))
+    block = min(_BLOCK, max(8, _BLOCK_CELLS // (g.n_vertices + g.n_edges) // 8 * 8))
+    nbytes = (n + 7) // 8
+    packed = np.frombuffer(b"".join(c.to_bytes(nbytes, "little") for c in cols),
+                           np.uint8).reshape(len(cols), nbytes)
+    out = np.zeros((2, len(cols), nbytes), np.uint8)
+    for lo in range(0, n, block):
+        b = min(block, n - lo)
+        span = slice(lo // 8, (lo + b + 7) // 8)
+        open1 = np.ascontiguousarray(np.unpackbits(
+            packed[:, span], axis=1, count=b, bitorder="little").T).view(bool)
+        revealed = np.zeros((2, b, len(cols)), bool)  # queried, S
+        scan(plan, open1, *revealed)
+        out[:, :, span] = np.packbits(revealed, axis=1, bitorder="little").transpose(0, 2, 1)
+    return tuple([int.from_bytes(row.tobytes(), "little") for row in half] for half in out)
+
+
+def _pass_table(g, start, order):
+    """The states of a pass as arrays.  State 0 is (start, None); state
+    1 + 2j is (x, e_j) and 2 + 2j is (y, e_j) for edge e_j = (x, y).  Gives
+    the vertices' scan sequences (``_scan_order``) as edge indices, flat;
+    each state's vertex, scan index, and the offset and length of its
+    vertex's sequence; the scan step; and whether the frontier is read at its
+    newest entry."""
+    keys = [(start, None)] + [(v, e) for e, x, y in g.edges for v in (x, y)]
+    seqs, index = {}, []
+    for v, arrival in keys:
+        seqs[v], i, step = _scan_order(g, v, arrival, order)
+        index.append(i)
+    length = np.array([len(seqs.get(v, ())) for v in g.vertices], np.int64)
+    offset = np.cumsum(length) - length
+    seq = np.array([g._eidx[e] for v in g.vertices for e in seqs.get(v, ())], np.int32)
+    vertex = np.array([g._vidx[v] for v, _ in keys], np.int32)
+    return (seq, vertex, np.array(index, np.int32), offset[vertex], length[vertex],
+            step, order != "bfs")
+
+
+def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
+    """Numpy twin of ``_scan``: one pass over the configurations ``rows`` of
+    a block, whose [b, E] bool arrays hold c1 (open1) and the queried and S
+    edges so far; returns, per row, whether a target stopped the pass.
+
+    ``table`` is the pass's ``_pass_table``.  Every configuration keeps its
+    own frontier of V slots: a slot holds a state (vertex, arrival edge) and
+    the position of its next candidate, and the live slots lie between head
+    and tail.  Each loop iteration is one iteration of ``_scan``'s loop in
+    every running configuration.
+    """
+    seq, vertex, index, offset, length, step, newest = table
+    is_target = np.zeros(g.n_vertices, bool)
+    is_target[[g._vidx[w] for w in targets]] = True
+    first_end = np.array(g._u_arr, np.int32)
+    end_sum = first_end + np.array(g._v_arr, np.int32)  # other end = end_sum - this end
+    # per-configuration arrays of V slots, flattened: slot k of row i is base[i] + k;
+    # positions take the smallest signed type that holds every vertex degree
+    base = np.arange(len(rows)) * g.n_vertices
+    state = np.zeros(len(rows) * g.n_vertices, np.int32)  # state 0 is (start, None)
+    pos = np.zeros(len(rows) * g.n_vertices, np.min_scalar_type(-1 - int(length.max())))
+    visited = np.zeros(len(rows) * g.n_vertices, bool)
+    visited[base + vertex[0]] = True
+    head, tail = base.copy(), base + 1  # the live slots of row i are head[i] .. tail[i] - 1
+    stopped = np.zeros(len(rows), bool)
+    q_flat, s_flat, open_flat = queried.reshape(-1), s.reshape(-1), open1.reshape(-1)
+    row_base = rows * open1.shape[1]
+    live = np.arange(len(rows))
+    while live.size:
+        at = tail[live] - 1 if newest else head[live]
+        st, p = state[at], pos[at]
+        out = p >= length[st]
+        if newest:
+            tail[live[out]] -= 1
+        else:
+            head[live[out]] += 1
+        i, at, st, p = live[~out], at[~out], st[~out], p[~out] + 1
+        pos[at] = p
+        e = seq[offset[st] + (index[st] + step * p) % length[st]]
+        qe = row_base[i] + e
+        new = ~q_flat[qe]
+        i, st, e, qe = i[new], st[new], e[new], qe[new]
+        q_flat[qe] = True
+        if decision == S:
+            s_flat[qe] = True
+        v = vertex[st]
+        u = end_sum[e] - v
+        cross = open_flat[qe] & ~visited[base[i] + u]
+        i, v, e, u = i[cross], v[cross], e[cross], u[cross]
+        visited[base[i] + u] = True
+        hit = is_target[u]
+        stopped[i[hit]] = True
+        i, v, e = i[~hit], v[~hit], e[~hit]
+        slot = tail[i]
+        state[slot] = 1 + 2 * e + (first_end[e] == v)
+        pos[slot] = 0
+        tail[i] = slot + 1
+        live = live[(head[live] < tail[live]) & ~stopped[live]]
+    return stopped
+
+
 class _Passes(Strategy):
     """(start, order, decision, targets) passes sharing the queried edges;
     the first pass that reaches a target ends the run."""
@@ -267,13 +414,17 @@ class _Passes(Strategy):
 
     def _reveal_columns(self, g, cols, n):
         if any(targets for *_, targets in self.passes):
-            return None
+            def scan(plan, open1, queried, s):
+                rows = np.arange(len(open1))
+                for item in plan:
+                    rows = rows[~_scan_columns(g, *item, open1, queried, s, rows)]
+            return _lockstep(g, self, self.passes, cols, n, scan)
+        for start, order, _, _ in self.passes:
+            _first_candidates(g, start, order, ())
         full = (1 << n) - 1
         queried = [0] * g.n_edges
         s = [0] * g.n_edges
         for start, order, decision, _ in self.passes:
-            _check_start(g, start)
-            _candidates(g, start, None, order)  # the errors of the pass's first scan
             free = [col & (full ^ q) for col, q in zip(cols, queried)]
             reach = _reach_masks(g, free, n, (start,))[start]
             for j, touch in enumerate(_touching(g, reach)):
@@ -297,6 +448,22 @@ class _RhwWalks(Strategy):
             if not (yield from _scan(g, self.a, "right_hand", S,
                                      frozenset((self.b,)), queried)):
                 return
+
+    def _reveal_columns(self, g, cols, n):
+        if self.k == 0:
+            return [0] * g.n_edges, [0] * g.n_edges
+
+        def scan(plan, open1, queried, s):
+            # the plan is empty when a == b: every walk then stops before its
+            # first query; a walk that hits b != a has queried a new edge, so
+            # at most E walks hit b before the rows run out
+            rows = np.arange(len(open1))
+            for _ in range(self.k if plan else 0):
+                if not rows.size:
+                    break
+                rows = rows[_scan_columns(g, *plan[0], open1, queried, s, rows)]
+        return _lockstep(g, self, [(self.a, "right_hand", S, frozenset((self.b,)))],
+                         cols, n, scan)
 
 
 class _ExtendRest(Strategy):

@@ -14,7 +14,7 @@ from percolab.strategies import Strategy, S, splice_mask
 from percolab.events import sq_s_occurrence
 
 from test_enumeration import _events, _graphs
-from test_strategies import _Delegate
+from test_strategies import _Delegate, _always_lockstep
 
 TOL = 1e-12
 
@@ -219,7 +219,9 @@ def _column_vs_run_case(draw):
     spec = draw(st.sampled_from((
         "stop", "reveal_all:S", "reveal_all:Sbar", "bfs_cluster:{}", "dfs:{},id,S",
         "dfs:{},id,Sbar", "seq:[dfs:{},id,S;dfs:{},id,Sbar]",
-        "seq:[dfs:{},id,Sbar;dfs:{},id,S;dfs:{},id,S]")))
+        "seq:[dfs:{},id,Sbar;dfs:{},id,S;dfs:{},id,S]", "dfs:{},id,until:{}",
+        "dfs:{},id,untilany:{}+{}", "dfs_stop_at:{},{},{}",
+        "seq:[dfs:{},id,Sbar;dfs:{},id,until:{};dfs:{},id,S]")))
     spec = spec.format(*(draw(v) for _ in range(spec.count("{}"))))
     return (g, spec, draw(_events(g.vertices)), draw(_events(g.vertices)),
             draw(_increasing(g.vertices)), draw(_increasing(g.vertices)))
@@ -233,9 +235,10 @@ def test_column_form_equals_run_fallback_exactly(case):
     runs = _Delegate(t)
     assert t._reveal_columns(g, [0] * g.n_edges, 1) is not None
     assert runs._reveal_columns(g, [0] * g.n_edges, 1) is None
-    assert exact_pair(g, t, Joint(A, B)) == exact_pair(g, runs, Joint(A, B))
-    assert exact_pair(g, t, SqS(A_inc, B_inc)) == exact_pair(g, runs, SqS(A_inc, B_inc))
-    assert verify_splice_independence(g, t) == verify_splice_independence(g, runs)
+    with _always_lockstep():
+        assert exact_pair(g, t, Joint(A, B)) == exact_pair(g, runs, Joint(A, B))
+        assert exact_pair(g, t, SqS(A_inc, B_inc)) == exact_pair(g, runs, SqS(A_inc, B_inc))
+        assert verify_splice_independence(g, t) == verify_splice_independence(g, runs)
 
 
 def test_npaths_flow_levels_served_from_the_graph_cache(monkeypatch):

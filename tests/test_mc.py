@@ -16,6 +16,7 @@ from percolab.strategies import run, splice_mask
 
 from oracles import evaluate_mask
 from test_enumeration import _events, _graphs
+from test_strategies import _Delegate
 
 
 def test_determinism_bit_for_bit():
@@ -236,6 +237,18 @@ def test_seeded_hit_counts_pinned():
         t = parse_strategy(spec)
         assert round(mc_pair(g, t, Joint(A, B), 2000, 7).mean * 2000) == joint, spec
         assert round(mc_pair(g, t, SqS(A, B), 400, 8).mean * 400) == sqs, spec
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("gspec, spec, query, n", [
+    ("family:grid:5,5,p=0.5", "dfs:a,right_hand,until:c", Joint, 2000),
+    ("family:grid:3,4,p=0.5", "dfs_stop_at:a,b,c", SqS, 300),
+])
+def test_target_stopped_columns_give_the_runs_estimate(gspec, spec, query, n, seed):
+    g = graph_from_spec(gspec)
+    t = parse_strategy(spec)
+    q = query(parse_event("a,b"), parse_event("b,c"))
+    assert mc_pair(g, t, q, n, seed) == mc_pair(g, _Delegate(t), q, n, seed)
 
 
 def _mix_array(z):

@@ -1,9 +1,12 @@
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolab import (Configuration, StrategyError, generate, graph_from_spec,
                       make_strategy, parse_strategy, run, splice, verify_continuation)
+from percolab import strategies
 from percolab.events import _columns, _transpose
 from percolab.mc import _edge_bit_columns
 from percolab.strategies import S, SBAR, Strategy, extend_with_rest
@@ -318,8 +321,20 @@ def _run_masks(t, g, m1):
     return (sum(1 << g.edge_index(e) for e in tr.queried), tr.s_mask(g))
 
 
+@contextmanager
+def _always_lockstep():
+    """Lock-step scans even on the few configurations that runs serve."""
+    saved = strategies._MIN_LOCKSTEP
+    strategies._MIN_LOCKSTEP = 0
+    try:
+        yield
+    finally:
+        strategies._MIN_LOCKSTEP = saved
+
+
 def _assert_columns_match_runs(t, g, cols, n):
-    queried, s = t._reveal_columns(g, cols, n)
+    with _always_lockstep():
+        queried, s = t._reveal_columns(g, cols, n)
     assert len(queried) == len(s) == g.n_edges
     got = list(zip(_transpose(queried, n), _transpose(s, n)))
     assert got == [_run_masks(t, g, m1) for m1 in _transpose(cols, n)]
@@ -327,16 +342,22 @@ def _assert_columns_match_runs(t, g, cols, n):
 
 @st.composite
 def _covered_case(draw):
-    """A random graph, a covered strategy on its vertices (possibly behind a
+    """A random graph, a catalog strategy on its vertices (possibly behind a
     continuation), and its periodic columns or sampled ones."""
     g = draw(_graphs())
     vertex = st.sampled_from(g.vertices)
     decision = st.sampled_from((S, SBAR))
 
     def dfs():
-        return f"dfs:{draw(vertex)},id,{draw(decision)}"
+        dec = draw(st.sampled_from((S, SBAR, "until", "untilany")))
+        if dec == "until":
+            dec = f"until:{draw(vertex)}"
+        elif dec == "untilany":
+            dec = f"untilany:{draw(vertex)}+{draw(vertex)}"
+        return f"dfs:{draw(vertex)},id,{dec}"
 
-    kind = draw(st.sampled_from(("stop", "reveal_all", "bfs_cluster", "dfs", "seq")))
+    kind = draw(st.sampled_from(("stop", "reveal_all", "bfs_cluster", "dfs", "seq",
+                                 "dfs_stop_at")))
     if kind == "stop":
         spec = "stop"
     elif kind == "reveal_all":
@@ -345,6 +366,8 @@ def _covered_case(draw):
         spec = f"bfs_cluster:{draw(vertex)}"
     elif kind == "dfs":
         spec = dfs()
+    elif kind == "dfs_stop_at":
+        spec = f"dfs_stop_at:{draw(vertex)},{draw(vertex)},{draw(vertex)}"
     else:
         spec = "seq:[" + ";".join(dfs() for _ in range(draw(st.integers(1, 3)))) + "]"
     t = parse_strategy(spec)
@@ -369,6 +392,8 @@ def test_reveal_columns_equal_runs(case):
     "bfs_cluster:b", "dfs:a,right_hand,S", "dfs:c,left_hand,Sbar",
     "seq:[dfs:c,id,S;dfs:a,id,Sbar;dfs:b,id,S]",
     "seq:[dfs:b,right_hand,S;dfs:a,left_hand,Sbar;dfs:c,id,S]",
+    "dfs:a,right_hand,until:c", "dfs:a,left_hand,until:b", "rhw_walks:a,c,2",
+    "rhw_walks:a,b,1000000", "dfs:b,right_hand,until:b",
 ])
 def test_reveal_columns_equal_runs_on_grids(spec):
     # every configuration of grid:3,3, and samples of grid:5,5 (hand orders
@@ -378,6 +403,37 @@ def test_reveal_columns_equal_runs_on_grids(spec):
     _assert_columns_match_runs(t, g, _columns(g.n_edges), 1 << g.n_edges)
     g = graph_from_spec("family:grid:5,5,p=0.5")
     _assert_columns_match_runs(t, g, _edge_bit_columns(g, 500, 3, g.n_edges, 0), 500)
+
+
+@pytest.mark.parametrize("gspec, spec", [
+    ("family:grid:5,5,p=0.5", "dfs:a,right_hand,until:c"),
+    ("family:grid:5,5,p=0.5", "seq:[dfs:c,id,until:b;dfs:a,left_hand,S]"),
+    # a and b have degree 200, past the 8-bit candidate positions
+    ("family:parallel:200,q=0.9", "rhw_walks:a,b,3"),
+])
+def test_reveal_columns_equal_runs_in_small_blocks(monkeypatch, gspec, spec):
+    monkeypatch.setattr(strategies, "_BLOCK", 16)
+    g = graph_from_spec(gspec)
+    n = 101  # six full blocks and a partial one
+    cols = _edge_bit_columns(g, n, 5, g.n_edges, 0)
+    _assert_columns_match_runs(parse_strategy(spec), g, cols, n)
+
+
+def test_lockstep_scans_serve_64_configurations_or_more(monkeypatch):
+    rows = []
+    inner = strategies._scan_columns
+
+    def counted(*args):
+        rows.append(len(args[-1]))
+        return inner(*args)
+
+    monkeypatch.setattr(strategies, "_scan_columns", counted)
+    t = parse_strategy("dfs:a,right_hand,until:c")
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    for n in (63, 64):
+        cols = _edge_bit_columns(g, n, 1, g.n_edges, 0)
+        assert t._reveal_columns(g, cols, n) == strategies._run_columns(g, t, n, cols)
+    assert rows == [64]
 
 
 class _Delegate(Strategy):
@@ -397,10 +453,23 @@ class _Delegate(Strategy):
     parse_strategy("seq:[dfs:a,id,S;dfs:b,id,untilany:c+a]"),
     parse_strategy("rhw_walks:a,b,2"),
     extend_with_rest(parse_strategy("dfs:a,right_hand,until:c"), S),
-    _Delegate(parse_strategy("bfs_cluster:a")),
 ], ids=repr)
-def test_order_dependent_strategies_have_no_column_form(t):
+def test_order_dependent_strategies_have_a_column_form(t):
     g = graph_from_spec("family:grid:3,3,p=0.5")
+    _assert_columns_match_runs(t, g, _columns(g.n_edges), 1 << g.n_edges)
+
+
+def test_breadth_first_passes_with_targets_have_a_column_form():
+    # no catalog kind gives a bfs pass a target, but the lock-step scan reads
+    # the oldest frontier entry for bfs, as _scan does
+    t = strategies._Passes((("b", "bfs", S, frozenset({"c"})), ("a", "bfs", SBAR, frozenset())))
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    _assert_columns_match_runs(t, g, _columns(g.n_edges), 1 << g.n_edges)
+
+
+def test_user_subclasses_have_no_column_form():
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    t = _Delegate(parse_strategy("bfs_cluster:a"))
     assert t._reveal_columns(g, _columns(g.n_edges), 1 << g.n_edges) is None
 
 
@@ -411,6 +480,11 @@ def test_order_dependent_strategies_have_no_column_form(t):
     ("dfs:a,right_hand,S", "family:complete:4,p=0.5", "rotation"),
     ("seq:[dfs:a,id,S;dfs:b,left_hand,S]", "family:complete:4,p=0.5", "rotation"),
     ("dfs:v1_1,right_hand,S", "family:grid:3,3,p=0.5", "outer face"),
+    ("dfs:a,id,until:zz", "family:cycle:3,p=0.5", "unknown target vertex 'zz'"),
+    ("dfs_stop_at:a,b,zz", "family:cycle:3,p=0.5", "unknown target vertex 'zz'"),
+    ("rhw_walks:zz,b,1", "family:cycle:3,p=0.5", "unknown start vertex 'zz'"),
+    ("rhw_walks:a,b,1", "family:complete:4,p=0.5", "rotation"),
+    ("dfs:v1_1,right_hand,until:c", "family:grid:3,3,p=0.5", "outer face"),
 ])
 def test_reveal_columns_raise_what_runs_raise(spec, gspec, match):
     g = graph_from_spec(gspec)
@@ -418,4 +492,29 @@ def test_reveal_columns_raise_what_runs_raise(spec, gspec, match):
     with pytest.raises(StrategyError, match=match):
         run(t, g, _all_open(g), _all_closed(g))
     with pytest.raises(StrategyError, match=match):
+        t._reveal_columns(g, _columns(g.n_edges), 1 << g.n_edges)
+
+
+@pytest.mark.parametrize("spec, gspec", [
+    ("rhw_walks:zz,b,0", "family:cycle:3,p=0.5"),
+    ("rhw_walks:a,b,0", "family:complete:4,p=0.5"),
+    ("dfs:v1_1,right_hand,until:v1_1", "family:grid:3,3,p=0.5"),
+])
+def test_passes_that_query_nothing_raise_nothing(spec, gspec):
+    # k = 0 walks never look at their vertices, and a pass that starts on
+    # its target stops before it scans the start's candidates
+    g = graph_from_spec(gspec)
+    t = parse_strategy(spec)
+    assert run(t, g, _all_open(g), _all_closed(g)).steps == ()
+    assert t._reveal_columns(g, _columns(g.n_edges), 1 << g.n_edges) == \
+        ([0] * g.n_edges, [0] * g.n_edges)
+
+
+def test_column_form_checks_passes_that_no_configuration_reaches():
+    # the first pass stops every run at once, so runs never check the second
+    # pass's start; the column form checks every pass before it scans
+    g = graph_from_spec("family:cycle:3,p=0.5")
+    t = parse_strategy("seq:[dfs:a,id,until:a;dfs:zz,id,S]")
+    assert run(t, g, _all_open(g), _all_closed(g)).steps == ()
+    with pytest.raises(StrategyError, match="unknown start vertex 'zz'"):
         t._reveal_columns(g, _columns(g.n_edges), 1 << g.n_edges)
