@@ -50,7 +50,7 @@ from .exact import (Joint, SqS, _check_pair_size, _submasks, exact_pair, exact_p
                     truth_table)
 from .graphs import Graph, same_face
 from .mc import mc_pair, mc_prob
-from .strategies import Strategy, _revealed, parse_strategy
+from .strategies import Strategy, parse_strategy
 
 
 @dataclass
@@ -145,7 +145,7 @@ def _check_prefix(t: Strategy, g: Graph, expr) -> None:
     """The prefix reveals everything into S, and the revealed part of c1
     always decides the event: the event is constant on its completions."""
     n = 1 << g.n_edges
-    queried, s_cols = _revealed(g, t, n, _columns(g.n_edges))
+    queried, s_cols = t._reveal_columns(g, _columns(g.n_edges), n)
     if any(q & ~s for q, s in zip(queried, s_cols)):
         raise HypothesisError("prefix strategy must reveal everything into S")
     revealed = _transpose(s_cols, n)

@@ -299,18 +299,26 @@ def _columns(n_edges: int) -> list[int]:
     return cols
 
 
+def _to_byte_rows(rows: list[int], width: int) -> np.ndarray:
+    """Read-only uint8 [len(rows), ceil(width / 8)]: the rows, little-endian."""
+    nbytes = (width + 7) // 8
+    data = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nbytes)
+
+
+def _from_byte_rows(rows: np.ndarray) -> list[int]:
+    """The ints of ``_to_byte_rows`` rows."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 def _transpose(rows: list[int], width: int) -> list[int]:
     """Bit-matrix transpose: bit i of output j is bit j of rows[i].
 
     Turns edge columns (width = n configurations) into per-configuration
     masks, and masks (width = E edges) back into columns.
     """
-    nbytes = (width + 7) // 8
-    data = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    bits = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), nbytes)
-    packed = np.packbits(np.unpackbits(bits, axis=1, bitorder="little")[:, :width].T,
-                         axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    bits = np.unpackbits(_to_byte_rows(rows, width), axis=1, bitorder="little")
+    return _from_byte_rows(np.packbits(bits[:, :width].T, axis=1, bitorder="little"))
 
 
 def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:

@@ -28,9 +28,9 @@ import numpy as np
 from . import config
 from .errors import SizeGuardError
 from .events import (EventExpr, NPathsAtom, unparse, _columns, _evaluate_columns,
-                     _require_operands, _resolve, _transpose)
+                     _require_operands, _resolve, _to_byte_rows, _transpose)
 from .graphs import Graph
-from .strategies import Strategy, _revealed, splice_mask
+from .strategies import Strategy, splice_mask
 
 
 def _check_size(g: Graph) -> None:
@@ -105,8 +105,7 @@ def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, ws: np.ndarray, fixed_a: in
 
 def _unpack(bits: int, n: int) -> np.ndarray:
     """One bool per mask m < n: True where bit m is set."""
-    raw = np.frombuffer(bits.to_bytes(max(1, n >> 3), "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n].view(np.bool_)
+    return np.unpackbits(_to_byte_rows([bits], n)[0], bitorder="little")[:n].view(np.bool_)
 
 
 def truth_table(g: Graph, e: EventExpr) -> np.ndarray:
@@ -158,7 +157,7 @@ class SqS:
 
 def _s_masks(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None) -> list[int]:
     """The S mask of t on each of the n configuration pairs of the columns."""
-    return _transpose(_revealed(g, t, n, cols1, cols2)[1], n)
+    return _transpose(t._reveal_columns(g, cols1, n, cols2)[1], n)
 
 
 def _check_query(g: Graph, q) -> None:

@@ -15,9 +15,9 @@ column evaluator of ``events``, the one the exact engine runs on periodic
 columns, disjoint-path counts included.  A pair query reads the revealed
 set S as edge columns too: cluster-revealing strategies give them from
 reachability on the c1 columns, target-stopped passes and ``rhw_walks``
-from one lock-step scan of every sample's frontier (from 64 samples up),
-and only user ``Strategy`` subclasses run once per sample pair, with the
-masks transposed from and back into columns.  Per-sample masks are otherwise
+from one lock-step scan of every sample's frontier, and user ``Strategy``
+subclasses from one run per sample pair, with the masks transposed from and
+back into columns.  Per-sample masks are otherwise
 transposed only for the witness splits of SqS queries, which search one
 sample at a time.  No graph size limit applies.
 """
@@ -34,7 +34,7 @@ from .events import (EventExpr, NPathsAtom, _evaluate_columns, _flow_levels, _re
 from .events import _reach_masks  # noqa: F401  (perfbench traces reachability by this name)
 from .exact import SqS, _check_query
 from .graphs import Graph
-from .strategies import Strategy, _revealed
+from .strategies import Strategy
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -147,15 +147,14 @@ def mc_flow_tail(g: Graph, u: str, v: str, n_max: int, samples: int, seed: int) 
 def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:
     """Monte Carlo estimate of a pair query (see the exact engine for kinds).
 
-    The S columns come from the strategy's column form, or from one run per
-    sample pair.  Joint then evaluates A on the c1 columns and B on the
-    spliced columns (c1 over S, c2 elsewhere); SqS searches the witness
-    splits of each sample.
+    The S columns come from the strategy's ``_reveal_columns``.  Joint then
+    evaluates A on the c1 columns and B on the spliced columns (c1 over S,
+    c2 elsewhere); SqS searches the witness splits of each sample.
     """
     _check_query(g, q)
     cols1 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, 0)
     cols2 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, g.n_edges)
-    s_cols = _revealed(g, t, n, cols1, cols2)[1]
+    s_cols = t._reveal_columns(g, cols1, n, cols2)[1]
     if isinstance(q, SqS):
         hits = sum(_split_occurs(q.A, q.B, g, m1, m2, s_mask) for m1, m2, s_mask in
                    zip(_transpose(cols1, n), _transpose(cols2, n), _transpose(s_cols, n)))

@@ -32,9 +32,10 @@ Malformed specs raise StrategyError when built, unknown vertices when run.
 The spec text is the strategy's name.
 
 ``run`` records the steps of one configuration pair; it is the public
-per-pair view.  The engines read a strategy through ``_revealed`` instead,
-which gives the queried and S sets of many configurations at once as edge
-columns (bit i of column j: edge j in configuration i).  Passes without
+per-pair view.  The engines read a strategy through ``_reveal_columns``
+instead, which gives the queried and S sets of many configuration pairs at
+once as edge columns (bit i of column j: edge j in pair i).  The base class
+runs the policy once per pair and transposes the masks.  Passes without
 targets (``bfs_cluster``, ``dfs:v,ORDER,S|Sbar``, ``seq`` lists of them and
 ``stop``) and continuations of those (``reveal_all``) reveal a reach fixed
 point, whatever their scan order: pass k reaches from its start over the
@@ -42,10 +43,7 @@ open edges that no earlier pass queried, and queries the unqueried edges at
 the vertices it reaches.  Their ``_reveal_columns`` reads it from the
 bit-parallel reachability of ``events``.  Pass lists with a target and
 ``rhw_walks`` run ``_scan_columns``, a numpy twin of ``_scan`` that steps
-the frontiers of every configuration in lock step; under 64 configurations
-they run once per configuration instead, which costs less.  Only user
-subclasses have no column form; ``_revealed`` runs them once per
-configuration and transposes the masks into columns.
+the frontiers of every configuration in lock step.
 
 The hand rules: arriving at v along edge e, candidates are scanned starting
 from the sharpest right turn, i.e. counterclockwise from e through the stored
@@ -64,7 +62,7 @@ import numpy as np
 
 from . import config
 from .errors import SizeGuardError, StrategyError
-from .events import _reach_masks, _transpose
+from .events import _from_byte_rows, _reach_masks, _to_byte_rows, _transpose
 from .graphs import Configuration, Graph, faces
 
 S = "S"
@@ -110,11 +108,20 @@ class Strategy:
     def policy(self, g: Graph):
         raise NotImplementedError
 
-    def _reveal_columns(self, g: Graph, cols: list[int], n: int):
-        """(queried, S) edge columns over the n configurations c1 given as
-        edge columns (c2 unread), equal to the runs' sets, or None when the
-        policy has no column form; engines then run it per configuration."""
-        return None
+    def _reveal_columns(self, g: Graph, cols1: list[int], n: int, cols2=None):
+        """(queried, S) edge columns of the runs over n configuration pairs,
+        from one run per pair; the catalog's overrides never read c2.
+
+        cols1 and cols2 are the edge columns of c1 and c2; cols2 None means
+        c2 is empty in every pair.
+        """
+        m2s = _transpose(cols2, n) if cols2 is not None else [0] * n
+        queried, s_masks = [], []
+        for m1, m2 in zip(_transpose(cols1, n), m2s):
+            tr = run(self, g, Configuration(g, m1), Configuration(g, m2))
+            queried.append(Configuration.from_open(g, tr.queried).mask)
+            s_masks.append(tr.s_mask(g))
+        return _transpose(queried, g.n_edges), _transpose(s_masks, g.n_edges)
 
     def __repr__(self):
         return f"<Strategy {self.name}>"
@@ -144,33 +151,6 @@ def run(t: Strategy, g: Graph, c1: Configuration, c2: Configuration) -> RunTrace
     except StopIteration:
         pass
     return RunTrace(tuple(steps))
-
-
-def _revealed(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None):
-    """(queried, S) edge columns of t over n configuration pairs.
-
-    cols1 and cols2 are the edge columns of c1 and c2; cols2 None means c2
-    is empty in every pair.  The columns come from ``_reveal_columns``, or
-    else from one run per pair (``_run_columns``).
-    """
-    got = t._reveal_columns(g, cols1, n)
-    return got if got is not None else _run_columns(g, t, n, cols1, cols2)
-
-
-def _run_columns(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None):
-    """``_revealed`` from one run per configuration pair, transposed."""
-    m2s = _transpose(cols2, n) if cols2 is not None else [0] * n
-    queried, s_masks = [], []
-    for m1, m2 in zip(_transpose(cols1, n), m2s):
-        q = s = 0
-        for st in run(t, g, Configuration(g, m1), Configuration(g, m2)).steps:
-            bit = 1 << g._eidx[st.edge]
-            q |= bit
-            if st.decision == S:
-                s |= bit
-        queried.append(q)
-        s_masks.append(s)
-    return _transpose(queried, g.n_edges), _transpose(s_masks, g.n_edges)
 
 
 def splice(c1: Configuration, c2: Configuration, s_edges) -> Configuration:
@@ -277,13 +257,10 @@ def _scan(g, start, order, decision, targets, queried):
 # vertices and edges, so that a block holds about 2^22 cells (some 30 MB).
 _BLOCK = 1 << 16
 _BLOCK_CELLS = 1 << 22
-# Each lock-step iteration costs some 50 numpy calls whatever the number of
-# configurations, so under this many one run per configuration is cheaper.
-_MIN_LOCKSTEP = 64
 
 
-def _lockstep(g, t, passes, cols, n, scan):
-    """(queried, S) edge columns of strategy t, made of the given passes, on
+def _lockstep(g, passes, cols, n, scan):
+    """(queried, S) edge columns of a strategy made of the given passes, on
     the n configurations c1 given as edge columns.
 
     Every pass is checked first, as its run would check it.  The plan holds
@@ -295,18 +272,14 @@ def _lockstep(g, t, passes, cols, n, scan):
     """
     for start, order, _, targets in passes:
         _first_candidates(g, start, order, targets)
-    if n < _MIN_LOCKSTEP:
-        return _run_columns(g, t, n, cols)
     plan = []
     for start, order, decision, targets in passes:
         if start in targets:
             break
         plan.append((_pass_table(g, start, order), decision, targets))
     block = min(_BLOCK, max(8, _BLOCK_CELLS // (g.n_vertices + g.n_edges) // 8 * 8))
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(b"".join(c.to_bytes(nbytes, "little") for c in cols),
-                           np.uint8).reshape(len(cols), nbytes)
-    out = np.zeros((2, len(cols), nbytes), np.uint8)
+    packed = _to_byte_rows(cols, n)
+    out = np.zeros((2, *packed.shape), np.uint8)
     for lo in range(0, n, block):
         b = min(block, n - lo)
         span = slice(lo // 8, (lo + b + 7) // 8)
@@ -315,7 +288,7 @@ def _lockstep(g, t, passes, cols, n, scan):
         revealed = np.zeros((2, b, len(cols)), bool)  # queried, S
         scan(plan, open1, *revealed)
         out[:, :, span] = np.packbits(revealed, axis=1, bitorder="little").transpose(0, 2, 1)
-    return tuple([int.from_bytes(row.tobytes(), "little") for row in half] for half in out)
+    return tuple(_from_byte_rows(half) for half in out)
 
 
 def _pass_table(g, start, order):
@@ -323,8 +296,7 @@ def _pass_table(g, start, order):
     1 + 2j is (x, e_j) and 2 + 2j is (y, e_j) for edge e_j = (x, y).  Gives
     the vertices' scan sequences (``_scan_order``) as edge indices, flat;
     each state's vertex, scan index, and the offset and length of its
-    vertex's sequence; the scan step; and whether the frontier is read at its
-    newest entry."""
+    vertex's sequence; and the scan step."""
     keys = [(start, None)] + [(v, e) for e, x, y in g.edges for v in (x, y)]
     seqs, index = {}, []
     for v, arrival in keys:
@@ -334,8 +306,7 @@ def _pass_table(g, start, order):
     offset = np.cumsum(length) - length
     seq = np.array([g._eidx[e] for v in g.vertices for e in seqs.get(v, ())], np.int32)
     vertex = np.array([g._vidx[v] for v, _ in keys], np.int32)
-    return (seq, vertex, np.array(index, np.int32), offset[vertex], length[vertex],
-            step, order != "bfs")
+    return seq, vertex, np.array(index, np.int32), offset[vertex], length[vertex], step
 
 
 def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
@@ -343,13 +314,13 @@ def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
     a block, whose [b, E] bool arrays hold c1 (open1) and the queried and S
     edges so far; returns, per row, whether a target stopped the pass.
 
-    ``table`` is the pass's ``_pass_table``.  Every configuration keeps its
-    own frontier of V slots: a slot holds a state (vertex, arrival edge) and
-    the position of its next candidate, and the live slots lie between head
-    and tail.  Each loop iteration is one iteration of ``_scan``'s loop in
-    every running configuration.
+    ``table`` is the pass's ``_pass_table``; the pass is depth-first.  Every
+    configuration keeps its own frontier stack of V slots: a slot holds a
+    state (vertex, arrival edge) and the position of its next candidate.
+    Each loop iteration is one iteration of ``_scan``'s loop in every
+    running configuration.
     """
-    seq, vertex, index, offset, length, step, newest = table
+    seq, vertex, index, offset, length, step = table
     is_target = np.zeros(g.n_vertices, bool)
     is_target[[g._vidx[w] for w in targets]] = True
     first_end = np.array(g._u_arr, np.int32)
@@ -361,19 +332,16 @@ def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
     pos = np.zeros(len(rows) * g.n_vertices, np.min_scalar_type(-1 - int(length.max())))
     visited = np.zeros(len(rows) * g.n_vertices, bool)
     visited[base + vertex[0]] = True
-    head, tail = base.copy(), base + 1  # the live slots of row i are head[i] .. tail[i] - 1
+    tail = base + 1  # the live slots of row i are base[i] .. tail[i] - 1
     stopped = np.zeros(len(rows), bool)
     q_flat, s_flat, open_flat = queried.reshape(-1), s.reshape(-1), open1.reshape(-1)
     row_base = rows * open1.shape[1]
     live = np.arange(len(rows))
     while live.size:
-        at = tail[live] - 1 if newest else head[live]
+        at = tail[live] - 1
         st, p = state[at], pos[at]
         out = p >= length[st]
-        if newest:
-            tail[live[out]] -= 1
-        else:
-            head[live[out]] += 1
+        tail[live[out]] -= 1
         i, at, st, p = live[~out], at[~out], st[~out], p[~out] + 1
         pos[at] = p
         e = seq[offset[st] + (index[st] + step * p) % length[st]]
@@ -395,13 +363,15 @@ def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
         state[slot] = 1 + 2 * e + (first_end[e] == v)
         pos[slot] = 0
         tail[i] = slot + 1
-        live = live[(head[live] < tail[live]) & ~stopped[live]]
+        live = live[(tail[live] > base[live]) & ~stopped[live]]
     return stopped
 
 
 class _Passes(Strategy):
     """(start, order, decision, targets) passes sharing the queried edges;
-    the first pass that reaches a target ends the run."""
+    the first pass that reaches a target ends the run.  The lock-step scan
+    is depth-first: ``_build`` makes ``bfs`` passes only alone and without
+    targets, which take the reach path."""
 
     def __init__(self, passes):
         self.passes = tuple(passes)
@@ -412,13 +382,13 @@ class _Passes(Strategy):
             if (yield from _scan(g, start, order, decision, targets, queried)):
                 return
 
-    def _reveal_columns(self, g, cols, n):
+    def _reveal_columns(self, g, cols, n, cols2=None):
         if any(targets for *_, targets in self.passes):
             def scan(plan, open1, queried, s):
                 rows = np.arange(len(open1))
                 for item in plan:
                     rows = rows[~_scan_columns(g, *item, open1, queried, s, rows)]
-            return _lockstep(g, self, self.passes, cols, n, scan)
+            return _lockstep(g, self.passes, cols, n, scan)
         for start, order, _, _ in self.passes:
             _first_candidates(g, start, order, ())
         full = (1 << n) - 1
@@ -449,7 +419,7 @@ class _RhwWalks(Strategy):
                                      frozenset((self.b,)), queried)):
                 return
 
-    def _reveal_columns(self, g, cols, n):
+    def _reveal_columns(self, g, cols, n, cols2=None):
         if self.k == 0:
             return [0] * g.n_edges, [0] * g.n_edges
 
@@ -462,8 +432,7 @@ class _RhwWalks(Strategy):
                 if not rows.size:
                     break
                 rows = rows[_scan_columns(g, *plan[0], open1, queried, s, rows)]
-        return _lockstep(g, self, [(self.a, "right_hand", S, frozenset((self.b,)))],
-                         cols, n, scan)
+        return _lockstep(g, [(self.a, "right_hand", S, frozenset((self.b,)))], cols, n, scan)
 
 
 class _ExtendRest(Strategy):
@@ -490,11 +459,8 @@ class _ExtendRest(Strategy):
             if e not in queried:
                 _ = yield (e, self.decision)
 
-    def _reveal_columns(self, g, cols, n):
-        got = self.base._reveal_columns(g, cols, n)
-        if got is None:
-            return None
-        queried, s = got
+    def _reveal_columns(self, g, cols1, n, cols2=None):
+        queried, s = self.base._reveal_columns(g, cols1, n, cols2)
         full = (1 << n) - 1
         if self.decision == S:
             s = [sj | (full ^ qj) for sj, qj in zip(s, queried)]

@@ -10,11 +10,11 @@ from percolab import (Configuration, Monotonicity, SizeGuardError, exact_npaths,
                       verify_splice_independence)
 from percolab import events
 from percolab.exact import Joint, SqS, truth_table, weights
-from percolab.strategies import Strategy, S, splice_mask
+from percolab.strategies import splice_mask
 from percolab.events import sq_s_occurrence
 
 from test_enumeration import _events, _graphs
-from test_strategies import _Delegate, _always_lockstep
+from test_strategies import _Delegate, _FromC2
 
 TOL = 1e-12
 
@@ -105,17 +105,6 @@ def test_pair_fast_path_matches_oracle(spec, gspec):
             pytest.approx(_pair_oracle(g, t, Joint(A, B)), abs=TOL)
         assert exact_pair(g, t, SqS(A, B)) == \
             pytest.approx(_pair_oracle(g, t, SqS(A, B)), abs=TOL)
-
-
-class _FromC2(Strategy):
-    """Queries e0; continues to e1 only when e0 is open in c2."""
-    name = "fromc2"
-    uses_c2 = True
-
-    def policy(self, g):
-        _b1, b2 = yield (g.edge_ids[0], S)
-        if b2:
-            _ = yield (g.edge_ids[1], S)
 
 
 def test_pair_general_path_with_c2_reading_strategy():
@@ -233,12 +222,16 @@ def test_column_form_equals_run_fallback_exactly(case):
     g, spec, A, B, A_inc, B_inc = case
     t = parse_strategy(spec)
     runs = _Delegate(t)
-    assert t._reveal_columns(g, [0] * g.n_edges, 1) is not None
-    assert runs._reveal_columns(g, [0] * g.n_edges, 1) is None
-    with _always_lockstep():
-        assert exact_pair(g, t, Joint(A, B)) == exact_pair(g, runs, Joint(A, B))
-        assert exact_pair(g, t, SqS(A_inc, B_inc)) == exact_pair(g, runs, SqS(A_inc, B_inc))
-        assert verify_splice_independence(g, t) == verify_splice_independence(g, runs)
+    assert exact_pair(g, t, Joint(A, B)) == exact_pair(g, runs, Joint(A, B))
+    assert exact_pair(g, t, SqS(A_inc, B_inc)) == exact_pair(g, runs, SqS(A_inc, B_inc))
+    assert verify_splice_independence(g, t) == verify_splice_independence(g, runs)
+
+
+def test_pair_query_with_no_configuration_in_a():
+    # A is empty, so no configuration goes through the lock-step scan
+    g = graph_from_spec("family:cycle:4,p=0.5")
+    q = Joint(parse_event("a,b & a|b"), parse_event("b,c"))
+    assert exact_pair(g, parse_strategy("dfs_stop_at:a,b,c"), q) == 0.0
 
 
 def test_npaths_flow_levels_served_from_the_graph_cache(monkeypatch):

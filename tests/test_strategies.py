@@ -1,5 +1,3 @@
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,18 +206,8 @@ def test_verify_continuation():
 
 
 def test_verify_continuation_general_path():
-    class FromC2(Strategy):
-        """Queries e0; continues to e1 only when e0 is open in c2."""
-        name = "fromc2"
-        uses_c2 = True
-
-        def policy(self, g):
-            _b1, b2 = yield (g.edge_ids[0], S)
-            if b2:
-                _ = yield (g.edge_ids[1], S)
-
     g = generate("cycle", 3, p=0.5)
-    t1 = FromC2()
+    t1 = _FromC2()
     t2 = extend_with_rest(t1, SBAR)
     assert t2.uses_c2
     assert verify_continuation(t1, t2, g)
@@ -321,20 +309,8 @@ def _run_masks(t, g, m1):
     return (sum(1 << g.edge_index(e) for e in tr.queried), tr.s_mask(g))
 
 
-@contextmanager
-def _always_lockstep():
-    """Lock-step scans even on the few configurations that runs serve."""
-    saved = strategies._MIN_LOCKSTEP
-    strategies._MIN_LOCKSTEP = 0
-    try:
-        yield
-    finally:
-        strategies._MIN_LOCKSTEP = saved
-
-
 def _assert_columns_match_runs(t, g, cols, n):
-    with _always_lockstep():
-        queried, s = t._reveal_columns(g, cols, n)
+    queried, s = t._reveal_columns(g, cols, n)
     assert len(queried) == len(s) == g.n_edges
     got = list(zip(_transpose(queried, n), _transpose(s, n)))
     assert got == [_run_masks(t, g, m1) for m1 in _transpose(cols, n)]
@@ -419,7 +395,29 @@ def test_reveal_columns_equal_runs_in_small_blocks(monkeypatch, gspec, spec):
     _assert_columns_match_runs(parse_strategy(spec), g, cols, n)
 
 
-def test_lockstep_scans_serve_64_configurations_or_more(monkeypatch):
+class _Delegate(Strategy):
+    """The policy of another strategy behind a plain subclass, which keeps
+    the base class's column form: one run per configuration pair."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def policy(self, g):
+        return self.inner.policy(g)
+
+
+class _FromC2(Strategy):
+    """Queries e0; continues to e1 only when e0 is open in c2."""
+    name = "fromc2"
+    uses_c2 = True
+
+    def policy(self, g):
+        _b1, b2 = yield (g.edge_ids[0], S)
+        if b2:
+            _ = yield (g.edge_ids[1], S)
+
+
+def test_lockstep_scans_serve_every_number_of_configurations(monkeypatch):
     rows = []
     inner = strategies._scan_columns
 
@@ -430,21 +428,10 @@ def test_lockstep_scans_serve_64_configurations_or_more(monkeypatch):
     monkeypatch.setattr(strategies, "_scan_columns", counted)
     t = parse_strategy("dfs:a,right_hand,until:c")
     g = graph_from_spec("family:grid:3,3,p=0.5")
-    for n in (63, 64):
+    for n in (1, 7, 63, 64):
         cols = _edge_bit_columns(g, n, 1, g.n_edges, 0)
-        assert t._reveal_columns(g, cols, n) == strategies._run_columns(g, t, n, cols)
-    assert rows == [64]
-
-
-class _Delegate(Strategy):
-    """The policy of another strategy behind a plain subclass, which has no
-    column form: the engines run it once per configuration."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def policy(self, g):
-        return self.inner.policy(g)
+        assert t._reveal_columns(g, cols, n) == _Delegate(t)._reveal_columns(g, cols, n)
+    assert rows == [1, 7, 63, 64]
 
 
 @pytest.mark.parametrize("t", [
@@ -459,18 +446,25 @@ def test_order_dependent_strategies_have_a_column_form(t):
     _assert_columns_match_runs(t, g, _columns(g.n_edges), 1 << g.n_edges)
 
 
-def test_breadth_first_passes_with_targets_have_a_column_form():
-    # no catalog kind gives a bfs pass a target, but the lock-step scan reads
-    # the oldest frontier entry for bfs, as _scan does
-    t = strategies._Passes((("b", "bfs", S, frozenset({"c"})), ("a", "bfs", SBAR, frozenset())))
+def test_user_subclasses_compose_on_the_runs_columns():
     g = graph_from_spec("family:grid:3,3,p=0.5")
-    _assert_columns_match_runs(t, g, _columns(g.n_edges), 1 << g.n_edges)
-
-
-def test_user_subclasses_have_no_column_form():
-    g = graph_from_spec("family:grid:3,3,p=0.5")
-    t = _Delegate(parse_strategy("bfs_cluster:a"))
-    assert t._reveal_columns(g, _columns(g.n_edges), 1 << g.n_edges) is None
+    n = 1 << g.n_edges
+    cols = _columns(g.n_edges)
+    for spec in ("bfs_cluster:a", "dfs:a,right_hand,until:c"):
+        t = parse_strategy(spec)
+        assert _Delegate(t)._reveal_columns(g, cols, n) == t._reveal_columns(g, cols, n)
+        for dec in (S, SBAR):
+            assert extend_with_rest(_Delegate(t), dec)._reveal_columns(g, cols, n) == \
+                _Delegate(extend_with_rest(t, dec))._reveal_columns(g, cols, n)
+    # a strategy that reads c2, on sampled pairs
+    g = graph_from_spec("family:cycle:4,p=0.5")
+    n = 300
+    cols1 = _edge_bit_columns(g, n, 2, 2 * g.n_edges, 0)
+    cols2 = _edge_bit_columns(g, n, 2, 2 * g.n_edges, g.n_edges)
+    for dec in (S, SBAR):
+        t = extend_with_rest(_FromC2(), dec)
+        assert t._reveal_columns(g, cols1, n, cols2) == \
+            _Delegate(t)._reveal_columns(g, cols1, n, cols2)
 
 
 @pytest.mark.parametrize("spec, gspec, match", [
