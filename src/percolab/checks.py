@@ -6,7 +6,10 @@ callables over its term values (``slack = rhs - lhs``), and ``_verdict`` alone
 turns a claim into a report.  Exact verdicts compare the slack against the
 global tolerance; Monte Carlo verdicts are significance statements at a
 configurable sigma level over delta-method errors, and may come back
-``inconclusive`` when the interval straddles zero.
+``inconclusive`` when the interval straddles zero.  The terms of a check
+whose terms are all ``prob`` terms share one sample set, and its error
+carries their covariances; other checks and the npaths scans draw one
+sample set per term.
 
 Check ids
 ---------
@@ -41,6 +44,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import combinations
 
 from . import config
 from .errors import HypothesisError, PercolabError, SizeGuardError
@@ -49,7 +53,7 @@ from .events import (Intersect, Monotonicity, NPathsAtom, monotonicity, parse_ev
 from .exact import (Joint, SqS, _check_pair_size, _submasks, exact_pair, exact_prob,
                     truth_table)
 from .graphs import Graph, same_face
-from .mc import mc_pair, mc_prob
+from .mc import mc_pair, mc_prob, mc_probs
 from .strategies import Strategy, parse_strategy
 
 
@@ -361,17 +365,24 @@ def _term(g: Graph, spec: tuple, method: str, samples, seed) -> tuple[float, flo
     return est.mean, est.std_error
 
 
-def _propagated_se(fn, vals: dict, ses: dict) -> float:
-    """Delta-method error of fn.  A term at 0 or n hits has a zero Wald error,
-    which bounds nothing, so the result is then infinite."""
+def _propagated_se(fn, vals: dict, cov: tuple) -> float:
+    """Delta-method error of fn, sqrt(grad' C grad), over the covariance form
+    ``cov = (ses, cross)``: the standard errors whose squares are C's diagonal,
+    and its entries off the diagonal, keyed by name pairs (k, l) with k < l.
+    The diagonal sums first, in term order.  A term at 0 or n hits has a zero
+    Wald error, which bounds nothing, so the result is then infinite."""
+    ses, cross = cov
     if not all(ses.values()):
         return math.inf
     var = 0.0
+    grad = {}
     for k, se in ses.items():
         h = max(se * 1e-2, 1e-9)
-        grad = (fn({**vals, k: vals[k] + h}) - fn({**vals, k: vals[k] - h})) / (2.0 * h)
-        var += (grad * se) ** 2
-    return math.sqrt(var)
+        grad[k] = (fn({**vals, k: vals[k] + h}) - fn({**vals, k: vals[k] - h})) / (2.0 * h)
+        var += (grad[k] * se) ** 2
+    for (k, l), c in cross.items():
+        var += 2.0 * grad[k] * grad[l] * c
+    return math.sqrt(max(var, 0.0))
 
 
 def _exact_report(check_id: str, graph: str, lhs, rhs, slack, ok: bool, tol: float,
@@ -382,33 +393,50 @@ def _exact_report(check_id: str, graph: str, lhs, rhs, slack, ok: bool, tol: flo
                        (time.perf_counter() - t0) * 1e3, note)
 
 
-def _verdict(check_id: str, g: Graph, lhs, rhs, vals: dict, ses: dict, method: str,
+def _verdict(check_id: str, g: Graph, lhs, rhs, vals: dict, cov: tuple, method: str,
              *, sigma: float, tol: float, samples, seed, t0: float,
              note: str | None = None) -> CheckReport:
     """The report on the claim lhs(vals) <= rhs(vals) over term values.
 
     Exact: ``holds`` iff the slack is at least -tol, else ``violated``.
     MC: ``holds`` or ``violated`` only when the slack lies at least sigma
-    propagated standard errors from 0, else ``inconclusive``.
+    propagated standard errors from 0, else ``inconclusive``.  The error
+    propagates the covariance form ``cov`` (see ``_propagated_se``).
     """
     lo, hi = lhs(vals), rhs(vals)
     slack = hi - lo
     if method == "exact":
         return _exact_report(check_id, g.name, lo, hi, slack, slack >= -tol, tol, t0, note)
-    se = _propagated_se(lambda v: rhs(v) - lhs(v), vals, ses)
+    se = _propagated_se(lambda v: rhs(v) - lhs(v), vals, cov)
     verdict = ("holds" if slack >= sigma * se else
                "violated" if slack <= -sigma * se else "inconclusive")
     return CheckReport(check_id, g.name, method, lo, hi, slack, verdict,
                        None, sigma, samples, seed, (time.perf_counter() - t0) * 1e3, note)
 
 
-def _evaluate(g: Graph, spec: _Spec, method: str, samples, seed) -> tuple[dict, dict]:
-    """(values, standard errors) of the spec's terms, seeded by sorted name."""
+def _evaluate(g: Graph, spec: _Spec, method: str, samples, seed) -> tuple[dict, tuple]:
+    """(values, covariance form (ses, cross)) of the spec's terms.
+
+    Exact values have error 0.  Under MC, a spec whose terms are all
+    ``prob`` terms draws one sample set, seeded as the first term by sorted
+    name, and ``cross`` holds the covariance of every two terms.  Otherwise
+    the term i-th by sorted name draws its own set from
+    ``_derived_seed(seed, i)``: the covariance is diagonal and ``cross`` is
+    empty.
+    """
+    names = sorted(spec.terms)
+    if method == "mc" and all(spec.terms[k][0] == "prob" for k in names):
+        ests, cov = mc_probs(g, [spec.terms[k][1] for k in names], samples,
+                             _derived_seed(seed, 0))
+        cross = {(names[i], names[j]): cov[i][j]
+                 for i, j in combinations(range(len(names)), 2)}
+        return ({k: est.mean for k, est in zip(names, ests)},
+                ({k: est.std_error for k, est in zip(names, ests)}, cross))
     vals, ses = {}, {}
-    for i, name in enumerate(sorted(spec.terms)):
+    for i, name in enumerate(names):
         vals[name], ses[name] = _term(g, spec.terms[name], method, samples,
                                       _derived_seed(seed, i))
-    return vals, ses
+    return vals, (ses, {})
 
 
 def run_check(check_id: str, g: Graph, params: dict | None = None,
@@ -426,10 +454,10 @@ def run_check(check_id: str, g: Graph, params: dict | None = None,
         _check_pair_size(g)
     if spec.pre_hypothesis:
         spec.pre_hypothesis()
-    vals, ses = _evaluate(g, spec, method, samples, seed)
+    vals, cov = _evaluate(g, spec, method, samples, seed)
     if spec.post_hypothesis:
         spec.post_hypothesis(vals)
-    return _verdict(check_id, g, spec.lhs, spec.rhs, vals, ses, method, sigma=sigma,
+    return _verdict(check_id, g, spec.lhs, spec.rhs, vals, cov, method, sigma=sigma,
                     tol=tol, samples=samples, seed=seed, t0=t0, note=spec.note)
 
 
@@ -532,7 +560,7 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
             except HypothesisError:
                 continue
             out.append(judge(f"conj3_scan#eps={eps:g}", lhs=spec.lhs, rhs=spec.rhs,
-                             vals=terms[0], ses=terms[1], t0=t0, note=spec.note))
+                             vals=terms[0], cov=terms[1], t0=t0, note=spec.note))
         return out
 
     if scan_id not in SCAN_IDS:
@@ -558,4 +586,5 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
         f = {k: implied_lambda(k, f[k]) for k in f}
         claims = [(f"lambda_monotone#k={k}", lambda v, k=k: v[k + 1], lambda v, k=k: v[k])
                   for k in range(1, nmax)]
-    return [judge(cid, lhs=lhs, rhs=rhs, vals=f, ses=ses, t0=t0) for cid, lhs, rhs in claims]
+    return [judge(cid, lhs=lhs, rhs=rhs, vals=f, cov=(ses, {}), t0=t0)
+            for cid, lhs, rhs in claims]

@@ -254,10 +254,16 @@ def atoms(e: EventExpr) -> list:
     return _fold(e, lambda a: [a], concat, concat, lambda xs: xs)
 
 
+def _named(a) -> tuple:
+    """The vertices a partition or npaths atom names."""
+    return (a.u, a.v) if isinstance(a, NPathsAtom) else sum(a.groups, ())
+
+
 def _resolve(e: EventExpr, g: Graph):
     for a in atoms(e):
-        names = (a.u, a.v) if isinstance(a, NPathsAtom) else sum(a.groups, ())
-        for v in names:
+        if isinstance(a, NPathsAtom) and a.n < 1:
+            raise ValueError(f"npaths needs n >= 1, got {a.n}")
+        for v in _named(a):
             if v not in g._vidx:
                 raise EvaluationError(f"event references unknown vertex {v!r}")
 
@@ -321,8 +327,9 @@ def _transpose(rows: list[int], width: int) -> list[int]:
     return _from_byte_rows(np.packbits(bits[:, :width].T, axis=1, bitorder="little"))
 
 
-def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:
-    """source vertex -> {vertex -> bitmask of configurations where connected}."""
+def _reach_masks(g: Graph, cols: list[int], n: int, sources, targets=None) -> dict:
+    """source vertex -> {vertex -> bitmask of configurations where connected},
+    over the vertices in ``targets``, or over every vertex."""
     full = (1 << n) - 1
     out = {}
     edge_list = [(cols[g.edge_index(e)], g.vertex_index(u), g.vertex_index(v))
@@ -340,7 +347,7 @@ def _reach_masks(g: Graph, cols: list[int], n: int, sources) -> dict:
                     reach[ui] |= t
                     reach[vi] |= t
                     changed = True
-        out[s] = {v: reach[g.vertex_index(v)] for v in g.vertices}
+        out[s] = {v: reach[g.vertex_index(v)] for v in targets or g.vertices}
     return out
 
 
@@ -430,21 +437,30 @@ def _served_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int,
 
 def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int,
                       flows: dict | None = None) -> int:
-    """Bitmask of the n column configurations where the (resolved) event holds.
+    """Bitmask of the n column configurations where the (resolved) event holds."""
+    return _evaluate_many([e], g, cols, n, flows)[0]
+
+
+def _evaluate_many(events: list, g: Graph, cols: list[int], n: int,
+                   flows: dict | None = None) -> list[int]:
+    """Per (resolved) event, the bitmask of the n column configurations where
+    it holds.
 
     A partition atom reads reach from the first vertex of each group.
     npaths(u,v,1) atoms read u-v reach; the others read the flow levels of
-    their (u, v), computed once per distinct pair up to the largest n asked
+    their (u, v).  The events share the work: reach is swept once from each
+    such vertex, and kept only to the vertices the events name, and flow
+    levels are computed once per distinct (u, v), up to the largest n asked
     for, or served from ``flows``, a cache of levels on these same columns
     (see ``_served_levels``).
     """
-    found = atoms(e)
+    found = [a for e in events for a in atoms(e)]
     nps = [a for a in found if isinstance(a, NPathsAtom)]
     # reach starts from the first vertex of every partition group and from
     # the first end of every npaths(u,v,1) atom
     reps = sorted({grp[0] for a in found if isinstance(a, PartitionAtom)
                    for grp in a.groups} | {a.u for a in nps if a.n == 1})
-    reach = _reach_masks(g, cols, n, reps)
+    reach = _reach_masks(g, cols, n, reps, {v for a in found for v in _named(a)})
     full = (1 << n) - 1
     caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n) if a.n > 1}  # largest n
     levels = {(u, v): _flow_levels(g, cols, n, u, v, cap) if flows is None
@@ -462,8 +478,8 @@ def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int,
             acc &= full ^ reach[x][y]
         return acc
 
-    return _fold(e, atom, lambda xs: reduce(or_, xs, 0), lambda xs: reduce(and_, xs, full),
-                 full.__xor__)
+    return [_fold(e, atom, lambda xs: reduce(or_, xs, 0), lambda xs: reduce(and_, xs, full),
+                  full.__xor__) for e in events]
 
 
 # ---------------------------------------------------------------------------

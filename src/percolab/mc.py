@@ -12,7 +12,11 @@ monotone couplings across parameter sweeps.
 Samples are held as edge columns: each edge gets a bitmask of the samples
 where it is open, and events are evaluated for all samples at once by the
 column evaluator of ``events``, the one the exact engine runs on periodic
-columns, disjoint-path counts included.  A pair query reads the revealed
+columns, disjoint-path counts included.  ``mc_probs`` evaluates several
+events together on one sample set, sharing reach sweeps and flow levels
+between them, and returns the covariance of their estimates; ``mc_prob``
+is its one-event case, and the events npaths(u,v,1..k) give a
+disjoint-path tail from one sample set.  A pair query reads the revealed
 set S as edge columns too: cluster-revealing strategies give them from
 reachability on the c1 columns, target-stopped passes and ``rhw_walks``
 from one lock-step scan of every sample's frontier, and user ``Strategy``
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import (EventExpr, NPathsAtom, _evaluate_columns, _flow_levels, _resolve,
+from .events import (EventExpr, NPathsAtom, _evaluate_columns, _evaluate_many, _resolve,
                      _split_occurs, _transpose)
 from .events import _reach_masks  # noqa: F401  (perfbench traces reachability by this name)
 from .exact import SqS, _check_query
@@ -118,30 +122,31 @@ def _edge_bit_columns(g: Graph, n: int, seed: int, stride: int, offset: int):
     return cols
 
 
+def mc_probs(g: Graph, events: list, n: int, seed: int) -> tuple[list, list]:
+    """Estimates of several event probabilities from one sample set, and the
+    covariance matrix of those estimates.
+
+    The events are evaluated together on the same edge columns, so each
+    reach source is swept once and each (u, v) gets one set of flow levels.
+    Over the hit masks h, entry (k, l) is (popcount(h_k & h_l)/n - p_k·p_l)/n.
+    """
+    for e in events:
+        _resolve(e, g)
+    hits = _evaluate_many(events, g, _edge_bit_columns(g, n, seed, g.n_edges, 0), n)
+    ests = [Estimate.from_count(h.bit_count(), n, seed) for h in hits]
+    cov = [[((hk & hl).bit_count() / n - ek.mean * el.mean) / n for hl, el in zip(hits, ests)]
+           for hk, ek in zip(hits, ests)]
+    return ests, cov
+
+
 def mc_prob(g: Graph, e: EventExpr, n: int, seed: int) -> Estimate:
     """Monte Carlo estimate of an event probability."""
-    _resolve(e, g)
-    cols = _edge_bit_columns(g, n, seed, g.n_edges, 0)
-    return Estimate.from_count(_evaluate_columns(e, g, cols, n).bit_count(), n, seed)
+    return mc_probs(g, [e], n, seed)[0][0]
 
 
 def mc_npaths(g: Graph, u: str, v: str, n_paths: int, samples: int, seed: int) -> Estimate:
     """Monte Carlo estimate of the n-edge-disjoint-paths probability."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
     return mc_prob(g, NPathsAtom(u, v, n_paths), samples, seed)
-
-
-def mc_flow_tail(g: Graph, u: str, v: str, n_max: int, samples: int, seed: int) -> list[Estimate]:
-    """Estimates of the disjoint-path counts 1..n_max from shared samples."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _resolve(NPathsAtom(u, v, n_max), g)
-    cols = _edge_bit_columns(g, samples, seed, g.n_edges, 0)
-    levels = _flow_levels(g, cols, samples, u, v, n_max)
-    deeper = samples if u == v else 0
-    return [Estimate.from_count(levels[k].bit_count() if k < len(levels) else deeper,
-                                samples, seed) for k in range(n_max)]
 
 
 def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:

@@ -1,11 +1,15 @@
+import json
 import math
+import statistics
 import time
 
 import pytest
 
 from percolab import (HypothesisError, SizeGuardError, alpha3_root, generate,
-                      graph_from_spec, implied_lambda, run_check, scan_conjectures)
-from percolab.checks import alpha3_cubic, check_ids, poisson_upper_tail
+                      graph_from_spec, implied_lambda, mc_prob, parse_event, run_check,
+                      scan_conjectures)
+from percolab.checks import (_CHECKS, _derived_seed, _evaluate, _propagated_se,
+                             alpha3_cubic, check_ids, poisson_upper_tail)
 
 TOL = 1e-12
 
@@ -348,6 +352,73 @@ def test_mc_zero_hit_term_is_inconclusive():
     assert r.verdict == "inconclusive"
 
 
+def test_propagated_se_uses_the_covariance():
+    se = 0.01
+    diff = lambda v: v["x"] - v["y"]  # noqa: E731
+    vals, ses = {"x": 0.3, "y": 0.3}, {"x": se, "y": se}
+    # perfectly correlated terms of equal error cancel in a difference
+    assert _propagated_se(diff, vals, (ses, {("x", "y"): se * se})) == \
+        pytest.approx(0.0, abs=1e-12)
+    assert _propagated_se(diff, vals, (ses, {})) == pytest.approx(math.sqrt(2) * se)
+
+
+@pytest.mark.parametrize("check_id", ["dv8", "planar_dv2"])
+def test_shared_sample_errors_are_calibrated(check_id):
+    # the MC slack misses the exact one by about one reported error; on
+    # planar_dv2 a diagonal error ignoring the covariances gives an SD near 0.5
+    g = graph_from_spec("family:grid:2,3,p=0.5")
+    exact = run_check(check_id, g).slack
+    spec = _CHECKS[check_id](g, {})
+    fn = lambda v: spec.rhs(v) - spec.lhs(v)  # noqa: E731
+    z = []
+    for seed in range(200):
+        vals, cov = _evaluate(g, spec, "mc", 2000, seed)
+        z.append((fn(vals) - exact) / _propagated_se(fn, vals, cov))
+    assert 0.7 <= statistics.stdev(z) <= 1.4
+
+
+def test_shared_check_with_one_zero_hit_term_is_inconclusive():
+    # a,b,c has no hit in these samples; the other terms alone would put the
+    # slack more than 3 errors above 0, but a zero Wald error bounds nothing
+    g = graph_from_spec("family:cycle:3,p=0.01")
+    spec = _CHECKS["dv8"](g, {})
+    vals, (ses, cross) = _evaluate(g, spec, "mc", 5000, 5)
+    assert [k for k, v in vals.items() if v == 0.0] == ["pabc"]
+    others = _propagated_se(lambda v: spec.rhs(v) - spec.lhs(v), vals,
+                            ({k: se or 1.0 for k, se in ses.items()}, cross))
+    r = run_check("dv8", g, method="mc", samples=5000, seed=5)
+    assert r.slack > 3 * others
+    assert r.verdict == "inconclusive"
+
+
+def test_shared_draw_keeps_the_first_terms_value():
+    # pabc sorts first in dv_union, so it keeps its own seed and its value
+    # from the time when every term drew its own samples
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    r = run_check("dv_union", g, method="mc", samples=20000, seed=4)
+    assert r.lhs == 0.03775249
+    pabc = mc_prob(g, parse_event("a,b,c"), 20000, _derived_seed(4, 0)).mean
+    assert r.lhs == pabc ** 2
+
+
+def test_all_prob_mc_report_is_byte_identical_across_runs():
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    texts = [json.dumps(_without_runtime(run_check("q2", g, method="mc", samples=20000,
+                                                   seed=9)), sort_keys=True)
+             for _ in range(2)]
+    assert texts[0] == texts[1]
+
+
+def test_mc_hk_tree_report_keeps_per_term_seeds():
+    r = run_check("hk_tree", graph_from_spec("family:grid:3,3,p=0.5"),
+                  {"strategy": "bfs_cluster:a", "events": ("a,b", "b,c")}, "mc",
+                  samples=5000, seed=3)
+    assert _without_runtime(r) == {
+        'check_id': 'hk_tree', 'graph': 'family:grid:3,3,p=0.5', 'method': 'mc',
+        'lhs': 0.13234644, 'rhs': 0.2028, 'slack': 0.07045356, 'verdict': 'holds',
+        'tolerance': None, 'sigma': 3.0, 'samples': 5000, 'seed': 3, 'note': None}
+
+
 def test_mc_requires_seed_and_samples():
     g = generate("cycle", 3, p=0.5)
     with pytest.raises(ValueError):
@@ -408,7 +479,7 @@ def test_mc_frac1_on_thirteen_edges_still_runs():
 
 
 def test_conj3_mc_scan_evaluates_terms_once(monkeypatch):
-    import percolab.checks as checks
+    import percolab.mc as mc
     g = graph_from_spec("family:cycle:3,p=0.0009765625")
     grid = (0.1, 0.2, 0.3)  # the two-vs-one hypothesis fails at eps 0.1 only
     want = []
@@ -420,9 +491,9 @@ def test_conj3_mc_scan_evaluates_terms_once(monkeypatch):
         rep.check_id = f"conj3_scan#eps={eps:g}"
         want.append(_without_runtime(rep))
     calls = []
-    mc_prob = checks.mc_prob
-    monkeypatch.setattr(checks, "mc_prob", lambda *a: calls.append(a) or mc_prob(*a))
+    draw = mc._edge_bit_columns
+    monkeypatch.setattr(mc, "_edge_bit_columns", lambda *a: calls.append(a) or draw(*a))
     reps = scan_conjectures("conj3", g, {"eps_grid": grid}, "mc", samples=20000, seed=7)
-    assert len(calls) == 5  # one per term, not one per term and eps
+    assert len(calls) == 1  # one sample set for all five terms, not one per eps
     assert [_without_runtime(r) for r in reps] == want
     assert [r.check_id for r in reps] == ["conj3_scan#eps=0.2", "conj3_scan#eps=0.3"]

@@ -10,8 +10,9 @@ from percolab import (Configuration, Estimate, EvaluationError, Graph,
                       MonotonicityError, StrategyError, exact_pair, exact_prob, generate,
                       graph_from_spec, mc_npaths, mc_pair, mc_prob, parse_event,
                       parse_strategy)
+from percolab.events import NPathsAtom
 from percolab.exact import Joint, SqS, exact_npaths
-from percolab.mc import _edge_bit_columns, mc_flow_tail
+from percolab.mc import _edge_bit_columns, mc_probs
 from percolab.strategies import run, splice_mask
 
 from oracles import evaluate_mask
@@ -101,9 +102,14 @@ def test_mc_npaths_one_equals_connectivity_event():
     assert a.mean == b.mean  # same indicator, same stream
 
 
-def test_mc_flow_tail_consistent():
+def _npaths_tail(g, u, v, n_max, samples, seed):
+    """Estimates of npaths(u,v,1..n_max) from one shared sample set."""
+    return mc_probs(g, [NPathsAtom(u, v, k) for k in range(1, n_max + 1)], samples, seed)[0]
+
+
+def test_shared_npaths_tail_consistent():
     g = generate("parallel", 3, q=0.5)
-    tails = mc_flow_tail(g, "a", "b", 3, 50000, 17)
+    tails = _npaths_tail(g, "a", "b", 3, 50000, 17)
     assert tails[0].mean >= tails[1].mean >= tails[2].mean
     for k, est in enumerate(tails, start=1):
         assert abs(est.mean - exact_npaths(g, "a", "b", k)) < \
@@ -165,7 +171,7 @@ def test_eighty_four_edges_run_on_columns():
     # one open path is connectivity: the same hits from the same stream
     assert mc_prob(g, parse_event("npaths(a,b,1)"), 2000, 3) == est
     assert mc_npaths(g, "a", "b", 1, 2000, 3) == est
-    tails = mc_flow_tail(g, "a", "b", 2, 2000, 3)
+    tails = _npaths_tail(g, "a", "b", 2, 2000, 3)
     assert tails[0] == est and tails[1].mean <= tails[0].mean
     joint = mc_pair(g, parse_strategy("bfs_cluster:a"), Joint(ab, ab), 500, 3)
     assert 0.0 < joint.mean < 1.0
@@ -174,7 +180,7 @@ def test_eighty_four_edges_run_on_columns():
 @pytest.mark.parametrize("call", [
     lambda g: exact_npaths(g, "a", "zz", 1),
     lambda g: mc_npaths(g, "a", "zz", 1, 100, 1),
-    lambda g: mc_flow_tail(g, "zz", "b", 2, 100, 1),
+    lambda g: _npaths_tail(g, "zz", "b", 2, 100, 1),
 ])
 def test_unknown_vertex_in_npaths_is_an_evaluation_error(call):
     with pytest.raises(EvaluationError):
@@ -210,8 +216,8 @@ def test_both_engines_refuse_an_unknown_start_vertex(engine, query, spec):
 @pytest.mark.parametrize("call", [
     lambda g: mc_prob(g, parse_event("a,b"), 0, 1),
     lambda g: mc_npaths(g, "a", "b", 1, 0, 1),
-    lambda g: mc_flow_tail(g, "a", "b", 2, 0, 1),
-    lambda g: mc_flow_tail(g, "a", "b", 0, 100, 1),
+    lambda g: _npaths_tail(g, "a", "b", 2, 0, 1),
+    lambda g: mc_probs(g, [NPathsAtom("a", "b", 0)], 100, 1),
     lambda g: mc_pair(g, parse_strategy("bfs_cluster:a"),
                       Joint(parse_event("a,b"), parse_event("b,c")), 0, 1),
     lambda g: mc_pair(g, parse_strategy("bfs_cluster:a"),
@@ -229,7 +235,7 @@ def test_seeded_hit_counts_pinned():
     assert g.n_edges == 16
     assert [round(mc_npaths(g, "a", "b", k, 2000, 5).mean * 2000) for k in (1, 2, 3)] == \
         [1099, 144, 0]
-    assert [round(e.mean * 2000) for e in mc_flow_tail(g, "a", "b", 3, 2000, 5)] == \
+    assert [round(e.mean * 2000) for e in _npaths_tail(g, "a", "b", 3, 2000, 5)] == \
         [1099, 144, 0]
     g = graph_from_spec("family:grid:3,4,p=0.5")
     A, B = parse_event("a,b"), parse_event("b,c")
