@@ -50,7 +50,7 @@ from . import config
 from .errors import HypothesisError, PercolabError, SizeGuardError
 from .events import (Intersect, Monotonicity, NPathsAtom, monotonicity, parse_event,
                      require_increasing, _columns, _transpose)
-from .exact import (Joint, SqS, _check_pair_size, _submasks, exact_pair, exact_prob,
+from .exact import (Joint, SqS, _check_pair_size, _submasks, exact_pair, exact_probs,
                     truth_table)
 from .graphs import Graph, same_face
 from .mc import mc_pair, mc_prob, mc_probs
@@ -355,13 +355,17 @@ def _derived_seed(seed: int | None, i: int) -> int | None:
     return None if seed is None else (seed * 1000003 + 17 * i + 1) & 0x7FFFFFFFFFFFFFFF
 
 
-def _term(g: Graph, spec: tuple, method: str, samples, seed) -> tuple[float, float]:
-    """(value, standard error) of one term; exact values have error 0."""
+def _exact_values(g: Graph, terms: dict) -> dict:
+    """Exact term values; the tables of the ``prob`` terms are built together."""
+    probs = [k for k in terms if terms[k][0] == "prob"]
+    vals = dict(zip(probs, exact_probs(g, [terms[k][1] for k in probs])))
+    return {k: vals[k] if k in vals else exact_pair(g, *terms[k][1:]) for k in terms}
+
+
+def _mc_term(g: Graph, spec: tuple, samples, seed) -> tuple[float, float]:
+    """(mean, standard error) of one term, from its own sample set."""
     kind, *args = spec
-    exact, mc = {"prob": (exact_prob, mc_prob), "pair": (exact_pair, mc_pair)}[kind]
-    if method == "exact":
-        return exact(g, *args), 0.0
-    est = mc(g, *args, samples, seed)
+    est = {"prob": mc_prob, "pair": mc_pair}[kind](g, *args, samples, seed)
     return est.mean, est.std_error
 
 
@@ -425,7 +429,9 @@ def _evaluate(g: Graph, spec: _Spec, method: str, samples, seed) -> tuple[dict, 
     empty.
     """
     names = sorted(spec.terms)
-    if method == "mc" and all(spec.terms[k][0] == "prob" for k in names):
+    if method == "exact":
+        return _exact_values(g, spec.terms), (dict.fromkeys(names, 0.0), {})
+    if all(spec.terms[k][0] == "prob" for k in names):
         ests, cov = mc_probs(g, [spec.terms[k][1] for k in names], samples,
                              _derived_seed(seed, 0))
         cross = {(names[i], names[j]): cov[i][j]
@@ -434,8 +440,7 @@ def _evaluate(g: Graph, spec: _Spec, method: str, samples, seed) -> tuple[dict, 
                 ({k: est.std_error for k, est in zip(names, ests)}, cross))
     vals, ses = {}, {}
     for i, name in enumerate(names):
-        vals[name], ses[name] = _term(g, spec.terms[name], method, samples,
-                                      _derived_seed(seed, i))
+        vals[name], ses[name] = _mc_term(g, spec.terms[name], samples, _derived_seed(seed, i))
     return vals, (ses, {})
 
 
@@ -569,9 +574,14 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
     if nmax < 2:
         raise ValueError("scan needs nmax >= 2")
     t0 = time.perf_counter()
-    f, ses = {}, {}  # f[k]: P(k disjoint paths), seeded by k
-    for k in range(1, nmax + 1):
-        f[k], ses[k] = _term(g, _paths(g, k), method, samples, _derived_seed(seed, k))
+    terms = {k: _paths(g, k) for k in range(1, nmax + 1)}  # f[k]: P(k disjoint paths)
+    if method == "exact":
+        f, ses = _exact_values(g, terms), dict.fromkeys(terms, 0.0)
+    else:  # one sample set per k, seeded by k
+        f, ses = {}, {}
+        for k, term in terms.items():
+            f[k], ses[k] = _mc_term(g, term, samples, _derived_seed(seed, k))
+    for k in terms:
         if f[k] <= 0.0 or f[k] >= 1.0:
             raise HypothesisError(
                 f"disjoint-path probability degenerate at index {k} (got {f[k]})")

@@ -206,11 +206,22 @@ def corpus_entries() -> list[CorpusEntry]:
 
 # exact preset case tables: (preset, symbol sets, expected mu1/mu2 values)
 def _expected_cases(preset: str, p: float | None):
+    pairs = ("00", "01", "10", "11")
+    if preset == "hk":
+        return [((), (), 0.0, 0.0),
+                (("11",), ("11",), p * p, p),
+                (("10", "11"), ("11",), p, p),
+                (pairs, ("00", "11"), 1.0, 1.0)]
+    if preset == "vdbk":
+        return [((), (), 0.0, 0.0),
+                (("1",), ("11",), p, p * p),
+                (("1",), ("01", "10", "11"), p, 1.0 - (1.0 - p) ** 2),
+                (("0", "1"), pairs, 1.0, 1.0)]
     if preset == "strongbk":
         return [((), (), 0.0, 0.0),
                 (("2",), ("11",), p * p, p * p),
                 (("1", "2"), ("01", "11"), p, p),
-                (("0", "1", "2"), ("00", "01", "10", "11"), 1.0, 1.0)]
+                (("0", "1", "2"), pairs, 1.0, 1.0)]
     if preset == "colored":
         top = ("111",)
         two = ("111", "110")
@@ -229,18 +240,15 @@ def _expected_cases(preset: str, p: float | None):
                 (("111", "110", "101", "100"), ("111", "110", "101", "100"),
                  12 / 24, 12 / 24),
                 (allsyms, allsyms, 1.0, 1.0)]
-    return None
+    raise ValueError(f"no case table for preset {preset!r}")
 
 
 def _run_zipper_cases(entry: CorpusEntry, tol: float) -> CheckReport:
     t0 = time.perf_counter()
     ds = build_preset(entry.params["preset"], entry.params.get("p"))
-    expected = _expected_cases(ds.name, ds.p)
     worst = 0.0
-    if expected is not None:
-        for x1, x2, want1, want2 in expected:
-            worst = max(worst, abs(ds.measure1(x1) - want1),
-                        abs(ds.measure2(x2) - want2))
+    for x1, x2, want1, want2 in _expected_cases(ds.name, ds.p):
+        worst = max(worst, abs(ds.measure1(x1) - want1), abs(ds.measure2(x2) - want2))
     return _exact_report(entry.check_id, "-", worst, tol, tol - worst, worst <= tol, tol,
                          t0, "preset case-table reproduction")
 

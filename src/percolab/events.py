@@ -34,7 +34,6 @@ configuration at once.  The tests keep an independent per-mask reference
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -413,36 +412,12 @@ def _flow_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int) ->
     return levels
 
 
-def _served_levels(g: Graph, cols: list[int], n: int, u: str, v: str, cap: int,
-                   cache: dict) -> list[int]:
-    """``_flow_levels`` through a cache of (u, v) -> (cap served, levels).
-
-    An entry serves any cap up to the one it was built for.  It serves every
-    cap once its list is complete: when it ended below its cap, or the cap
-    reached the smaller degree of u and v, every deeper level is 0 (every
-    configuration when u == v).  A first request builds to its own cap
-    (building to the smaller degree nearly doubles a lone ``npaths(u,v,2)``
-    between degree-4 vertices of ``grid:4,4``); a second miss builds every
-    level, so ascending scans over n build twice at most.
-    """
-    hit = cache.get((u, v))
-    if hit is None or cap > hit[0]:
-        if hit is not None:
-            cap = math.inf
-        levels = _flow_levels(g, cols, n, u, v, cap)
-        complete = len(levels) < cap or cap >= min(g.degree(u), g.degree(v))
-        hit = cache[u, v] = (math.inf if complete else cap, levels)
-    return hit[1]
-
-
-def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int,
-                      flows: dict | None = None) -> int:
+def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int) -> int:
     """Bitmask of the n column configurations where the (resolved) event holds."""
-    return _evaluate_many([e], g, cols, n, flows)[0]
+    return _evaluate_many([e], g, cols, n)[0]
 
 
-def _evaluate_many(events: list, g: Graph, cols: list[int], n: int,
-                   flows: dict | None = None) -> list[int]:
+def _evaluate_many(events: list, g: Graph, cols: list[int], n: int) -> list[int]:
     """Per (resolved) event, the bitmask of the n column configurations where
     it holds.
 
@@ -451,8 +426,7 @@ def _evaluate_many(events: list, g: Graph, cols: list[int], n: int,
     their (u, v).  The events share the work: reach is swept once from each
     such vertex, and kept only to the vertices the events name, and flow
     levels are computed once per distinct (u, v), up to the largest n asked
-    for, or served from ``flows``, a cache of levels on these same columns
-    (see ``_served_levels``).
+    for.
     """
     found = [a for e in events for a in atoms(e)]
     nps = [a for a in found if isinstance(a, NPathsAtom)]
@@ -463,8 +437,7 @@ def _evaluate_many(events: list, g: Graph, cols: list[int], n: int,
     reach = _reach_masks(g, cols, n, reps, {v for a in found for v in _named(a)})
     full = (1 << n) - 1
     caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n) if a.n > 1}  # largest n
-    levels = {(u, v): _flow_levels(g, cols, n, u, v, cap) if flows is None
-              else _served_levels(g, cols, n, u, v, cap, flows) for (u, v), cap in caps.items()}
+    levels = {(u, v): _flow_levels(g, cols, n, u, v, cap) for (u, v), cap in caps.items()}
 
     def atom(a):
         if isinstance(a, NPathsAtom):

@@ -6,9 +6,10 @@ j is bit j of m, so the 2^E bits of the columns list every configuration
 once.  Truth tables run these columns through the column evaluator of
 ``events``, the one Monte Carlo runs on sampled columns: a few big-integer
 AND/OR sweeps per event instead of a cluster labelling or a max-flow per
-mask.  The flow levels behind npaths atoms are cached per graph and vertex
-pair, so the tables of npaths(u,v,n) for several n share one max-flow when
-the levels allow it.
+mask.  The tables a request needs that the graph has not cached are built
+together in one evaluator pass, as ``mc_probs`` evaluates its events on one
+sample set: each reach source is swept once, and the tables of npaths(u,v,n)
+for several n share one max-flow.
 
 Probabilities are float64 arrays indexed by mask, and truth tables are
 read-only numpy bool arrays indexed the same way, so a sum is one
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import config
 from .errors import SizeGuardError
-from .events import (EventExpr, NPathsAtom, unparse, _columns, _evaluate_columns,
+from .events import (EventExpr, NPathsAtom, unparse, _columns, _evaluate_many,
                      _require_operands, _resolve, _to_byte_rows, _transpose)
 from .graphs import Graph
 from .strategies import Strategy, splice_mask
@@ -103,37 +104,43 @@ def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, ws: np.ndarray, fixed_a: in
     return tab_b[b_side | np.asarray(fixed_b)[..., None]].any(axis=-1)
 
 
-def _unpack(bits: int, n: int) -> np.ndarray:
-    """One bool per mask m < n: True where bit m is set."""
-    return np.unpackbits(_to_byte_rows([bits], n)[0], bitorder="little")[:n].view(np.bool_)
+def truth_tables(g: Graph, events: list) -> list[np.ndarray]:
+    """Indicator of each event over all configuration masks, as read-only
+    bool arrays cached per graph, keyed by the event's canonical text.  The
+    uncached events are evaluated together in one pass on the periodic columns.
+    """
+    keys = [unparse(e) for e in events]
+    todo = {k: e for k, e in zip(keys, events) if k not in g._event_tables}
+    if todo:
+        _check_size(g)
+        for e in todo.values():
+            _resolve(e, g)
+        n = 1 << g.n_edges
+        for k, bits in zip(todo, _evaluate_many(list(todo.values()), g, _columns(g.n_edges), n)):
+            tab = np.unpackbits(_to_byte_rows([bits], n)[0], bitorder="little")[:n].view(np.bool_)
+            tab.flags.writeable = False
+            g._event_tables[k] = tab
+    return [g._event_tables[k] for k in keys]
 
 
 def truth_table(g: Graph, e: EventExpr) -> np.ndarray:
-    """Indicator of the event over all configuration masks, as a read-only
-    bool array (cached per graph, keyed by the event's canonical text)."""
-    key = unparse(e)
-    tab = g._event_tables.get(key)
-    if tab is not None:
-        return tab
-    _check_size(g)
-    _resolve(e, g)
-    n = 1 << g.n_edges
-    tab = _unpack(_evaluate_columns(e, g, _columns(g.n_edges), n, g._flow_tables), n)
-    tab.flags.writeable = False
-    g._event_tables[key] = tab
-    return tab
+    """The truth table of one event (see ``truth_tables``)."""
+    return truth_tables(g, [e])[0]
+
+
+def exact_probs(g: Graph, events: list) -> list[float]:
+    """Probabilities of several events, from truth tables built together."""
+    w = weights(g)
+    return [_fsum(w[tab]) for tab in truth_tables(g, events)]
 
 
 def exact_prob(g: Graph, e: EventExpr) -> float:
     """Probability of the event under independent edge openings."""
-    w = weights(g)
-    return _fsum(w[truth_table(g, e)])
+    return exact_probs(g, [e])[0]
 
 
 def exact_npaths(g: Graph, u: str, v: str, n: int) -> float:
     """Probability of n pairwise edge-disjoint open u-v paths."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return exact_prob(g, NPathsAtom(u, v, n))
 
 
@@ -196,8 +203,7 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     _check_query(g, q)
     w = weights(g)
     full = (1 << g.n_edges) - 1
-    tab_a = truth_table(g, q.A)
-    tab_b = truth_table(g, q.B)
+    tab_a, tab_b = truth_tables(g, [q.A, q.B])
     # Joint asks for c1 in A; for SqS A is increasing, so no split of c1 has A
     # on its part unless c1 is in A
     m1s = np.flatnonzero((w != 0.0) & tab_a).tolist()

@@ -40,8 +40,9 @@ class Graph:
 
     def __init__(self, vertices, edges, edge_prob, marks, rotation=None,
                  outer_anchor=None, name="graph"):
+        vertices = list(vertices)
         vset = set(vertices)
-        if len(vset) != len(list(vertices)):
+        if len(vset) != len(vertices):
             raise GraphFormatError("duplicate vertex name")
         for v in vset:
             if not _NAME_RE.match(v):
@@ -139,7 +140,6 @@ class Graph:
         self.name = name
         self._event_tables: dict = {}  # unparse(e) -> read-only bool truth table
         self._submask_cache: dict[int, tuple] = {}  # mask -> (submasks or None, probabilities)
-        self._flow_tables: dict = {}  # (u, v) -> (cap served, flow levels on periodic columns)
         self._faces: FaceSet | None = None
 
     def _connected(self) -> bool:

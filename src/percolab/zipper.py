@@ -39,7 +39,7 @@ import numpy as np
 
 from . import config
 from .errors import PercolabError, SizeGuardError
-from .exact import _split_any, _submasks, truth_table
+from .exact import _split_any, _submasks, truth_tables
 from .graphs import Graph
 
 # witness capability of a symbol in paired-witness events
@@ -166,7 +166,8 @@ class BowtieEvent:
                 raise PercolabError(f"symbol {sym!r} has unknown witness capability {cap!r}")
             self.roles[sym] = _CAP_ROLES[cap]
         self.g = g
-        self.pairs = [(truth_table(g, a), truth_table(g, b)) for a, b in pairs]
+        tabs = truth_tables(g, [e for pair in pairs for e in pair])
+        self.pairs = list(zip(tabs[::2], tabs[1::2]))
         self._answers: dict[tuple[int, int], np.ndarray] = {}  # by (A side, free)
 
     def __call__(self, symbols: dict) -> bool:
@@ -193,7 +194,7 @@ class ProductEvent:
 
     def __init__(self, g: Graph, exprs):
         self.g = g
-        self.layers = [(k, truth_table(g, e)) for k, e in enumerate(exprs)]
+        self.layers = list(enumerate(truth_tables(g, list(exprs))))
 
     def without(self, drop: int) -> "ProductEvent":
         """The same event with layer ``drop`` left unconstrained."""

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 from click.testing import CliRunner
 
 from percolab import Configuration, clusters, generate, graph_from_spec
 from percolab.checks import CheckReport
-from percolab.corpus import corpus_entries, is_conjecture, run_corpus
+from percolab import corpus
+from percolab.corpus import corpus_entries, is_conjecture, run_corpus, run_entry
 from percolab.exact import verify_splice_independence
 from percolab.strategies import S, Strategy
 
@@ -72,6 +74,28 @@ def test_filtered_corpus_all_theorem_checks_hold():
     reports, skips, ok = run_corpus("frac*")
     assert ok and len(reports) == 16
     assert all(r.verdict == "holds" for r in reports)
+
+
+def test_every_listed_preset_has_a_case_table(monkeypatch):
+    entries = [e for e in corpus_entries() if e.kind == "zipper_cases"]
+    assert {e.params["preset"] for e in entries} == \
+        {"hk", "vdbk", "strongbk", "colored", "richards"}
+    for e in entries:
+        [rep] = run_entry(e)
+        assert rep.verdict == "holds" and rep.lhs == 0.0, e.key
+    # moving mass 0.01 from the last first-measure symbol to the first
+    # breaks a case of every table
+    build = corpus.build_preset
+
+    def perturbed(name, p=None):
+        ds = build(name, p)
+        mu1 = (ds.mu1[0] + 0.01,) + ds.mu1[1:-1] + (ds.mu1[-1] - 0.01,)
+        return dataclasses.replace(ds, mu1=mu1)
+
+    monkeypatch.setattr(corpus, "build_preset", perturbed)
+    for e in entries:
+        [rep] = run_entry(e)
+        assert rep.verdict == "violated" and rep.lhs > 0.005, e.key
 
 
 def test_cli_exits_one_on_violation(monkeypatch):

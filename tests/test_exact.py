@@ -1,17 +1,17 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percolab import (Configuration, Monotonicity, SizeGuardError, exact_npaths,
+from percolab import (Configuration, Graph, Monotonicity, SizeGuardError, exact_npaths,
                       exact_pair, exact_prob, generate, graph_from_spec, monotonicity,
-                      parse_event, parse_strategy, run, scan_conjectures,
+                      parse_event, parse_strategy, run, run_check, scan_conjectures,
                       verify_splice_independence)
 from percolab import events
-from percolab.exact import Joint, SqS, truth_table, weights
+from percolab.exact import Joint, SqS, truth_table, truth_tables, weights
 from percolab.strategies import splice_mask
-from percolab.events import sq_s_occurrence
+from percolab.events import NPathsAtom, PartitionAtom, sq_s_occurrence
 
 from test_enumeration import _events, _graphs
 from test_strategies import _Delegate, _FromC2
@@ -227,6 +227,41 @@ def test_column_form_equals_run_fallback_exactly(case):
     assert verify_splice_independence(g, t) == verify_splice_independence(g, runs)
 
 
+@st.composite
+def _table_batch(draw):
+    """A graph, a batch of events, and the positions of the events whose
+    tables are built before the batch.
+
+    Besides random events, every batch holds npaths(u,v,n) for several n on
+    one (u, v), an npaths atom with u == v, and two partition atoms whose
+    groups start at the same vertex.
+    """
+    g = draw(_graphs())
+    name = st.sampled_from(g.vertices)
+    u, v, w = draw(name), draw(name), draw(name)
+    others = st.sampled_from([x for x in g.vertices if x != u])
+    batch = [NPathsAtom(u, v, n) for n in draw(st.lists(st.integers(1, 4), min_size=2,
+                                                           max_size=3, unique=True))]
+    batch += [NPathsAtom(w, w, draw(st.integers(1, 3))),
+              PartitionAtom(((u, draw(others)),)), PartitionAtom(((u,), (draw(others),)))]
+    batch = draw(st.permutations(batch + draw(st.lists(_events(g.vertices), max_size=3))))
+    return g, batch, draw(st.sets(st.sampled_from(range(len(batch)))))
+
+
+@given(_table_batch())
+@example((generate("complete", 4, p=0.5),
+          [parse_event(t) for t in ("npaths(a,b,2)", "npaths(a,b,3)", "npaths(c,c,2)",
+                                    "a,b", "a|c", "a,d U npaths(b,d,2)")], {2, 3}))
+@settings(max_examples=100, deadline=None)
+def test_truth_tables_equal_one_table_per_fresh_graph(case):
+    g, batch, cached = case
+    for i in sorted(cached):
+        truth_table(g, batch[i])
+    for e, tab in zip(batch, truth_tables(g, batch), strict=True):
+        fresh = Graph(g.vertices, g.edges, g.edge_prob, g.marks)
+        assert bytes(tab) == bytes(truth_table(fresh, e))
+
+
 def test_pair_query_with_no_configuration_in_a():
     # A is empty, so no configuration goes through the lock-step scan
     g = graph_from_spec("family:cycle:4,p=0.5")
@@ -234,32 +269,31 @@ def test_pair_query_with_no_configuration_in_a():
     assert exact_pair(g, parse_strategy("dfs_stop_at:a,b,c"), q) == 0.0
 
 
-def test_npaths_flow_levels_served_from_the_graph_cache(monkeypatch):
+def test_check_tables_built_in_one_evaluator_pass(monkeypatch):
     calls = []
-    inner = events._flow_levels
+    inner = events._reach_masks
 
     def counted(*args):
-        calls.append((args[0], *args[3:]))
+        calls.append(args[0])
         return inner(*args)
 
     def fresh(text):
         return exact_prob(graph_from_spec("family:grid:3,3,p=0.5"), parse_event(text))
 
-    monkeypatch.setattr(events, "_flow_levels", counted)
+    # tables of one graph asked in turn equal tables of fresh graphs
     g = graph_from_spec("family:grid:3,3,p=0.5")
-    # the corner marks have degree 2, so the levels built for n = 2 are complete
     assert exact_npaths(g, "a", "c", 2) == fresh("npaths(a,c,2)")
     assert exact_npaths(g, "a", "c", 3) == fresh("npaths(a,c,3)")
-    assert [c[1:] for c in calls if c[0] is g] == [("a", "c", 2)]
-    # v1_1 and v0_1 have degrees 4 and 3: the levels for n = 2 serve no
-    # deeper n, so n = 3 builds every level, which serve n = 2 in another event
     for text in ("npaths(v1_1,v0_1,2)", "npaths(v1_1,v0_1,3)", "npaths(v1_1,v0_1,2) U a,c"):
         assert exact_prob(g, parse_event(text)) == fresh(text)
-    assert [c[1:] for c in calls if c[0] is g] == \
-        [("a", "c", 2), ("v1_1", "v0_1", 2), ("v1_1", "v0_1", math.inf)]
+    # the four terms of planar_dv2 share one reach sweep
+    monkeypatch.setattr(events, "_reach_masks", counted)
+    g = graph_from_spec("family:grid:3,4,p=0.5")
+    assert run_check("planar_dv2", g).verdict == "holds"
+    assert [c for c in calls if c is g] == [g]
 
 
-def test_ascending_npaths_scan_builds_flow_levels_twice(monkeypatch):
+def test_ascending_npaths_scan_builds_flow_levels_once(monkeypatch):
     calls = []
     inner = events._flow_levels
 
@@ -268,8 +302,8 @@ def test_ascending_npaths_scan_builds_flow_levels_twice(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(events, "_flow_levels", counted)
-    # the marks have degree 5, and the scan asks n = 1, 2, ..., 5 in turn
+    # the marks have degree 5, and the scan asks n = 1, 2, ..., 5 in one pass
     reps = scan_conjectures("logconcave", graph_from_spec("family:parallel:5,q=0.5"),
                             {"nmax": 5})
     assert reps and all(r.verdict == "holds" for r in reps)
-    assert calls == [("a", "b", 2), ("a", "b", math.inf)]
+    assert calls == [("a", "b", 5)]

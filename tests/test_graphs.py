@@ -1,6 +1,6 @@
 import pytest
 
-from percolab import (Configuration, GraphFormatError, clusters, faces,
+from percolab import (Configuration, Graph, GraphFormatError, clusters, faces,
                       generate, graph_from_spec, parse_graph, same_face)
 
 TRIANGLE_FILE = """
@@ -48,6 +48,16 @@ def test_parse_errors(line, frag):
     text = "vertex a\nvertex b\nvertex c\n" + line + "\nedge bc b c 0.5\nedge ca c a 0.5\nmark a b\n"
     with pytest.raises(GraphFormatError, match=frag):
         parse_graph(text)
+
+
+def test_duplicate_vertex_rejected():
+    with pytest.raises(GraphFormatError, match="duplicate vertex name"):
+        Graph(["a", "b", "a"], [("e", "a", "b")], {"e": 0.5}, ("a", "b"))
+
+
+def test_vertices_may_come_from_an_iterator():
+    g = Graph((v for v in "ab"), [("e", "a", "b")], {"e": 0.5}, ("a", "b"))
+    assert g.vertices == ("a", "b")
 
 
 def test_parse_needs_marks():
@@ -184,6 +194,5 @@ def test_bad_embedding_rejected():
     g5 = generate("complete", 5, p=0.5)
     rot = {v: list(g5.incident[v]) for v in g5.vertices}
     with pytest.raises(GraphFormatError, match="plane embedding"):
-        from percolab.graphs import Graph
         Graph(g5.vertices, list(g5.edges), dict(g5.edge_prob), g5.marks,
               rotation=rot, outer_anchor=(g5.edge_ids[0], "a"))

@@ -222,6 +222,7 @@ def test_both_engines_refuse_an_unknown_start_vertex(engine, query, spec):
                       Joint(parse_event("a,b"), parse_event("b,c")), 0, 1),
     lambda g: mc_pair(g, parse_strategy("bfs_cluster:a"),
                       SqS(parse_event("a,b"), parse_event("b,c")), -1, 1),
+    lambda g: exact_npaths(g, "a", "b", 0),
 ])
 def test_no_samples_or_no_levels_refused(call):
     with pytest.raises(ValueError):
