@@ -49,9 +49,8 @@ from itertools import combinations
 from . import config
 from .errors import HypothesisError, PercolabError, SizeGuardError
 from .events import (Intersect, Monotonicity, NPathsAtom, monotonicity, parse_event,
-                     require_increasing, _columns, _transpose)
-from .exact import (Joint, SqS, _check_pair_size, _submasks, exact_pair, exact_probs,
-                    truth_table)
+                     require_increasing)
+from .exact import Joint, SqS, _check_pair_size, _check_prefix, exact_pair, exact_probs
 from .graphs import Graph, same_face
 from .mc import mc_pair, mc_prob, mc_probs
 from .strategies import Strategy, parse_strategy
@@ -145,22 +144,6 @@ def _tree_spec(check_id, g, params):
     return _Spec(terms, lambda v: v["sqs"], lambda v: v["pa"] * v["pb"])
 
 
-def _check_prefix(t: Strategy, g: Graph, expr) -> None:
-    """The prefix reveals everything into S, and the revealed part of c1
-    always decides the event: the event is constant on its completions."""
-    n = 1 << g.n_edges
-    queried, s_cols = t._reveal_columns(g, _columns(g.n_edges), n)
-    if any(q & ~s for q, s in zip(queried, s_cols)):
-        raise HypothesisError("prefix strategy must reveal everything into S")
-    revealed = _transpose(s_cols, n)
-    tab = truth_table(g, expr)
-    full = (1 << g.n_edges) - 1
-    for r_mask, pinned in {(r, m1 & r) for m1, r in enumerate(revealed)}:
-        on = tab[pinned | _submasks(g, full & ~r_mask)[0]]
-        if on.any() != on.all():
-            raise HypothesisError("prefix strategy does not decide the conditioning event")
-
-
 def _cs_spec_from(g, t1: Strategy, A, M):
     # every hypothesis below is checked by enumerating configurations
     if g.n_edges > config.MAX_CONTINUATION_EDGES:
@@ -175,7 +158,7 @@ def _cs_spec_from(g, t1: Strategy, A, M):
     def pre():
         if monotonicity(M, g) is Monotonicity.NONE:
             raise HypothesisError("the refining event must be monotone")
-        _check_prefix(t1, g, A)
+        _check_prefix(g, t1, A)
 
     def post(vals):
         if vals["pa"] <= config.DEFAULT_TOL:

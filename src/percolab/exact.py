@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import SizeGuardError
+from .errors import HypothesisError, SizeGuardError
 from .events import (EventExpr, NPathsAtom, unparse, _columns, _evaluate_many,
                      _require_operands, _resolve, _to_byte_rows, _transpose)
 from .graphs import Graph
@@ -165,6 +165,21 @@ class SqS:
 def _s_masks(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None) -> list[int]:
     """The S mask of t on each of the n configuration pairs of the columns."""
     return _transpose(t._reveal_columns(g, cols1, n, cols2)[1], n)
+
+
+def _check_prefix(g: Graph, t: Strategy, e: EventExpr) -> None:
+    """Refuse a prefix t that reveals an edge into Sbar, or that does not
+    decide e: e must be constant on the completions, over the complement of
+    S, of every leaf (S, c1 ∩ S) of t."""
+    n = 1 << g.n_edges
+    queried, s_cols = t._reveal_columns(g, _columns(g.n_edges), n)
+    if any(q & ~s for q, s in zip(queried, s_cols)):
+        raise HypothesisError("prefix strategy must reveal everything into S")
+    tab = truth_table(g, e)
+    for s_mask, pinned in {(s, m1 & s) for m1, s in enumerate(_transpose(s_cols, n))}:
+        on = tab[pinned | _submasks(g, (n - 1) & ~s_mask)[0]]
+        if on.any() != on.all():
+            raise HypothesisError("prefix strategy does not decide the conditioning event")
 
 
 def _check_query(g: Graph, q) -> None:

@@ -102,7 +102,7 @@ class Graph:
         self._u_arr = tuple(self._vidx[u] for _, u, v in norm)
         self._v_arr = tuple(self._vidx[v] for _, u, v in norm)
 
-        if not self._connected():
+        if len(_components(self, (1 << self.n_edges) - 1)) != 1:
             raise GraphFormatError("graph is not connected")
 
         self.rotation = None
@@ -141,20 +141,6 @@ class Graph:
         self._event_tables: dict = {}  # unparse(e) -> read-only bool truth table
         self._submask_cache: dict[int, tuple] = {}  # mask -> (submasks or None, probabilities)
         self._faces: FaceSet | None = None
-
-    def _connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for eid in self.incident[v]:
-                w = self.other_end(eid, v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
 
     def other_end(self, eid: str, v: str) -> str:
         u, w = self._endpoints[eid]
@@ -215,38 +201,33 @@ class Configuration:
         return self.mask & ~other.mask == 0
 
 
-def cluster_labels(g: Graph, mask: int) -> list[int]:
-    """Connected-component label per vertex index under the open edges of mask."""
-    parent = list(range(g.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    m = mask
-    i = 0
-    while m:
-        if m & 1:
-            ru = find(g._u_arr[i])
-            rv = find(g._v_arr[i])
-            if ru != rv:
-                parent[rv] = ru
-        m >>= 1
-        i += 1
-    return [find(x) for x in range(g.n_vertices)]
+def _components(g: Graph, mask: int) -> list[set]:
+    """Vertex sets of the components of the open edges of mask, by
+    depth-first search, in the order of their least vertices."""
+    out, seen = [], set()
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = {start}, [start]
+        while stack:
+            v = stack.pop()
+            for eid in g.incident[v]:
+                w = g.other_end(eid, v)
+                if w not in seen and mask >> g._eidx[eid] & 1:
+                    seen.add(w)
+                    comp.add(w)
+                    stack.append(w)
+        out.append(comp)
+    return out
 
 
 def clusters(g: Graph, c: Configuration) -> list[set]:
-    """Partition of the vertices into open clusters (disjoint-set union)."""
+    """Partition of the vertices into open clusters, ordered by least vertex
+    (the depth-first search of the graph's connectivity check)."""
     if c.graph is not g:
         raise ValueError("configuration belongs to a different graph")
-    labels = cluster_labels(g, c.mask)
-    groups: dict[int, set] = {}
-    for v in g.vertices:
-        groups.setdefault(labels[g.vertex_index(v)], set()).add(v)
-    return sorted(groups.values(), key=lambda s: min(s))
+    return _components(g, c.mask)
 
 
 @dataclass(frozen=True)

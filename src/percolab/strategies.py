@@ -560,14 +560,17 @@ def trace_signature(t: Strategy, g: Graph, c1: Configuration, c2: Configuration)
 
 
 def verify_continuation(t1: Strategy, t2: Strategy, g: Graph) -> bool:
-    """True when t1's trace is a prefix of t2's on every configuration pair."""
-    if g.n_edges > config.MAX_CONTINUATION_EDGES:
-        raise SizeGuardError(
-            f"continuation check limited to {config.MAX_CONTINUATION_EDGES} edges")
+    """True when t1's trace is a prefix of t2's on every configuration pair.
+
+    Strategies that never read c2 are checked against c2 = 0 only: 2^E
+    pairs, else 4^E.  More than 2^MAX_CONTINUATION_EDGES pairs are refused.
+    """
     n = g.n_edges
-    # strategies that never read c2 are checked against c2 = 0 only
-    c2_masks = range(1 << n) if t1.uses_c2 or t2.uses_c2 else (0,)
-    for m1, m2 in product(range(1 << n), c2_masks):
+    c2_bits = n if t1.uses_c2 or t2.uses_c2 else 0
+    if n + c2_bits > config.MAX_CONTINUATION_EDGES:
+        raise SizeGuardError("continuation check limited to "
+                             f"2^{config.MAX_CONTINUATION_EDGES} configuration pairs")
+    for m1, m2 in product(range(1 << n), range(1 << c2_bits)):
         c1, c2 = Configuration(g, m1), Configuration(g, m2)
         s1 = trace_signature(t1, g, c1, c2)
         s2 = trace_signature(t2, g, c1, c2)

@@ -1,17 +1,45 @@
 """Per-mask reference evaluation for the tests: the independent oracle.
 
 ``evaluate_mask`` walks an event tree on one configuration mask, reading
-partition atoms from cluster labels and npaths atoms from ``open_maxflow``,
-a breadth-first augmenting-path max-flow.  It shares no code with the
-column evaluator of ``percolab.events`` that the library runs, so the tests
-compare the two bit for bit.
+partition atoms from ``cluster_labels``, a union-find of its own, and npaths
+atoms from ``open_maxflow``, a breadth-first augmenting-path max-flow.  From
+``percolab`` it imports only ``Graph`` and the event node classes, so it
+shares no code with the column evaluator of ``percolab.events`` that the
+library runs, and the tests compare the two bit for bit.
 """
 
 from __future__ import annotations
 
 from percolab.events import (Complement, EventExpr, Intersect, NPathsAtom,
                              PartitionAtom, Union)
-from percolab.graphs import Graph, cluster_labels
+from percolab.graphs import Graph
+
+
+# ---------------------------------------------------------------------------
+# Cluster labels by union-find
+
+
+def cluster_labels(g: Graph, mask: int) -> list[int]:
+    """Connected-component label per vertex index under the open edges of mask."""
+    parent = list(range(g.n_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    m = mask
+    i = 0
+    while m:
+        if m & 1:
+            ru = find(g._u_arr[i])
+            rv = find(g._v_arr[i])
+            if ru != rv:
+                parent[rv] = ru
+        m >>= 1
+        i += 1
+    return [find(x) for x in range(g.n_vertices)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from percolab import (HypothesisError, SizeGuardError, alpha3_root, generate,
 from percolab.checks import (_CHECKS, _derived_seed, _evaluate, _propagated_se,
                              alpha3_cubic, check_ids, poisson_upper_tail)
 
+from test_strategies import _FromC2
+
 TOL = 1e-12
 
 
@@ -96,6 +98,17 @@ def test_cs_bound_rejects_sbar_prefix():
     with pytest.raises(HypothesisError, match="into S"):
         run_check("cs_bound", g, {"strategy": "reveal_all:Sbar",
                                   "events": ("a,b U a,c", "b,c")})
+
+
+@pytest.mark.parametrize("gspec, strategy, events, match", [
+    ("family:cycle:3,p=0.5", _FromC2(), ("a,b U a,c", "b,c"), "first configuration only"),
+    ("family:cycle:3,p=0.5", "dfs_stop_at:a,b,c", ("a,b U a,c", "a,b|c"), "must be monotone"),
+    ("family:cycle:4,p=0", "dfs_stop_at:a,b,c", ("a,b U a,c", "b,c"), "probability zero"),
+])
+def test_cs_bound_refuses_each_hypothesis(gspec, strategy, events, match):
+    g = graph_from_spec(gspec)
+    with pytest.raises(HypothesisError, match=match):
+        run_check("cs_bound", g, {"strategy": strategy, "events": events})
 
 
 def test_arms_checks():

@@ -170,6 +170,18 @@ def test_cs_bound_mc_on_large_graph_exits_3(runner):
     assert res.exit_code == 3, res.output
 
 
+@pytest.mark.parametrize("graph, refining, message", [
+    ("family:cycle:4,p=0.5", "a,b|c", "the refining event must be monotone"),
+    ("family:cycle:4,p=0", "b,c", "conditioning event has probability zero"),
+])
+def test_cs_bound_hypothesis_errors_exit_2(runner, graph, refining, message):
+    res = runner.invoke(main, ["check", "cs_bound", "--graph", graph,
+                               "--strategy", "dfs_stop_at:a,b,c",
+                               "--events", "a,b U a,c", refining])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
 def test_estimate_exact(runner):
     res = runner.invoke(main, ["estimate", "--graph", "family:cycle:3,p=0.5",
                                "--event", "a,b,c", "--method", "exact"])

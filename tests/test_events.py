@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolab import (Configuration, EventSyntaxError, Monotonicity,
-                      MonotonicityError, disjoint_occurrence, evaluate,
+                      MonotonicityError, SizeGuardError, disjoint_occurrence, evaluate,
                       exact_prob, generate, graph_from_spec, monotonicity,
                       parse_event, sq_s_occurrence, unparse)
 from percolab.events import Complement, Intersect, NPathsAtom, PartitionAtom, Union
@@ -116,6 +116,13 @@ def test_monotonicity_brute_force():
     assert monotonicity(parse_event("!(a,b U b,c)"), g) is Monotonicity.DECREASING
 
 
+def test_monotonicity_settled_by_the_truth_table():
+    # the union is a|b itself: NONE by syntax, DECREASING by its table
+    e = parse_event("a|b U (a|b & a,c)")
+    assert monotonicity(e) is Monotonicity.NONE
+    assert monotonicity(e, generate("cycle", 3, p=0.5)) is Monotonicity.DECREASING
+
+
 def test_increasing_evaluate_monotone():
     g = generate("cycle", 4, p=0.5)
     for text in ("a,b", "a,b,c", "npaths(a,b,2)"):
@@ -197,6 +204,13 @@ def test_disjoint_occurrence_examples():
     assert not disjoint_occurrence(ab, ab, gpath, gpath.config(gpath.edge_ids))
     g = generate("cycle", 3, p=0.5)
     assert disjoint_occurrence(ab, ab, g, g.config(g.edge_ids))
+
+
+def test_witness_split_refuses_too_many_open_s_edges():
+    g = generate("grid", 5, 5, p=0.5)
+    every = g.config(g.edge_ids)  # k = 40 open edges in S
+    with pytest.raises(SizeGuardError, match="witness search"):
+        sq_s_occurrence(parse_event("a,b"), parse_event("b,c"), g, every, every, g.edge_ids)
 
 
 def test_disjoint_occurrence_requires_increasing():

@@ -131,6 +131,11 @@ def test_pair_size_guard():
                    Joint(parse_event("a,b"), parse_event("a,b")))
 
 
+def test_splice_independence_size_guard():
+    with pytest.raises(SizeGuardError, match="splice-independence"):
+        verify_splice_independence(generate("cycle", 11, p=0.5), parse_strategy("bfs_cluster:a"))
+
+
 def test_splice_independence_examples():
     g1 = generate("path", 1, p=0.5)
     assert verify_splice_independence(g1, parse_strategy("bfs_cluster:a")) <= TOL

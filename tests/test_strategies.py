@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percolab import (Configuration, StrategyError, generate, graph_from_spec,
-                      make_strategy, parse_strategy, run, splice, verify_continuation)
+from percolab import (Configuration, SizeGuardError, StrategyError, generate,
+                      graph_from_spec, make_strategy, parse_strategy, run, splice,
+                      verify_continuation)
 from percolab import strategies
 from percolab.events import _columns, _transpose
 from percolab.mc import _edge_bit_columns
@@ -224,6 +227,18 @@ def test_verify_continuation_general_path():
 
     # the traces part only where e0 is open in c2, so every c2 is needed
     assert not verify_continuation(SbarFromC2(), parse_strategy("reveal_all:S"), g)
+
+
+def test_continuation_refuses_more_than_2_16_pairs():
+    t = parse_strategy("dfs_stop_at:a,b,c")
+    with pytest.raises(SizeGuardError, match="continuation"):
+        verify_continuation(t, t, graph_from_spec("family:grid:3,4,p=0.5"))  # 17 edges
+    # a strategy that reads c2 runs 4^E pairs: 12 edges are 2^24
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    t0 = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="continuation"):
+        verify_continuation(_FromC2(), extend_with_rest(_FromC2(), SBAR), g)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_adaptedness_same_prefix_same_next():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from percolab import (PercolabError, exact_pair, exact_prob, generate,
+from percolab import (PercolabError, SizeGuardError, exact_pair, exact_prob, generate,
                       graph_from_spec, parse_event, parse_strategy)
 from percolab.exact import Joint, SqS
 from percolab.strategies import S
@@ -167,6 +167,17 @@ def test_colored_single_edge_values():
     p2 = event_probability(gen_enumerate(g, ds, ConstChoice(2)), ev)
     assert p1 == pytest.approx(0.0, abs=TOL)
     assert p2 == pytest.approx(1 / 8, abs=TOL)
+
+
+def test_colored_guards_refuse_seven_edges():
+    # 8 colored symbols per edge: 8^7 states to enumerate, 7 * 8^6 contexts
+    g = generate("path", 7, p=0.5)
+    ds = build_preset("colored")
+    ab = parse_event("a,b")
+    with pytest.raises(SizeGuardError, match="enumeration too large"):
+        gen_enumerate(g, ds, ConstChoice(1))
+    with pytest.raises(SizeGuardError, match="condition check too large"):
+        check_zipper_condition(ds, lambda gg: ProductEvent(gg, (ab, ab, ab)), g)
 
 
 def test_product_event_without_a_layer():
