@@ -316,14 +316,18 @@ def _from_byte_rows(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _transpose(rows: list[int], width: int) -> list[int]:
+def _transpose(rows: list[int], width: int, keep: int | None = None) -> list[int]:
     """Bit-matrix transpose: bit i of output j is bit j of rows[i].
 
     Turns edge columns (width = n configurations) into per-configuration
-    masks, and masks (width = E edges) back into columns.
+    masks, and masks (width = E edges) back into columns.  With ``keep``,
+    only the outputs j whose bit is set in keep are built, in order.
     """
-    bits = np.unpackbits(_to_byte_rows(rows, width), axis=1, bitorder="little")
-    return _from_byte_rows(np.packbits(bits[:, :width].T, axis=1, bitorder="little"))
+    bits = np.unpackbits(_to_byte_rows(rows, width), axis=1, bitorder="little")[:, :width]
+    if keep is not None:
+        kept = np.unpackbits(_to_byte_rows([keep], width)[0], bitorder="little")[:width]
+        bits = bits[:, kept.view(bool)]
+    return _from_byte_rows(np.packbits(bits.T, axis=1, bitorder="little"))
 
 
 def _reach_masks(g: Graph, cols: list[int], n: int, sources, targets=None) -> dict:
@@ -507,13 +511,35 @@ def require_increasing(e: EventExpr, g: Graph, what: str = "event") -> None:
 
 
 # ---------------------------------------------------------------------------
-# Disjoint occurrence by witness splits
+# Disjoint occurrence by a bounded search over witness splits
 #
 # For increasing events A and B, two disjoint witnesses inside open(c) exist
 # exactly when open(c) splits into W and open(c) minus W with A holding on W
-# alone and B holding on the rest alone.  Enumerating splits of the open set
-# is therefore a complete decision procedure.  The 2^k splits of k open
-# edges are evaluated at once, as the periodic columns over those edges.
+# alone and B holding on the rest alone, so a search over the splits is a
+# complete decision procedure.  The search gives the open S-edges of c1 to
+# A's side or to B's, one edge at a time.  Both events are increasing, so a
+# partial split bounds all of its completions:
+#
+# - none succeeds when A fails with every undecided edge on its side, or B
+#   with every undecided edge on its side (the reach bounds);
+# - an undecided edge that A cannot do without must go to A, one that B
+#   cannot do without must go to B, and an edge that both need fails the
+#   node;
+# - the split succeeds once A holds on its assigned edges alone, because B
+#   then holds with every undecided edge on its side, and in the mirror case;
+# - an undecided edge on a tree that hangs off A's usable edges and holds
+#   none of A's vertices goes to B, since A reads the same without it, and
+#   in the mirror case.
+#
+# Before the search, a Menger cut bound refuses samples whose operands need
+# more edge-disjoint paths than the open edges carry (``_cut_bound``).  Once
+# at most ``_LEAF_OPEN`` edges are undecided, their 2^k splits are evaluated
+# at once, as the periodic columns over those edges; on few edges that
+# column split is much faster than further search.  The search visits at
+# most ``config.MAX_WITNESS_NODES`` nodes per query and refuses past that.
+
+_LEAF_OPEN = 10  # undecided edges that the column split takes over
+_MAX_NEEDS = 8   # alternatives kept per operand by the cut bound
 
 
 def _require_operands(A: EventExpr, B: EventExpr, g: Graph) -> None:
@@ -524,28 +550,213 @@ def _require_operands(A: EventExpr, B: EventExpr, g: Graph) -> None:
     _resolve(B, g)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def _split_columns(A: EventExpr, B: EventExpr, g: Graph, base_a: int, base_b: int,
+                   rest: int) -> bool:
+    """Does some split of the edges of rest give A on its part plus base_a,
+    and B on the other part plus base_b?  All 2^k splits at once: column i
+    is periodic over the i-th edge of rest, A reads the columns and B their
+    complements."""
+    k = rest.bit_count()
+    n = 1 << k
+    full = (1 << n) - 1
+    cols_a = [full if base_a >> j & 1 else 0 for j in range(g.n_edges)]
+    cols_b = [full if base_b >> j & 1 else 0 for j in range(g.n_edges)]
+    for j, col in zip(_bits(rest), _columns(k)):
+        cols_a[j], cols_b[j] = col, full ^ col
+    t_a = _evaluate_columns(A, g, cols_a, n)
+    return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n))
+
+
+def _probe(e: EventExpr, g: Graph, base: int, und: int) -> tuple[bool, bool, int]:
+    """The bounds of one side in one evaluator call: does e hold on base | und
+    and on base alone, and which undecided edges does it fail without?
+
+    Configuration 0 is base | und, 1 is base, and 2 + i is base | und less
+    the i-th undecided edge.
+    """
+    idx = _bits(und)
+    n = len(idx) + 2
+    full = (1 << n) - 1
+    cols = [full if base >> j & 1 else 0 for j in range(g.n_edges)]
+    for i, j in enumerate(idx):
+        cols[j] = full ^ 2 ^ (4 << i)
+    got = _evaluate_columns(e, g, cols, n)
+    need = sum(1 << j for i, j in enumerate(idx) if not got >> (i + 2) & 1)
+    return bool(got & 1), bool(got & 2), need
+
+
+def _needs(e: EventExpr) -> list[dict]:
+    """What every witness of an increasing event carries, as alternatives:
+    the event holds on an edge set only if one alternative does.  An
+    alternative maps an ordered vertex pair (x, y) to a number of pairwise
+    edge-disjoint x-y paths.  Complements and many-group partitions need
+    nothing, and so does a union or intersection past ``_MAX_NEEDS``
+    alternatives."""
+    def atom(a):
+        if isinstance(a, NPathsAtom):
+            return [{(a.u, a.v): a.n, (a.v, a.u): a.n} if a.u != a.v else {}]
+        grp = a.groups[0]
+        return [{(x, y): 1 for x in grp for y in grp if x != y} if len(a.groups) == 1 else {}]
+
+    def meet(alts):
+        out = [{}]
+        for xs in alts:
+            out = [{k: max(d.get(k, 0), x.get(k, 0)) for k in d.keys() | x.keys()}
+                   for d in out for x in xs]
+            if len(out) > _MAX_NEEDS:
+                return [{}]
+        return out
+
+    def join(alts):
+        out = [d for xs in alts for d in xs]
+        return out if len(out) <= _MAX_NEEDS else [{}]
+
+    return _fold(e, atom, join, meet, lambda _: [{}])
+
+
+def _flow_reaches(g: Graph, one: int, two: int, x: str, targets, need: int) -> bool:
+    """Does the flow from x into the vertex set targets reach need, with
+    capacity 1 on the edges of mask one and 2 on those of mask two (inside
+    one)?  Augmenting paths by breadth-first search on one configuration:
+    the column max-flow has neither capacity 2 nor a set of sinks."""
+    s = g.vertex_index(x)
+    sinks = {g.vertex_index(t) for t in targets}
+    cap = [(one >> j & 1) + (two >> j & 1) for j in range(g.n_edges)]
+    flow = [0] * g.n_edges  # along u -> v when positive
+    adj: list[list] = [[] for _ in range(g.n_vertices)]
+    for j, (u, v) in enumerate(zip(g._u_arr, g._v_arr)):
+        if cap[j]:
+            adj[u].append((j, v, 1))
+            adj[v].append((j, u, -1))
+    for _ in range(need):
+        prev = {s: None}
+        queue = [s]
+        for a in queue:
+            if a in sinks:
+                break
+            for j, b, d in adj[a]:
+                if b not in prev and d * flow[j] < cap[j]:
+                    prev[b] = (a, j, d)
+                    queue.append(b)
+        else:
+            return False
+        while prev[a] is not None:
+            a, j, d = prev[a]
+            flow[j] += d
+    return True
+
+
+def _cut_bound(A: EventExpr, B: EventExpr, g: Graph, fixed_a: int, fixed_b: int,
+               s_open: int) -> bool:
+    """False when no pair of alternatives of the operands (``_needs``) fits
+    the open edges.
+
+    Where both operands need paths from a vertex x, A's paths from x into a
+    vertex set T and B's are edge-disjoint in S, so the flow from x into T
+    must reach the sum of the two needs; T holds one partner of x from each
+    operand, or one partner of both.  An open S-edge carries one side's
+    paths, an edge outside S open in c1 or in c2 one path, and one open in
+    both two.
+    """
+    one, two = s_open | fixed_a | fixed_b, fixed_a & fixed_b
+    for na in _needs(A):
+        for nb in _needs(B):
+            checks = {}
+            for x, ya in na:
+                for xb, yb in nb:
+                    if xb == x:
+                        ts = frozenset((ya, yb))
+                        checks[x, ts] = (max(na.get((x, t), 0) for t in ts) +
+                                         max(nb.get((x, t), 0) for t in ts))
+            if all(_flow_reaches(g, one, two, x, ts, need) for (x, ts), need in checks.items()):
+                return True
+    return False
+
+
+def _dangling(g: Graph, usable: int, named: set) -> int:
+    """The edges of usable on trees that hang off the rest at one vertex and
+    hold no named vertex.  No path between named vertices uses them, so an
+    event on those vertices reads the same with or without them."""
+    inc: list[list] = [[] for _ in range(g.n_vertices)]
+    for j in _bits(usable):
+        inc[g._u_arr[j]].append(j)
+        inc[g._v_arr[j]].append(j)
+    deg = [len(js) for js in inc]
+    ends = [x for x, d in enumerate(deg) if d == 1 and x not in named]
+    out = 0
+    while ends:
+        x = ends.pop()
+        live = [j for j in inc[x] if not out >> j & 1]
+        if not live:  # the other end of a lone edge, already cut off
+            continue
+        j, = live
+        out |= 1 << j
+        y = g._u_arr[j] + g._v_arr[j] - x
+        deg[y] -= 1
+        if deg[y] == 1 and y not in named:
+            ends.append(y)
+    return out
+
+
 def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
                   s_mask: int) -> bool:
     """The witness split of ``sq_s_occurrence`` on masks, operands validated.
 
-    Column i of the split set is periodic over the i-th open S-edge of c1.
-    A reads those columns plus the open c1 edges outside S; B reads their
-    complements plus the open c2 edges outside S.
+    A reads the open c1 edges outside S plus its side of the open S-edges of
+    c1, and B the open c2 edges outside S plus its side.  On at most
+    ``_LEAF_OPEN`` open S-edges the column split decides at once.  Above
+    that, the cut bound and then the search of the block comment run, depth
+    first and A's side first, branching on the undecided edge that meets the
+    most decided edges.
     """
     s_open = s_mask & m1
-    k = s_open.bit_count()
-    if k > config.MAX_WITNESS_OPEN:
-        raise SizeGuardError(
-            f"more than {config.MAX_WITNESS_OPEN} open edges in witness search")
-    n = 1 << k
-    full = (1 << n) - 1
     fixed_a, fixed_b = m1 & ~s_mask, m2 & ~s_mask
-    cols_a = [full if fixed_a >> j & 1 else 0 for j in range(g.n_edges)]
-    cols_b = [full if fixed_b >> j & 1 else 0 for j in range(g.n_edges)]
-    for j, col in zip([j for j in range(g.n_edges) if s_open >> j & 1], _columns(k)):
-        cols_a[j], cols_b[j] = col, full ^ col
-    t_a = _evaluate_columns(A, g, cols_a, n)
-    return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n))
+    if s_open.bit_count() <= _LEAF_OPEN:
+        return _split_columns(A, B, g, fixed_a, fixed_b, s_open)
+    if not _cut_bound(A, B, g, fixed_a, fixed_b, s_open):
+        return False
+    named_a, named_b = ({g.vertex_index(v) for a in atoms(e) for v in _named(a)}
+                        for e in (A, B))
+    nodes = 0
+    stack = [(0, 0, s_open)]  # (A's side, B's side, undecided) of the nodes to visit
+    while stack:
+        a_side, b_side, und = stack.pop()
+        while True:
+            nodes += 1
+            if nodes > config.MAX_WITNESS_NODES:
+                raise SizeGuardError(
+                    f"witness search needs more than {config.MAX_WITNESS_NODES} nodes")
+            to_b = und & _dangling(g, fixed_a | a_side | und, named_a)
+            to_a = und & ~to_b & _dangling(g, fixed_b | b_side | und, named_b)
+            a_side, b_side, und = a_side | to_a, b_side | to_b, und ^ (to_a | to_b)
+            up_a, low_a, need_a = _probe(A, g, fixed_a | a_side, und)
+            if not up_a:
+                break
+            up_b, low_b, need_b = _probe(B, g, fixed_b | b_side, und)
+            if not up_b or need_a & need_b:
+                break
+            if low_a or low_b:
+                return True
+            if need_a | need_b:
+                a_side, b_side, und = a_side | need_a, b_side | need_b, und ^ (need_a | need_b)
+                continue
+            if und.bit_count() <= _LEAF_OPEN:
+                if _split_columns(A, B, g, fixed_a | a_side, fixed_b | b_side, und):
+                    return True
+                break
+            deg = [0] * g.n_vertices
+            for j in _bits(fixed_a | a_side | fixed_b | b_side):
+                deg[g._u_arr[j]] += 1
+                deg[g._v_arr[j]] += 1
+            e = 1 << max(_bits(und), key=lambda j: deg[g._u_arr[j]] + deg[g._v_arr[j]])
+            stack += [(a_side, b_side | e, und ^ e), (a_side | e, b_side, und ^ e)]
+            break
+    return False
 
 
 def disjoint_occurrence(A: EventExpr, B: EventExpr, g: Graph, c: Configuration) -> bool:

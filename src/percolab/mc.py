@@ -21,9 +21,11 @@ set S as edge columns too: cluster-revealing strategies give them from
 reachability on the c1 columns, target-stopped passes and ``rhw_walks``
 from one lock-step scan of every sample's frontier, and user ``Strategy``
 subclasses from one run per sample pair, with the masks transposed from and
-back into columns.  Per-sample masks are otherwise
-transposed only for the witness splits of SqS queries, which search one
-sample at a time.  No graph size limit applies.
+back into columns.  A and B are increasing, so SqS implies Joint: an SqS
+query evaluates the Joint hit mask on the columns, as a Joint query does,
+and transposes only the Joint hits into per-sample masks, for the bounded
+witness search of ``events``, one sample at a time.  No graph size limit
+applies; the witness search has a node budget.
 """
 
 from __future__ import annotations
@@ -152,20 +154,23 @@ def mc_npaths(g: Graph, u: str, v: str, n_paths: int, samples: int, seed: int) -
 def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:
     """Monte Carlo estimate of a pair query (see the exact engine for kinds).
 
-    The S columns come from the strategy's ``_reveal_columns``.  Joint then
+    The S columns come from the strategy's ``_reveal_columns``.  Joint
     evaluates A on the c1 columns and B on the spliced columns (c1 over S,
-    c2 elsewhere); SqS searches the witness splits of each sample.
+    c2 elsewhere).  SqS searches the witness splits of the Joint hits only,
+    one sample at a time: with every open S-edge on one side, a split is
+    at best A on c1 and B on the splice.
     """
     _check_query(g, q)
     cols1 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, 0)
     cols2 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, g.n_edges)
     s_cols = t._reveal_columns(g, cols1, n, cols2)[1]
+    full = (1 << n) - 1
+    spliced = [(c1 & s) | (c2 & (full ^ s)) for c1, c2, s in zip(cols1, cols2, s_cols)]
+    joint = _evaluate_columns(q.A, g, cols1, n) & _evaluate_columns(q.B, g, spliced, n)
     if isinstance(q, SqS):
+        # SqS implies Joint, so only the Joint hits are searched
         hits = sum(_split_occurs(q.A, q.B, g, m1, m2, s_mask) for m1, m2, s_mask in
-                   zip(_transpose(cols1, n), _transpose(cols2, n), _transpose(s_cols, n)))
+                   zip(*(_transpose(cols, n, joint) for cols in (cols1, cols2, s_cols))))
     else:
-        full = (1 << n) - 1
-        spliced = [(c1 & s) | (c2 & (full ^ s)) for c1, c2, s in zip(cols1, cols2, s_cols)]
-        hits = (_evaluate_columns(q.A, g, cols1, n) &
-                _evaluate_columns(q.B, g, spliced, n)).bit_count()
+        hits = joint.bit_count()
     return Estimate.from_count(hits, n, seed)

@@ -2,16 +2,21 @@
 
 ``evaluate_mask`` walks an event tree on one configuration mask, reading
 partition atoms from ``cluster_labels``, a union-find of its own, and npaths
-atoms from ``open_maxflow``, a breadth-first augmenting-path max-flow.  From
-``percolab`` it imports only ``Graph`` and the event node classes, so it
-shares no code with the column evaluator of ``percolab.events`` that the
+atoms from ``open_maxflow``, a breadth-first augmenting-path max-flow.  They
+use only ``Graph`` and the event node classes from ``percolab``, so they
+share no code with the column evaluator of ``percolab.events`` that the
 library runs, and the tests compare the two bit for bit.
+
+``column_split`` is the reference for the witness search of disjoint
+occurrence: it evaluates all 2^k witness splits at once on the column
+evaluator.  It shares the evaluator with the library, which the oracles
+above check, and none of the search.
 """
 
 from __future__ import annotations
 
 from percolab.events import (Complement, EventExpr, Intersect, NPathsAtom,
-                             PartitionAtom, Union)
+                             PartitionAtom, Union, _columns, _evaluate_columns)
 from percolab.graphs import Graph
 
 
@@ -130,3 +135,27 @@ def evaluate_mask(e: EventExpr, g: Graph, mask: int) -> bool:
         return not evaluate_mask(e.item, g, mask)
     raise TypeError(f"not an event expression: {e!r}")
 
+
+# ---------------------------------------------------------------------------
+# Witness splits of disjoint occurrence, all 2^k at once
+
+
+def column_split(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
+                 s_mask: int) -> bool:
+    """The witness split of ``sq_s_occurrence`` on masks, operands validated.
+
+    Column i of the split set is periodic over the i-th open S-edge of c1.
+    A reads those columns plus the open c1 edges outside S; B reads their
+    complements plus the open c2 edges outside S.
+    """
+    s_open = s_mask & m1
+    k = s_open.bit_count()
+    n = 1 << k
+    full = (1 << n) - 1
+    fixed_a, fixed_b = m1 & ~s_mask, m2 & ~s_mask
+    cols_a = [full if fixed_a >> j & 1 else 0 for j in range(g.n_edges)]
+    cols_b = [full if fixed_b >> j & 1 else 0 for j in range(g.n_edges)]
+    for j, col in zip([j for j in range(g.n_edges) if s_open >> j & 1], _columns(k)):
+        cols_a[j], cols_b[j] = col, full ^ col
+    t_a = _evaluate_columns(A, g, cols_a, n)
+    return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n))

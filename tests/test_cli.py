@@ -4,7 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from percolab import exact_prob, graph_from_spec, mc_prob, parse_event
+from percolab import config, exact_prob, graph_from_spec, mc_prob, parse_event
 from percolab.cli import main
 
 TRIANGLE = """vertex a
@@ -62,6 +62,31 @@ def test_size_guard_exits_3(runner):
     res = runner.invoke(main, ["check", "dv8", "--graph", "family:grid:5,5,p=0.5",
                                "--method", "exact"])
     assert res.exit_code == 3
+
+
+_VDBK_GRID55 = ["check", "vdbk_tree", "--graph", "family:grid:5,5,p=0.5",
+                "--events", "a,b", "b,c", "--method", "mc", "--seed", "5"]
+
+
+@pytest.mark.parametrize("strategy, lhs", [("bfs_cluster:a", 0.014),
+                                           ("dfs_stop_at:a,b,c", 0.029),
+                                           ("dfs:a,right_hand,until:c", 0.014)])
+def test_mc_vdbk_tree_on_grid_5_5_exits_0(runner, strategy, lhs):
+    # samples with up to about 30 open edges in S: the witness search decides
+    # every one of them within its node budget
+    res = runner.invoke(main, _VDBK_GRID55 + ["--strategy", strategy, "--samples", "1000"])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)[0]
+    assert rep["lhs"] == lhs
+    assert rep["verdict"] in ("holds", "inconclusive")
+
+
+def test_witness_search_past_its_node_budget_exits_3(runner, monkeypatch):
+    monkeypatch.setattr(config, "MAX_WITNESS_NODES", 1)
+    res = runner.invoke(main, _VDBK_GRID55 + ["--strategy", "bfs_cluster:a",
+                                              "--samples", "200"])
+    assert res.exit_code == 3, res.output
+    assert "witness search needs more than 1 nodes" in res.output
 
 
 def test_mc_npaths_on_84_edges_exits_0(runner):

@@ -5,25 +5,28 @@ occurrence are all read from edge columns by the shared column evaluator;
 these tests compare them, bit for bit, with the per-mask oracle of
 ``tests/oracles.py``: ``evaluate_mask``, which walks the tree itself on
 cluster labels, and ``open_maxflow``, run on one configuration mask at a
-time.  The table split test and the submask probability arrays of the
-exact engine are compared with plain Python loops.
+time.  The witness search of disjoint occurrence is compared with the
+column split over all 2^k splits (``column_split``), and the table split
+test and the submask probability arrays of the exact engine with plain
+Python loops.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percolab import (Configuration, Graph, Monotonicity, evaluate,
-                      exact_npaths, exact_prob, generate, graph_from_spec,
-                      monotonicity, parse_event, sq_s_occurrence)
+from percolab import (Configuration, Graph, Monotonicity, disjoint_occurrence,
+                      evaluate, events, exact_npaths, exact_prob, generate,
+                      graph_from_spec, monotonicity, parse_event, sq_s_occurrence)
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
-                             Union, _columns, _flow_levels, _transpose)
+                             Union, _columns, _flow_levels, _split_occurs, _transpose)
 from percolab.exact import _split_any, _submasks, truth_table, weights
 
-from oracles import evaluate_mask, open_maxflow
+from oracles import column_split, evaluate_mask, open_maxflow
 
 _VERTS = ("a", "b", "c", "d", "e")
 _MAX_EDGES = 9
@@ -31,13 +34,23 @@ _MAX_EDGES = 9
 
 @st.composite
 def _graphs(draw, max_edges=_MAX_EDGES, probs=(0.25, 0.5, 0.75)):
-    """Connected simple graphs on 2..5 vertices with 1..max_edges edges."""
+    """Connected simple graphs on 2..5 vertices with 1..max_edges edges.
+
+    A spanning tree, mostly completed to a K4 core on the first four
+    vertices, where every pair carries three edge-disjoint paths, plus as
+    many further edges as fit less a drawn number that shrinks to 0, so
+    that dense graphs are common.
+    """
     nv = draw(st.integers(2, len(_VERTS)))
     tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, nv)]
     others = [(i, j) for i in range(nv) for j in range(i + 1, nv)
               if (i, j) not in tree]
-    extra = draw(st.lists(st.sampled_from(others), unique=True,
-                          max_size=max_edges - len(tree))) if others else []
+    core = [(i, j) for i, j in others if j < 4]
+    if nv < 4 or len(tree) + len(core) > max_edges or draw(st.integers(0, 3)) == 0:
+        core = []
+    rest = [pair for pair in others if pair not in core]
+    room = max(0, min(len(rest), max_edges - len(tree) - len(core)))
+    extra = core + draw(st.permutations(rest))[:room - draw(st.integers(0, room))]
     edges = [(f"e{k}", _VERTS[i], _VERTS[j])
              for k, (i, j) in enumerate(tree + extra)]
     probs = {eid: draw(st.sampled_from(probs)) for eid, _, _ in edges}
@@ -278,8 +291,12 @@ def _increasing_events(names):
     connect = st.lists(name, min_size=1, max_size=3, unique=True).map(
         lambda grp: PartitionAtom((tuple(grp),)))
     npaths = st.builds(NPathsAtom, name, name, st.integers(1, 3))
+    # !(x|y|..): two of the named vertices connected, the complement of a
+    # decreasing atom
+    not_apart = st.lists(name, min_size=2, max_size=3, unique=True).map(
+        lambda vs: Complement(PartitionAtom(tuple((v,) for v in vs))))
     return st.recursive(
-        st.one_of(connect, npaths),
+        st.one_of(connect, npaths, not_apart),
         lambda sub: st.one_of(
             st.lists(sub, min_size=2, max_size=3).map(lambda xs: Union(tuple(xs))),
             st.lists(sub, min_size=2, max_size=3).map(lambda xs: Intersect(tuple(xs)))),
@@ -304,6 +321,44 @@ def test_sq_s_occurrence_matches_split_loop(case):
     s_edges = [eid for eid in g.edge_ids if s_mask >> g.edge_index(eid) & 1]
     got = sq_s_occurrence(A, B, g, Configuration(g, m1), Configuration(g, m2), s_edges)
     assert got == _split_oracle(A, B, g, m1, m2, s_mask)
+
+
+@st.composite
+def _dense_split_case(draw):
+    """A split case whose operands join at most two connections or path
+    counts between the first three vertices, and whose c1 is often fully
+    open.  The operands then often need paths from a common vertex, and
+    splits often succeed: there the cut bound and the forced edges decide."""
+    g = draw(_graphs())
+    full = (1 << g.n_edges) - 1
+    masks = st.integers(0, full)
+    ends = st.lists(st.sampled_from(g.vertices[:3]), min_size=2, max_size=2, unique=True)
+    atom = st.one_of(ends.map(lambda uv: PartitionAtom((tuple(uv),))),
+                     st.builds(lambda uv, n: NPathsAtom(*uv, n), ends, st.integers(2, 3)))
+    pairs = st.lists(atom, min_size=2, max_size=2).map(tuple)
+    operand = st.one_of(atom, pairs.map(Union), pairs.map(Intersect))
+    A, B = draw(operand), draw(operand)
+    m1 = draw(st.one_of(st.just(full), masks))
+    s_mask = draw(st.one_of(st.just(0), st.just(full), masks))
+    return g, A, B, m1, draw(masks), s_mask
+
+
+@given(st.one_of(_split_case(), _dense_split_case()))
+@settings(max_examples=300, deadline=None)
+def test_witness_search_matches_column_split(case):
+    """The bounded search against the column split over all 2^k splits.
+
+    The leaf split takes over at 0 or 2 undecided edges, so that the search
+    itself runs on these small graphs, and at its default size.  S = every
+    edge is plain disjoint occurrence.
+    """
+    g, A, B, m1, m2, s_mask = case
+    want = column_split(A, B, g, m1, m2, s_mask)
+    for leaf in (0, 2, events._LEAF_OPEN):
+        with mock.patch.object(events, "_LEAF_OPEN", leaf):
+            assert _split_occurs(A, B, g, m1, m2, s_mask) == want, leaf
+            if s_mask == (1 << g.n_edges) - 1:
+                assert disjoint_occurrence(A, B, g, Configuration(g, m1)) == want, leaf
 
 
 def _submask_list(mask):

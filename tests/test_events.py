@@ -8,6 +8,7 @@ from percolab import (Configuration, EventSyntaxError, Monotonicity,
                       MonotonicityError, SizeGuardError, disjoint_occurrence, evaluate,
                       exact_prob, generate, graph_from_spec, monotonicity,
                       parse_event, sq_s_occurrence, unparse)
+from percolab import config
 from percolab.events import Complement, Intersect, NPathsAtom, PartitionAtom, Union
 
 from oracles import evaluate_mask, open_maxflow
@@ -112,8 +113,14 @@ def test_monotonicity_brute_force():
     g = generate("cycle", 3, p=0.5)
     # opening bc destroys a,b|c when it held with only ab open
     assert monotonicity(parse_event("a,b|c"), g) is Monotonicity.NONE
-    # complement of a non-syntactic union still detected exactly
+    # a,b U b,c is a union of increasing atoms, so its complement is
+    # DECREASING by syntax alone, without a truth table
     assert monotonicity(parse_event("!(a,b U b,c)"), g) is Monotonicity.DECREASING
+    # the union inside is a|b, NONE by syntax: its complement is settled by
+    # the truth table, as the complement of a decreasing event
+    e = parse_event("!(a|b U (a|b & a,c))")
+    assert monotonicity(e) is Monotonicity.NONE
+    assert monotonicity(e, g) is Monotonicity.INCREASING
 
 
 def test_monotonicity_settled_by_the_truth_table():
@@ -206,11 +213,16 @@ def test_disjoint_occurrence_examples():
     assert disjoint_occurrence(ab, ab, g, g.config(g.edge_ids))
 
 
-def test_witness_split_refuses_too_many_open_s_edges():
+def test_witness_search_refuses_past_its_node_budget(monkeypatch):
     g = generate("grid", 5, 5, p=0.5)
-    every = g.config(g.edge_ids)  # k = 40 open edges in S
-    with pytest.raises(SizeGuardError, match="witness search"):
-        sq_s_occurrence(parse_event("a,b"), parse_event("b,c"), g, every, every, g.edge_ids)
+    every = g.config(g.edge_ids)  # k = 40 open edges in S, no bridge, no dangling edge
+    ab, bc = parse_event("a,b"), parse_event("b,c")
+    # two edge-disjoint paths a-b and b-c: found well within the budget
+    assert sq_s_occurrence(ab, bc, g, every, every, g.edge_ids) is True
+    # the root settles nothing, so the search needs a second node
+    monkeypatch.setattr(config, "MAX_WITNESS_NODES", 1)
+    with pytest.raises(SizeGuardError, match="witness search needs more than 1 nodes"):
+        sq_s_occurrence(ab, bc, g, every, every, g.edge_ids)
 
 
 def test_disjoint_occurrence_requires_increasing():

@@ -246,6 +246,21 @@ def test_seeded_hit_counts_pinned():
         assert round(mc_pair(g, t, SqS(A, B), 400, 8).mean * 400) == sqs, spec
 
 
+@pytest.mark.parametrize("spec, seed, joint, sqs", [
+    ("bfs_cluster:a", 1, 137, 43), ("bfs_cluster:a", 2, 148, 42),
+    ("dfs:a,id,S", 1, 137, 43), ("dfs:a,id,S", 2, 148, 42),
+    ("dfs_stop_at:a,b,c", 1, 142, 56), ("dfs_stop_at:a,b,c", 2, 141, 61),
+])
+def test_seeded_sqs_hit_counts_pinned(spec, seed, joint, sqs):
+    # counts of the column split over every sample: searching only the Joint
+    # hits, by the bounded witness search, must give them exactly
+    g = graph_from_spec("family:grid:3,4,p=0.5")
+    t = parse_strategy(spec)
+    A, B = parse_event("a,b"), parse_event("b,c")
+    assert round(mc_pair(g, t, Joint(A, B), 1000, seed).mean * 1000) == joint
+    assert round(mc_pair(g, t, SqS(A, B), 1000, seed).mean * 1000) == sqs
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("gspec, spec, query, n", [
     ("family:grid:5,5,p=0.5", "dfs:a,right_hand,until:c", Joint, 2000),
