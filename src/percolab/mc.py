@@ -1,13 +1,15 @@
 """Statistical estimation on graphs too large for exhaustive enumeration.
 
-Randomness is counter based: sample i of a run derives every edge bit from
-(seed, counter) through a SplitMix64-style mix, so results are reproducible
-bit for bit from (seed, n) alone and independent of batching.  An edge of
-probability p is open when the mixed 64-bit word lies below
-ceil(p·2^53) << 11, which is exactly u < p for the 53-bit uniform
-u = (word >> 11)·2^-53; no float is formed.  Raising an edge probability
-can only turn closed edges open within a fixed stream, which preserves
-monotone couplings across parameter sweeps.
+Randomness is counter based and bit-sliced: sample i is lane i mod 64 of
+group w = i // 64, and level k = 0..52 of edge j in group w is one word,
+SplitMix64-mixed from the seed and the counter (w·53 + k)·stride + offset +
+j + 1.  A lane's 53-bit uniform u reads its level bits from the top, and the
+edge is open iff u < ceil(p·2^53), exactly u·2^-53 < p.  A lane is decided
+at its first bit that differs from the threshold's (a tie is closed), so a
+group mixes levels only while a lane is undecided: one at p = 1/2, about
+eight for most p.  Results depend on (seed, n) alone, the columns of n
+samples are the low bits of those of more, and raising p can only open
+edges, which keeps monotone couplings across parameter sweeps.
 
 Samples are held as edge columns: each edge gets a bitmask of the samples
 where it is open, and events are evaluated for all samples at once by the
@@ -46,7 +48,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_BLOCK = 1 << 16  # samples mixed per buffer pass; a multiple of 8, so packed blocks concatenate
+_BLOCK = 1 << 16  # (edge, 64-sample group) words drawn per block
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -87,41 +89,76 @@ class Estimate:
 def _edge_bit_columns(g: Graph, n: int, seed: int, stride: int, offset: int):
     """Per-edge bitmask over samples: bit i set when edge open in sample i.
 
-    Edge j of sample i mixes the word base + (i·stride + offset + j + 1)·gamma
-    mod 2^64 and compares it with the integer threshold of the module
-    docstring.  Blocks of samples are mixed in place in fixed buffers.  An
-    edge with p >= 1 draws nothing: its threshold 2^64 does not fit a uint64.
+    Edges of one threshold are drawn together, _BLOCK (edge, group) words at
+    a time.  An edge with p <= 0 or p >= 1 draws nothing.
     """
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    size = min(_BLOCK, n)
-    ramp = np.arange(size, dtype=np.uint64) * np.uint64(stride * _GAMMA & _MASK64)
-    z = np.empty(size, dtype=np.uint64)
-    t = np.empty(size, dtype=np.uint64)
-    bits = np.empty(size, dtype=bool)
+    full = (1 << n) - 1
+    cols = [full if p >= 1.0 else 0 for p in g.probs]
+    groups = -(-n // 64)
+    span, rows = min(groups, _BLOCK), max(1, _BLOCK // groups)
+    ramp = np.arange(span, dtype=np.uint64) * np.uint64(53 * stride * _GAMMA & _MASK64)
     base = _seed_base(seed)
-    cols = []
+    by_threshold = {}
     for j, p in enumerate(g.probs):
-        if p <= 0.0 or p >= 1.0:
-            cols.append(0 if p <= 0.0 else (1 << n) - 1)
-            continue
-        threshold = np.uint64(math.ceil(p * 2.0 ** 53) << 11)
-        word = base + (offset + j + 1) * _GAMMA
-        chunks = []
-        for start in range(0, n, _BLOCK):
-            np.add(ramp, np.uint64((word + start * stride * _GAMMA) & _MASK64), out=z)
-            np.right_shift(z, np.uint64(30), out=t)
-            np.bitwise_xor(z, t, out=z)
-            np.multiply(z, _M1, out=z)
-            np.right_shift(z, np.uint64(27), out=t)
-            np.bitwise_xor(z, t, out=z)
-            np.multiply(z, _M2, out=z)
-            np.right_shift(z, np.uint64(31), out=t)
-            np.bitwise_xor(z, t, out=z)
-            np.less(z, threshold, out=bits)
-            chunks.append(np.packbits(bits[:n - start], bitorder="little").tobytes())
-        cols.append(int.from_bytes(b"".join(chunks), "little"))
+        if 0.0 < p < 1.0:
+            by_threshold.setdefault(math.ceil(p * 2.0 ** 53), []).append(j)
+    for threshold, edges in by_threshold.items():
+        for r in range(0, len(edges), rows):
+            chunks = {j: [] for j in edges[r:r + rows]}
+            for w in range(0, groups, span):
+                starts = np.array([base + (w * 53 * stride + offset + j + 1) * _GAMMA & _MASK64
+                                   for j in chunks], dtype=np.uint64)
+                z0 = ramp[:groups - w] + starts[:, None]
+                words = _draw_levels(z0.ravel(), threshold, stride).reshape(z0.shape)
+                if w + span >= groups:  # lanes past n stay closed
+                    words[:, -1] &= np.uint64(full >> 64 * (groups - 1))
+                for chunk, row in zip(chunks.values(), words):
+                    chunk.append(row.astype("<u8", copy=False).tobytes())
+            for j, chunk in chunks.items():
+                cols[j] = int.from_bytes(b"".join(chunk), "little")
     return cols
+
+
+def _draw_levels(z0, threshold: int, stride: int):
+    """Open lanes of the words whose level-0 counters are mixed from z0; the
+    words with no lane tied to the threshold are dropped once most are."""
+    opened = None if threshold >> 52 else np.zeros_like(z0)
+    at = slice(None)  # positions in opened of the words still drawn
+    z, t, tied = np.empty_like(z0), np.empty_like(z0), None
+    last = 52 - ((threshold & -threshold).bit_length() - 1)  # its last set level
+    for k in range(last + 1):
+        np.add(z0, np.uint64(k * stride * _GAMMA & _MASK64), out=z)
+        for shift, mult in ((30, _M1), (27, _M2), (31, None)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            np.bitwise_xor(z, t, out=z)
+            if mult is not None:
+                np.multiply(z, mult, out=z)
+        if threshold >> (52 - k) & 1:  # a 0 under the threshold's 1 opens a lane
+            np.invert(z, out=t)
+            if tied is not None:
+                np.bitwise_and(t, tied, out=t)
+            if opened is None:
+                opened, t = t, np.empty_like(z0)
+            else:
+                opened[at] |= t
+        else:  # a 1 over the threshold's 0 closes it
+            np.invert(z, out=z)
+        if k == last:
+            break
+        if tied is None:
+            z, tied = np.empty_like(z0), z
+        else:
+            np.bitwise_and(tied, z, out=tied)
+        if np.count_nonzero(tied) < tied.size // 4:
+            live = np.flatnonzero(tied != 0)
+            if not live.size:
+                break
+            at = live if isinstance(at, slice) else at[live]
+            z0, tied = z0[live], tied[live]
+            z, t = np.empty_like(z0), np.empty_like(z0)
+    return opened
 
 
 def mc_probs(g: Graph, events: list, n: int, seed: int) -> tuple[list, list]:
@@ -154,11 +191,12 @@ def mc_npaths(g: Graph, u: str, v: str, n_paths: int, samples: int, seed: int) -
 def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:
     """Monte Carlo estimate of a pair query (see the exact engine for kinds).
 
-    The S columns come from the strategy's ``_reveal_columns``.  Joint
-    evaluates A on the c1 columns and B on the spliced columns (c1 over S,
-    c2 elsewhere).  SqS searches the witness splits of the Joint hits only,
-    one sample at a time: with every open S-edge on one side, a split is
-    at best A on c1 and B on the splice.
+    c1 and c2 draw with stride 2E at offsets 0 and E, so their counters
+    never meet.  The S columns come from the strategy's ``_reveal_columns``.
+    Joint evaluates A on the c1 columns and B on the spliced columns (c1
+    over S, c2 elsewhere).  SqS searches the witness splits of the Joint
+    hits only, one sample at a time: with every open S-edge on one side, a
+    split is at best A on c1 and B on the splice.
     """
     _check_query(g, q)
     cols1 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, 0)

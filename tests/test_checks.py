@@ -241,59 +241,77 @@ def _without_runtime(rep) -> dict:
 # report dicts recorded before the exact and MC verdict paths were merged
 _GOLDEN_SCANS = [
     (("logconcave", "family:grid:2,6,p=0.7", 2, 20000, 11), [
-        {'check_id': 'logconcave#ratio[n=1]', 'graph': 'family:grid:2,6,p=0.7', 'method': 'mc', 'lhs': -0.6375554160796378, 'rhs': -0.19540679634261007, 'slack': 0.4421486197370278, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 20000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=1]', 'graph': 'family:grid:2,6,p=0.7', 'method': 'mc', 'lhs': -0.6236141564984465, 'rhs': -0.1938881931654201, 'slack': 0.42972596333302643, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 20000, 'seed': 11, 'note': None},  # noqa: E501
     ]),
     (("lambda_monotone", "family:grid:2,6,p=0.7", 2, 20000, 12), [
-        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:grid:2,6,p=0.7', 'method': 'mc', 'lhs': 1.0414896019869508, 'rhs': 1.7164664851926235, 'slack': 0.6749768832056726, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 20000, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:grid:2,6,p=0.7', 'method': 'mc', 'lhs': 1.0481559035220571, 'rhs': 1.701553201341906, 'slack': 0.6533972978198488, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 20000, 'seed': 12, 'note': None},  # noqa: E501
     ]),
     (("logconcave", "family:parallel:4,q=0.5", 4, 3000, 11), [
-        {'check_id': 'logconcave#sq[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.27942466666666665, 'rhs': 0.45832900000000004, 'slack': 0.1789043333333334, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
-        {'check_id': 'logconcave#sq[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.041522666666666666, 'rhs': 0.088804, 'slack': 0.04728133333333333, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
-        {'check_id': 'logconcave#ratio[n=1]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.195042003034931, 'rhs': -0.06436075916038991, 'slack': 0.13068124387454108, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
-        {'check_id': 'logconcave#ratio[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.40355393082557756, 'rhs': -0.195042003034931, 'slack': 0.20851192779064656, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
-        {'check_id': 'logconcave#ratio[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.6978579525103153, 'rhs': -0.40355393082557756, 'slack': 0.2943040216847378, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#sq[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.29481666666666667, 'rhs': 0.4664890000000001, 'slack': 0.17167233333333343, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#sq[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.04325666666666667, 'rhs': 0.10027777777777777, 'slack': 0.0570211111111111, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=1]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.19063020970567346, 'rhs': -0.07149600170506992, 'slack': 0.11913420800060354, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.38330186101855346, 'rhs': -0.19063020970567346, 'slack': 0.19267165131288, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.6898358738724402, 'rhs': -0.38330186101855346, 'slack': 0.3065340128538867, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 11, 'note': None},  # noqa: E501
     ]),
     (("lambda_monotone", "family:parallel:4,q=0.5", 4, 3000, 12), [
-        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 2.3299772290295016, 'rhs': 2.7385094085869177, 'slack': 0.40853217955741616, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 12, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.9717094045881534, 'rhs': 2.3299772290295016, 'slack': 0.3582678244413482, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 12, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.4650544143759525, 'rhs': 1.9717094045881534, 'slack': 0.5066549902122008, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 2.3913306597468145, 'rhs': 2.7488721956224653, 'slack': 0.35754153587565085, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.9643184292107718, 'rhs': 2.3913306597468145, 'slack': 0.42701223053604265, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.425704800960462, 'rhs': 1.9643184292107718, 'slack': 0.5386136282503098, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 3000, 'seed': 12, 'note': None},  # noqa: E501
     ]),
 ]
 
 # scans whose standard errors decide the verdict: near the sigma boundary,
 # where an error rule that claims more certainty turns inconclusive into holds
-# (a tangent derivative of implied_lambda reads holds at k=1 of the first)
+# (a tangent derivative of implied_lambda reads holds at k=1 of parallel:4 at
+# seed 30, at k=4 of parallel:5 at seed 133 and at k=1 of parallel:5 at seed 88)
 _GOLDEN_SCAN_ERRORS = [
     (('lambda_monotone', 'family:parallel:4,q=0.5', 4, 300, 12), [
-        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 2.2466892806951586, 'rhs': 3.138833117194663, 'slack': 0.8921438364995042, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 12, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.938440813219632, 'rhs': 2.2466892806951586, 'slack': 0.3082484674755266, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 12, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.4539799363577512, 'rhs': 1.938440813219632, 'slack': 0.4844608768618808, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 2.3928546190770223, 'rhs': 3.138833117194663, 'slack': 0.7459784981176405, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 2.000036019861801, 'rhs': 2.3928546190770223, 'slack': 0.39281859921522155, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 12, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.4539799363577512, 'rhs': 2.000036019861801, 'slack': 0.5460560835040495, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 12, 'note': None},  # noqa: E501
     ]),
     (('lambda_monotone', 'family:parallel:5,q=0.5', 5, 100, 8), [
-        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.866469566626418, 'rhs': 3.2188758248681983, 'slack': 0.3524062582417802, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.7977089172687197, 'rhs': 2.866469566626418, 'slack': 0.06876064935769843, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.581596354540806, 'rhs': 2.7977089172687197, 'slack': 0.2161125627279139, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=4', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 1.5295257054343563, 'rhs': 2.581596354540806, 'slack': 1.0520706491064495, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 3.4616261674964592, 'rhs': 3.912023005428142, 'slack': 0.4503968379316827, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.5541494940237746, 'rhs': 3.4616261674964592, 'slack': 0.9074766734726847, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.2967868060280843, 'rhs': 2.5541494940237746, 'slack': 0.2573626879956903, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=4', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 1.2791060800935998, 'rhs': 2.2967868060280843, 'slack': 1.0176807259344844, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 8, 'note': None},  # noqa: E501
     ]),
     (('lambda_monotone', 'family:parallel:5,q=0.5', 5, 1000, 13), [
-        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.987653277891976, 'rhs': 3.611918412977805, 'slack': 0.624265135085829, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.6984673902088687, 'rhs': 2.987653277891976, 'slack': 0.28918588768310727, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.2720747890696353, 'rhs': 2.6984673902088687, 'slack': 0.4263926011392334, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
-        {'check_id': 'lambda_monotone#k=4', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 1.7943560427215197, 'rhs': 2.2720747890696353, 'slack': 0.4777187463481156, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 3.119474101965415, 'rhs': 3.352407217492721, 'slack': 0.232933115527306, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.760177285303997, 'rhs': 3.119474101965415, 'slack': 0.3592968166614181, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.331074292515032, 'rhs': 2.760177285303997, 'slack': 0.42910299278896513, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=4', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 1.6741490789229694, 'rhs': 2.331074292515032, 'slack': 0.6569252135920625, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 13, 'note': None},  # noqa: E501
+    ]),
+    (('lambda_monotone', 'family:parallel:4,q=0.5', 4, 300, 30), [
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 2.347711159561496, 'rhs': 3.3058872018578302, 'slack': 0.9581760422963344, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 30, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 2.000036019861801, 'rhs': 2.347711159561496, 'slack': 0.3476751396996951, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 30, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 1.4814294169263125, 'rhs': 2.000036019861801, 'slack': 0.5186066029354883, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 300, 'seed': 30, 'note': None},  # noqa: E501
+    ]),
+    (('lambda_monotone', 'family:parallel:5,q=0.5', 5, 100, 133), [
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 3.1340578934823675, 'rhs': 3.912023005428142, 'slack': 0.7779651119457744, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 133, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.882599670383912, 'rhs': 3.1340578934823675, 'slack': 0.25145822309845567, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 133, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.7185426614785975, 'rhs': 2.882599670383912, 'slack': 0.16405700890531438, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 133, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=4', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 1.7060342735600118, 'rhs': 2.7185426614785975, 'slack': 1.0125083879185857, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 100, 'seed': 133, 'note': None},  # noqa: E501
+    ]),
+    (('lambda_monotone', 'family:parallel:5,q=0.5', 5, 1000, 88), [
+        {'check_id': 'lambda_monotone#k=1', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 3.193889351802074, 'rhs': 3.912023005428142, 'slack': 0.7181336536260678, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 88, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=2', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.6700071355829165, 'rhs': 3.193889351802074, 'slack': 0.5238822162191576, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 88, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=3', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 2.201791646713156, 'rhs': 2.6700071355829165, 'slack': 0.4682154888697605, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 88, 'note': None},  # noqa: E501
+        {'check_id': 'lambda_monotone#k=4', 'graph': 'family:parallel:5,q=0.5', 'method': 'mc', 'lhs': 1.861229878843465, 'rhs': 2.201791646713156, 'slack': 0.34056176786969106, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 1000, 'seed': 88, 'note': None},  # noqa: E501
     ]),
     (('logconcave', 'family:parallel:4,q=0.5', 4, 60, 2), [
-        {'check_id': 'logconcave#sq[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.18666666666666668, 'rhs': 0.48999999999999994, 'slack': 0.30333333333333323, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
-        {'check_id': 'logconcave#sq[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.06999999999999999, 'rhs': 0.04000000000000001, 'slack': -0.029999999999999985, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
-        {'check_id': 'logconcave#ratio[n=1]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.17833747196936622, 'rhs': -0.06899287148695143, 'slack': 0.10934460048241479, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
-        {'check_id': 'logconcave#ratio[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.5364793041447001, 'rhs': -0.17833747196936622, 'slack': 0.3581418321753339, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
-        {'check_id': 'logconcave#ratio[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.5756462732485114, 'rhs': -0.5364793041447001, 'slack': 0.03916696910381123, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#sq[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.24166666666666667, 'rhs': 0.48999999999999994, 'slack': 0.24833333333333327, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#sq[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': 0.05833333333333333, 'rhs': 0.0625, 'slack': 0.004166666666666673, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=1]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.17833747196936622, 'rhs': -0.03390155167568134, 'slack': 0.14443592029368488, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=2]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.46209812037329684, 'rhs': -0.17833747196936622, 'slack': 0.2837606484039306, 'verdict': 'holds', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
+        {'check_id': 'logconcave#ratio[n=3]', 'graph': 'family:parallel:4,q=0.5', 'method': 'mc', 'lhs': -0.6212266624470001, 'rhs': -0.46209812037329684, 'slack': 0.15912854207370325, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 60, 'seed': 2, 'note': None},  # noqa: E501
     ]),
 ]
 
-# hk_tree with the empty strategy on cycle:4: the slack is -0.0082, within
+# hk_tree with the empty strategy on cycle:4: the slack is -0.0139, within
 # three standard errors of 0
 _STOP = {"strategy": "stop", "events": ("a,b", "b,c")}
-_GOLDEN_INCONCLUSIVE = {'check_id': 'hk_tree', 'graph': 'family:cycle:4,p=0.5', 'method': 'mc', 'lhs': 0.3127275, 'rhs': 0.3045, 'slack': -0.008227499999999999, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 2000, 'seed': 1, 'note': None}  # noqa: E501
+_GOLDEN_INCONCLUSIVE = {'check_id': 'hk_tree', 'graph': 'family:cycle:4,p=0.5', 'method': 'mc', 'lhs': 0.3189395, 'rhs': 0.305, 'slack': -0.013939499999999994, 'verdict': 'inconclusive', 'tolerance': None, 'sigma': 3.0, 'samples': 2000, 'seed': 1, 'note': None}  # noqa: E501
 
 
 @pytest.mark.parametrize("case", _GOLDEN_SCANS, ids=lambda c: f"{c[0][0]}@{c[0][1]}")
@@ -395,11 +413,11 @@ def test_shared_check_with_one_zero_hit_term_is_inconclusive():
     # slack more than 3 errors above 0, but a zero Wald error bounds nothing
     g = graph_from_spec("family:cycle:3,p=0.01")
     spec = _CHECKS["dv8"](g, {})
-    vals, (ses, cross) = _evaluate(g, spec, "mc", 5000, 5)
+    vals, (ses, cross) = _evaluate(g, spec, "mc", 5000, 3)
     assert [k for k, v in vals.items() if v == 0.0] == ["pabc"]
     others = _propagated_se(lambda v: spec.rhs(v) - spec.lhs(v), vals,
                             ({k: se or 1.0 for k, se in ses.items()}, cross))
-    r = run_check("dv8", g, method="mc", samples=5000, seed=5)
+    r = run_check("dv8", g, method="mc", samples=5000, seed=3)
     assert r.slack > 3 * others
     assert r.verdict == "inconclusive"
 
@@ -409,7 +427,7 @@ def test_shared_draw_keeps_the_first_terms_value():
     # from the time when every term drew its own samples
     g = graph_from_spec("family:grid:3,3,p=0.5")
     r = run_check("dv_union", g, method="mc", samples=20000, seed=4)
-    assert r.lhs == 0.03775249
+    assert r.lhs == 0.037384222499999994
     pabc = mc_prob(g, parse_event("a,b,c"), 20000, _derived_seed(4, 0)).mean
     assert r.lhs == pabc ** 2
 
@@ -428,7 +446,7 @@ def test_mc_hk_tree_report_keeps_per_term_seeds():
                   samples=5000, seed=3)
     assert _without_runtime(r) == {
         'check_id': 'hk_tree', 'graph': 'family:grid:3,3,p=0.5', 'method': 'mc',
-        'lhs': 0.13234644, 'rhs': 0.2028, 'slack': 0.07045356, 'verdict': 'holds',
+        'lhs': 0.1286702, 'rhs': 0.1966, 'slack': 0.06792979999999998, 'verdict': 'holds',
         'tolerance': None, 'sigma': 3.0, 'samples': 5000, 'seed': 3, 'note': None}
 
 

@@ -12,6 +12,7 @@ from percolab import (Configuration, Estimate, EvaluationError, Graph,
                       parse_strategy)
 from percolab.events import NPathsAtom
 from percolab.exact import Joint, SqS, exact_npaths
+from percolab import mc
 from percolab.mc import _edge_bit_columns, mc_probs
 from percolab.strategies import run, splice_mask
 
@@ -230,26 +231,26 @@ def test_no_samples_or_no_levels_refused(call):
 
 
 def test_seeded_hit_counts_pinned():
-    # hit counts of the earlier uint64 per-sample sampler: masks transposed
-    # from the edge columns must reproduce them exactly
+    # hit counts of the bit-sliced draw: masks transposed from the edge
+    # columns, and the npaths tail of one sample set, must reproduce them exactly
     g = graph_from_spec("family:grid:2,6,p=0.5")
     assert g.n_edges == 16
     assert [round(mc_npaths(g, "a", "b", k, 2000, 5).mean * 2000) for k in (1, 2, 3)] == \
-        [1099, 144, 0]
+        [1188, 133, 0]
     assert [round(e.mean * 2000) for e in _npaths_tail(g, "a", "b", 3, 2000, 5)] == \
-        [1099, 144, 0]
+        [1188, 133, 0]
     g = graph_from_spec("family:grid:3,4,p=0.5")
     A, B = parse_event("a,b"), parse_event("b,c")
-    for spec, joint, sqs in (("bfs_cluster:a", 308, 21), ("dfs_stop_at:a,b,c", 292, 23)):
+    for spec, joint, sqs in (("bfs_cluster:a", 305, 19), ("dfs_stop_at:a,b,c", 264, 16)):
         t = parse_strategy(spec)
         assert round(mc_pair(g, t, Joint(A, B), 2000, 7).mean * 2000) == joint, spec
         assert round(mc_pair(g, t, SqS(A, B), 400, 8).mean * 400) == sqs, spec
 
 
 @pytest.mark.parametrize("spec, seed, joint, sqs", [
-    ("bfs_cluster:a", 1, 137, 43), ("bfs_cluster:a", 2, 148, 42),
-    ("dfs:a,id,S", 1, 137, 43), ("dfs:a,id,S", 2, 148, 42),
-    ("dfs_stop_at:a,b,c", 1, 142, 56), ("dfs_stop_at:a,b,c", 2, 141, 61),
+    ("bfs_cluster:a", 1, 176, 50), ("bfs_cluster:a", 2, 136, 45),
+    ("dfs:a,id,S", 1, 176, 50), ("dfs:a,id,S", 2, 136, 45),
+    ("dfs_stop_at:a,b,c", 1, 130, 66), ("dfs_stop_at:a,b,c", 2, 127, 58),
 ])
 def test_seeded_sqs_hit_counts_pinned(spec, seed, joint, sqs):
     # counts of the column split over every sample: searching only the Joint
@@ -273,46 +274,82 @@ def test_target_stopped_columns_give_the_runs_estimate(gspec, spec, query, n, se
     assert mc_pair(g, t, q, n, seed) == mc_pair(g, _Delegate(t), q, n, seed)
 
 
+_GAMMA, _MASK = 0x9E3779B97F4A7C15, 2 ** 64 - 1
+
+
+def _mix(z):
+    """The SplitMix64 finalizer on a Python int word."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def _lane_uniform(seed, i, j, stride, offset):
+    """The 53-bit uniform of edge j in sample i, in Python ints: bit 52 - k is
+    lane i mod 64 of level word k of group i // 64."""
+    base = _mix((seed + _GAMMA) & _MASK)
+    w, lane = divmod(i, 64)
+    u = 0
+    for k in range(53):
+        word = _mix((base + ((w * 53 + k) * stride + offset + j + 1) * _GAMMA) & _MASK)
+        u = u << 1 | word >> lane & 1
+    return u
+
+
 def _mix_array(z):
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
-def _uniforms(seed, counters):
-    """Float reference: SplitMix64 uniforms in [0, 1) for uint64 counters."""
-    gamma = 0x9E3779B97F4A7C15
-    base = _mix_array(np.array([(seed + gamma) & (2 ** 64 - 1)], dtype=np.uint64))
-    z = base + (counters + np.uint64(1)) * np.uint64(gamma)
-    return (_mix_array(z) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+def _uniforms(seed, n, j, stride, offset):
+    """The 53-bit uniforms of edge j in samples 0..n-1 as uint64, every lane
+    assembled from all 53 level words of its group (no early exit)."""
+    w = np.arange(-(-n // 64), dtype=np.uint64)[:, None]
+    lanes = np.arange(64, dtype=np.uint64)
+    base = np.uint64(_mix((seed + _GAMMA) & _MASK))
+    u = np.zeros((len(w), 64), dtype=np.uint64)
+    for k in range(53):
+        word = _mix_array(base + ((w * 53 + k) * stride + offset + j + 1) * np.uint64(_GAMMA))
+        u = u << np.uint64(1) | word >> lanes & np.uint64(1)
+    return u.ravel()[:n]
 
 
 def _columns_oracle(g, n, seed, stride, offset):
-    """Edge columns packed from the float uniforms: bit i where u < p."""
-    idx = np.arange(n, dtype=np.uint64)
+    """Edge columns packed from the uniforms: bit i where u·2^-53 < p, compared
+    as floats (u < 2^53 converts exactly)."""
     return [int.from_bytes(np.packbits(
-                _uniforms(seed, idx * np.uint64(stride) + np.uint64(offset + j)) < p,
+                _uniforms(seed, n, j, stride, offset).astype(np.float64) * 2.0 ** -53 < p,
                 bitorder="little").tobytes(), "little")
             for j, p in enumerate(g.probs)]
 
 
+def test_lane_uniforms_agree_with_python_ints():
+    for seed, stride, offset in ((0, 3, 0), (2 ** 64 - 1, 8, 4), (12345, 8, 0)):
+        u = _uniforms(seed, 200, 2, stride, offset)
+        assert [int(u[i]) for i in (0, 1, 63, 64, 130, 199)] == \
+            [_lane_uniform(seed, i, 2, stride, offset) for i in (0, 1, 63, 64, 130, 199)]
+
+
 _EDGE_PROBS = st.one_of(
-    st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 5e-324, 1 - 2 ** -53,
+    st.sampled_from([0.0, 1.0, 0.5, 0.25, 1 / 3, 2 ** -20, 5e-324, 1 - 2 ** -53,
                      math.nextafter(0.5, 0), math.nextafter(0.5, 1)]),
     st.floats(0.0, 1.0))
+
+_SAMPLE_COUNTS = st.one_of(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 65535, 65536, 65537, 131085]),
+                           st.integers(1, 300))
 
 
 @st.composite
 def _column_case(draw):
-    """A graph of at most four edges, a sample count around byte and 2^16-sample
-    block boundaries or small, any 64-bit seed, and the stride and offset of
-    mc_prob or of either mc_pair set.  An edge probability is special, any
-    float in [0, 1], or a uniform that the edge draws in some sample, or one
-    ulp either side of it, where rounding the threshold the wrong way shows."""
+    """A graph of at most four edges, a sample count around word and 2^16-sample
+    boundaries or small, any 64-bit seed, and the stride and offset of mc_prob
+    or of either mc_pair set.  An edge probability is special, any float in
+    [0, 1], or the uniform that the edge draws in some sample, or one ulp either
+    side of it, where rounding the threshold the wrong way shows."""
     shape = draw(_graphs(max_edges=4))
     e = shape.n_edges
-    n = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 65535, 65536, 65537, 131085]),
-                       st.integers(1, 300)))
+    n = draw(_SAMPLE_COUNTS)
     stride, offset = draw(st.sampled_from([(e, 0), (2 * e, 0), (2 * e, e)]))
     seed = draw(st.integers(0, 2 ** 64 - 1))
     probs = {}
@@ -320,8 +357,7 @@ def _column_case(draw):
         if draw(st.booleans()):
             probs[eid] = draw(_EDGE_PROBS)
         else:
-            i = draw(st.integers(0, n - 1))
-            u = float(_uniforms(seed, np.array([i * stride + offset + j], dtype=np.uint64))[0])
+            u = _lane_uniform(seed, draw(st.integers(0, n - 1)), j, stride, offset) * 2.0 ** -53
             probs[eid] = draw(st.sampled_from([u, math.nextafter(u, 0), math.nextafter(u, 1)]))
     return Graph(shape.vertices, shape.edges, probs, shape.marks), n, seed, stride, offset
 
@@ -334,26 +370,71 @@ def test_edge_columns_equal_float_reference(case):
         _columns_oracle(g, n, seed, stride, offset)
 
 
-def _unmix(z):
-    """Inverse of the SplitMix64 finalizer on a Python int word."""
-    for shift, mult in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
-        x = z
-        for _ in range(64 // shift + 1):
-            x = z ^ (x >> shift)
-        z = x if mult is None else x * pow(mult, -1, 2 ** 64) % 2 ** 64
-    return z
-
-
 @pytest.mark.parametrize("p", [0.5, 1 / 3, 5e-324, 1 - 2 ** -53])
 def test_threshold_word_is_the_first_closed_word(p):
-    # a seed whose first word is chosen: below ceil(p·2^53) << 11 opens the edge,
-    # the threshold itself closes it, as u < p does on the float reference
-    gamma, mask = 0x9E3779B97F4A7C15, 2 ** 64 - 1
-    g = generate("path", 1, p=p)
-    threshold = math.ceil(p * 2 ** 53) << 11
-    for word, bit in ((threshold - 1, 1), (threshold, 0)):
-        seed = (_unmix((_unmix(word) - gamma) & mask) - gamma) & mask
-        assert _edge_bit_columns(g, 1, seed, 1, 0) == [bit] == _columns_oracle(g, 1, seed, 1, 0)
+    # the lane whose uniform u lies nearest p·2^53 of 4096: a threshold P = u
+    # closes it and P = u + 1 opens it, as u·2^-53 < p does on the float reference
+    n, seed = 4096, 2 ** 64 - 1
+    us = _uniforms(seed, n, 0, 1, 0)
+    i = int(np.argmin(np.abs(us.astype(np.float64) - p * 2.0 ** 53)))
+    u = _lane_uniform(seed, i, 0, 1, 0)
+    assert u == us[i]
+    for q, bit in ((u * 2.0 ** -53, 0), ((u + 1) * 2.0 ** -53, 1)):
+        g = generate("path", 1, p=q)
+        col, = _edge_bit_columns(g, n, seed, 1, 0)
+        assert col >> i & 1 == bit and [col] == _columns_oracle(g, n, seed, 1, 0)
+
+
+@st.composite
+def _prefix_case(draw):
+    shape = draw(_graphs(max_edges=4))
+    probs = {eid: draw(_EDGE_PROBS) for eid in shape.edge_ids}
+    g = Graph(shape.vertices, shape.edges, probs, shape.marks)
+    n = draw(_SAMPLE_COUNTS)
+    return g, n, n + draw(st.integers(0, 200)), draw(st.integers(0, 2 ** 64 - 1))
+
+
+@given(_prefix_case())
+@settings(max_examples=60, deadline=None)
+def test_columns_of_fewer_samples_are_a_prefix(case):
+    g, n, more, seed = case
+    low = (1 << n) - 1
+    assert _edge_bit_columns(g, n, seed, g.n_edges, 0) == \
+        [c & low for c in _edge_bit_columns(g, more, seed, g.n_edges, 0)]
+
+
+@st.composite
+def _monotone_case(draw):
+    shape = draw(_graphs(max_edges=5))
+    lo, hi = {}, {}
+    for eid in shape.edge_ids:
+        lo[eid], hi[eid] = sorted((draw(_EDGE_PROBS), draw(_EDGE_PROBS)))
+    return (Graph(shape.vertices, shape.edges, lo, shape.marks),
+            Graph(shape.vertices, shape.edges, hi, shape.marks),
+            draw(_SAMPLE_COUNTS), draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@given(_monotone_case())
+@settings(max_examples=60, deadline=None)
+def test_raising_p_only_opens_edges(case):
+    # the monotone coupling, column by column: p1 <= p2 at one seed opens a subset
+    g1, g2, n, seed = case
+    for c1, c2 in zip(_edge_bit_columns(g1, n, seed, g1.n_edges, 0),
+                      _edge_bit_columns(g2, n, seed, g2.n_edges, 0)):
+        assert c1 & ~c2 == 0
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 1000])
+def test_columns_do_not_depend_on_blocking(monkeypatch, block):
+    # blocks of (edge, group) words cut across edges and groups; edges of
+    # equal p are drawn together
+    shape = graph_from_spec("family:grid:2,3,p=0.5")
+    probs = {eid: (0.5, 0.37, 1 / 3)[k % 3] for k, eid in enumerate(shape.edge_ids)}
+    g = Graph(shape.vertices, shape.edges, probs, shape.marks)
+    want = _edge_bit_columns(g, 4100, 9, 2 * g.n_edges, g.n_edges)
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    assert _edge_bit_columns(g, 4100, 9, 2 * g.n_edges, g.n_edges) == want
+    assert want == _columns_oracle(g, 4100, 9, 2 * g.n_edges, g.n_edges)
 
 
 @pytest.mark.parametrize("seed", [2 ** 63 + 11, 2 ** 64 - 1])
@@ -368,14 +449,30 @@ def test_high_seeds_draw_without_overflow_warning(seed):
     assert 0.0 < est.mean < 1.0
 
 
+@pytest.mark.parametrize("p", [0.5, 0.37, 0.7, 1 / 3, 2 ** -20])
+def test_lane_and_group_pairs_are_independent(p):
+    # lanes share words, so besides each edge's frequency check the joint
+    # frequency of two edges, of neighbouring lanes of one word and of one lane
+    # in neighbouring groups against p^2, within 5 sigma, on fixed seeds
+    n = 200_000
+    g = generate("path", 2, p=p)
+    c0, c1 = _edge_bit_columns(g, n, 20_241_019, g.n_edges, 0)
+    lanes = int.from_bytes(np.uint64(0x5555555555555555).tobytes() * (n // 64), "little")
+    groups = int.from_bytes((b"\xff" * 8 + b"\0" * 8) * (n // 128), "little")
+    for hits, m, q in ((c0, n, p), (c1, n, p), (c0 & c1, n, p * p),
+                       (c0 & c0 >> 1 & lanes, n // 2, p * p),
+                       (c1 >> 1 & c1 >> 2 & lanes, n // 2 - 1, p * p),
+                       (c0 & c0 >> 64 & groups, n // 128 * 64, p * p)):
+        freq = hits.bit_count() / m
+        assert abs(freq - q) <= 5 * math.sqrt(q * (1 - q) / m), (p, m, q, freq)
+
+
 def _sample_masks_oracle(g, n, seed, stride, offset):
-    """Per-sample masks straight from the uniforms, one edge bit at a time."""
-    idx = np.arange(n, dtype=np.uint64)
+    """Per-sample masks from the lane uniforms, one edge bit at a time."""
     masks = [0] * n
-    for j, p in enumerate(g.probs):
-        u = _uniforms(seed, idx * np.uint64(stride) + np.uint64(offset + j))
-        for i in np.flatnonzero(u < p).tolist():
-            masks[i] |= 1 << j
+    for j, col in enumerate(_columns_oracle(g, n, seed, stride, offset)):
+        for i in range(n):
+            masks[i] |= (col >> i & 1) << j
     return masks
 
 
