@@ -84,7 +84,7 @@ class Monotonicity(enum.Enum):
     NONE = "none"
 
 
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+)|([,|&!()U]))")
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+)|([,|&!()U])|(\S))")
 _RESERVED = {"U", "npaths"}
 # the parser spends about three frames per '(' and the walkers one per
 # level, so nesting stays far below the interpreter's recursion limit
@@ -93,33 +93,19 @@ _MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise EventSyntaxError(f"unexpected character {stripped[0]!r}",
-                                       len(text) - len(stripped))
-            name, num, sym = m.groups()
-            at = m.start(1) if name else m.start(2) if num else m.start(3)
-            if name == "U":
-                self.toks.append(("op", "U", at))
-            elif name:
-                self.toks.append(("name", name, at))
-            elif num:
-                self.toks.append(("int", num, at))
-            else:
-                self.toks.append(("op", sym, at))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(text):
+            name, num, sym, bad = m.groups()
+            if bad:
+                raise EventSyntaxError(f"unexpected character {bad!r}", m.start(4))
+            kind = "int" if num else "name" if name and name != "U" else "op"
+            self.toks.append((kind, m[m.lastindex], m.start(m.lastindex)))
+        self.toks.append(("eof", "", len(text)))
         self.i = 0
         self.depth = 0  # '(' and '!' open around the current factor
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", len(self.text))
+        return self.toks[self.i]
 
     def take(self, kind=None, value=None):
         t = self.peek()
@@ -128,19 +114,21 @@ class _Parser:
         self.i += 1
         return t
 
+    def items(self, item, sep):
+        """item (sep item)*, as a list."""
+        xs = [item()]
+        while self.peek()[:2] == ("op", sep):
+            self.i += 1
+            xs.append(item())
+        return xs
+
     def expr(self):
-        items = [self.term()]
-        while self.peek()[:2] == ("op", "U"):
-            self.take()
-            items.append(self.term())
-        return items[0] if len(items) == 1 else Union(tuple(items))
+        xs = self.items(self.term, "U")
+        return xs[0] if len(xs) == 1 else Union(tuple(xs))
 
     def term(self):
-        items = [self.factor()]
-        while self.peek()[:2] == ("op", "&"):
-            self.take()
-            items.append(self.factor())
-        return items[0] if len(items) == 1 else Intersect(tuple(items))
+        xs = self.items(self.factor, "&")
+        return xs[0] if len(xs) == 1 else Intersect(tuple(xs))
 
     def factor(self):
         t = self.peek()
@@ -175,33 +163,19 @@ class _Parser:
             if n < 1:
                 raise EventSyntaxError("npaths needs n >= 1", ntok[2])
             return NPathsAtom(u, v, n)
-        return self.partition()
+        groups = self.items(lambda: tuple(self.items(self.name, ",")), "|")
+        seen = set()
+        for v in sum(groups, ()):
+            if v in seen:
+                raise EventSyntaxError(f"vertex {v!r} appears in two groups")
+            seen.add(v)
+        return PartitionAtom(tuple(groups))
 
     def name(self):
         t = self.take("name")
         if t[1] in _RESERVED:
             raise EventSyntaxError(f"{t[1]!r} is reserved", t[2])
         return t[1]
-
-    def partition(self):
-        groups = [self.group()]
-        while self.peek()[:2] == ("op", "|"):
-            self.take()
-            groups.append(self.group())
-        seen = set()
-        for grp in groups:
-            for v in grp:
-                if v in seen:
-                    raise EventSyntaxError(f"vertex {v!r} appears in two groups")
-                seen.add(v)
-        return PartitionAtom(tuple(groups))
-
-    def group(self):
-        names = [self.name()]
-        while self.peek()[:2] == ("op", ","):
-            self.take()
-            names.append(self.name())
-        return tuple(names)
 
 
 def parse_event(text: str) -> EventExpr:

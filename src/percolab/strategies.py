@@ -25,7 +25,8 @@ depth limit.
 * ``seq:[dfs:...;dfs:...]``  passes in turn, each restarting vertex visits.
 * ``stop``  no pass (S is empty); its continuation ``reveal_all:S|Sbar``
   reveals every edge in index order with one decision.
-* ``rhw_walks:a,b,k``  k right-hand passes until b, ending at the first miss.
+* ``rhw_walks:a,b,k``  k right-hand passes until b, ending at the first miss
+  or the first pass that queries nothing.
 * ``bfs_cluster:v``  breadth-first reveal of v's open cluster, all to S.
 
 Malformed specs raise StrategyError when built, unknown vertices when run.
@@ -407,7 +408,8 @@ class _Passes(Strategy):
 
 class _RhwWalks(Strategy):
     """k right-hand walks from a toward b, all to S; unlike a pass list, the
-    run ends at the first walk that misses b."""
+    run ends at the first walk that misses b or queries no new edge (a == b:
+    every later walk would query nothing either)."""
 
     def __init__(self, a, b, k):
         self.a, self.b, self.k = a, b, k
@@ -415,8 +417,9 @@ class _RhwWalks(Strategy):
     def policy(self, g):
         queried = set()
         for _ in range(self.k):
-            if not (yield from _scan(g, self.a, "right_hand", S,
-                                     frozenset((self.b,)), queried)):
+            before = len(queried)
+            hit = yield from _scan(g, self.a, "right_hand", S, frozenset((self.b,)), queried)
+            if not hit or len(queried) == before:
                 return
 
     def _reveal_columns(self, g, cols, n, cols2=None):

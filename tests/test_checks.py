@@ -9,7 +9,7 @@ from percolab import (HypothesisError, SizeGuardError, alpha3_root, generate,
                       graph_from_spec, implied_lambda, mc_prob, parse_event, run_check,
                       scan_conjectures)
 from percolab.checks import (_CHECKS, _derived_seed, _evaluate, _propagated_se,
-                             alpha3_cubic, check_ids, poisson_upper_tail)
+                             _rate_se, alpha3_cubic, check_ids, poisson_upper_tail)
 
 from test_strategies import _FromC2
 
@@ -208,6 +208,12 @@ def test_implied_lambda_validation():
         implied_lambda(1, 0.0)
     with pytest.raises(ValueError):
         implied_lambda(1, 1.0)
+
+
+def test_rate_se_is_the_secant_over_prob_plus_minus_se():
+    # at k = 1 the implied rate is -ln(1 - p): the secant over 0.9 +- 0.05
+    # gives 0.05 * ln 3 / 0.1, where the tangent rule gives 0.05 / 0.1 = 0.5
+    assert _rate_se(1, 0.9, 0.05) == pytest.approx(0.05 * math.log(3) / 0.1, abs=TOL)
 
 
 def test_poisson_tail_monotone():

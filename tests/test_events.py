@@ -90,6 +90,27 @@ def test_roundtrip(e):
     assert parse_event(unparse(e)) == e
 
 
+_event_text = st.lists(st.sampled_from(
+    ["a", "b", "x1", "U", "Ub", "npaths", "0", "2", "12", ",", "|", "&", "!", "(", ")",
+     " ", "\t", "\n", "#", "é", "$"]), max_size=14).map("".join)
+
+
+@given(_event_text)
+@settings(max_examples=300, deadline=None)
+def test_parse_any_text(t):
+    # any text parses to a tree that round-trips, or fails with an offset
+    # inside the text; a stray character is reported where it stands
+    try:
+        e = parse_event(t)
+    except EventSyntaxError as err:
+        assert err.pos is None or 0 <= err.pos <= len(t)
+        if str(err).startswith("unexpected character"):
+            assert not t[err.pos].isspace()
+            assert str(err).startswith(f"unexpected character {t[err.pos]!r}")
+    else:
+        assert parse_event(unparse(e)) == e
+
+
 def test_evaluate_examples():
     g = generate("cycle", 3, p=0.5)
     only_ab = g.config(["e0"])
@@ -223,6 +244,17 @@ def test_witness_search_refuses_past_its_node_budget(monkeypatch):
     monkeypatch.setattr(config, "MAX_WITNESS_NODES", 1)
     with pytest.raises(SizeGuardError, match="witness search needs more than 1 nodes"):
         sq_s_occurrence(ab, bc, g, every, every, g.edge_ids)
+
+
+def test_cut_bound_decides_before_the_search(monkeypatch):
+    # 23 open S-edges, past the column split, but corner b keeps one open
+    # edge (v3_0), and the a-b and b-c witnesses need one each.  Only the
+    # cut bound says so without visiting a node.
+    g = generate("grid", 4, 4, p=0.5)
+    c1 = g.config([e for e in g.edge_ids if e != "h2_0"])
+    monkeypatch.setattr(config, "MAX_WITNESS_NODES", 0)
+    assert sq_s_occurrence(parse_event("a,b"), parse_event("b,c"), g, c1,
+                           g.config([]), g.edge_ids) is False
 
 
 def test_disjoint_occurrence_requires_increasing():

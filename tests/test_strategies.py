@@ -156,6 +156,23 @@ def test_rhw_walks_peel_disjoint_routes():
     assert tr.s_edges == frozenset(st.edge for st in tr.steps)
 
 
+def test_rhw_walks_from_a_to_itself_end_after_one_walk(monkeypatch):
+    # a == b: every walk stops before its first query, so the run ends at
+    # the first walk instead of looping k times
+    scans = []
+    inner = strategies._scan
+
+    def counted(*args):
+        scans.append(1)
+        return (yield from inner(*args))
+
+    monkeypatch.setattr(strategies, "_scan", counted)
+    g = generate("cycle", 4, p=0.5)
+    tr = run(parse_strategy("rhw_walks:a,a,1000000"), g, _all_open(g), _all_closed(g))
+    assert tr.steps == ()
+    assert len(scans) == 1
+
+
 @pytest.mark.parametrize("spec", ["dfs:a,id,S", "dfs:a,id,until:b", "dfs:a,right_hand,until:b",
                                   "rhw_walks:a,b,1", "bfs_cluster:a"])
 def test_passes_walk_a_1500_edge_open_path(spec):
