@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_, or_
 
@@ -85,7 +85,7 @@ class Monotonicity(enum.Enum):
 
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|(\d+)|([,|&!()U])|(\S))")
-_RESERVED = {"U", "npaths"}
+_RESERVED = {"npaths"}  # a bare U is always the union operator
 # the parser spends about three frames per '(' and the walkers one per
 # level, so nesting stays far below the interpreter's recursion limit
 _MAX_NESTING = 100
@@ -178,7 +178,10 @@ class _Parser:
         return t[1]
 
 
+@lru_cache
 def parse_event(text: str) -> EventExpr:
+    """The tree of an event text; trees are immutable, so a repeated text
+    shares one."""
     p = _Parser(text)
     e = p.expr()
     t = p.peek()
@@ -505,15 +508,16 @@ def require_increasing(e: EventExpr, g: Graph, what: str = "event") -> None:
 #   none of A's vertices goes to B, since A reads the same without it, and
 #   in the mirror case.
 #
-# Before the search, a Menger cut bound refuses samples whose operands need
-# more edge-disjoint paths than the open edges carry (``_cut_bound``).  Once
-# at most ``_LEAF_OPEN`` edges are undecided, their 2^k splits are evaluated
-# at once, as the periodic columns over those edges; on few edges that
-# column split is much faster than further search.  The search visits at
-# most ``config.MAX_WITNESS_NODES`` nodes per query and refuses past that.
+# Before the search, a degree bound (``_degree_bound``) refuses samples
+# where some vertex has fewer usable edges than the two operands' witnesses
+# take there together: each witness of ``npaths(u,v,n)`` leaves u and v on n
+# edges, and one of a partition group leaves each of its vertices on one.
+# Once at most ``_LEAF_OPEN`` edges are undecided, their 2^k splits are
+# evaluated at once, as the periodic columns over those edges; on few edges
+# that column split is much faster than further search.  The search visits
+# at most ``config.MAX_WITNESS_NODES`` nodes per query and refuses past that.
 
 _LEAF_OPEN = 10  # undecided edges that the column split takes over
-_MAX_NEEDS = 8   # alternatives kept per operand by the cut bound
 
 
 def _require_operands(A: EventExpr, B: EventExpr, g: Graph) -> None:
@@ -564,92 +568,48 @@ def _probe(e: EventExpr, g: Graph, base: int, und: int) -> tuple[bool, bool, int
     return bool(got & 1), bool(got & 2), need
 
 
-def _needs(e: EventExpr) -> list[dict]:
-    """What every witness of an increasing event carries, as alternatives:
-    the event holds on an edge set only if one alternative does.  An
-    alternative maps an ordered vertex pair (x, y) to a number of pairwise
-    edge-disjoint x-y paths.  Complements and many-group partitions need
-    nothing, and so does a union or intersection past ``_MAX_NEEDS``
-    alternatives."""
+def _degrees(g: Graph, *masks: int) -> list[int]:
+    """Per vertex index, the edges at it in each mask, summed over the masks."""
+    deg = [0] * g.n_vertices
+    for mask in masks:
+        for j in _bits(mask):
+            deg[g._u_arr[j]] += 1
+            deg[g._v_arr[j]] += 1
+    return deg
+
+
+def _vertex_needs(e: EventExpr) -> dict:
+    """Vertex -> the number of pairwise edge-disjoint paths that every
+    witness of an increasing event carries from it: n at both ends of
+    ``npaths(u,v,n)``, 1 at each vertex of a one-group partition.  A union
+    needs the least of its items, at vertices that every item needs, and an
+    intersection the most.  Complements and many-group partitions need
+    nothing."""
     def atom(a):
         if isinstance(a, NPathsAtom):
-            return [{(a.u, a.v): a.n, (a.v, a.u): a.n} if a.u != a.v else {}]
+            return {a.u: a.n, a.v: a.n} if a.u != a.v else {}
         grp = a.groups[0]
-        return [{(x, y): 1 for x in grp for y in grp if x != y} if len(a.groups) == 1 else {}]
+        return dict.fromkeys(grp, 1) if len(a.groups) == 1 and len(grp) > 1 else {}
 
-    def meet(alts):
-        out = [{}]
-        for xs in alts:
-            out = [{k: max(d.get(k, 0), x.get(k, 0)) for k in d.keys() | x.keys()}
-                   for d in out for x in xs]
-            if len(out) > _MAX_NEEDS:
-                return [{}]
-        return out
+    def join(ds):
+        return {x: min(d[x] for d in ds) for x in reduce(and_, (d.keys() for d in ds))}
 
-    def join(alts):
-        out = [d for xs in alts for d in xs]
-        return out if len(out) <= _MAX_NEEDS else [{}]
+    def meet(ds):
+        return {x: max(d.get(x, 0) for d in ds) for x in reduce(or_, (d.keys() for d in ds))}
 
-    return _fold(e, atom, join, meet, lambda _: [{}])
+    return _fold(e, atom, join, meet, lambda _: {})
 
 
-def _flow_reaches(g: Graph, one: int, two: int, x: str, targets, need: int) -> bool:
-    """Does the flow from x into the vertex set targets reach need, with
-    capacity 1 on the edges of mask one and 2 on those of mask two (inside
-    one)?  Augmenting paths by breadth-first search on one configuration:
-    the column max-flow has neither capacity 2 nor a set of sinks."""
-    s = g.vertex_index(x)
-    sinks = {g.vertex_index(t) for t in targets}
-    cap = [(one >> j & 1) + (two >> j & 1) for j in range(g.n_edges)]
-    flow = [0] * g.n_edges  # along u -> v when positive
-    adj: list[list] = [[] for _ in range(g.n_vertices)]
-    for j, (u, v) in enumerate(zip(g._u_arr, g._v_arr)):
-        if cap[j]:
-            adj[u].append((j, v, 1))
-            adj[v].append((j, u, -1))
-    for _ in range(need):
-        prev = {s: None}
-        queue = [s]
-        for a in queue:
-            if a in sinks:
-                break
-            for j, b, d in adj[a]:
-                if b not in prev and d * flow[j] < cap[j]:
-                    prev[b] = (a, j, d)
-                    queue.append(b)
-        else:
-            return False
-        while prev[a] is not None:
-            a, j, d = prev[a]
-            flow[j] += d
-    return True
-
-
-def _cut_bound(A: EventExpr, B: EventExpr, g: Graph, fixed_a: int, fixed_b: int,
-               s_open: int) -> bool:
-    """False when no pair of alternatives of the operands (``_needs``) fits
-    the open edges.
-
-    Where both operands need paths from a vertex x, A's paths from x into a
-    vertex set T and B's are edge-disjoint in S, so the flow from x into T
-    must reach the sum of the two needs; T holds one partner of x from each
-    operand, or one partner of both.  An open S-edge carries one side's
-    paths, an edge outside S open in c1 or in c2 one path, and one open in
-    both two.
-    """
-    one, two = s_open | fixed_a | fixed_b, fixed_a & fixed_b
-    for na in _needs(A):
-        for nb in _needs(B):
-            checks = {}
-            for x, ya in na:
-                for xb, yb in nb:
-                    if xb == x:
-                        ts = frozenset((ya, yb))
-                        checks[x, ts] = (max(na.get((x, t), 0) for t in ts) +
-                                         max(nb.get((x, t), 0) for t in ts))
-            if all(_flow_reaches(g, one, two, x, ts, need) for (x, ts), need in checks.items()):
-                return True
-    return False
+def _degree_bound(A: EventExpr, B: EventExpr, g: Graph, fixed_a: int, fixed_b: int,
+                  s_open: int) -> bool:
+    """False when, at some vertex x that both operands need (``_vertex_needs``),
+    the edges at x cannot carry both needs: A's paths and B's leave x on
+    distinct open S-edges, and an edge outside S serves A when open in c1
+    and B when open in c2."""
+    need_a, need_b = _vertex_needs(A), _vertex_needs(B)
+    deg = _degrees(g, s_open, fixed_a, fixed_b)
+    return all(need_a[x] + need_b[x] <= deg[g.vertex_index(x)]
+               for x in need_a.keys() & need_b.keys())
 
 
 def _dangling(g: Graph, usable: int, named: set) -> int:
@@ -684,15 +644,15 @@ def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
     A reads the open c1 edges outside S plus its side of the open S-edges of
     c1, and B the open c2 edges outside S plus its side.  On at most
     ``_LEAF_OPEN`` open S-edges the column split decides at once.  Above
-    that, the cut bound and then the search of the block comment run, depth
-    first and A's side first, branching on the undecided edge that meets the
-    most decided edges.
+    that, the degree bound and then the search of the block comment run,
+    depth first and A's side first, branching on the undecided edge that
+    meets the most decided edges.
     """
     s_open = s_mask & m1
     fixed_a, fixed_b = m1 & ~s_mask, m2 & ~s_mask
     if s_open.bit_count() <= _LEAF_OPEN:
         return _split_columns(A, B, g, fixed_a, fixed_b, s_open)
-    if not _cut_bound(A, B, g, fixed_a, fixed_b, s_open):
+    if not _degree_bound(A, B, g, fixed_a, fixed_b, s_open):
         return False
     named_a, named_b = ({g.vertex_index(v) for a in atoms(e) for v in _named(a)}
                         for e in (A, B))
@@ -723,10 +683,7 @@ def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
                 if _split_columns(A, B, g, fixed_a | a_side, fixed_b | b_side, und):
                     return True
                 break
-            deg = [0] * g.n_vertices
-            for j in _bits(fixed_a | a_side | fixed_b | b_side):
-                deg[g._u_arr[j]] += 1
-                deg[g._v_arr[j]] += 1
+            deg = _degrees(g, fixed_a | a_side | fixed_b | b_side)
             e = 1 << max(_bits(und), key=lambda j: deg[g._u_arr[j]] + deg[g._v_arr[j]])
             stack += [(a_side, b_side | e, und ^ e), (a_side | e, b_side, und ^ e)]
             break

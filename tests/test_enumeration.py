@@ -23,7 +23,8 @@ from percolab import (Configuration, Graph, Monotonicity, disjoint_occurrence,
                       evaluate, events, exact_npaths, exact_prob, generate,
                       graph_from_spec, monotonicity, parse_event, sq_s_occurrence)
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
-                             Union, _columns, _flow_levels, _split_occurs, _transpose)
+                             Union, _columns, _degree_bound, _flow_levels, _split_occurs,
+                             _transpose)
 from percolab.exact import _split_any, _submasks, truth_table, weights
 
 from oracles import column_split, evaluate_mask, open_maxflow
@@ -328,7 +329,8 @@ def _dense_split_case(draw):
     """A split case whose operands join at most two connections or path
     counts between the first three vertices, and whose c1 is often fully
     open.  The operands then often need paths from a common vertex, and
-    splits often succeed: there the cut bound and the forced edges decide."""
+    splits often succeed: there the degree bound and the forced edges
+    decide."""
     g = draw(_graphs())
     full = (1 << g.n_edges) - 1
     masks = st.integers(0, full)
@@ -359,6 +361,15 @@ def test_witness_search_matches_column_split(case):
             assert _split_occurs(A, B, g, m1, m2, s_mask) == want, leaf
             if s_mask == (1 << g.n_edges) - 1:
                 assert disjoint_occurrence(A, B, g, Configuration(g, m1)) == want, leaf
+
+
+@given(st.one_of(_split_case(), _dense_split_case()))
+@settings(max_examples=300, deadline=None)
+def test_degree_bound_refuses_only_failing_splits(case):
+    """The degree bound is sound: where it refuses, no split succeeds."""
+    g, A, B, m1, m2, s_mask = case
+    if not _degree_bound(A, B, g, m1 & ~s_mask, m2 & ~s_mask, s_mask & m1):
+        assert not column_split(A, B, g, m1, m2, s_mask)
 
 
 def _submask_list(mask):

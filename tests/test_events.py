@@ -37,6 +37,25 @@ def test_parse_errors(text):
         parse_event(text)
 
 
+@pytest.mark.parametrize("text, message, pos", [
+    ("a,U", "expected name, got U", 2),  # the tokenizer reads U as the union operator
+    ("U,b", "expected an atom, got U", 0),
+    ("a,npaths", "'npaths' is reserved", 2),
+])
+def test_reserved_words_are_refused_where_they_stand(text, message, pos):
+    with pytest.raises(EventSyntaxError) as got:
+        parse_event(text)
+    assert str(got.value) == f"{message} (at position {pos})"
+    assert got.value.pos == pos
+
+
+def test_parse_event_repeats_trees_and_errors():
+    assert parse_event("a,b U npaths(a,c,2)") == parse_event("a,b U npaths(a,c,2)")
+    for _ in range(2):  # a failed parse is not cached
+        with pytest.raises(EventSyntaxError, match="expected name"):
+            parse_event("a,,b")
+
+
 @pytest.mark.parametrize("head, tail", [("(" * 100, ")" * 100), ("!" * 100, ""),
                                         ("!(" * 50, ")" * 50)])
 def test_parse_bounds_nesting_at_100(head, tail):
@@ -249,12 +268,21 @@ def test_witness_search_refuses_past_its_node_budget(monkeypatch):
 def test_cut_bound_decides_before_the_search(monkeypatch):
     # 23 open S-edges, past the column split, but corner b keeps one open
     # edge (v3_0), and the a-b and b-c witnesses need one each.  Only the
-    # cut bound says so without visiting a node.
+    # degree bound says so without visiting a node.
     g = generate("grid", 4, 4, p=0.5)
     c1 = g.config([e for e in g.edge_ids if e != "h2_0"])
     monkeypatch.setattr(config, "MAX_WITNESS_NODES", 0)
     assert sq_s_occurrence(parse_event("a,b"), parse_event("b,c"), g, c1,
                            g.config([]), g.edge_ids) is False
+
+
+def test_degree_bound_counts_npaths_ends(monkeypatch):
+    # every edge open and in S: corner a has two edges, but the two a-b
+    # paths and the a-c path leave it on three
+    g = generate("grid", 4, 4, p=0.5)
+    monkeypatch.setattr(config, "MAX_WITNESS_NODES", 0)
+    assert sq_s_occurrence(parse_event("npaths(a,b,2)"), parse_event("a,c"), g,
+                           g.config(g.edge_ids), g.config([]), g.edge_ids) is False
 
 
 def test_disjoint_occurrence_requires_increasing():
