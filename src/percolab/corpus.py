@@ -243,8 +243,9 @@ def _expected_cases(preset: str, p: float | None):
     raise ValueError(f"no case table for preset {preset!r}")
 
 
-def _run_zipper_cases(entry: CorpusEntry, tol: float) -> CheckReport:
+def _run_zipper_cases(entry: CorpusEntry) -> CheckReport:
     t0 = time.perf_counter()
+    tol = config.DEFAULT_TOL
     ds = build_preset(entry.params["preset"], entry.params.get("p"))
     worst = 0.0
     for x1, x2, want1, want2 in _expected_cases(ds.name, ds.p):
@@ -253,8 +254,9 @@ def _run_zipper_cases(entry: CorpusEntry, tol: float) -> CheckReport:
                          t0, "preset case-table reproduction")
 
 
-def _run_zipper_dir(entry: CorpusEntry, g: Graph, tol: float) -> CheckReport:
+def _run_zipper_dir(entry: CorpusEntry, g: Graph) -> CheckReport:
     t0 = time.perf_counter()
+    tol = config.DEFAULT_TOL
     ds = build_preset(entry.params["preset"], entry.params.get("p"))
     a, b = g.marks[0], g.marks[1]
     ab = parse_event(f"{a},{b}")
@@ -265,10 +267,9 @@ def _run_zipper_dir(entry: CorpusEntry, g: Graph, tol: float) -> CheckReport:
         def factory(gg):
             return ProductEvent(gg, (ab, ab) if ds.name == "hk" else (ab, ab, ab))
     mid = SplitChoice(g.edge_ids[: max(1, g.n_edges // 2)])
-    rep = check_gen_inequality(g, ds, mid, factory, tol=tol)
-    cond = check_zipper_condition(ds, factory, g, tol=tol)
-    rep2 = check_gen_inequality(g, ds, AdaptiveChoice(ds.union_symbols[:1]),
-                                factory, tol=tol)
+    rep = check_gen_inequality(g, ds, mid, factory)
+    cond = check_zipper_condition(ds, factory, g)
+    rep2 = check_gen_inequality(g, ds, AdaptiveChoice(ds.union_symbols[:1]), factory)
     ok = rep.ok and cond.ok and rep2.ok
     # two-factor projections agree across trees only for the colored preset
     extras = rep.extras.get("two_factor_max_delta") if ds.name == "colored" else None
@@ -282,29 +283,30 @@ def _run_zipper_dir(entry: CorpusEntry, g: Graph, tol: float) -> CheckReport:
     return _exact_report(entry.check_id, g.name, None, None, slack, ok, tol, t0, note)
 
 
-def _run_splice(entry: CorpusEntry, g: Graph, tol: float) -> CheckReport:
+def _run_splice(entry: CorpusEntry, g: Graph) -> CheckReport:
     t0 = time.perf_counter()
+    tol = config.DEFAULT_TOL
     t = parse_strategy(entry.params["strategy"])
     dev = verify_splice_independence(g, t)
     return _exact_report("splice_independence", g.name, dev, tol, tol - dev, dev <= tol,
                          tol, t0, f"strategy {entry.params['strategy']}")
 
 
-def run_entry(entry: CorpusEntry, get_graph=None, tol: float = config.DEFAULT_TOL):
+def run_entry(entry: CorpusEntry, get_graph=None):
     """Execute one corpus entry; returns a list of reports (scans fan out)."""
     get_graph = get_graph or graph_from_spec
     if entry.kind == "zipper_cases":
-        return [_run_zipper_cases(entry, tol)]
+        return [_run_zipper_cases(entry)]
     g = get_graph(entry.graph_spec)
     if entry.kind == "zipper_dir":
-        return [_run_zipper_dir(entry, g, tol)]
+        return [_run_zipper_dir(entry, g)]
     if entry.kind == "splice":
-        return [_run_splice(entry, g, tol)]
+        return [_run_splice(entry, g)]
     if entry.kind == "scan":
         return scan_conjectures(entry.check_id, g, entry.params, entry.method,
-                                samples=entry.samples, seed=entry.seed, tol=tol)
+                                samples=entry.samples, seed=entry.seed)
     return [run_check(entry.check_id, g, entry.params, entry.method,
-                      samples=entry.samples, seed=entry.seed, tol=tol)]
+                      samples=entry.samples, seed=entry.seed)]
 
 
 def is_conjecture(check_id: str) -> bool:

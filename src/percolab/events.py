@@ -312,8 +312,7 @@ def _reach_masks(g: Graph, cols: list[int], n: int, sources, targets=None) -> di
     over the vertices in ``targets``, or over every vertex."""
     full = (1 << n) - 1
     out = {}
-    edge_list = [(cols[g.edge_index(e)], g.vertex_index(u), g.vertex_index(v))
-                 for e, u, v in g.edges]
+    edge_list = list(zip(cols, g._u_arr, g._v_arr))
     for s in sources:
         reach = [0] * g.n_vertices
         reach[g.vertex_index(s)] = full

@@ -11,23 +11,26 @@ eight for most p.  Results depend on (seed, n) alone, the columns of n
 samples are the low bits of those of more, and raising p can only open
 edges, which keeps monotone couplings across parameter sweeps.
 
-Samples are held as edge columns: each edge gets a bitmask of the samples
-where it is open, and events are evaluated for all samples at once by the
-column evaluator of ``events``, the one the exact engine runs on periodic
-columns, disjoint-path counts included.  ``mc_probs`` evaluates several
-events together on one sample set, sharing reach sweeps and flow levels
-between them, and returns the covariance of their estimates; ``mc_prob``
-is its one-event case, and the events npaths(u,v,1..k) give a
-disjoint-path tail from one sample set.  A pair query reads the revealed
-set S as edge columns too: cluster-revealing strategies give them from
-reachability on the c1 columns, target-stopped passes and ``rhw_walks``
-from one lock-step scan of every sample's frontier, and user ``Strategy``
-subclasses from one run per sample pair, with the masks transposed from and
-back into columns.  A and B are increasing, so SqS implies Joint: an SqS
-query evaluates the Joint hit mask on the columns, as a Joint query does,
-and transposes only the Joint hits into per-sample masks, for the bounded
-witness search of ``events``, one sample at a time.  No graph size limit
-applies; the witness search has a node budget.
+Group w's words depend on w alone, so ``_blocks`` cuts the samples into
+blocks of whole groups, of about ``_BLOCK_CELLS`` sample × (vertex + edge)
+cells, that draw and count alone: results do not depend on the block size,
+and memory stays flat in n.  Within a block, samples are held as edge
+columns: each edge gets a bitmask of the samples where it is open, and
+events are evaluated for all of them at once by the column evaluator of
+``events``, the one the exact engine runs on periodic columns, disjoint-path
+counts included.  ``mc_probs`` evaluates several events together on one
+sample set, sharing reach sweeps and flow levels between them, and returns
+the covariance of their estimates; ``mc_prob`` is its one-event case, and
+the events npaths(u,v,1..k) give a disjoint-path tail from one sample set.
+A pair query reads the revealed set S as edge columns too: cluster-revealing
+strategies give them from reachability on the c1 columns, target-stopped
+passes and ``rhw_walks`` from one lock-step scan of every sample's frontier,
+and user ``Strategy`` subclasses from one run per sample pair, with the
+masks transposed from and back into columns.  A and B are increasing, so
+SqS implies Joint: an SqS query evaluates the Joint hit mask on the columns,
+as a Joint query does, and transposes only the Joint hits into per-sample
+masks, for the bounded witness search of ``events``, one sample at a time.
+No graph size limit applies; the witness search has a node budget.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import (EventExpr, NPathsAtom, _evaluate_columns, _evaluate_many, _resolve,
-                     _split_occurs, _transpose)
+from .events import (EventExpr, NPathsAtom, _evaluate_columns, _evaluate_many,
+                     _from_byte_rows, _resolve, _split_occurs, _transpose)
 from .events import _reach_masks  # noqa: F401  (perfbench traces reachability by this name)
 from .exact import SqS, _check_query
 from .graphs import Graph
@@ -48,7 +51,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_BLOCK = 1 << 16  # (edge, 64-sample group) words drawn per block
+_BLOCK_CELLS = 1 << 22  # sample × (vertex + edge) cells per block
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -86,38 +89,39 @@ class Estimate:
 # Sampling
 
 
-def _edge_bit_columns(g: Graph, n: int, seed: int, stride: int, offset: int):
-    """Per-edge bitmask over samples: bit i set when edge open in sample i.
-
-    Edges of one threshold are drawn together, _BLOCK (edge, group) words at
-    a time.  An edge with p <= 0 or p >= 1 draws nothing.
-    """
+def _blocks(g: Graph, n: int) -> list[tuple[int, int]]:
+    """(first 64-sample group, samples) of each block of n samples: about
+    _BLOCK_CELLS sample × (vertex + edge) cells, and at least one group."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
+    step = 64 * max(1, _BLOCK_CELLS // (64 * (g.n_vertices + g.n_edges)))
+    return [(lo // 64, min(step, n - lo)) for lo in range(0, n, step)]
+
+
+def _edge_bit_columns(g: Graph, n: int, seed: int, stride: int, offset: int, first: int = 0):
+    """Per-edge bitmask over n samples from group ``first`` on: bit i set
+    when the edge is open in sample 64·first + i.
+
+    The edges of one threshold are drawn in one ``_draw_levels`` call.  An
+    edge with p <= 0 or p >= 1 draws nothing.
+    """
     full = (1 << n) - 1
     cols = [full if p >= 1.0 else 0 for p in g.probs]
     groups = -(-n // 64)
-    span, rows = min(groups, _BLOCK), max(1, _BLOCK // groups)
-    ramp = np.arange(span, dtype=np.uint64) * np.uint64(53 * stride * _GAMMA & _MASK64)
+    ramp = np.arange(groups, dtype=np.uint64) * np.uint64(53 * stride * _GAMMA & _MASK64)
     base = _seed_base(seed)
     by_threshold = {}
     for j, p in enumerate(g.probs):
         if 0.0 < p < 1.0:
             by_threshold.setdefault(math.ceil(p * 2.0 ** 53), []).append(j)
     for threshold, edges in by_threshold.items():
-        for r in range(0, len(edges), rows):
-            chunks = {j: [] for j in edges[r:r + rows]}
-            for w in range(0, groups, span):
-                starts = np.array([base + (w * 53 * stride + offset + j + 1) * _GAMMA & _MASK64
-                                   for j in chunks], dtype=np.uint64)
-                z0 = ramp[:groups - w] + starts[:, None]
-                words = _draw_levels(z0.ravel(), threshold, stride).reshape(z0.shape)
-                if w + span >= groups:  # lanes past n stay closed
-                    words[:, -1] &= np.uint64(full >> 64 * (groups - 1))
-                for chunk, row in zip(chunks.values(), words):
-                    chunk.append(row.astype("<u8", copy=False).tobytes())
-            for j, chunk in chunks.items():
-                cols[j] = int.from_bytes(b"".join(chunk), "little")
+        starts = np.array([base + (first * 53 * stride + offset + j + 1) * _GAMMA & _MASK64
+                           for j in edges], dtype=np.uint64)
+        z0 = ramp + starts[:, None]
+        words = _draw_levels(z0.ravel(), threshold, stride).reshape(z0.shape)
+        words[:, -1] &= np.uint64(full >> 64 * (groups - 1))  # lanes past n stay closed
+        for j, col in zip(edges, _from_byte_rows(words.astype("<u8", copy=False).view(np.uint8))):
+            cols[j] = col
     return cols
 
 
@@ -171,10 +175,15 @@ def mc_probs(g: Graph, events: list, n: int, seed: int) -> tuple[list, list]:
     """
     for e in events:
         _resolve(e, g)
-    hits = _evaluate_many(events, g, _edge_bit_columns(g, n, seed, g.n_edges, 0), n)
-    ests = [Estimate.from_count(h.bit_count(), n, seed) for h in hits]
-    cov = [[((hk & hl).bit_count() / n - ek.mean * el.mean) / n for hl, el in zip(hits, ests)]
-           for hk, ek in zip(hits, ests)]
+    pairs = [[0] * len(events) for _ in events]
+    for first, m in _blocks(g, n):
+        hits = _evaluate_many(events, g, _edge_bit_columns(g, m, seed, g.n_edges, 0, first), m)
+        for row, hk in zip(pairs, hits):
+            for l, hl in enumerate(hits):
+                row[l] += (hk & hl).bit_count()
+    ests = [Estimate.from_count(pairs[k][k], n, seed) for k in range(len(events))]
+    cov = [[(c / n - ek.mean * el.mean) / n for c, el in zip(row, ests)]
+           for row, ek in zip(pairs, ests)]
     return ests, cov
 
 
@@ -199,16 +208,17 @@ def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:
     split is at best A on c1 and B on the splice.
     """
     _check_query(g, q)
-    cols1 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, 0)
-    cols2 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, g.n_edges)
-    s_cols = t._reveal_columns(g, cols1, n, cols2)[1]
-    full = (1 << n) - 1
-    spliced = [(c1 & s) | (c2 & (full ^ s)) for c1, c2, s in zip(cols1, cols2, s_cols)]
-    joint = _evaluate_columns(q.A, g, cols1, n) & _evaluate_columns(q.B, g, spliced, n)
-    if isinstance(q, SqS):
-        # SqS implies Joint, so only the Joint hits are searched
-        hits = sum(_split_occurs(q.A, q.B, g, m1, m2, s_mask) for m1, m2, s_mask in
-                   zip(*(_transpose(cols, n, joint) for cols in (cols1, cols2, s_cols))))
-    else:
-        hits = joint.bit_count()
+    hits = 0
+    for first, m in _blocks(g, n):
+        cols1 = _edge_bit_columns(g, m, seed, 2 * g.n_edges, 0, first)
+        cols2 = _edge_bit_columns(g, m, seed, 2 * g.n_edges, g.n_edges, first)
+        s_cols = t._reveal_columns(g, cols1, m, cols2)[1]
+        spliced = [(c1 & s) | (c2 & ~s) for c1, c2, s in zip(cols1, cols2, s_cols)]
+        joint = _evaluate_columns(q.A, g, cols1, m) & _evaluate_columns(q.B, g, spliced, m)
+        if isinstance(q, SqS):
+            # SqS implies Joint, so only the Joint hits are searched
+            hits += sum(_split_occurs(q.A, q.B, g, m1, m2, s_mask) for m1, m2, s_mask in
+                        zip(*(_transpose(cols, m, joint) for cols in (cols1, cols2, s_cols))))
+        else:
+            hits += joint.bit_count()
     return Estimate.from_count(hits, n, seed)

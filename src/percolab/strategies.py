@@ -253,13 +253,6 @@ def _scan(g, start, order, decision, targets, queried):
     return False
 
 
-# Lock-step scans keep [b, V] frontier and [b, E] edge arrays per block of b
-# configurations: b is at most 2^16, and smaller on graphs with over 64
-# vertices and edges, so that a block holds about 2^22 cells (some 30 MB).
-_BLOCK = 1 << 16
-_BLOCK_CELLS = 1 << 22
-
-
 def _lockstep(g, passes, cols, n, scan):
     """(queried, S) edge columns of a strategy made of the given passes, on
     the n configurations c1 given as edge columns.
@@ -267,9 +260,10 @@ def _lockstep(g, passes, cols, n, scan):
     Every pass is checked first, as its run would check it.  The plan holds
     (``_pass_table``, decision, targets) of each pass up to the first that
     starts on one of its targets, which stops every run before it queries an
-    edge; ``scan(plan, open1, queried, s)`` fills the [b, E] bool arrays of
-    each block of b configurations.  Columns are unpacked into blocks and
-    packed back as ``events._transpose`` does.
+    edge; ``scan(plan, open1, queried, s)`` fills [n, E] bool arrays.  The
+    callers bound n: MC scans one sample block at a time, and exact calls at
+    most 2^16 configurations.  Columns are unpacked and packed back as
+    ``events._transpose`` does.
     """
     for start, order, _, targets in passes:
         _first_candidates(g, start, order, targets)
@@ -278,17 +272,11 @@ def _lockstep(g, passes, cols, n, scan):
         if start in targets:
             break
         plan.append((_pass_table(g, start, order), decision, targets))
-    block = min(_BLOCK, max(8, _BLOCK_CELLS // (g.n_vertices + g.n_edges) // 8 * 8))
-    packed = _to_byte_rows(cols, n)
-    out = np.zeros((2, *packed.shape), np.uint8)
-    for lo in range(0, n, block):
-        b = min(block, n - lo)
-        span = slice(lo // 8, (lo + b + 7) // 8)
-        open1 = np.ascontiguousarray(np.unpackbits(
-            packed[:, span], axis=1, count=b, bitorder="little").T).view(bool)
-        revealed = np.zeros((2, b, len(cols)), bool)  # queried, S
-        scan(plan, open1, *revealed)
-        out[:, :, span] = np.packbits(revealed, axis=1, bitorder="little").transpose(0, 2, 1)
+    open1 = np.ascontiguousarray(np.unpackbits(
+        _to_byte_rows(cols, n), axis=1, count=n, bitorder="little").T).view(bool)
+    revealed = np.zeros((2, n, len(cols)), bool)  # queried, S
+    scan(plan, open1, *revealed)
+    out = np.packbits(revealed, axis=1, bitorder="little").transpose(0, 2, 1)
     return tuple(_from_byte_rows(half) for half in out)
 
 
@@ -311,9 +299,9 @@ def _pass_table(g, start, order):
 
 
 def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
-    """Numpy twin of ``_scan``: one pass over the configurations ``rows`` of
-    a block, whose [b, E] bool arrays hold c1 (open1) and the queried and S
-    edges so far; returns, per row, whether a target stopped the pass.
+    """Numpy twin of ``_scan``: one pass over the configurations ``rows``,
+    whose [n, E] bool arrays hold c1 (open1) and the queried and S edges so
+    far; returns, per row, whether a target stopped the pass.
 
     ``table`` is the pass's ``_pass_table``; the pass is depth-first.  Every
     configuration keeps its own frontier stack of V slots: a slot holds a

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from percolab import (HypothesisError, SizeGuardError, alpha3_root, generate,
+from percolab import (Graph, HypothesisError, SizeGuardError, alpha3_root, generate,
                       graph_from_spec, implied_lambda, mc_prob, parse_event, run_check,
                       scan_conjectures)
 from percolab.checks import (_CHECKS, _derived_seed, _evaluate, _propagated_se,
@@ -53,6 +53,20 @@ def test_q2_requires_three_marks():
 def test_planar_dv2_needs_embedding():
     with pytest.raises(HypothesisError):
         run_check("planar_dv2", generate("complete", 4, p=0.5))
+
+
+def test_q2_refuses_a_degenerate_denominator():
+    # at p = 1 the marks are always joined, so no separation occurs
+    with pytest.raises(HypothesisError, match="degenerate denominator"):
+        run_check("q2", generate("cycle", 3, p=1.0))
+
+
+def test_planar_dv2_needs_the_marks_on_the_outer_face():
+    g = generate("grid", 3, 3, p=0.5)
+    inner = Graph(g.vertices, g.edges, g.edge_prob, ("a", "b", "v1_1"),
+                  rotation=g.rotation, outer_anchor=g.outer_anchor)
+    with pytest.raises(HypothesisError, match="do not lie on the outer face together"):
+        run_check("planar_dv2", inner)
 
 
 def test_hk_and_vdbk_reports():

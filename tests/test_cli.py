@@ -4,7 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from percolab import config, exact_prob, graph_from_spec, mc_prob, parse_event
+from percolab import config, exact_prob, graph_from_spec, mc_prob, parse_event, run_check
 from percolab.cli import main
 
 TRIANGLE = """vertex a
@@ -38,6 +38,20 @@ def test_check_arms23(runner):
     res = runner.invoke(main, ["check", "arms23", "--graph",
                                "family:parallel:3,q=0.5", "--method", "exact"])
     assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("check_id, spec, flag, params", [
+    ("arms_klm", "family:parallel:3,q=0.5", "--arms", {"n": 3, "k": 2, "l": 2, "m": 2}),
+    ("submult", "family:grid:2,3,p=0.5", "--nm", {"n": 1, "m": 2}),
+])
+def test_arms_and_nm_options_are_the_check_parameters(runner, check_id, spec, flag, params):
+    res = runner.invoke(main, ["check", check_id, "--graph", spec, flag,
+                               *map(str, params.values())])
+    assert res.exit_code == 0, res.output
+    got, = json.loads(res.output)
+    want = run_check(check_id, graph_from_spec(spec), params).to_dict()
+    del got["runtime_ms"], want["runtime_ms"]
+    assert got == want
 
 
 def test_check_reads_graph_file(runner, tmp_path):
@@ -294,6 +308,16 @@ def test_corpus_filter_selects_only_matches(runner):
     res = runner.invoke(main, ["corpus", "run", "--filter", "frac1", "--quiet"])
     assert res.exit_code == 0
     assert "checks: 8" in res.output
+
+
+def test_corpus_run_lists_its_skipped_entries(runner):
+    res = runner.invoke(main, ["corpus", "run", "--filter", "conj2_demo", "--quiet"])
+    assert res.exit_code == 0, res.output
+    summary, *skipped = res.output.splitlines()
+    n = int(summary.split("skipped (hypothesis): ")[1].split()[0])
+    assert n > 0 and len(skipped) == n
+    assert all(line.startswith("  skipped conj2_demo#eps=") and "not below eps^3/4" in line
+               for line in skipped)
 
 
 def test_corpus_list(runner):

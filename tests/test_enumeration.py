@@ -350,17 +350,43 @@ def _dense_split_case(draw):
 def test_witness_search_matches_column_split(case):
     """The bounded search against the column split over all 2^k splits.
 
-    The leaf split takes over at 0 or 2 undecided edges, so that the search
-    itself runs on these small graphs, and at its default size.  S = every
+    The leaf split takes over at 0, 2 or 4 undecided edges, so that the
+    search itself runs on these small graphs, and at its default size.  S = every
     edge is plain disjoint occurrence.
     """
     g, A, B, m1, m2, s_mask = case
     want = column_split(A, B, g, m1, m2, s_mask)
-    for leaf in (0, 2, events._LEAF_OPEN):
+    for leaf in (0, 2, 4, events._LEAF_OPEN):
         with mock.patch.object(events, "_LEAF_OPEN", leaf):
             assert _split_occurs(A, B, g, m1, m2, s_mask) == want, leaf
             if s_mask == (1 << g.n_edges) - 1:
                 assert disjoint_occurrence(A, B, g, Configuration(g, m1)) == want, leaf
+
+
+@pytest.mark.parametrize("closed, want, leaves", [
+    ((), True, [False, True]),
+    (("h0_1",), False, [False, False]),
+])
+def test_witness_search_backtracks_past_failed_leaves(closed, want, leaves):
+    """Disjoint a,b,c trees in grid:3,3, with c2 empty.  Below 4 undecided
+    edges the probes decide every split, so a leaf of 4 edges is the
+    smallest that can fail; the search then backtracks to its next node."""
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    A = parse_event("a,b,c")
+    full = (1 << g.n_edges) - 1
+    m1 = full & ~sum(1 << g.edge_index(e) for e in closed)
+    got, real = [], events._split_columns
+
+    def spy(*args):
+        got.append(real(*args))
+        return got[-1]
+
+    with mock.patch.object(events, "_LEAF_OPEN", 4), \
+            mock.patch.object(events, "_split_columns", spy):
+        assert _split_occurs(A, A, g, m1, 0, full) == want
+    # the root leaves 12 open S-edges to the search, so every call is a leaf
+    assert got == leaves
+    assert column_split(A, A, g, m1, 0, full) == want
 
 
 @given(st.one_of(_split_case(), _dense_split_case()))

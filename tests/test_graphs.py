@@ -50,6 +50,77 @@ def test_parse_errors(line, frag):
         parse_graph(text)
 
 
+def _triangle(**kw):
+    """Graph() on the triangle of TRIANGLE_ROTATED, with arguments replaced."""
+    args = dict(vertices="abc", edges=[("ab", "a", "b"), ("bc", "b", "c"), ("ca", "c", "a")],
+                edge_prob={"ab": 0.5, "bc": 0.5, "ca": 0.5}, marks=("a", "b"),
+                rotation={"a": ["ab", "ca"], "b": ["bc", "ab"], "c": ["ca", "bc"]},
+                outer_anchor=("ab", "a"))
+    args.update(kw)
+    return Graph(**args)
+
+
+_BODY = "vertex a\nvertex b\nedge ab a b 0.5\n"
+
+
+@pytest.mark.parametrize("build, frag", [
+    (lambda: _triangle(vertices=["a", "b", "c", "1x"]), "bad vertex name '1x'"),
+    (lambda: _triangle(edges=[("ab", "a", "b"), ("ab", "b", "c"), ("ca", "c", "a")]),
+     "duplicate edge id 'ab'"),
+    (lambda: _triangle(edges=[("ab", "a", "b"), ("ba", "b", "a"), ("bc", "b", "c")],
+                       rotation=None, outer_anchor=None), "parallel edge 'ba'"),
+    (lambda: _triangle(edge_prob={"ab": 0.5, "bc": 0.5}), "edge 'ca' has no probability"),
+    (lambda: _triangle(marks=("a",)), "need 2 or 3 marked vertices"),
+    (lambda: _triangle(marks=("a", "a")), "marks must be distinct"),
+    (lambda: _triangle(marks=("a", "z")), "mark 'z' is not a vertex"),
+    (lambda: _triangle(rotation={"a": ["ab", "ca"], "b": ["bc", "ab"]}),
+     "rotation missing for vertex 'c'"),
+    (lambda: _triangle(rotation={"a": ["ab", "ca"], "b": ["bc", "ab"], "c": ["ca", "bc"],
+                                 "z": []}), "rotation for unknown vertex 'z'"),
+    (lambda: _triangle(rotation=None), "outerface requires rotation lines"),
+    (lambda: _triangle(outer_anchor=("zz", "a")), "outerface references unknown edge 'zz'"),
+    (lambda: _triangle(outer_anchor=("ab", "c")), "outerface vertex 'c' is not an endpoint"),
+    (lambda: same_face(_triangle(), ["a", "z"]), "unknown vertex 'z'"),
+    (lambda: parse_graph("vertex a b\n"), "line 1: vertex takes one name"),
+    (lambda: parse_graph("vertex a\n\nvertex a\n"), "line 3: duplicate vertex 'a'"),
+    (lambda: parse_graph("vertex a\nedge ab a b\n"), "line 2: edge takes: id u v p"),
+    (lambda: parse_graph("vertex a\nvertex b\nedge ab a b half\n"),
+     "line 3: bad probability 'half'"),
+    (lambda: parse_graph(_BODY + "edge ab a b 0.5\n"), "line 4: duplicate edge id 'ab'"),
+    (lambda: parse_graph(_BODY + "rotation a\n"), "line 4: rotation takes: vertex edge"),
+    (lambda: parse_graph(_BODY + "rotation a ab\nrotation a ab\n"),
+     "line 5: duplicate rotation for 'a'"),
+    (lambda: parse_graph(_BODY + "outerface ab\n"), "line 4: outerface takes: edge vertex"),
+    (lambda: parse_graph(_BODY + "outerface ab a\nouterface ab b\n"),
+     "line 5: duplicate outerface line"),
+    (lambda: parse_graph(_BODY + "mark a b\nmark a b\n"), "line 5: duplicate mark line"),
+    (lambda: parse_graph(_BODY + "mark a b c d\n"), "line 4: mark takes 2 or 3 vertices"),
+    (lambda: generate("path", 0, p=0.5), "path needs n >= 1 edges"),
+    (lambda: generate("cycle", 2, p=0.5), "cycle needs n >= 3"),
+    (lambda: generate("grid", 1, 3, p=0.5), "grid needs w, h >= 2"),
+    (lambda: generate("parallel", 0, p=0.5), "parallel needs n >= 1 routes"),
+    (lambda: generate("theta", 1, p=0.5), "theta needs k >= 2 disjoint routes"),
+    (lambda: generate("complete", 2, p=0.5), "complete needs n >= 3"),
+    (lambda: generate("complete", 9, p=0.5), "complete supports n <= 8"),
+    (lambda: generate("star", 3, p=0.5), "unknown family 'star'"),
+    (lambda: generate("grid", 3, p=0.5), "grid takes 2 integer parameter"),
+    (lambda: generate("cycle", 3, q=0.5), "route probability q only applies to parallel"),
+    (lambda: generate("parallel", 3, p=0.5, q=0.5), "give p or q, not both"),
+    (lambda: generate("parallel", 3, q=1.5), "q outside"),
+    (lambda: generate("cycle", 3), "missing edge probability p"),
+    (lambda: generate("cycle", 3, p=-0.5), "p outside"),
+    (lambda: graph_from_spec("grid:3,3,p=0.5"), "not a family spec"),
+    (lambda: graph_from_spec("family:grid"), "family spec needs parameters"),
+    (lambda: graph_from_spec("family:grid:3,3,r=0.5"), "unknown family parameter 'r'"),
+    (lambda: graph_from_spec("family:grid:3,3,p=half"), "bad value for 'p': 'half'"),
+    (lambda: graph_from_spec("family:grid:3,x,p=0.5"), "bad integer parameter 'x'"),
+])
+def test_refusals_name_their_fault(build, frag):
+    with pytest.raises(GraphFormatError) as info:
+        build()
+    assert frag in str(info.value)
+
+
 def test_duplicate_vertex_rejected():
     with pytest.raises(GraphFormatError, match="duplicate vertex name"):
         Graph(["a", "b", "a"], [("e", "a", "b")], {"e": 0.5}, ("a", "b"))

@@ -424,17 +424,51 @@ def test_raising_p_only_opens_edges(case):
         assert c1 & ~c2 == 0
 
 
-@pytest.mark.parametrize("block", [1, 3, 64, 1000])
-def test_columns_do_not_depend_on_blocking(monkeypatch, block):
-    # blocks of (edge, group) words cut across edges and groups; edges of
-    # equal p are drawn together
-    shape = graph_from_spec("family:grid:2,3,p=0.5")
+@st.composite
+def _block_case(draw):
+    """A graph of at most four edges, a block of m samples from group first
+    on, any 64-bit seed, and the stride and offset of mc_prob or of either
+    mc_pair set."""
+    shape = draw(_graphs(max_edges=4))
+    probs = {eid: draw(_EDGE_PROBS) for eid in shape.edge_ids}
+    g = Graph(shape.vertices, shape.edges, probs, shape.marks)
+    e = g.n_edges
+    stride, offset = draw(st.sampled_from([(e, 0), (2 * e, 0), (2 * e, e)]))
+    first = draw(st.one_of(st.integers(0, 40), st.sampled_from([1023, 1024, 2047])))
+    return g, first, draw(st.integers(1, 300)), draw(st.integers(0, 2 ** 64 - 1)), stride, offset
+
+
+@given(_block_case())
+@settings(max_examples=60, deadline=None)
+def test_block_columns_are_bits_of_the_whole_draw(case):
+    g, first, m, seed, stride, offset = case
+    whole = _edge_bit_columns(g, 64 * first + m, seed, stride, offset)
+    assert _edge_bit_columns(g, m, seed, stride, offset, first) == \
+        [col >> 64 * first & (1 << m) - 1 for col in whole]
+
+
+@pytest.mark.parametrize("groups", [1, 3, 64])
+def test_estimates_do_not_depend_on_blocking(monkeypatch, groups):
+    # blocks of 1, 3 and 64 groups against one block of every sample, the
+    # last block partial; edges of equal p are drawn together, and the
+    # target-stopped strategy runs its lock-step scan block by block
+    shape = graph_from_spec("family:grid:3,4,p=0.5")
     probs = {eid: (0.5, 0.37, 1 / 3)[k % 3] for k, eid in enumerate(shape.edge_ids)}
     g = Graph(shape.vertices, shape.edges, probs, shape.marks)
-    want = _edge_bit_columns(g, 4100, 9, 2 * g.n_edges, g.n_edges)
-    monkeypatch.setattr(mc, "_BLOCK", block)
-    assert _edge_bit_columns(g, 4100, 9, 2 * g.n_edges, g.n_edges) == want
-    assert want == _columns_oracle(g, 4100, 9, 2 * g.n_edges, g.n_edges)
+    events = [parse_event(text) for text in ("a,b", "b,c", "a,b,c", "npaths(a,c,2)")]
+    t = parse_strategy("dfs_stop_at:a,b,c")
+    A, B = parse_event("a,b"), parse_event("b,c")
+    n = 64 * 70 + 5
+
+    def estimates():
+        return (mc_probs(g, events, n, 9), mc_pair(g, t, Joint(A, B), n, 9),
+                mc_pair(g, t, SqS(A, B), n, 9))
+
+    assert len(mc._blocks(g, n)) == 1
+    want = estimates()
+    monkeypatch.setattr(mc, "_BLOCK_CELLS", 64 * (g.n_vertices + g.n_edges) * groups)
+    assert len(mc._blocks(g, n)) > 1
+    assert estimates() == want
 
 
 @pytest.mark.parametrize("seed", [2 ** 63 + 11, 2 ** 64 - 1])

@@ -419,10 +419,9 @@ def test_reveal_columns_equal_runs_on_grids(spec):
     # a and b have degree 200, past the 8-bit candidate positions
     ("family:parallel:200,q=0.9", "rhw_walks:a,b,3"),
 ])
-def test_reveal_columns_equal_runs_in_small_blocks(monkeypatch, gspec, spec):
-    monkeypatch.setattr(strategies, "_BLOCK", 16)
+def test_reveal_columns_equal_runs_in_small_blocks(gspec, spec):
     g = graph_from_spec(gspec)
-    n = 101  # six full blocks and a partial one
+    n = 101
     cols = _edge_bit_columns(g, n, 5, g.n_edges, 0)
     _assert_columns_match_runs(parse_strategy(spec), g, cols, n)
 
