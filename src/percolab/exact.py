@@ -44,46 +44,40 @@ def _check_pair_size(g: Graph) -> None:
         raise SizeGuardError(f"pair enumeration limited to {config.MAX_PAIR_EDGES} edges")
 
 
-def _doubling(g: Graph, mask: int) -> tuple:
-    """(submasks, probabilities) of mask over its edges, cached per graph.
+def _subsets(g: Graph, mask: int) -> np.ndarray:
+    """The submasks of mask in ascending order, as int64, cached per graph.
 
     Built by doubling over the edges of mask in index order: the second half
-    of each step sets the edge with weight p, the first keeps it closed with
-    weight 1 - p.  The submasks of the full mask are 0 .. 2^E - 1 in order,
-    so they are not built: their entry is None.
+    of each step sets the edge.
     """
-    cached = g._submask_cache.get(mask)
-    if cached is not None:
-        return cached
-    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-    whole = len(bits) == g.n_edges
-    subs = None if whole else np.zeros(1 << len(bits), dtype=np.int64)
-    probs = np.ones(1 << len(bits))
-    h = 1
-    for bit in bits:
-        p = g.probs[bit.bit_length() - 1]
-        np.multiply(probs[:h], p, out=probs[h:2 * h])
-        probs[:h] *= 1.0 - p
-        if not whole:
-            np.bitwise_or(subs[:h], bit, out=subs[h:2 * h])
-        h *= 2
-    g._submask_cache[mask] = subs, probs
-    return subs, probs
+    if mask not in g._subsets:
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        subs = np.zeros(1 << len(bits), dtype=np.int64)
+        for k, i in enumerate(bits):
+            np.bitwise_or(subs[:1 << k], 1 << i, out=subs[1 << k:2 << k])
+        g._subsets[mask] = subs
+    return g._subsets[mask]
 
 
-def _submasks(g: Graph, mask: int) -> tuple[np.ndarray, np.ndarray]:
-    """The submasks of mask and their probabilities over the edges of mask.
-
-    The full mask's submasks are an index built on each call.
+def _measure(g: Graph, mask: int) -> np.ndarray:
+    """The probabilities of the ``_subsets`` of mask over the edges of mask,
+    cached per graph: the same doubling, where the second half of each step
+    opens the edge with weight p and the first keeps it closed with 1 - p.
     """
-    subs, probs = _doubling(g, mask)
-    return (np.arange(len(probs)) if subs is None else subs), probs
+    if mask not in g._measures:
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        probs = np.ones(1 << len(bits))
+        for k, i in enumerate(bits):
+            np.multiply(probs[:1 << k], g.probs[i], out=probs[1 << k:2 << k])
+            probs[:1 << k] *= 1.0 - g.probs[i]
+        g._measures[mask] = probs
+    return g._measures[mask]
 
 
 def weights(g: Graph) -> np.ndarray:
     """Probability of every configuration mask, index-aligned."""
     _check_size(g)
-    return _doubling(g, (1 << g.n_edges) - 1)[1]
+    return _measure(g, (1 << g.n_edges) - 1)
 
 
 def _fsum(a: np.ndarray) -> float:
@@ -177,7 +171,7 @@ def _check_prefix(g: Graph, t: Strategy, e: EventExpr) -> None:
         raise HypothesisError("prefix strategy must reveal everything into S")
     tab = truth_table(g, e)
     for s_mask, pinned in {(s, m1 & s) for m1, s in enumerate(_transpose(s_cols, n))}:
-        on = tab[pinned | _submasks(g, (n - 1) & ~s_mask)[0]]
+        on = tab[pinned | _subsets(g, (n - 1) & ~s_mask)]
         if on.any() != on.all():
             raise HypothesisError("prefix strategy does not decide the conditioning event")
 
@@ -202,7 +196,7 @@ def _hits(g: Graph, q, tab_a: np.ndarray, tab_b: np.ndarray, m1: int, s_mask: in
         return tab_b[(m1 & s_mask) | c2_out]
     # the witness splits of sq_s_occurrence, read from the tables
     s_open = s_mask & m1
-    return _split_any(tab_a, tab_b, _submasks(g, s_open)[0], m1 & ~s_mask, s_open, c2_out)
+    return _split_any(tab_a, tab_b, _subsets(g, s_open), m1 & ~s_mask, s_open, c2_out)
 
 
 def exact_pair(g: Graph, t: Strategy, q) -> float:
@@ -225,8 +219,9 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     terms = []
     if not t.uses_c2:
         for m1, s_mask in zip(m1s, _s_masks(g, t, len(m1s), _transpose(m1s, g.n_edges))):
-            subs, probs = _submasks(g, full & ~s_mask)  # c2 over the complement of S
-            terms.append(w[m1] * _fsum(probs[_hits(g, q, tab_a, tab_b, m1, s_mask, subs)]))
+            out = full & ~s_mask  # c2 over the complement of S
+            hits = _hits(g, q, tab_a, tab_b, m1, s_mask, _subsets(g, out))
+            terms.append(w[m1] * _fsum(_measure(g, out)[hits]))
         return math.fsum(terms)
     cols, every = _columns(g.n_edges), (1 << len(w)) - 1
     for m1 in m1s:

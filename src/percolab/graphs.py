@@ -138,8 +138,10 @@ class Graph:
                 raise GraphFormatError("rotation does not describe a plane embedding")
 
         self.name = name
-        self._event_tables: dict = {}  # unparse(e) -> read-only bool truth table
-        self._submask_cache: dict[int, tuple] = {}  # mask -> (submasks or None, probabilities)
+        # unparse(e) -> read-only bool truth table; perfbench counts hits by this key
+        self._event_tables: dict = {}
+        self._subsets: dict = {}  # mask -> its submasks, ascending (exact._subsets)
+        self._measures: dict = {}  # mask -> their probabilities (exact._measure)
         self._faces: FaceSet | None = None
 
     def other_end(self, eid: str, v: str) -> str:

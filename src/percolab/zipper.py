@@ -39,7 +39,7 @@ import numpy as np
 
 from . import config
 from .errors import PercolabError, SizeGuardError
-from .exact import _split_any, _submasks, truth_tables
+from .exact import _split_any, _subsets, truth_tables
 from .graphs import Graph
 
 # witness capability of a symbol in paired-witness events
@@ -180,7 +180,7 @@ class BowtieEvent:
             free |= either << i
         hits = self._answers.get((base_a, free))
         if hits is None:  # split the free edges, for every B side at once
-            ws = _submasks(g, free)[0]
+            ws = _subsets(g, free)
             sides = np.arange(1 << g.n_edges)
             hits = np.logical_or.reduce([_split_any(tab_a, tab_b, ws, base_a, free, sides)
                                          for tab_a, tab_b in self.pairs])

@@ -548,3 +548,36 @@ def test_conj3_mc_scan_evaluates_terms_once(monkeypatch):
     assert len(calls) == 1  # one sample set for all five terms, not one per eps
     assert [_without_runtime(r) for r in reps] == want
     assert [r.check_id for r in reps] == ["conj3_scan#eps=0.2", "conj3_scan#eps=0.3"]
+
+
+_CYCLE3 = "family:cycle:3,p=0.5"
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda: run_check("conj2_demo", graph_from_spec(_CYCLE3), {"eps": 1.5}),
+     ValueError, r"eps must lie in \(0,1\)"),
+    (lambda: run_check("submult", graph_from_spec("family:grid:2,3,p=0.5"), {"n": 0, "m": 1}),
+     ValueError, "need n, m >= 1"),
+    (lambda: run_check("submult", graph_from_spec("family:grid:2,3,p=0.5"), {"n": 1, "m": 0}),
+     ValueError, "need n, m >= 1"),
+    (lambda: run_check("dv8", graph_from_spec(_CYCLE3), method="sampled"),
+     ValueError, "method must be 'exact' or 'mc'"),
+    (lambda: run_check("no_such_check", graph_from_spec(_CYCLE3)),
+     ValueError, "unknown check id 'no_such_check'"),
+    (lambda: scan_conjectures("no_such_scan", graph_from_spec(_CYCLE3)),
+     ValueError, "unknown scan id 'no_such_scan'"),
+    (lambda: scan_conjectures("logconcave", graph_from_spec("family:parallel:3,q=0.5"),
+                              {"nmax": 1}),
+     ValueError, "scan needs nmax >= 2"),
+])
+def test_check_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()
+
+
+def test_poisson_upper_tail_edges():
+    """The tail at k <= 0 is certain; with no mass it is empty from k = 1."""
+    assert poisson_upper_tail(0, 2.0) == 1.0
+    assert poisson_upper_tail(-3, 0.0) == 1.0
+    assert poisson_upper_tail(1, 0.0) == 0.0
+    assert poisson_upper_tail(2, -1.0) == 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from percolab import Configuration, clusters, generate, graph_from_spec
@@ -128,3 +129,29 @@ def test_conjecture_finding_exits_one(monkeypatch):
     res = CliRunner().invoke(cli.main, ["corpus", "run", "--quiet"])
     assert res.exit_code == 1
     assert "conjecture findings: 1" in res.output
+
+
+@pytest.mark.parametrize("preset", ["nope", "HK", ""])
+def test_case_table_refuses_unknown_preset(preset):
+    with pytest.raises(ValueError, match=f"no case table for preset '{preset}'"):
+        corpus._expected_cases(preset, 0.5)
+
+
+def test_zipper_dir_violated_by_two_factor_delta(monkeypatch):
+    """A colored two-factor delta above the tolerance turns a zipper_dir
+    report violated, although the three-point comparison holds."""
+    [entry] = [e for e in corpus_entries() if e.key.startswith("zipper_dir_colored")
+               and e.graph_spec == "family:path:2,p=0.5"]
+    [rep] = run_entry(entry)
+    assert rep.verdict == "holds" and "two-factor delta" in rep.note
+    real = corpus.check_gen_inequality
+
+    def drifting(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        if "two_factor_max_delta" in rep.extras:
+            rep.extras["two_factor_max_delta"] = 1e-6
+        return rep
+
+    monkeypatch.setattr(corpus, "check_gen_inequality", drifting)
+    [rep] = run_entry(entry)
+    assert rep.verdict == "violated" and "two-factor delta 1e-06" in rep.note

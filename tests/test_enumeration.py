@@ -25,7 +25,9 @@ from percolab import (Configuration, Graph, Monotonicity, disjoint_occurrence,
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
                              Union, _columns, _degree_bound, _flow_levels, _split_occurs,
                              _transpose)
-from percolab.exact import _split_any, _submasks, truth_table, weights
+from percolab.checks import run_check
+from percolab.exact import _measure, _split_any, _subsets, truth_table, weights
+from percolab.strategies import parse_strategy
 
 from oracles import column_split, evaluate_mask, open_maxflow
 
@@ -442,7 +444,28 @@ def test_submasks_match_list_doubling(g, data):
             p = g.probs[i]
             pairs = [(sm, wt * (1.0 - p)) for sm, wt in pairs] + \
                     [(sm | 1 << i, wt * p) for sm, wt in pairs]
-    subs, probs = _submasks(g, mask)
-    assert subs.tolist() == [sm for sm, _ in pairs]
-    assert probs.tolist() == [wt for _, wt in pairs]
-    assert weights(g).tolist() == _submasks(g, (1 << g.n_edges) - 1)[1].tolist()
+    assert _subsets(g, mask).tolist() == [sm for sm, _ in pairs]
+    assert _measure(g, mask).tolist() == [wt for _, wt in pairs]
+    assert weights(g).tolist() == _measure(g, (1 << g.n_edges) - 1).tolist()
+
+
+def test_probabilities_keep_no_full_mask_index():
+    """An event probability caches the weights alone: no 2^E submask index
+    of the full mask (32 MB at 22 edges) is kept next to them."""
+    g = graph_from_spec("family:grid:2,8,p=0.5")
+    assert g.n_edges == 22
+    exact_prob(g, parse_event("a,b"))
+    assert g._subsets == {}
+    assert list(g._measures) == [(1 << g.n_edges) - 1]
+
+
+def test_pair_queries_measure_only_complements_of_s():
+    """Exact vdbk_tree reads probabilities only over the complement of each
+    revealed set S; the witness split sets of SqS get submasks alone."""
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    t = parse_strategy("bfs_cluster:a")
+    run_check("vdbk_tree", g, {"strategy": t, "events": ["a,b", "b,c"]})
+    n, full = 1 << g.n_edges, (1 << g.n_edges) - 1
+    s_masks = set(_transpose(t._reveal_columns(g, _columns(g.n_edges), n)[1], n))
+    assert set(g._measures) <= {full} | {full & ~s for s in s_masks}
+    assert not set(g._subsets) <= set(g._measures)  # the split sets were built

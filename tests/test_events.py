@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from percolab import (Configuration, EventSyntaxError, Monotonicity,
+from percolab import (Configuration, EvaluationError, EventSyntaxError, Monotonicity,
                       MonotonicityError, SizeGuardError, disjoint_occurrence, evaluate,
                       exact_prob, generate, graph_from_spec, monotonicity,
                       parse_event, sq_s_occurrence, unparse)
-from percolab import config
+from percolab import config, events
 from percolab.events import Complement, Intersect, NPathsAtom, PartitionAtom, Union
 
 from oracles import evaluate_mask, open_maxflow
@@ -385,3 +385,25 @@ def test_exact_prob_matches_fraction_oracle():
             want += w
     assert exact_prob(g, e) == pytest.approx(float(want), abs=1e-15)
     assert want == Fraction(1, 2)
+
+
+def _foreign():
+    """A configuration of another graph with the same edges."""
+    return Configuration(graph_from_spec("family:cycle:3,p=0.5"), 0)
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda g: evaluate(parse_event("a,b"), g, _foreign()),
+     EvaluationError, "configuration belongs to a different graph"),
+    (lambda g: sq_s_occurrence(parse_event("a,b"), parse_event("b,c"), g,
+                               _foreign(), Configuration(g, 0), []),
+     EvaluationError, "configurations belong to a different graph"),
+    (lambda g: sq_s_occurrence(parse_event("a,b"), parse_event("b,c"), g,
+                               Configuration(g, 0), _foreign(), []),
+     EvaluationError, "configurations belong to a different graph"),
+    (lambda g: events._fold("a,b", *[lambda x: x] * 4),
+     TypeError, "not an event expression: 'a,b'"),
+])
+def test_event_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call(graph_from_spec("family:cycle:3,p=0.5"))

@@ -267,3 +267,17 @@ def test_bad_embedding_rejected():
     with pytest.raises(GraphFormatError, match="plane embedding"):
         Graph(g5.vertices, list(g5.edges), dict(g5.edge_prob), g5.marks,
               rotation=rot, outer_anchor=(g5.edge_ids[0], "a"))
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda g: Configuration(g, 1 << g.n_edges), ValueError, "mask out of range"),
+    (lambda g: Configuration(g, -1), ValueError, "mask out of range"),
+    (lambda g: clusters(g, Configuration(generate("cycle", 3, p=0.5), 0)),
+     ValueError, "configuration belongs to a different graph"),
+    (lambda g: same_face(g, ["a", "b"], which="inner"),
+     ValueError, "which must be 'outer' or 'any'"),
+    (lambda g: g.other_end(g.edge_ids[0], "c"), KeyError, "'c' is not an endpoint of"),
+])
+def test_graph_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call(generate("cycle", 3, p=0.5))

@@ -543,3 +543,28 @@ def test_column_form_checks_passes_that_no_configuration_reaches():
     assert run(t, g, _all_open(g), _all_closed(g)).steps == ()
     with pytest.raises(StrategyError, match="unknown start vertex 'zz'"):
         t._reveal_columns(g, _columns(g.n_edges), 1 << g.n_edges)
+
+
+class _BadDecision(Strategy):
+    """Queries the first edge with a decision that is neither S nor Sbar."""
+    name = "baddecision"
+
+    def policy(self, g):
+        yield g.edge_ids[0], "maybe"
+
+
+@pytest.mark.parametrize("call, exc, fragment", [
+    (lambda g, other: run(parse_strategy("bfs_cluster:a"), g, Configuration(other, 0),
+                          Configuration(g, 0)),
+     StrategyError, "configurations belong to a different graph"),
+    (lambda g, other: run(parse_strategy("bfs_cluster:a"), g, Configuration(g, 0),
+                          Configuration(other, 0)),
+     StrategyError, "configurations belong to a different graph"),
+    (lambda g, other: run(_BadDecision(), g, Configuration(g, 0), Configuration(g, 0)),
+     StrategyError, "bad decision 'maybe'"),
+    (lambda g, other: splice(Configuration(g, 0), Configuration(other, 0), []),
+     ValueError, "configurations belong to different graphs"),
+])
+def test_strategy_refusals(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call(generate("cycle", 3, p=0.5), generate("cycle", 3, p=0.5))

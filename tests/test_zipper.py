@@ -6,7 +6,7 @@ from percolab import (PercolabError, SizeGuardError, exact_pair, exact_prob, gen
                       graph_from_spec, parse_event, parse_strategy)
 from percolab.exact import Joint, SqS
 from percolab.strategies import S
-from percolab.zipper import (AdaptiveChoice, BowtieEvent, ConstChoice,
+from percolab.zipper import (AdaptiveChoice, BowtieEvent, ConstChoice, DualSpace,
                              GeneralStrategy, ProductEvent, SplitChoice,
                              build_preset, check_gen_inequality,
                              check_zipper_condition, event_probability,
@@ -338,3 +338,40 @@ def test_bowtie_event_refuses_unknown_capability():
     ab = parse_event("a,b")
     with pytest.raises(PercolabError, match="symbol '1'.*capability 9"):
         BowtieEvent(g, [(ab, ab)], {"0": 0, "1": 9})
+
+
+class _Picks(GeneralStrategy):
+    """Assigns the first edge with measure 1, then returns ``then``."""
+
+    def __init__(self, then):
+        self.then = then
+
+    def choose(self, prefix, g):
+        return (g.edge_ids[0], 1) if not prefix else self.then(g)
+
+
+_HALF = (0.5, 0.5)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: DualSpace("x", ("0", "1"), (1.0,), ("0", "1"), _HALF),
+     "measure length mismatch"),
+    (lambda: DualSpace("x", ("0", "1"), _HALF, ("0", "1"), (1.5, -0.5)),
+     "negative probability"),
+    (lambda: DualSpace("x", ("0", "1"), (0.5, 0.25), ("0", "1"), _HALF),
+     "measure does not sum to 1 in preset x"),
+    (lambda: BowtieEvent(generate("path", 2, p=0.5), [], None),
+     "no paired-witness capability table"),
+    (lambda: gen_enumerate(generate("path", 2, p=0.5), build_preset("vdbk", 0.5),
+                           _Picks(lambda g: ("nowhere", 1))),
+     "strategy chose unknown edge 'nowhere'"),
+    (lambda: gen_enumerate(generate("path", 2, p=0.5), build_preset("vdbk", 0.5),
+                           _Picks(lambda g: (g.edge_ids[0], 2))),
+     "strategy re-assigned edge"),
+    (lambda: gen_enumerate(generate("path", 2, p=0.5), build_preset("vdbk", 0.5),
+                           _Picks(lambda g: (g.edge_ids[1], 3))),
+     "bad measure index 3"),
+])
+def test_zipper_refusals(call, fragment):
+    with pytest.raises(PercolabError, match=fragment):
+        call()
