@@ -1,5 +1,6 @@
-"""Global numeric tolerance, size guards for exhaustive enumeration, and the
-witness-search budget of disjoint occurrence."""
+"""Global numeric tolerance, size guards for exhaustive enumeration, the
+block size shared by enumeration and sampling, and the witness-search budget
+of disjoint occurrence."""
 
 # Absolute tolerance for exact verdicts.  Exact enumeration over dyadic edge
 # probabilities is correct to accumulated rounding only, so inequality slacks
@@ -13,6 +14,12 @@ MAX_PAIR_EDGES = 12        # 4^E configuration pairs
 MAX_SPLICE_EDGES = 10      # joint-law table over pairs of configurations
 MAX_CONTINUATION_EDGES = 16
 MAX_ZIPPER_STATES = 10**6  # product of per-edge symbol-set sizes
+
+# Configurations × (vertices + edges) per block.  Monte Carlo draws and
+# counts its samples, and exact enumeration its masks, one block of about
+# this many cells at a time, so memory stays flat in the number of
+# configurations; results do not depend on it.
+BLOCK_CELLS = 1 << 22
 
 # Nodes the witness search of one disjoint-occurrence query may visit.  A
 # node evaluates both operands on a few configurations: about 0.5 ms on the

@@ -1,28 +1,37 @@
 """Exact probabilities by exhaustive enumeration; the ground-truth oracle.
 
 Configurations are bitmasks in lexicographic edge-id order.  Enumeration is
-"sampling" with deterministic periodic columns: bit m of the column of edge
-j is bit j of m, so the 2^E bits of the columns list every configuration
-once.  Truth tables run these columns through the column evaluator of
-``events``, the one Monte Carlo runs on sampled columns: a few big-integer
-AND/OR sweeps per event instead of a cluster labelling or a max-flow per
-mask.  The tables a request needs that the graph has not cached are built
-together in one evaluator pass, as ``mc_probs`` evaluates its events on one
-sample set: each reach source is swept once, and the tables of npaths(u,v,n)
-for several n share one max-flow.
+"sampling" with deterministic periodic columns, cut into blocks as Monte
+Carlo cuts its samples: a block of 2^k masks fixes the high E - k edges, so
+its low k edges are the periodic columns (bit m of the column of edge j is
+bit j of m) and each high edge is a constant column, all 0 or all 1.  k is
+the largest with 2^k mask × (vertex + edge) cells at most
+``config.BLOCK_CELLS``, the constant that sizes Monte Carlo's blocks, so
+memory stays flat in 2^E and a graph of up to 2^k masks is one block.
+Events run on a block's columns through the column evaluator of ``events``,
+the one Monte Carlo runs on sampled columns: a few big-integer AND/OR sweeps
+per event instead of a cluster labelling or a max-flow per mask.  The events
+a request needs that the graph has not cached are evaluated together, as
+``mc_probs`` evaluates its events on one sample set: each reach source is
+swept once per block, and npaths(u,v,n) for several n share one max-flow.
 
-Probabilities are float64 arrays indexed by mask, and truth tables are
-read-only numpy bool arrays indexed the same way, so a sum is one
-fancy-indexing step.  Sums use math.fsum, which rounds the exact sum once:
-the result depends only on the set of floats summed, not their order, and
-the advertised 1e-12 tolerances are honest for the dyadic probabilities the
-built-in corpus uses.
+An event's hits are kept as packed bits over all masks, 2^E / 8 bytes.  A
+probability is one ``math.fsum`` over the weights they select, computed
+block by block: a block's weights are ``_measure`` of its low edges times
+the high edges' factors in edge order, the same floats as the doubling over
+every edge, so no 2^E float array is built.  fsum rounds the exact sum once:
+the result depends only on the set of floats summed, not their order or
+blocking, and the advertised 1e-12 tolerances are honest for the dyadic
+probabilities the built-in corpus uses.  What reads an event over every mask
+at once (pair queries, monotonicity, the prefix check) reads its truth
+table, a numpy bool array indexed by mask, unpacked from the bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -85,6 +94,37 @@ def _fsum(a: np.ndarray) -> float:
     return math.fsum(memoryview(a))
 
 
+def _block_bits(g: Graph, width: int) -> int:
+    """The k of the blocks of 2^k masks that cut the 2^width masks: the
+    largest with 2^k mask × (vertex + edge) cells at most
+    ``config.BLOCK_CELLS``, but at least 3 (whole bytes of hit bits) and at
+    most width."""
+    cells = config.BLOCK_CELLS // (g.n_vertices + g.n_edges)
+    return min(width, max(3, cells.bit_length() - 1))
+
+
+def _blocks(width: int, k: int):
+    """The edge columns of each block of 2^k of the 2^width masks, in mask
+    order: the low k edges are the periodic ``_columns(k)``, and each higher
+    edge is constant over the block, all 0 or all 1."""
+    low, full = _columns(k), (1 << (1 << k)) - 1
+    for b in range(1 << (width - k)):
+        yield low + [full * (b >> j & 1) for j in range(width - k)]
+
+
+def _block_weights(g: Graph, k: int):
+    """The weights of each block of 2^k masks, in mask order: ``_measure``
+    of the low k edges times each higher edge's factor, p open or 1 - p
+    closed, in edge order.  The doubling of ``weights`` multiplies in the
+    same order, so these are its floats."""
+    low = _measure(g, (1 << k) - 1)
+    for b in range(1 << (g.n_edges - k)):
+        w = low
+        for j, p in enumerate(g.probs[k:]):
+            w = w * (p if b >> j & 1 else 1.0 - p)
+        yield w
+
+
 def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, ws: np.ndarray, fixed_a: int,
                rest: int, fixed_b):
     """Is there a witness split W in ws with A on W | fixed_a and B on
@@ -98,23 +138,34 @@ def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, ws: np.ndarray, fixed_a: in
     return tab_b[b_side | np.asarray(fixed_b)[..., None]].any(axis=-1)
 
 
-def truth_tables(g: Graph, events: list) -> list[np.ndarray]:
+def _hit_bits(g: Graph, events: list) -> list[np.ndarray]:
     """Indicator of each event over all configuration masks, as read-only
-    bool arrays cached per graph, keyed by the event's canonical text.  The
-    uncached events are evaluated together in one pass on the periodic columns.
-    """
+    packed little-endian bits cached per graph, keyed by the event's
+    canonical text.  The uncached events are evaluated together, block by
+    block, on the columns of ``_blocks``."""
     keys = [unparse(e) for e in events]
-    todo = {k: e for k, e in zip(keys, events) if k not in g._event_tables}
+    todo = {key: e for key, e in zip(keys, events) if key not in g._event_tables}
     if todo:
         _check_size(g)
         for e in todo.values():
             _resolve(e, g)
-        n = 1 << g.n_edges
-        for k, bits in zip(todo, _evaluate_many(list(todo.values()), g, _columns(g.n_edges), n)):
-            tab = np.unpackbits(_to_byte_rows([bits], n)[0], bitorder="little")[:n].view(np.bool_)
-            tab.flags.writeable = False
-            g._event_tables[k] = tab
-    return [g._event_tables[k] for k in keys]
+        k = _block_bits(g, g.n_edges)
+        rows = np.empty((len(todo), max(1, (1 << g.n_edges) >> 3)), dtype=np.uint8)
+        step = rows.shape[1] >> (g.n_edges - k)  # bytes per block
+        for b, cols in enumerate(_blocks(g.n_edges, k)):
+            hits = _evaluate_many(list(todo.values()), g, cols, 1 << k)
+            rows[:, b * step:(b + 1) * step] = _to_byte_rows(hits, 1 << k)
+        rows.flags.writeable = False
+        g._event_tables.update(zip(todo, rows))
+    return [g._event_tables[key] for key in keys]
+
+
+def truth_tables(g: Graph, events: list) -> list[np.ndarray]:
+    """Indicator of each event over all configuration masks, as bool arrays
+    indexed by mask: its ``_hit_bits``, unpacked."""
+    n = 1 << g.n_edges
+    return [np.unpackbits(bits, bitorder="little")[:n].view(np.bool_)
+            for bits in _hit_bits(g, events)]
 
 
 def truth_table(g: Graph, e: EventExpr) -> np.ndarray:
@@ -123,9 +174,21 @@ def truth_table(g: Graph, e: EventExpr) -> np.ndarray:
 
 
 def exact_probs(g: Graph, events: list) -> list[float]:
-    """Probabilities of several events, from truth tables built together."""
-    w = weights(g)
-    return [_fsum(w[tab]) for tab in truth_tables(g, events)]
+    """Probabilities of several events, from hit bits evaluated together.
+
+    Each is one fsum over the weights its hit bits select, one block of
+    weights at a time."""
+    hits = _hit_bits(g, events)
+    k = _block_bits(g, g.n_edges)
+    n = 1 << k
+    step = max(1, n >> 3)  # bytes per block
+
+    def selected(bits):
+        for b, w in enumerate(_block_weights(g, k)):
+            sel = np.unpackbits(bits[b * step:(b + 1) * step], bitorder="little")[:n]
+            yield memoryview(w[sel.view(np.bool_)])
+
+    return [math.fsum(chain.from_iterable(selected(bits))) for bits in hits]
 
 
 def exact_prob(g: Graph, e: EventExpr) -> float:
@@ -245,15 +308,20 @@ def verify_splice_independence(g: Graph, t: Strategy) -> float:
     w = weights(g)
     n = len(w)
     e = g.n_edges
+    # pair m1·n + m2 has c2 in its low E bits and c1 in its high; a block of
+    # 2^k pairs is a block of rows of c1
+    k = max(e, _block_bits(g, 2 * e))
+    rows = 1 << (k - e)
     if t.uses_c2:
-        # pair m1·n + m2: c2 is the low E bits of the pair index, c1 the high
-        cols = _columns(2 * e)
-        s = np.array(_s_masks(g, t, n * n, cols[e:], cols[:e])).reshape(n, n)
+        s_rows = (np.array(_s_masks(g, t, rows * n, cols[e:], cols[:e])).reshape(rows, n)
+                  for cols in _blocks(2 * e, k))
     else:
-        s = np.array(_s_masks(g, t, n, _columns(e)))[:, None]
-    m1s, m2s = np.arange(n)[:, None], np.arange(n)
-    product = np.outer(w, w)
+        s_rows = (np.array(_s_masks(g, t, rows, cols))[:, None] for cols in _blocks(e, k - e))
+    m2s = np.arange(n)
     joint = np.zeros((n, n))
-    np.add.at(joint, (splice_mask(m1s, m2s, s).ravel(), splice_mask(m2s, m1s, s).ravel()),
-              product.ravel())  # accumulates in (m1, m2) order
-    return float(np.abs(joint - product).max())
+    for r, s in zip(range(0, n, rows), s_rows):
+        m1s = np.arange(r, r + rows)[:, None]
+        np.add.at(joint, (splice_mask(m1s, m2s, s).ravel(), splice_mask(m2s, m1s, s).ravel()),
+                  np.outer(w[r:r + rows], w).ravel())  # accumulates in (m1, m2) order
+    return max(float(np.abs(joint[r:r + rows] - np.outer(w[r:r + rows], w)).max())
+               for r in range(0, n, rows))

@@ -138,7 +138,8 @@ class Graph:
                 raise GraphFormatError("rotation does not describe a plane embedding")
 
         self.name = name
-        # unparse(e) -> read-only bool truth table; perfbench counts hits by this key
+        # unparse(e) -> its packed hit bits (exact._hit_bits); perfbench counts
+        # truth table hits by this key
         self._event_tables: dict = {}
         self._subsets: dict = {}  # mask -> its submasks, ascending (exact._subsets)
         self._measures: dict = {}  # mask -> their probabilities (exact._measure)

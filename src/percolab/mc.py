@@ -12,9 +12,10 @@ samples are the low bits of those of more, and raising p can only open
 edges, which keeps monotone couplings across parameter sweeps.
 
 Group w's words depend on w alone, so ``_blocks`` cuts the samples into
-blocks of whole groups, of about ``_BLOCK_CELLS`` sample × (vertex + edge)
-cells, that draw and count alone: results do not depend on the block size,
-and memory stays flat in n.  Within a block, samples are held as edge
+blocks of whole groups, of about ``config.BLOCK_CELLS`` sample × (vertex +
+edge) cells, that draw and count alone: results do not depend on the block
+size, and memory stays flat in n.  Exact enumeration reads the same constant
+to cut the masks into blocks.  Within a block, samples are held as edge
 columns: each edge gets a bitmask of the samples where it is open, and
 events are evaluated for all of them at once by the column evaluator of
 ``events``, the one the exact engine runs on periodic columns, disjoint-path
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .events import (EventExpr, NPathsAtom, _evaluate_columns, _evaluate_many,
                      _from_byte_rows, _resolve, _split_occurs, _transpose)
 from .events import _reach_masks  # noqa: F401  (perfbench traces reachability by this name)
@@ -51,7 +53,6 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_BLOCK_CELLS = 1 << 22  # sample × (vertex + edge) cells per block
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
@@ -91,10 +92,10 @@ class Estimate:
 
 def _blocks(g: Graph, n: int) -> list[tuple[int, int]]:
     """(first 64-sample group, samples) of each block of n samples: about
-    _BLOCK_CELLS sample × (vertex + edge) cells, and at least one group."""
+    config.BLOCK_CELLS sample × (vertex + edge) cells, and at least one group."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    step = 64 * max(1, _BLOCK_CELLS // (64 * (g.n_vertices + g.n_edges)))
+    step = 64 * max(1, config.BLOCK_CELLS // (64 * (g.n_vertices + g.n_edges)))
     return [(lo // 64, min(step, n - lo)) for lo in range(0, n, step)]
 
 

@@ -26,7 +26,8 @@ from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
                              Union, _columns, _degree_bound, _flow_levels, _split_occurs,
                              _transpose)
 from percolab.checks import run_check
-from percolab.exact import _measure, _split_any, _subsets, truth_table, weights
+from percolab.exact import (_block_bits, _measure, _split_any, _subsets, truth_table,
+                            weights)
 from percolab.strategies import parse_strategy
 
 from oracles import column_split, evaluate_mask, open_maxflow
@@ -451,12 +452,22 @@ def test_submasks_match_list_doubling(g, data):
 
 def test_probabilities_keep_no_full_mask_index():
     """An event probability caches the weights alone: no 2^E submask index
-    of the full mask (32 MB at 22 edges) is kept next to them."""
-    g = graph_from_spec("family:grid:2,8,p=0.5")
-    assert g.n_edges == 22
+    of the full mask (32 MB at 22 edges) is kept next to them.  A graph of
+    one block keeps the weights of its full mask; past one block, no cached
+    array has 2^E entries (the 22-edge grid:2,8 runs 64 blocks of 2^16)."""
+    g = graph_from_spec("family:grid:3,4,p=0.5")
+    assert _block_bits(g, g.n_edges) == g.n_edges == 17
     exact_prob(g, parse_event("a,b"))
     assert g._subsets == {}
     assert list(g._measures) == [(1 << g.n_edges) - 1]
+
+    g = graph_from_spec("family:grid:2,8,p=0.5")
+    assert g.n_edges == 22 and _block_bits(g, g.n_edges) == 16
+    exact_prob(g, parse_event("a,b"))
+    assert g._subsets == {}
+    cached = [a for cache in vars(g).values() if isinstance(cache, dict)
+              for a in cache.values() if isinstance(a, np.ndarray)]
+    assert cached and all(a.size < 1 << g.n_edges for a in cached)
 
 
 def test_pair_queries_measure_only_complements_of_s():

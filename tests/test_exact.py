@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +9,10 @@ from percolab import (Configuration, Graph, Monotonicity, SizeGuardError, exact_
                       exact_pair, exact_prob, generate, graph_from_spec, monotonicity,
                       parse_event, parse_strategy, run, run_check, scan_conjectures,
                       verify_splice_independence)
-from percolab import events
-from percolab.exact import Joint, SqS, truth_table, truth_tables, weights
-from percolab.strategies import splice_mask
+from percolab import config, events
+from percolab.exact import (Joint, SqS, _block_bits, exact_probs, truth_table, truth_tables,
+                            weights)
+from percolab.strategies import S, SBAR, Strategy, splice_mask
 from percolab.events import NPathsAtom, PartitionAtom, sq_s_occurrence
 
 from test_enumeration import _events, _graphs
@@ -265,6 +267,94 @@ def test_truth_tables_equal_one_table_per_fresh_graph(case):
     for e, tab in zip(batch, truth_tables(g, batch), strict=True):
         fresh = Graph(g.vertices, g.edges, g.edge_prob, g.marks)
         assert bytes(tab) == bytes(truth_table(fresh, e))
+
+
+# ---------------------------------------------------------------------------
+# Blocks of masks: a block size forced small gives the floats of one block
+
+_NON_DYADIC = (0.1, 0.3, 1 / 3, 0.7, 0.9)
+
+
+@contextmanager
+def _blocks_of(g: Graph, k: int, width: int | None = None):
+    """A fresh copy of g whose 2^width masks (2^E by default) run in blocks
+    of 2^k while the context lasts."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "BLOCK_CELLS", (g.n_vertices + g.n_edges) << k)
+        fresh = Graph(g.vertices, g.edges, g.edge_prob, g.marks)
+        assert _block_bits(fresh, width or g.n_edges) == k
+        yield fresh
+
+
+@st.composite
+def _blocked_case(draw):
+    """A graph of non-dyadic p, events that include an npaths atom, and a
+    block size of 2^3 masks up to the whole graph."""
+    g = draw(_graphs(probs=_NON_DYADIC))
+    name = st.sampled_from(g.vertices)
+    evs = [NPathsAtom(draw(name), draw(name), draw(st.integers(1, 3)))]
+    evs = draw(st.permutations(evs + draw(st.lists(_events(g.vertices), min_size=1,
+                                                   max_size=3))))
+    return g, evs, draw(st.integers(min(3, g.n_edges), g.n_edges))
+
+
+@given(_blocked_case())
+@example((generate("complete", 4, p=0.3), [parse_event("npaths(a,b,3)"),
+                                           parse_event("a,b U npaths(c,d,2)")], 3))
+@settings(max_examples=80, deadline=None)
+def test_blocked_probabilities_equal_one_block(case):
+    g, evs, k = case
+    want = exact_probs(g, evs)
+    with _blocks_of(g, k) as fresh:
+        assert exact_probs(fresh, evs) == want
+
+
+@given(_blocked_case())
+@settings(max_examples=60, deadline=None)
+def test_blocked_truth_tables_equal_one_block(case):
+    g, evs, k = case
+    want = [bytes(tab) for tab in truth_tables(g, evs)]
+    with _blocks_of(g, k) as fresh:
+        assert [bytes(tab) for tab in truth_tables(fresh, evs)] == want
+
+
+class _C2Steered(Strategy):
+    """Queries the edges in index order until one is closed in c1; an edge
+    goes into S when the edge before it is open in c2, else into Sbar (the
+    first goes into S)."""
+    name = "c2steered"
+    uses_c2 = True
+
+    def policy(self, g):
+        into = S
+        for eid in g.edge_ids:
+            b1, b2 = yield (eid, into)
+            if not b1:
+                return
+            into = S if b2 else SBAR
+
+
+@st.composite
+def _splice_case(draw):
+    """A graph of non-dyadic p with 2..6 edges, a strategy (some read c2),
+    and a pair block size: rows of c1 down to one row of 2^E pairs."""
+    g = draw(_graphs(max_edges=6, probs=_NON_DYADIC).filter(lambda g: g.n_edges >= 2))
+    v = st.sampled_from(g.vertices)
+    spec = draw(st.sampled_from(("fromc2", "c2steered", "bfs_cluster:{}", "dfs:{},id,S",
+                                 "dfs:{},id,Sbar", "seq:[dfs:{},id,Sbar;dfs:{},id,S]",
+                                 "dfs:{},id,until:{}", "dfs_stop_at:{},{},{}")))
+    t = {"fromc2": _FromC2(), "c2steered": _C2Steered()}.get(spec) or parse_strategy(
+        spec.format(*(draw(v) for _ in range(spec.count("{}")))))
+    return g, t, draw(st.integers(min(3, 2 * g.n_edges), 2 * g.n_edges))
+
+
+@given(_splice_case())
+@settings(max_examples=60, deadline=None)
+def test_row_blocked_splice_check_equals_one_block(case):
+    g, t, k = case
+    want = verify_splice_independence(g, t)
+    with _blocks_of(g, k, 2 * g.n_edges) as fresh:
+        assert verify_splice_independence(fresh, t) == want
 
 
 def test_pair_query_with_no_configuration_in_a():

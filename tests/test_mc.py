@@ -12,7 +12,7 @@ from percolab import (Configuration, Estimate, EvaluationError, Graph,
                       parse_strategy)
 from percolab.events import NPathsAtom
 from percolab.exact import Joint, SqS, exact_npaths
-from percolab import mc
+from percolab import config, mc
 from percolab.mc import _edge_bit_columns, mc_probs
 from percolab.strategies import run, splice_mask
 
@@ -466,7 +466,7 @@ def test_estimates_do_not_depend_on_blocking(monkeypatch, groups):
 
     assert len(mc._blocks(g, n)) == 1
     want = estimates()
-    monkeypatch.setattr(mc, "_BLOCK_CELLS", 64 * (g.n_vertices + g.n_edges) * groups)
+    monkeypatch.setattr(config, "BLOCK_CELLS", 64 * (g.n_vertices + g.n_edges) * groups)
     assert len(mc._blocks(g, n)) > 1
     assert estimates() == want
 
