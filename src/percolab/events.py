@@ -300,11 +300,26 @@ def _transpose(rows: list[int], width: int, keep: int | None = None) -> list[int
     masks, and masks (width = E edges) back into columns.  With ``keep``,
     only the outputs j whose bit is set in keep are built, in order.
     """
-    bits = np.unpackbits(_to_byte_rows(rows, width), axis=1, bitorder="little")[:, :width]
+    bits = _unpacked(rows, width)
     if keep is not None:
-        kept = np.unpackbits(_to_byte_rows([keep], width)[0], bitorder="little")[:width]
-        bits = bits[:, kept.view(bool)]
+        bits = bits[:, _unpacked([keep], width)[0].view(bool)]
     return _from_byte_rows(np.packbits(bits.T, axis=1, bitorder="little"))
+
+
+def _select(rows: list[int], width: int, keep: int) -> list[int]:
+    """The bits of each row at the positions set in keep, packed low: bit i
+    of output j is bit k_i of rows[j], for the set bits k_0 < k_1 < ... of
+    keep.  Cuts edge columns down to the configurations in keep."""
+    # compress lays the kept bits out row by row, where packbits reads them
+    # fast; a boolean index lays them out column by column, and packing that
+    # took a block of grid:5,5 samples from 8 to 28 ms
+    bits = np.compress(_unpacked([keep], width)[0].view(bool), _unpacked(rows, width), axis=1)
+    return _from_byte_rows(np.packbits(bits, axis=1, bitorder="little"))
+
+
+def _unpacked(rows: list[int], width: int) -> np.ndarray:
+    """uint8 [len(rows), width]: bit j of rows[i] at (i, j)."""
+    return np.unpackbits(_to_byte_rows(rows, width), axis=1, bitorder="little")[:, :width]
 
 
 def _reach_masks(g: Graph, cols: list[int], n: int, sources, targets=None) -> dict:

@@ -180,25 +180,17 @@ def _outer_leaving_edge(g: Graph, v: str) -> str:
     raise StrategyError(f"vertex {v!r} does not lie on the outer face")
 
 
-def _scan_order(g: Graph, v: str, arrival: str | None, order: str):
-    """(seq, i, step): the candidates of v, reached along ``arrival`` (None
-    at the start), are seq[(i + step*k) % len(seq)] for k = 1 .. len(seq)."""
-    if order in ("id", "bfs"):
-        return g.incident[v], -1, 1
+def _candidates(g: Graph, v: str, arrival: str | None, order: str):
+    """The edges at v in scan order, reached along ``arrival`` (None at the start)."""
+    if order in ("id", "bfs"):  # the hot path of runs: no list is built
+        return g.incident[v]
     if g.rotation is None or g.outer_anchor is None:
         raise StrategyError(f"{order} order needs a rotation and outer anchor")
     rot = g.rotation[v]
     i = rot.index(arrival if arrival is not None else _outer_leaving_edge(g, v))
     # left_hand takes clockwise successors, right_hand counterclockwise; arrival last
-    return rot, i, (1 if order == "left_hand" else -1)
-
-
-def _candidates(g: Graph, v: str, arrival: str | None, order: str):
-    if order in ("id", "bfs"):  # the hot path of runs: no list is built
-        return g.incident[v]
-    rot, i, step = _scan_order(g, v, arrival, order)
-    d = len(rot)
-    return [rot[(i + step * k) % d] for k in range(1, d + 1)]
+    step = 1 if order == "left_hand" else -1
+    return [rot[(i + step * k) % len(rot)] for k in range(1, len(rot) + 1)]
 
 
 def _first_candidates(g, start, order, targets):
@@ -283,19 +275,16 @@ def _lockstep(g, passes, cols, n, scan):
 def _pass_table(g, start, order):
     """The states of a pass as arrays.  State 0 is (start, None); state
     1 + 2j is (x, e_j) and 2 + 2j is (y, e_j) for edge e_j = (x, y).  Gives
-    the vertices' scan sequences (``_scan_order``) as edge indices, flat;
-    each state's vertex, scan index, and the offset and length of its
-    vertex's sequence; and the scan step."""
+    each state's candidates (``_candidates``) as edge indices, one row per
+    state padded to the largest degree; and each state's vertex and number
+    of candidates."""
     keys = [(start, None)] + [(v, e) for e, x, y in g.edges for v in (x, y)]
-    seqs, index = {}, []
-    for v, arrival in keys:
-        seqs[v], i, step = _scan_order(g, v, arrival, order)
-        index.append(i)
-    length = np.array([len(seqs.get(v, ())) for v in g.vertices], np.int64)
-    offset = np.cumsum(length) - length
-    seq = np.array([g._eidx[e] for v in g.vertices for e in seqs.get(v, ())], np.int32)
     vertex = np.array([g._vidx[v] for v, _ in keys], np.int32)
-    return seq, vertex, np.array(index, np.int32), offset[vertex], length[vertex], step
+    length = np.array([len(g.incident[v]) for v, _ in keys], np.int32)
+    cand = np.zeros((len(keys), int(length.max())), np.int32)
+    for row, d, (v, arrival) in zip(cand, length, keys):
+        row[:d] = [g._eidx[e] for e in _candidates(g, v, arrival, order)]
+    return cand, vertex, length
 
 
 def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
@@ -309,7 +298,9 @@ def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
     Each loop iteration is one iteration of ``_scan``'s loop in every
     running configuration.
     """
-    seq, vertex, index, offset, length, step = table
+    cand, vertex, length = table
+    width = cand.shape[1]
+    cand = cand.reshape(-1)
     is_target = np.zeros(g.n_vertices, bool)
     is_target[[g._vidx[w] for w in targets]] = True
     first_end = np.array(g._u_arr, np.int32)
@@ -331,9 +322,9 @@ def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
         st, p = state[at], pos[at]
         out = p >= length[st]
         tail[live[out]] -= 1
-        i, at, st, p = live[~out], at[~out], st[~out], p[~out] + 1
-        pos[at] = p
-        e = seq[offset[st] + (index[st] + step * p) % length[st]]
+        i, at, st, p = live[~out], at[~out], st[~out], p[~out]
+        pos[at] = p + 1
+        e = cand[st * width + p]
         qe = row_base[i] + e
         new = ~q_flat[qe]
         i, st, e, qe = i[new], st[new], e[new], qe[new]

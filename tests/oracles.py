@@ -11,13 +11,21 @@ library runs, and the tests compare the two bit for bit.
 occurrence: it evaluates all 2^k witness splits at once on the column
 evaluator.  It shares the evaluator with the library, which the oracles
 above check, and none of the search.
+
+``mc_pair_all_lanes`` is the reference for the lane restriction of
+``mc_pair``: it reveals S on every sample pair, not only on those with A on
+c1.  It shares the sampler, the evaluator, the strategies and the witness
+search with the library, and none of the restriction.
 """
 
 from __future__ import annotations
 
 from percolab.events import (Complement, EventExpr, Intersect, NPathsAtom,
-                             PartitionAtom, Union, _columns, _evaluate_columns)
+                             PartitionAtom, Union, _columns, _evaluate_columns,
+                             _split_occurs, _transpose)
+from percolab.exact import SqS, _check_query
 from percolab.graphs import Graph
+from percolab.mc import Estimate, _blocks, _edge_bit_columns
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +167,25 @@ def column_split(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
         cols_a[j], cols_b[j] = col, full ^ col
     t_a = _evaluate_columns(A, g, cols_a, n)
     return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo pair queries with S revealed on every sample
+
+
+def mc_pair_all_lanes(g: Graph, t, q, n: int, seed: int):
+    """``mc_pair`` with the strategy run on every sample pair of each block."""
+    _check_query(g, q)
+    hits = 0
+    for first, m in _blocks(g, n):
+        cols1 = _edge_bit_columns(g, m, seed, 2 * g.n_edges, 0, first)
+        cols2 = _edge_bit_columns(g, m, seed, 2 * g.n_edges, g.n_edges, first)
+        s_cols = t._reveal_columns(g, cols1, m, cols2)[1]
+        spliced = [(c1 & s) | (c2 & ~s) for c1, c2, s in zip(cols1, cols2, s_cols)]
+        joint = _evaluate_columns(q.A, g, cols1, m) & _evaluate_columns(q.B, g, spliced, m)
+        if isinstance(q, SqS):
+            hits += sum(_split_occurs(q.A, q.B, g, m1, m2, s_mask) for m1, m2, s_mask in
+                        zip(*(_transpose(cols, m, joint) for cols in (cols1, cols2, s_cols))))
+        else:
+            hits += joint.bit_count()
+    return Estimate.from_count(hits, n, seed)

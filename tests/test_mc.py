@@ -10,15 +10,15 @@ from percolab import (Configuration, Estimate, EvaluationError, Graph,
                       MonotonicityError, StrategyError, exact_pair, exact_prob, generate,
                       graph_from_spec, mc_npaths, mc_pair, mc_prob, parse_event,
                       parse_strategy)
-from percolab.events import NPathsAtom
+from percolab.events import NPathsAtom, _select, _transpose
 from percolab.exact import Joint, SqS, exact_npaths
 from percolab import config, mc
 from percolab.mc import _edge_bit_columns, mc_probs
-from percolab.strategies import run, splice_mask
+from percolab.strategies import S, Strategy, extend_with_rest, run, splice_mask
 
-from oracles import evaluate_mask
-from test_enumeration import _events, _graphs
-from test_strategies import _Delegate
+from oracles import evaluate_mask, mc_pair_all_lanes
+from test_enumeration import _events, _graphs, _increasing_events
+from test_strategies import _Delegate, _FromC2
 
 
 def test_determinism_bit_for_bit():
@@ -212,6 +212,20 @@ def test_both_engines_refuse_an_unknown_start_vertex(engine, query, spec):
         run(t, g, Configuration(g, 0), Configuration(g, 0))
     with pytest.raises(StrategyError, match="unknown start vertex 'zz'"):
         engine(g, t, query(parse_event("a,b"), parse_event("b,c")))
+
+
+@pytest.mark.parametrize("engine", [exact_pair, lambda g, t, q: mc_pair(g, t, q, 100, 1)],
+                         ids=["exact", "mc"])
+@pytest.mark.parametrize("query", [Joint, SqS])
+@pytest.mark.parametrize("spec, match", [("dfs:z,id,S", "unknown start vertex 'z'"),
+                                         ("dfs:a,id,until:z", "unknown target vertex 'z'")])
+def test_both_engines_refuse_a_strategy_when_no_configuration_is_in_a(engine, query, spec,
+                                                                      match):
+    # at p = 0 no configuration has a,b, so neither engine runs the strategy
+    # on a single pair: revealing on none must still refuse it
+    g = generate("cycle", 3, p=0.0)
+    with pytest.raises(StrategyError, match=match):
+        engine(g, parse_strategy(spec), query(parse_event("a,b"), parse_event("b,c")))
 
 
 @pytest.mark.parametrize("call", [
@@ -537,3 +551,78 @@ def test_joint_matches_per_sample_loop(case):
         s_mask = run(t, g, Configuration(g, m1), Configuration(g, m2)).s_mask(g)
         hits += evaluate_mask(A, g, m1) and evaluate_mask(B, g, splice_mask(m1, m2, s_mask))
     assert mc_pair(g, t, Joint(A, B), n, seed) == Estimate.from_count(hits, n, seed)
+
+
+@st.composite
+def _lane_case(draw):
+    """A graph, a strategy of each reveal path (the reach fixed point, a
+    target-stopped pass and right-hand walks through the lock-step scan, one
+    run per pair, and a c2 reader), a Joint or SqS query, samples and seed.
+    Right-hand walks need a family's rotation; the others take graphs of at
+    least two edges, which ``_FromC2`` may query, with edge probabilities
+    down to 0.1, so that A misses some one-group blocks."""
+    kind = draw(st.sampled_from(("bfs_cluster:a", "dfs_stop_at:a,b", "rhw_walks:a,b,2",
+                                 "runs", "from_c2")))
+    if kind == "rhw_walks:a,b,2":
+        spec = draw(st.sampled_from(("family:grid:2,3,p={}", "family:cycle:4,p={}")))
+        g = graph_from_spec(spec.format(draw(st.sampled_from((0.2, 0.5, 0.7)))))
+    else:
+        g = draw(_graphs(probs=(0.1, 0.25, 0.5, 0.75)).filter(lambda g: g.n_edges >= 2))
+    if kind == "runs":
+        t = _Delegate(parse_strategy("dfs:a,id,until:b"))
+    elif kind == "from_c2":
+        t = extend_with_rest(_FromC2(), S)
+    else:
+        t = parse_strategy(kind)
+    if draw(st.booleans()):
+        q = Joint(draw(_events(g.vertices)), draw(_events(g.vertices)))
+    else:
+        q = SqS(draw(_increasing_events(g.vertices)), draw(_increasing_events(g.vertices)))
+    return g, t, q, draw(st.integers(1, 700)), draw(st.integers(0, 2 ** 32))
+
+
+@given(_lane_case())
+@settings(max_examples=80, deadline=None)
+def test_pairs_revealed_on_a_lanes_equal_all_lanes(case):
+    g, t, q, n, seed = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "BLOCK_CELLS", 64 * (g.n_vertices + g.n_edges))  # one group a block
+        assert mc_pair(g, t, q, n, seed) == mc_pair_all_lanes(g, t, q, n, seed)
+
+
+class _Recorder(Strategy):
+    """Reveals every edge into S and records the c1 mask of each run."""
+
+    def __init__(self):
+        self.masks = []
+
+    def policy(self, g):
+        m1 = 0
+        for j, e in enumerate(g.edge_ids):
+            b1, _b2 = yield (e, S)
+            m1 |= b1 << j
+        self.masks.append(m1)
+
+
+@pytest.mark.parametrize("query", [Joint, SqS])
+def test_user_strategies_run_once_on_each_sample_in_a(monkeypatch, query):
+    # a,b,c on cycle:3 at p = 0.1 holds on about 3% of samples, so some
+    # one-group blocks hold none of them
+    g = generate("cycle", 3, p=0.1)
+    A, n, seed = parse_event("a,b,c"), 64 * 40 + 5, 4
+    monkeypatch.setattr(config, "BLOCK_CELLS", 64 * (g.n_vertices + g.n_edges))
+    m1s = _sample_masks_oracle(g, n, seed, 2 * g.n_edges, 0)
+    in_a = [i for i, m1 in enumerate(m1s) if evaluate_mask(A, g, m1)]
+    assert 0 < len({i // 64 for i in in_a}) < len(mc._blocks(g, n))
+    t = _Recorder()
+    mc_pair(g, t, query(A, parse_event("b,c")), n, seed)
+    assert t.masks == [m1s[i] for i in in_a]
+
+
+@given(st.integers(1, 200).flatmap(lambda width: st.tuples(
+    st.lists(st.integers(0, 2 ** width - 1), min_size=1, max_size=20),
+    st.just(width), st.integers(0, 2 ** width - 1))))
+@settings(max_examples=100, deadline=None)
+def test_select_keeps_the_lanes_of_a_double_transpose(case):
+    rows, width, keep = case
+    assert _select(rows, width, keep) == _transpose(_transpose(rows, width, keep), len(rows))
