@@ -459,22 +459,38 @@ def monotonicity(e: EventExpr, g: Graph | None = None) -> Monotonicity:
 
     Without a graph the answer is purely syntactic and may be NONE even for
     monotone events.  With a graph a NONE verdict is settled exactly from
-    the truth table (so up to ``MAX_EXACT_EDGES`` edges): for each edge j,
-    the configurations with j closed are compared with the same
-    configurations with j opened.
+    the event's packed hit bits (so up to ``MAX_EXACT_EDGES`` edges): for
+    each edge j, the configurations with j closed are compared with the
+    same configurations with j opened, a byte at a time.  Mask m is bit
+    m % 8 of byte m // 8, so edges 0-2 pair the bits of each byte by a shift
+    and a mask, and each higher edge pairs the two halves of runs of bytes.
+    A graph of under 3 edges leaves the spare bits of its one byte 0, which
+    compare equal.
     """
     m = _syntactic(e)
     if m is not Monotonicity.NONE or g is None:
         return m
-    from .exact import truth_table
-    tab = truth_table(g, e)
-    # axis 1 of view j is bit j of the mask: 0 with edge j closed, 1 open
-    views = [tab.reshape(-1, 2, 1 << j) for j in range(g.n_edges)]
-    if all((v[:, 0] <= v[:, 1]).all() for v in views):
-        return Monotonicity.INCREASING
-    if all((v[:, 0] >= v[:, 1]).all() for v in views):
-        return Monotonicity.DECREASING
-    return Monotonicity.NONE
+    from .exact import _hit_bits
+    bits = _hit_bits(g, [e])[0]
+    on = off = False  # some opening turns e on; some turns it off
+    for j in range(g.n_edges):
+        if j < 3:
+            flips = bits >> (1 << j)
+            flips ^= bits
+            flips &= (0x55, 0x33, 0x0F)[j]  # the bits of a byte with edge j closed
+            closed = bits
+        else:
+            halves = bits.reshape(-1, 2, 1 << (j - 3))
+            closed = halves[:, 0]
+            flips = closed ^ halves[:, 1]
+        # flips: the configurations with j closed where opening j changes e
+        changed = flips & closed
+        off = off or bool(changed.any())
+        changed ^= flips
+        on = on or bool(changed.any())
+        if on and off:
+            return Monotonicity.NONE
+    return Monotonicity.DECREASING if off else Monotonicity.INCREASING
 
 
 def _syntactic(e) -> Monotonicity:
@@ -496,7 +512,7 @@ def require_increasing(e: EventExpr, g: Graph, what: str = "event") -> None:
         m = monotonicity(e, g)
     except SizeGuardError as exc:
         raise SizeGuardError(f"{what} {unparse(e)} is not syntactically monotone, "
-                             f"and its truth table is refused: {exc}") from exc
+                             f"and its hit bits are refused: {exc}") from exc
     if m is not Monotonicity.INCREASING:
         raise MonotonicityError(f"{what} must be increasing, got {m.value}: {unparse(e)}")
 

@@ -23,14 +23,22 @@ every edge, so no 2^E float array is built.  fsum rounds the exact sum once:
 the result depends only on the set of floats summed, not their order or
 blocking, and the advertised 1e-12 tolerances are honest for the dyadic
 probabilities the built-in corpus uses.  What reads an event over every mask
-at once (pair queries, monotonicity, the prefix check) reads its truth
-table, a numpy bool array indexed by mask, unpacked from the bits.
+at once (pair queries, the prefix check) reads its truth table, a numpy bool
+array indexed by mask, unpacked from the bits; ``events.monotonicity``
+compares the packed bits themselves.
+
+A graph caches what later queries on it read again: hit bits, the weights
+and the low-edge measure of a block.  The measure of a mask that depends on
+S (the complement of S) lives in a memo of the one pair query that builds
+it, and submasks are built from per-byte tables.  The splice check holds its
+2^E × 2^E joint table and one block of rows of pairs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain
 
 import numpy as np
@@ -53,40 +61,52 @@ def _check_pair_size(g: Graph) -> None:
         raise SizeGuardError(f"pair enumeration limited to {config.MAX_PAIR_EDGES} edges")
 
 
-def _subsets(g: Graph, mask: int) -> np.ndarray:
-    """The submasks of mask in ascending order, as int64, cached per graph.
+@cache
+def _byte_subsets(byte: int) -> np.ndarray:
+    """The submasks of an 8-bit mask in ascending order, as read-only int64."""
+    subs = np.array([s for s in range(256) if s & byte == s], dtype=np.int64)
+    subs.flags.writeable = False
+    return subs
 
-    Built by doubling over the edges of mask in index order: the second half
-    of each step sets the edge.
+
+def _subsets(mask: int) -> np.ndarray:
+    """The submasks of mask in ascending order, as int64 (read-only).
+
+    Each byte of mask contributes its ``_byte_subsets``, ORed onto every
+    submask of the bytes below it, so a mask of one byte costs a lookup.
     """
-    if mask not in g._subsets:
-        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        subs = np.zeros(1 << len(bits), dtype=np.int64)
-        for k, i in enumerate(bits):
-            np.bitwise_or(subs[:1 << k], 1 << i, out=subs[1 << k:2 << k])
-        g._subsets[mask] = subs
-    return g._subsets[mask]
+    subs = _byte_subsets(mask & 0xFF)
+    for shift in range(8, mask.bit_length(), 8):
+        subs = ((_byte_subsets(mask >> shift & 0xFF) << shift)[:, None] | subs).ravel()
+    return subs
 
 
 def _measure(g: Graph, mask: int) -> np.ndarray:
     """The probabilities of the ``_subsets`` of mask over the edges of mask,
-    cached per graph: the same doubling, where the second half of each step
-    opens the edge with weight p and the first keeps it closed with 1 - p.
+    in their order: a doubling over the edges of mask in index order, where
+    the second half of each step opens the edge with weight p and the first
+    keeps it closed with 1 - p.
     """
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    probs = np.ones(1 << len(bits))
+    for k, i in enumerate(bits):
+        np.multiply(probs[:1 << k], g.probs[i], out=probs[1 << k:2 << k])
+        probs[:1 << k] *= 1.0 - g.probs[i]
+    return probs
+
+
+def _graph_measure(g: Graph, mask: int) -> np.ndarray:
+    """``_measure`` of a mask that later queries on g read again, cached per
+    graph: every edge (the weights) or the low edges of a block."""
     if mask not in g._measures:
-        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        probs = np.ones(1 << len(bits))
-        for k, i in enumerate(bits):
-            np.multiply(probs[:1 << k], g.probs[i], out=probs[1 << k:2 << k])
-            probs[:1 << k] *= 1.0 - g.probs[i]
-        g._measures[mask] = probs
+        g._measures[mask] = _measure(g, mask)
     return g._measures[mask]
 
 
 def weights(g: Graph) -> np.ndarray:
     """Probability of every configuration mask, index-aligned."""
     _check_size(g)
-    return _measure(g, (1 << g.n_edges) - 1)
+    return _graph_measure(g, (1 << g.n_edges) - 1)
 
 
 def _fsum(a: np.ndarray) -> float:
@@ -117,7 +137,7 @@ def _block_weights(g: Graph, k: int):
     of the low k edges times each higher edge's factor, p open or 1 - p
     closed, in edge order.  The doubling of ``weights`` multiplies in the
     same order, so these are its floats."""
-    low = _measure(g, (1 << k) - 1)
+    low = _graph_measure(g, (1 << k) - 1)
     for b in range(1 << (g.n_edges - k)):
         w = low
         for j, p in enumerate(g.probs[k:]):
@@ -234,7 +254,7 @@ def _check_prefix(g: Graph, t: Strategy, e: EventExpr) -> None:
         raise HypothesisError("prefix strategy must reveal everything into S")
     tab = truth_table(g, e)
     for s_mask, pinned in {(s, m1 & s) for m1, s in enumerate(_transpose(s_cols, n))}:
-        on = tab[pinned | _subsets(g, (n - 1) & ~s_mask)]
+        on = tab[pinned | _subsets((n - 1) & ~s_mask)]
         if on.any() != on.all():
             raise HypothesisError("prefix strategy does not decide the conditioning event")
 
@@ -250,8 +270,7 @@ def _check_query(g: Graph, q) -> None:
         raise TypeError(f"unknown pair query {q!r}")
 
 
-def _hits(g: Graph, q, tab_a: np.ndarray, tab_b: np.ndarray, m1: int, s_mask: int,
-          c2_out):
+def _hits(q, tab_a: np.ndarray, tab_b: np.ndarray, m1: int, s_mask: int, c2_out):
     """Does the query hold for c1 = m1, revealed set S and c2 equal to c2_out
     outside S?  c2_out is one mask or an array of them; the answer is a
     numpy bool of the same shape."""
@@ -259,7 +278,7 @@ def _hits(g: Graph, q, tab_a: np.ndarray, tab_b: np.ndarray, m1: int, s_mask: in
         return tab_b[(m1 & s_mask) | c2_out]
     # the witness splits of sq_s_occurrence, read from the tables
     s_open = s_mask & m1
-    return _split_any(tab_a, tab_b, _subsets(g, s_open), m1 & ~s_mask, s_open, c2_out)
+    return _split_any(tab_a, tab_b, _subsets(s_open), m1 & ~s_mask, s_open, c2_out)
 
 
 def exact_pair(g: Graph, t: Strategy, q) -> float:
@@ -268,8 +287,10 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     Strategies that never read the second configuration admit a factorized
     sum: S of every c1 comes from one pass over the columns of the c1 that
     count, and the second configuration is integrated analytically over the
-    complement of S.  The others get the S of every c2 per c1, over the
-    periodic columns.
+    complement of S.  A Joint hit reads c1 on S alone, so its inner sum is
+    taken once per leaf (S, c1 ∩ S).  The others get the S of every c2 per
+    c1, over the periodic columns.  Measures over the complement of S are
+    memoised for the query alone; the graph keeps none of them.
     """
     _check_pair_size(g)
     _check_query(g, q)
@@ -281,16 +302,22 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     m1s = np.flatnonzero((w != 0.0) & tab_a).tolist()
     terms = []
     if not t.uses_c2:
+        measure = cache(partial(_measure, g))
+
+        @cache
+        def inner(m1, s_mask):  # the sum over c2 outside S of the hits
+            out = full & ~s_mask
+            return _fsum(measure(out)[_hits(q, tab_a, tab_b, m1, s_mask, _subsets(out))])
+
+        joint = isinstance(q, Joint)
         for m1, s_mask in zip(m1s, _s_masks(g, t, len(m1s), _transpose(m1s, g.n_edges))):
-            out = full & ~s_mask  # c2 over the complement of S
-            hits = _hits(g, q, tab_a, tab_b, m1, s_mask, _subsets(g, out))
-            terms.append(w[m1] * _fsum(_measure(g, out)[hits]))
+            terms.append(w[m1] * inner(m1 & s_mask if joint else m1, s_mask))
         return math.fsum(terms)
     cols, every = _columns(g.n_edges), (1 << len(w)) - 1
     for m1 in m1s:
         c1_cols = [every * (m1 >> j & 1) for j in range(g.n_edges)]  # c1 = m1 in every pair
         for m2, s_mask in enumerate(_s_masks(g, t, len(w), c1_cols, cols)):
-            if _hits(g, q, tab_a, tab_b, m1, s_mask, m2 & ~s_mask):
+            if _hits(q, tab_a, tab_b, m1, s_mask, m2 & ~s_mask):
                 terms.append(w[m1] * w[m2])
     return math.fsum(terms)
 
@@ -301,6 +328,14 @@ def verify_splice_independence(g: Graph, t: Strategy) -> float:
     The two hybrids built from an adaptively revealed S are independent and
     each distributed as the base measure; this returns the largest absolute
     error of that claim over all outcome pairs.
+
+    The joint law is one table over the 2^E × 2^E outcome pairs, filled by
+    blocks of rows of c1.  A block's pairs hold four 64-bit words each: S,
+    the splice, the co-splice and the product of their weights.  So a block
+    of 2^k pairs is the largest with 2^k × 4 × 64 bits at most
+    ``config.BLOCK_CELLS``, and at least one row.  ``np.add.at`` accumulates
+    in (m1, m2) order whatever the blocks, so the deviation does not depend
+    on them.
     """
     if g.n_edges > config.MAX_SPLICE_EDGES:
         raise SizeGuardError(
@@ -308,20 +343,22 @@ def verify_splice_independence(g: Graph, t: Strategy) -> float:
     w = weights(g)
     n = len(w)
     e = g.n_edges
-    # pair m1·n + m2 has c2 in its low E bits and c1 in its high; a block of
-    # 2^k pairs is a block of rows of c1
-    k = max(e, _block_bits(g, 2 * e))
+    # pair m1·n + m2 has c2 in its low E bits and c1 in its high
+    k = min(2 * e, max(e, (config.BLOCK_CELLS // (4 * 64)).bit_length() - 1))
     rows = 1 << (k - e)
     if t.uses_c2:
         s_rows = (np.array(_s_masks(g, t, rows * n, cols[e:], cols[:e])).reshape(rows, n)
                   for cols in _blocks(2 * e, k))
-    else:
-        s_rows = (np.array(_s_masks(g, t, rows, cols))[:, None] for cols in _blocks(e, k - e))
+    else:  # one S per c1, n masks in all
+        s_all = np.array(_s_masks(g, t, n, _columns(e)))[:, None]
+        s_rows = (s_all[r:r + rows] for r in range(0, n, rows))
     m2s = np.arange(n)
     joint = np.zeros((n, n))
     for r, s in zip(range(0, n, rows), s_rows):
         m1s = np.arange(r, r + rows)[:, None]
-        np.add.at(joint, (splice_mask(m1s, m2s, s).ravel(), splice_mask(m2s, m1s, s).ravel()),
+        cell = splice_mask(m1s, m2s, s) << e  # the flat index of (splice, co-splice)
+        cell |= splice_mask(m2s, m1s, s)
+        np.add.at(joint.reshape(-1), cell.ravel(),
                   np.outer(w[r:r + rows], w).ravel())  # accumulates in (m1, m2) order
     return max(float(np.abs(joint[r:r + rows] - np.outer(w[r:r + rows], w)).max())
                for r in range(0, n, rows))

@@ -141,8 +141,9 @@ class Graph:
         # unparse(e) -> its packed hit bits (exact._hit_bits); perfbench counts
         # truth table hits by this key
         self._event_tables: dict = {}
-        self._subsets: dict = {}  # mask -> its submasks, ascending (exact._subsets)
-        self._measures: dict = {}  # mask -> their probabilities (exact._measure)
+        # mask -> the probabilities of its submasks, for every edge (the
+        # weights) and a block's low edges alone (exact._graph_measure)
+        self._measures: dict = {}
         self._faces: FaceSet | None = None
 
     def other_end(self, eid: str, v: str) -> str:

@@ -180,7 +180,7 @@ class BowtieEvent:
             free |= either << i
         hits = self._answers.get((base_a, free))
         if hits is None:  # split the free edges, for every B side at once
-            ws = _subsets(g, free)
+            ws = _subsets(free)
             sides = np.arange(1 << g.n_edges)
             hits = np.logical_or.reduce([_split_any(tab_a, tab_b, ws, base_a, free, sides)
                                          for tab_a, tab_b in self.pairs])

@@ -12,6 +12,11 @@ occurrence: it evaluates all 2^k witness splits at once on the column
 evaluator.  It shares the evaluator with the library, which the oracles
 above check, and none of the search.
 
+``exact_pair_per_c1`` is the reference for the per-leaf Joint sums of
+``exact_pair``: it takes the inner sum over c2 once per c1 in A, not once
+per leaf (S, c1 ∩ S).  It shares the tables, the weights and the strategies
+with the library, and none of the memo.
+
 ``mc_pair_all_lanes`` is the reference for the lane restriction of
 ``mc_pair``: it reveals S on every sample pair, not only on those with A on
 c1.  It shares the sampler, the evaluator, the strategies and the witness
@@ -20,10 +25,15 @@ search with the library, and none of the restriction.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from percolab.events import (Complement, EventExpr, Intersect, NPathsAtom,
                              PartitionAtom, Union, _columns, _evaluate_columns,
                              _split_occurs, _transpose)
-from percolab.exact import SqS, _check_query
+from percolab.exact import (SqS, _check_query, _fsum, _hits, _measure, _s_masks, _subsets,
+                            truth_tables, weights)
 from percolab.graphs import Graph
 from percolab.mc import Estimate, _blocks, _edge_bit_columns
 
@@ -167,6 +177,26 @@ def column_split(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
         cols_a[j], cols_b[j] = col, full ^ col
     t_a = _evaluate_columns(A, g, cols_a, n)
     return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n))
+
+
+# ---------------------------------------------------------------------------
+# Exact pair queries of strategies that read c1 alone, one sum per c1
+
+
+def exact_pair_per_c1(g: Graph, t, q) -> float:
+    """``exact_pair`` of a strategy that never reads c2, with the inner sum
+    over c2 outside S taken anew for every c1 in A."""
+    _check_query(g, q)
+    w = weights(g)
+    full = (1 << g.n_edges) - 1
+    tab_a, tab_b = truth_tables(g, [q.A, q.B])
+    m1s = np.flatnonzero((w != 0.0) & tab_a).tolist()
+    terms = []
+    for m1, s_mask in zip(m1s, _s_masks(g, t, len(m1s), _transpose(m1s, g.n_edges))):
+        out = full & ~s_mask
+        hits = _hits(q, tab_a, tab_b, m1, s_mask, _subsets(out))
+        terms.append(w[m1] * _fsum(_measure(g, out)[hits]))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ Python loops.
 """
 
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percolab import (Configuration, Graph, Monotonicity, disjoint_occurrence,
-                      evaluate, events, exact_npaths, exact_prob, generate,
-                      graph_from_spec, monotonicity, parse_event, sq_s_occurrence)
+from percolab import (Configuration, Graph, Monotonicity, config, disjoint_occurrence,
+                      evaluate, events, exact, exact_npaths, exact_prob, generate,
+                      graph_from_spec, monotonicity, parse_event, sq_s_occurrence,
+                      verify_splice_independence)
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
                              Union, _columns, _degree_bound, _flow_levels, _split_occurs,
                              _transpose)
@@ -445,9 +447,15 @@ def test_submasks_match_list_doubling(g, data):
             p = g.probs[i]
             pairs = [(sm, wt * (1.0 - p)) for sm, wt in pairs] + \
                     [(sm | 1 << i, wt * p) for sm, wt in pairs]
-    assert _subsets(g, mask).tolist() == [sm for sm, _ in pairs]
+    assert _subsets(mask).tolist() == [sm for sm, _ in pairs]
     assert _measure(g, mask).tolist() == [wt for _, wt in pairs]
     assert weights(g).tolist() == _measure(g, (1 << g.n_edges) - 1).tolist()
+
+
+def _cached_arrays(g) -> dict:
+    """(cache name, key) -> every numpy array held in the graph's dict caches."""
+    return {(name, key): a for name, cache in vars(g).items() if isinstance(cache, dict)
+            for key, a in cache.items() if isinstance(a, np.ndarray)}
 
 
 def test_probabilities_keep_no_full_mask_index():
@@ -458,25 +466,80 @@ def test_probabilities_keep_no_full_mask_index():
     g = graph_from_spec("family:grid:3,4,p=0.5")
     assert _block_bits(g, g.n_edges) == g.n_edges == 17
     exact_prob(g, parse_event("a,b"))
-    assert g._subsets == {}
-    assert list(g._measures) == [(1 << g.n_edges) - 1]
+    assert set(_cached_arrays(g)) == {("_event_tables", "a,b"),
+                                      ("_measures", (1 << g.n_edges) - 1)}
 
     g = graph_from_spec("family:grid:2,8,p=0.5")
     assert g.n_edges == 22 and _block_bits(g, g.n_edges) == 16
     exact_prob(g, parse_event("a,b"))
-    assert g._subsets == {}
-    cached = [a for cache in vars(g).values() if isinstance(cache, dict)
-              for a in cache.values() if isinstance(a, np.ndarray)]
-    assert cached and all(a.size < 1 << g.n_edges for a in cached)
+    cached = _cached_arrays(g)
+    assert set(cached) == {("_event_tables", "a,b"), ("_measures", (1 << 16) - 1)}
+    assert all(a.size < 1 << g.n_edges for a in cached.values())
 
 
 def test_pair_queries_measure_only_complements_of_s():
-    """Exact vdbk_tree reads probabilities only over the complement of each
-    revealed set S; the witness split sets of SqS get submasks alone."""
+    """Exact vdbk_tree builds probabilities only over the full mask (the
+    weights) and the complement of each revealed set S; the witness split
+    sets of SqS get submasks alone.  The masks are recorded as the query
+    builds them."""
     g = graph_from_spec("family:grid:3,3,p=0.5")
     t = parse_strategy("bfs_cluster:a")
-    run_check("vdbk_tree", g, {"strategy": t, "events": ["a,b", "b,c"]})
+    with mock.patch.object(exact, "_measure", wraps=exact._measure) as measure, \
+            mock.patch.object(exact, "_subsets", wraps=exact._subsets) as subsets:
+        run_check("vdbk_tree", g, {"strategy": t, "events": ["a,b", "b,c"]})
+    measured = {c.args[1] for c in measure.call_args_list}
+    split = {c.args[0] for c in subsets.call_args_list}
     n, full = 1 << g.n_edges, (1 << g.n_edges) - 1
     s_masks = set(_transpose(t._reveal_columns(g, _columns(g.n_edges), n)[1], n))
-    assert set(g._measures) <= {full} | {full & ~s for s in s_masks}
-    assert not set(g._subsets) <= set(g._measures)  # the split sets were built
+    assert full in measured and len(measured) > 1
+    assert measured <= {full} | {full & ~s for s in s_masks}
+    assert not split <= measured  # the split sets were built
+
+
+@pytest.mark.parametrize("check, spec, strategy, evs", [
+    ("vdbk_tree", "family:grid:3,3,p=0.5", "bfs_cluster:a", ["a,b", "b,c"]),
+    ("hk_tree", "family:grid:3,3,p=0.5", "dfs_stop_at:a,b,c", ["a,b", "b,c"]),
+    ("cs_bound", "family:cycle:4,p=0.5", "dfs_stop_at:a,b,c", ["a,b U a,c", "b,c"]),
+])
+def test_pair_queries_leave_no_s_dependent_array_on_the_graph(check, spec, strategy, evs):
+    """Pair queries and the prefix check of cs_bound leave no array of an
+    S-dependent mask on the graph: it keeps only hit bits, keyed by event
+    text, and the weights of its one block."""
+    g = graph_from_spec(spec)
+    run_check(check, g, {"strategy": parse_strategy(strategy), "events": evs})
+    keys = set(_cached_arrays(g))
+    weights_key = ("_measures", (1 << g.n_edges) - 1)
+    assert weights_key in keys
+    assert all(isinstance(key, str) for _, key in keys - {weights_key})
+
+
+def test_splice_check_holds_the_joint_table_and_one_block():
+    """The splice check's row blocks are sized by the words each pair holds,
+    so the 10-edge check peaks at its 2^10 × 2^10 float table (8 MiB) plus at
+    most 1 MiB (11.7 MB when blocks were sized by evaluator bits)."""
+    g = graph_from_spec("family:grid:2,4,p=0.5")
+    t = parse_strategy("dfs:a,id,S")
+    assert g.n_edges == config.MAX_SPLICE_EDGES == 10
+    tracemalloc.start()
+    try:
+        assert verify_splice_independence(g, t) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 << 20
+
+
+def test_monotonicity_reads_packed_bits():
+    """Monotonicity of a 22-edge event compares packed hit bits (2^22 / 8
+    bytes) and unpacks no 2^E table: it peaks below 2^E bytes (6.8 MB when it
+    unpacked a bool table)."""
+    g = graph_from_spec("family:grid:2,8,p=0.5")
+    e = parse_event("a,b|c U a,b,c")
+    assert g.n_edges == 22 and monotonicity(e) is Monotonicity.NONE
+    tracemalloc.start()
+    try:
+        assert monotonicity(e, g) is Monotonicity.INCREASING
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << g.n_edges

@@ -15,6 +15,7 @@ from percolab.exact import (Joint, SqS, _block_bits, exact_probs, truth_table, t
 from percolab.strategies import S, SBAR, Strategy, splice_mask
 from percolab.events import NPathsAtom, PartitionAtom, sq_s_occurrence
 
+from oracles import exact_pair_per_c1
 from test_enumeration import _events, _graphs
 from test_strategies import _Delegate, _FromC2
 
@@ -119,6 +120,26 @@ def test_pair_general_path_with_c2_reading_strategy():
                 pytest.approx(_pair_oracle(g, t, Joint(A, B)), abs=TOL)
             assert exact_pair(g, t, SqS(A, B)) == \
                 pytest.approx(_pair_oracle(g, t, SqS(A, B)), abs=TOL)
+
+
+@st.composite
+def _joint_case(draw):
+    """A graph of non-dyadic p, a catalog strategy (none reads c2) and a
+    Joint of two drawn events."""
+    g = draw(_graphs(max_edges=8, probs=_NON_DYADIC))
+    v = st.sampled_from(g.vertices)
+    spec = draw(st.sampled_from(("bfs_cluster:{}", "dfs:{},id,S", "dfs:{},id,Sbar",
+                                 "dfs:{},id,until:{}", "dfs_stop_at:{},{},{}", "stop",
+                                 "seq:[dfs:{},id,Sbar;dfs:{},id,S]")))
+    t = parse_strategy(spec.format(*(draw(v) for _ in range(spec.count("{}")))))
+    return g, t, Joint(draw(_events(g.vertices)), draw(_events(g.vertices)))
+
+
+@given(_joint_case())
+@settings(max_examples=80, deadline=None)
+def test_joint_sum_per_leaf_equals_sum_per_c1(case):
+    g, t, q = case
+    assert exact_pair(g, t, q) == exact_pair_per_c1(g, t, q)
 
 
 def test_splice_independence_with_c2_reading_strategy():
