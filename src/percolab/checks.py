@@ -372,20 +372,21 @@ def _propagated_se(fn, vals: dict, cov: tuple) -> float:
     return math.sqrt(max(var, 0.0))
 
 
-def _exact_report(check_id: str, graph: str, lhs, rhs, slack, ok: bool, tol: float,
+def _exact_report(check_id: str, graph: str, lhs, rhs, slack, ok: bool,
                   t0: float, note: str | None) -> CheckReport:
     """``holds`` if ok, else ``violated``: each caller keeps its own rule."""
     return CheckReport(check_id, graph, "exact", lhs, rhs, slack,
-                       "holds" if ok else "violated", tol, None, None, None,
+                       "holds" if ok else "violated", config.DEFAULT_TOL, None, None, None,
                        (time.perf_counter() - t0) * 1e3, note)
 
 
 def _verdict(check_id: str, g: Graph, lhs, rhs, vals: dict, cov: tuple, method: str,
-             *, sigma: float, tol: float, samples, seed, t0: float,
+             *, sigma: float, samples, seed, t0: float,
              note: str | None = None) -> CheckReport:
     """The report on the claim lhs(vals) <= rhs(vals) over term values.
 
-    Exact: ``holds`` iff the slack is at least -tol, else ``violated``.
+    Exact: ``holds`` iff the slack is at least -``config.DEFAULT_TOL``,
+    else ``violated``.
     MC: ``holds`` or ``violated`` only when the slack lies at least sigma
     propagated standard errors from 0, else ``inconclusive``.  The error
     propagates the covariance form ``cov`` (see ``_propagated_se``).
@@ -393,7 +394,8 @@ def _verdict(check_id: str, g: Graph, lhs, rhs, vals: dict, cov: tuple, method: 
     lo, hi = lhs(vals), rhs(vals)
     slack = hi - lo
     if method == "exact":
-        return _exact_report(check_id, g.name, lo, hi, slack, slack >= -tol, tol, t0, note)
+        return _exact_report(check_id, g.name, lo, hi, slack, slack >= -config.DEFAULT_TOL,
+                             t0, note)
     se = _propagated_se(lambda v: rhs(v) - lhs(v), vals, cov)
     verdict = ("holds" if slack >= sigma * se else
                "violated" if slack <= -sigma * se else "inconclusive")
@@ -429,13 +431,11 @@ def _evaluate(g: Graph, spec: _Spec, method: str, samples, seed) -> tuple[dict, 
 
 def run_check(check_id: str, g: Graph, params: dict | None = None,
               method: str = "exact", *, samples: int | None = None,
-              seed: int | None = None, sigma: float = 3.0,
-              tol: float | None = None) -> CheckReport:
+              seed: int | None = None, sigma: float = 3.0) -> CheckReport:
     """Evaluate one named check on one graph and return its report."""
     if check_id not in _CHECKS:
         raise ValueError(f"unknown check id {check_id!r}")
     _check_args(method, samples, seed, sigma)
-    tol = config.DEFAULT_TOL if tol is None else tol
     t0 = time.perf_counter()
     spec = _CHECKS[check_id](g, params or {})
     if method == "exact" and any(kind == "pair" for kind, *_ in spec.terms.values()):
@@ -446,7 +446,7 @@ def run_check(check_id: str, g: Graph, params: dict | None = None,
     if spec.post_hypothesis:
         spec.post_hypothesis(vals)
     return _verdict(check_id, g, spec.lhs, spec.rhs, vals, cov, method, sigma=sigma,
-                    tol=tol, samples=samples, seed=seed, t0=t0, note=spec.note)
+                    samples=samples, seed=seed, t0=t0, note=spec.note)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +520,7 @@ def _rate_se(k: int, prob: float, se: float) -> float:
 
 def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
                      method: str = "exact", *, samples: int | None = None,
-                     seed: int | None = None, sigma: float = 3.0,
-                     tol: float | None = None) -> list:
+                     seed: int | None = None, sigma: float = 3.0) -> list:
     """Run a conjecture scan; violations are findings, never assertions.
 
     Returns one report per scanned index.  Instances that do not meet a
@@ -531,9 +530,7 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
     """
     params = params or {}
     _check_args(method, samples, seed, sigma)
-    tol = config.DEFAULT_TOL if tol is None else tol
-    judge = partial(_verdict, g=g, method=method, sigma=sigma, tol=tol,
-                    samples=samples, seed=seed)
+    judge = partial(_verdict, g=g, method=method, sigma=sigma, samples=samples, seed=seed)
 
     if scan_id == "conj3":
         _need_marks(g, 3)

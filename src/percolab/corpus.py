@@ -250,13 +250,12 @@ def _run_zipper_cases(entry: CorpusEntry) -> CheckReport:
     worst = 0.0
     for x1, x2, want1, want2 in _expected_cases(ds.name, ds.p):
         worst = max(worst, abs(ds.measure1(x1) - want1), abs(ds.measure2(x2) - want2))
-    return _exact_report(entry.check_id, "-", worst, tol, tol - worst, worst <= tol, tol,
+    return _exact_report(entry.check_id, "-", worst, tol, tol - worst, worst <= tol,
                          t0, "preset case-table reproduction")
 
 
 def _run_zipper_dir(entry: CorpusEntry, g: Graph) -> CheckReport:
     t0 = time.perf_counter()
-    tol = config.DEFAULT_TOL
     ds = build_preset(entry.params["preset"], entry.params.get("p"))
     a, b = g.marks[0], g.marks[1]
     ab = parse_event(f"{a},{b}")
@@ -273,14 +272,14 @@ def _run_zipper_dir(entry: CorpusEntry, g: Graph) -> CheckReport:
     ok = rep.ok and cond.ok and rep2.ok
     # two-factor projections agree across trees only for the colored preset
     extras = rep.extras.get("two_factor_max_delta") if ds.name == "colored" else None
-    if extras is not None and extras > tol:
+    if extras is not None and extras > config.DEFAULT_TOL:
         ok = False
     slack = min(rep.slack_low, rep.slack_high, cond.worst_slack,
                 rep2.slack_low, rep2.slack_high)
     note = f"three-point: {rep.p_all1:.6g} / {rep.p_mid:.6g} / {rep.p_all2:.6g}"
     if extras is not None:
         note += f"; two-factor delta {extras:.3g}"
-    return _exact_report(entry.check_id, g.name, None, None, slack, ok, tol, t0, note)
+    return _exact_report(entry.check_id, g.name, None, None, slack, ok, t0, note)
 
 
 def _run_splice(entry: CorpusEntry, g: Graph) -> CheckReport:
@@ -289,7 +288,7 @@ def _run_splice(entry: CorpusEntry, g: Graph) -> CheckReport:
     t = parse_strategy(entry.params["strategy"])
     dev = verify_splice_independence(g, t)
     return _exact_report("splice_independence", g.name, dev, tol, tol - dev, dev <= tol,
-                         tol, t0, f"strategy {entry.params['strategy']}")
+                         t0, f"strategy {entry.params['strategy']}")
 
 
 def run_entry(entry: CorpusEntry, get_graph=None):

@@ -28,10 +28,10 @@ with A on c1 alone, as exact enumeration reveals it on the configurations in
 A alone: neither Joint nor SqS can hold elsewhere.  Each block's c1 and c2
 columns are cut down to those lanes (``events._select``) before S is
 revealed: cluster-revealing strategies give it from reachability on the c1
-columns, target-stopped passes and ``rhw_walks`` from one lock-step scan of
-every such sample's frontier, and user ``Strategy`` subclasses from one run
-per sample pair, with the masks transposed from and back into columns.  A
-sample's S depends on that sample alone, so the counts equal those of S
+columns, target-stopped pass lists (``rhw_walks`` among them) from one
+lock-step scan of every such sample's frontier, and user ``Strategy``
+subclasses from one run per sample pair, with the masks transposed from
+and back into columns.  A sample's S depends on that sample alone, so the counts equal those of S
 revealed on every sample.  A and B are increasing, so SqS implies Joint: an SqS query
 evaluates the Joint hit mask on the columns, as a Joint query does, and
 transposes only the Joint hits into per-sample masks, for the bounded

@@ -25,8 +25,8 @@ depth limit.
 * ``seq:[dfs:...;dfs:...]``  passes in turn, each restarting vertex visits.
 * ``stop``  no pass (S is empty); its continuation ``reveal_all:S|Sbar``
   reveals every edge in index order with one decision.
-* ``rhw_walks:a,b,k``  k right-hand passes until b, ending at the first miss
-  or the first pass that queries nothing.
+* ``rhw_walks:a,b,k``  k right-hand passes until b that run until one
+  misses b (``until_miss``); no more than E + 1 of them ever run.
 * ``bfs_cluster:v``  breadth-first reveal of v's open cluster, all to S.
 
 Malformed specs raise StrategyError when built, unknown vertices when run.
@@ -42,9 +42,10 @@ targets (``bfs_cluster``, ``dfs:v,ORDER,S|Sbar``, ``seq`` lists of them and
 point, whatever their scan order: pass k reaches from its start over the
 open edges that no earlier pass queried, and queries the unqueried edges at
 the vertices it reaches.  Their ``_reveal_columns`` reads it from the
-bit-parallel reachability of ``events``.  Pass lists with a target and
-``rhw_walks`` run ``_scan_columns``, a numpy twin of ``_scan`` that steps
-the frontiers of every configuration in lock step.
+bit-parallel reachability of ``events``.  Pass lists with a target run
+``_lockstep``, the pass loop of ``policy`` over ``_scan_columns``, a numpy
+twin of ``_scan`` that steps the frontiers of every configuration in lock
+step.
 
 The hand rules: arriving at v along edge e, candidates are scanned starting
 from the sharpest right turn, i.e. counterclockwise from e through the stored
@@ -245,29 +246,32 @@ def _scan(g, start, order, decision, targets, queried):
     return False
 
 
-def _lockstep(g, passes, cols, n, scan):
+def _lockstep(g, passes, cols, n, until_miss):
     """(queried, S) edge columns of a strategy made of the given passes, on
     the n configurations c1 given as edge columns.
 
-    Every pass is checked first, as its run would check it.  The plan holds
-    (``_pass_table``, decision, targets) of each pass up to the first that
-    starts on one of its targets, which stops every run before it queries an
-    edge; ``scan(plan, open1, queried, s)`` fills [n, E] bool arrays.  The
-    callers bound n: MC scans one sample block at a time, and exact calls at
-    most 2^16 configurations.  Columns are unpacked and packed back as
-    ``events._transpose`` does.
+    Every distinct pass is checked first, as its run would check it.  The
+    passes then run in turn on the rows whose runs go on, under the stop
+    rule of ``_Passes.policy``, until no row is left or a pass starts on one
+    of its targets.  Passes that share (start, order) share a
+    ``_pass_table``.  The callers bound n: MC scans one sample block at a
+    time, and exact calls at most 2^16 configurations.  Columns are unpacked
+    and packed back as ``events._transpose`` does.
     """
-    for start, order, _, targets in passes:
+    for start, order, _, targets in dict.fromkeys(passes):
         _first_candidates(g, start, order, targets)
-    plan = []
-    for start, order, decision, targets in passes:
-        if start in targets:
-            break
-        plan.append((_pass_table(g, start, order), decision, targets))
     open1 = np.ascontiguousarray(np.unpackbits(
         _to_byte_rows(cols, n), axis=1, count=n, bitorder="little").T).view(bool)
     revealed = np.zeros((2, n, len(cols)), bool)  # queried, S
-    scan(plan, open1, *revealed)
+    rows = np.arange(n)
+    tables = {}
+    for start, order, decision, targets in passes:
+        if not rows.size or start in targets:
+            break
+        if (start, order) not in tables:
+            tables[start, order] = _pass_table(g, start, order)
+        hit = _scan_columns(g, tables[start, order], decision, targets, open1, *revealed, rows)
+        rows = rows[hit == until_miss]
     out = np.packbits(revealed, axis=1, bitorder="little").transpose(0, 2, 1)
     return tuple(_from_byte_rows(half) for half in out)
 
@@ -348,33 +352,38 @@ def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
 
 
 class _Passes(Strategy):
-    """(start, order, decision, targets) passes sharing the queried edges;
-    the first pass that reaches a target ends the run.  The lock-step scan
-    is depth-first: ``_build`` makes ``bfs`` passes only alone and without
+    """(start, order, decision, targets) passes sharing the queried edges,
+    read through ``_passes(g)``.  A run ends at the first pass that reaches
+    a target, or with ``until_miss`` at the first that misses; either way
+    also at a pass that starts on its own target.  The lock-step scan is
+    depth-first: ``_build`` makes ``bfs`` passes only alone and without
     targets, which take the reach path."""
+
+    until_miss = False
 
     def __init__(self, passes):
         self.passes = tuple(passes)
 
+    def _passes(self, g):
+        return self.passes
+
     def policy(self, g):
         queried = set()
-        for start, order, decision, targets in self.passes:
-            if (yield from _scan(g, start, order, decision, targets, queried)):
+        for start, order, decision, targets in self._passes(g):
+            hit = yield from _scan(g, start, order, decision, targets, queried)
+            if hit != self.until_miss or start in targets:
                 return
 
     def _reveal_columns(self, g, cols, n, cols2=None):
-        if any(targets for *_, targets in self.passes):
-            def scan(plan, open1, queried, s):
-                rows = np.arange(len(open1))
-                for item in plan:
-                    rows = rows[~_scan_columns(g, *item, open1, queried, s, rows)]
-            return _lockstep(g, self.passes, cols, n, scan)
-        for start, order, _, _ in self.passes:
+        passes = self._passes(g)
+        if any(targets for *_, targets in passes):
+            return _lockstep(g, passes, cols, n, self.until_miss)
+        for start, order, _, _ in passes:
             _first_candidates(g, start, order, ())
         full = (1 << n) - 1
         queried = [0] * g.n_edges
         s = [0] * g.n_edges
-        for start, order, decision, _ in self.passes:
+        for start, order, decision, _ in passes:
             free = [col & (full ^ q) for col, q in zip(cols, queried)]
             reach = _reach_masks(g, free, n, (start,))[start]
             for j, touch in enumerate(_touching(g, reach)):
@@ -385,36 +394,19 @@ class _Passes(Strategy):
         return queried, s
 
 
-class _RhwWalks(Strategy):
-    """k right-hand walks from a toward b, all to S; unlike a pass list, the
-    run ends at the first walk that misses b or queries no new edge (a == b:
-    every later walk would query nothing either)."""
+class _RhwWalks(_Passes):
+    """k right-hand walks from a toward b, all to S: a pass list that runs
+    until a walk misses b.  A walk that reaches b != a queries a new edge,
+    so at most E + 1 walks run; a == b ends the run at the first walk."""
+
+    until_miss = True
 
     def __init__(self, a, b, k):
-        self.a, self.b, self.k = a, b, k
+        super().__init__(((a, "right_hand", S, frozenset((b,))),))
+        self.k = k
 
-    def policy(self, g):
-        queried = set()
-        for _ in range(self.k):
-            before = len(queried)
-            hit = yield from _scan(g, self.a, "right_hand", S, frozenset((self.b,)), queried)
-            if not hit or len(queried) == before:
-                return
-
-    def _reveal_columns(self, g, cols, n, cols2=None):
-        if self.k == 0:
-            return [0] * g.n_edges, [0] * g.n_edges
-
-        def scan(plan, open1, queried, s):
-            # the plan is empty when a == b: every walk then stops before its
-            # first query; a walk that hits b != a has queried a new edge, so
-            # at most E walks hit b before the rows run out
-            rows = np.arange(len(open1))
-            for _ in range(self.k if plan else 0):
-                if not rows.size:
-                    break
-                rows = rows[_scan_columns(g, *plan[0], open1, queried, s, rows)]
-        return _lockstep(g, [(self.a, "right_hand", S, frozenset((self.b,)))], cols, n, scan)
+    def _passes(self, g):
+        return self.passes * min(self.k, g.n_edges + 1)
 
 
 class _ExtendRest(Strategy):

@@ -331,8 +331,7 @@ class ConditionReport:
     direction: str
 
 
-def check_zipper_condition(ds: DualSpace, event_factory, g: Graph,
-                           tol: float = config.DEFAULT_TOL) -> ConditionReport:
+def check_zipper_condition(ds: DualSpace, event_factory, g: Graph) -> ConditionReport:
     """Exhaustively verify the per-edge exchange condition for an event.
 
     ``event_factory(g)`` builds the event predicate.  For the forward
@@ -358,7 +357,7 @@ def check_zipper_condition(ds: DualSpace, event_factory, g: Graph,
             if slack < worst:
                 worst = slack
                 at = (eid, combo)
-    return ConditionReport(worst >= -tol, worst, at[0], at[1], ds.direction)
+    return ConditionReport(worst >= -config.DEFAULT_TOL, worst, at[0], at[1], ds.direction)
 
 
 @dataclass(frozen=True)
@@ -374,7 +373,7 @@ class GenReport:
 
 
 def check_gen_inequality(g: Graph, ds: DualSpace, t: GeneralStrategy,
-                         event_factory, tol: float = config.DEFAULT_TOL) -> GenReport:
+                         event_factory) -> GenReport:
     """Exact three-way comparison: all-first tree, the given tree, all-second.
 
     For three-layer product events on the colored preset the report also
@@ -395,5 +394,5 @@ def check_gen_inequality(g: Graph, ds: DualSpace, t: GeneralStrategy,
             q1, qm, q2 = (event_probability(d, sub) for d in dists)
             deltas.append(max(abs(q1 - qm), abs(q2 - qm)))
         extras["two_factor_max_delta"] = max(deltas)
-    return GenReport(p1, pm, p2, lo, hi, lo >= -tol and hi >= -tol,
-                     ds.direction, extras)
+    tol = config.DEFAULT_TOL
+    return GenReport(p1, pm, p2, lo, hi, lo >= -tol and hi >= -tol, ds.direction, extras)

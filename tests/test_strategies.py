@@ -465,6 +465,51 @@ def test_lockstep_scans_serve_every_number_of_configurations(monkeypatch):
     assert rows == [1, 7, 63, 64]
 
 
+def test_passes_sharing_start_and_order_share_one_pass_table(monkeypatch):
+    tables = []
+    inner = strategies._pass_table
+
+    def counted(*args):
+        tables.append(args[1:])
+        return inner(*args)
+
+    monkeypatch.setattr(strategies, "_pass_table", counted)
+    t = parse_strategy("seq:[dfs:a,id,until:b;dfs:a,id,until:c]")
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    _assert_columns_match_runs(t, g, _columns(g.n_edges), 1 << g.n_edges)
+    assert tables == [("a", "id")]
+
+
+def test_rhw_walks_scan_at_most_one_walk_per_edge_and_one_more(monkeypatch):
+    # a walk that reaches b != a queries a new edge, so k far past E costs
+    # no more than E + 1 walks, in runs and in columns alike
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    t = parse_strategy("rhw_walks:a,b,1000000000")
+    n = 1 << g.n_edges
+    calls = []
+    inner_columns = strategies._scan_columns
+
+    def counted_columns(*args):
+        calls.append(1)
+        return inner_columns(*args)
+
+    monkeypatch.setattr(strategies, "_scan_columns", counted_columns)
+    t._reveal_columns(g, _columns(g.n_edges), n)
+    assert 1 <= len(calls) <= g.n_edges + 1
+    scans = []
+    inner_scan = strategies._scan
+
+    def counted_scan(*args):
+        scans.append(1)
+        return (yield from inner_scan(*args))
+
+    monkeypatch.setattr(strategies, "_scan", counted_scan)
+    for m1 in range(n):
+        scans.clear()
+        run(t, g, Configuration(g, m1), _all_closed(g))
+        assert 1 <= len(scans) <= g.n_edges + 1
+
+
 @pytest.mark.parametrize("t", [
     parse_strategy("dfs_stop_at:a,b,c"),
     parse_strategy("dfs:a,id,until:c"),
