@@ -163,11 +163,12 @@ class _Parser:
             if n < 1:
                 raise EventSyntaxError("npaths needs n >= 1", ntok[2])
             return NPathsAtom(u, v, n)
+        first = self.i
         groups = self.items(lambda: tuple(self.items(self.name, ",")), "|")
         seen = set()
-        for v in sum(groups, ()):
-            if v in seen:
-                raise EventSyntaxError(f"vertex {v!r} appears in two groups")
+        for kind, v, pos in self.toks[first:self.i]:
+            if kind == "name" and v in seen:
+                raise EventSyntaxError(f"vertex {v!r} is named twice", pos)
             seen.add(v)
         return PartitionAtom(tuple(groups))
 
@@ -538,14 +539,13 @@ def require_increasing(e: EventExpr, g: Graph, what: str = "event") -> None:
 #   none of A's vertices goes to B, since A reads the same without it, and
 #   in the mirror case.
 #
-# Before the search, a degree bound (``_degree_bound``) refuses samples
-# where some vertex has fewer usable edges than the two operands' witnesses
-# take there together: each witness of ``npaths(u,v,n)`` leaves u and v on n
-# edges, and one of a partition group leaves each of its vertices on one.
-# Once at most ``_LEAF_OPEN`` edges are undecided, their 2^k splits are
-# evaluated at once, as the periodic columns over those edges; on few edges
-# that column split is much faster than further search.  The search visits
-# at most ``config.MAX_WITNESS_NODES`` nodes per query and refuses past that.
+# A node with at most ``_LEAF_OPEN`` undecided edges is a leaf: their 2^k
+# splits are evaluated at once, as the periodic columns over those edges,
+# much faster on few edges than further search.  Any other node is a search
+# node and applies the rules above.  A root search node first runs a degree
+# bound (``_degree_bound``): no split succeeds where some vertex has fewer
+# usable edges than the two operands' witnesses take there together.  Every
+# node counts against ``config.MAX_WITNESS_NODES``; a query past it is refused.
 
 _LEAF_OPEN = 10  # undecided edges that the column split takes over
 
@@ -563,8 +563,8 @@ def _bits(mask: int) -> list[int]:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
-def _split_columns(A: EventExpr, B: EventExpr, g: Graph, base_a: int, base_b: int,
-                   rest: int) -> bool:
+def _split_columns(A: EventExpr, B: EventExpr, g: Graph, base_a: int, rest: int,
+                   base_b: int) -> bool:
     """Does some split of the edges of rest give A on its part plus base_a,
     and B on the other part plus base_b?  All 2^k splits at once: column i
     is periodic over the i-th edge of rest, A reads the columns and B their
@@ -672,51 +672,49 @@ def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
     """The witness split of ``sq_s_occurrence`` on masks, operands validated.
 
     A reads the open c1 edges outside S plus its side of the open S-edges of
-    c1, and B the open c2 edges outside S plus its side.  On at most
-    ``_LEAF_OPEN`` open S-edges the column split decides at once.  Above
-    that, the degree bound and then the search of the block comment run,
-    depth first and A's side first, branching on the undecided edge that
-    meets the most decided edges.
+    c1, and B the open c2 edges outside S plus its side.  Every node of the
+    search is a leaf or a search node (block comment).  It runs depth first,
+    A's side first; a search node pushes its forced edges back as the next
+    node, or else branches on the undecided edge that meets the most decided
+    edges.
     """
     s_open = s_mask & m1
     fixed_a, fixed_b = m1 & ~s_mask, m2 & ~s_mask
-    if s_open.bit_count() <= _LEAF_OPEN:
-        return _split_columns(A, B, g, fixed_a, fixed_b, s_open)
-    if not _degree_bound(A, B, g, fixed_a, fixed_b, s_open):
-        return False
-    named_a, named_b = ({g.vertex_index(v) for a in atoms(e) for v in _named(a)}
-                        for e in (A, B))
     nodes = 0
     stack = [(0, 0, s_open)]  # (A's side, B's side, undecided) of the nodes to visit
     while stack:
         a_side, b_side, und = stack.pop()
-        while True:
-            nodes += 1
-            if nodes > config.MAX_WITNESS_NODES:
-                raise SizeGuardError(
-                    f"witness search needs more than {config.MAX_WITNESS_NODES} nodes")
-            to_b = und & _dangling(g, fixed_a | a_side | und, named_a)
-            to_a = und & ~to_b & _dangling(g, fixed_b | b_side | und, named_b)
-            a_side, b_side, und = a_side | to_a, b_side | to_b, und ^ (to_a | to_b)
-            up_a, low_a, need_a = _probe(A, g, fixed_a | a_side, und)
-            if not up_a:
-                break
-            up_b, low_b, need_b = _probe(B, g, fixed_b | b_side, und)
-            if not up_b or need_a & need_b:
-                break
-            if low_a or low_b:
+        leaf = und.bit_count() <= _LEAF_OPEN
+        if not leaf and not nodes:  # a root above the leaf size
+            if not _degree_bound(A, B, g, fixed_a, fixed_b, s_open):
+                return False
+            named_a, named_b = ({g.vertex_index(v) for a in atoms(e) for v in _named(a)}
+                                for e in (A, B))
+        nodes += 1
+        if nodes > config.MAX_WITNESS_NODES:
+            raise SizeGuardError(
+                f"witness search needs more than {config.MAX_WITNESS_NODES} nodes")
+        if leaf:
+            if _split_columns(A, B, g, fixed_a | a_side, und, fixed_b | b_side):
                 return True
-            if need_a | need_b:
-                a_side, b_side, und = a_side | need_a, b_side | need_b, und ^ (need_a | need_b)
-                continue
-            if und.bit_count() <= _LEAF_OPEN:
-                if _split_columns(A, B, g, fixed_a | a_side, fixed_b | b_side, und):
-                    return True
-                break
-            deg = _degrees(g, fixed_a | a_side | fixed_b | b_side)
-            e = 1 << max(_bits(und), key=lambda j: deg[g._u_arr[j]] + deg[g._v_arr[j]])
-            stack += [(a_side, b_side | e, und ^ e), (a_side | e, b_side, und ^ e)]
-            break
+            continue
+        to_b = und & _dangling(g, fixed_a | a_side | und, named_a)
+        to_a = und & ~to_b & _dangling(g, fixed_b | b_side | und, named_b)
+        a_side, b_side, und = a_side | to_a, b_side | to_b, und ^ (to_a | to_b)
+        up_a, low_a, need_a = _probe(A, g, fixed_a | a_side, und)
+        if not up_a:
+            continue
+        up_b, low_b, need_b = _probe(B, g, fixed_b | b_side, und)
+        if not up_b or need_a & need_b:
+            continue
+        if low_a or low_b:
+            return True
+        if need_a | need_b:
+            stack.append((a_side | need_a, b_side | need_b, und ^ (need_a | need_b)))
+            continue
+        deg = _degrees(g, fixed_a | a_side | fixed_b | b_side)
+        e = 1 << max(_bits(und), key=lambda j: deg[g._u_arr[j]] + deg[g._v_arr[j]])
+        stack += [(a_side, b_side | e, und ^ e), (a_side | e, b_side, und ^ e)]
     return False
 
 

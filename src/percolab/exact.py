@@ -145,15 +145,14 @@ def _block_weights(g: Graph, k: int):
         yield w
 
 
-def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, ws: np.ndarray, fixed_a: int,
-               rest: int, fixed_b):
-    """Is there a witness split W in ws with A on W | fixed_a and B on
-    (rest & ~W) | fixed_b?
+def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, fixed_a: int, rest: int, fixed_b):
+    """Is there a witness split, a submask W of rest, with A on W | fixed_a
+    and B on (rest & ~W) | fixed_b?
 
-    tab_a and tab_b are truth tables; ws holds submasks of rest.  fixed_b
-    is one c2 side or an array of them; the answer is a numpy bool of the
-    same shape, one per side.
+    tab_a and tab_b are truth tables.  fixed_b is one c2 side or an array of
+    them; the answer is a numpy bool of the same shape, one per side.
     """
+    ws = _subsets(rest)
     b_side = rest ^ ws[tab_a[ws | fixed_a]]
     return tab_b[b_side | np.asarray(fixed_b)[..., None]].any(axis=-1)
 
@@ -278,7 +277,7 @@ def _hits(q, tab_a: np.ndarray, tab_b: np.ndarray, m1: int, s_mask: int, c2_out)
         return tab_b[(m1 & s_mask) | c2_out]
     # the witness splits of sq_s_occurrence, read from the tables
     s_open = s_mask & m1
-    return _split_any(tab_a, tab_b, _subsets(s_open), m1 & ~s_mask, s_open, c2_out)
+    return _split_any(tab_a, tab_b, m1 & ~s_mask, s_open, c2_out)
 
 
 def exact_pair(g: Graph, t: Strategy, q) -> float:

@@ -248,18 +248,16 @@ def _scan(g, start, order, decision, targets, queried):
 
 def _lockstep(g, passes, cols, n, until_miss):
     """(queried, S) edge columns of a strategy made of the given passes, on
-    the n configurations c1 given as edge columns.
+    the n configurations c1 given as edge columns; the caller has checked
+    every pass.
 
-    Every distinct pass is checked first, as its run would check it.  The
-    passes then run in turn on the rows whose runs go on, under the stop
+    The passes run in turn on the rows whose runs go on, under the stop
     rule of ``_Passes.policy``, until no row is left or a pass starts on one
     of its targets.  Passes that share (start, order) share a
     ``_pass_table``.  The callers bound n: MC scans one sample block at a
     time, and exact calls at most 2^16 configurations.  Columns are unpacked
     and packed back as ``events._transpose`` does.
     """
-    for start, order, _, targets in dict.fromkeys(passes):
-        _first_candidates(g, start, order, targets)
     open1 = np.ascontiguousarray(np.unpackbits(
         _to_byte_rows(cols, n), axis=1, count=n, bitorder="little").T).view(bool)
     revealed = np.zeros((2, n, len(cols)), bool)  # queried, S
@@ -376,10 +374,11 @@ class _Passes(Strategy):
 
     def _reveal_columns(self, g, cols, n, cols2=None):
         passes = self._passes(g)
+        # each distinct pass raises what its run raises, before either engine
+        for start, order, _, targets in dict.fromkeys(passes):
+            _first_candidates(g, start, order, targets)
         if any(targets for *_, targets in passes):
             return _lockstep(g, passes, cols, n, self.until_miss)
-        for start, order, _, _ in passes:
-            _first_candidates(g, start, order, ())
         full = (1 << n) - 1
         queried = [0] * g.n_edges
         s = [0] * g.n_edges

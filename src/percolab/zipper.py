@@ -39,7 +39,7 @@ import numpy as np
 
 from . import config
 from .errors import PercolabError, SizeGuardError
-from .exact import _split_any, _subsets, truth_tables
+from .exact import _split_any, truth_tables
 from .graphs import Graph
 
 # witness capability of a symbol in paired-witness events
@@ -180,9 +180,8 @@ class BowtieEvent:
             free |= either << i
         hits = self._answers.get((base_a, free))
         if hits is None:  # split the free edges, for every B side at once
-            ws = _subsets(free)
             sides = np.arange(1 << g.n_edges)
-            hits = np.logical_or.reduce([_split_any(tab_a, tab_b, ws, base_a, free, sides)
+            hits = np.logical_or.reduce([_split_any(tab_a, tab_b, base_a, free, sides)
                                          for tab_a, tab_b in self.pairs])
             self._answers[base_a, free] = hits
         return bool(hits[base_b])

@@ -369,13 +369,13 @@ def test_witness_search_matches_column_split(case):
 
 
 @pytest.mark.parametrize("closed, want, leaves", [
-    ((), True, [False, True]),
-    (("h0_1",), False, [False, False]),
+    ((), True, [False, False, True]),
+    (("h0_1",), False, [False, False, False, False]),
 ])
 def test_witness_search_backtracks_past_failed_leaves(closed, want, leaves):
-    """Disjoint a,b,c trees in grid:3,3, with c2 empty.  Below 4 undecided
-    edges the probes decide every split, so a leaf of 4 edges is the
-    smallest that can fail; the search then backtracks to its next node."""
+    """Disjoint a,b,c trees in grid:3,3, with c2 empty.  Every node with at
+    most 4 undecided edges is a leaf, decided by the column split alone, and
+    the search backtracks past each leaf that fails to its next node."""
     g = graph_from_spec("family:grid:3,3,p=0.5")
     A = parse_event("a,b,c")
     full = (1 << g.n_edges) - 1
@@ -389,7 +389,7 @@ def test_witness_search_backtracks_past_failed_leaves(closed, want, leaves):
     with mock.patch.object(events, "_LEAF_OPEN", 4), \
             mock.patch.object(events, "_split_columns", spy):
         assert _split_occurs(A, A, g, m1, 0, full) == want
-    # the root leaves 12 open S-edges to the search, so every call is a leaf
+    # the root is a search node, and only leaves call the column split
     assert got == leaves
     assert column_split(A, A, g, m1, 0, full) == want
 
@@ -427,11 +427,10 @@ def test_split_any_matches_per_split_loop(case):
         return any(tab_a[w | fixed_a] and tab_b[(rest & ~w) | fb]
                    for w in _submask_list(rest))
 
-    ws = np.array(_submask_list(rest), dtype=np.int64)
     a, b = (np.frombuffer(t, dtype=np.bool_) for t in (tab_a, tab_b))
-    one = _split_any(a, b, ws, fixed_a, rest, fixed_b)
+    one = _split_any(a, b, fixed_a, rest, fixed_b)
     assert one.shape == () and one == loop(fixed_b)
-    got = _split_any(a, b, ws, fixed_a, rest, np.array(sides, dtype=np.int64))
+    got = _split_any(a, b, fixed_a, rest, np.array(sides, dtype=np.int64))
     assert got.tolist() == [loop(fb) for fb in sides]
 
 

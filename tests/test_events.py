@@ -49,6 +49,19 @@ def test_reserved_words_are_refused_where_they_stand(text, message, pos):
     assert got.value.pos == pos
 
 
+@pytest.mark.parametrize("text, vertex, pos", [
+    ("a,a", "a", 2),  # one group
+    ("a,b|b", "b", 4),
+    ("a , b | c,  a", "a", 12),
+    ("x1|x1", "x1", 3),
+])
+def test_vertex_named_twice_in_a_partition_is_refused_where_it_repeats(text, vertex, pos):
+    with pytest.raises(EventSyntaxError) as got:
+        parse_event(text)
+    assert str(got.value) == f"vertex {vertex!r} is named twice (at position {pos})"
+    assert got.value.pos == pos
+
+
 def test_parse_event_repeats_trees_and_errors():
     assert parse_event("a,b U npaths(a,c,2)") == parse_event("a,b U npaths(a,c,2)")
     for _ in range(2):  # a failed parse is not cached
