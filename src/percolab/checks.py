@@ -34,8 +34,8 @@ conj3_scan    reports P(abc)P(a|b|c) - P(ac|b)P(a|bc) against eps whenever
               conjecture scans report findings, not assertions).
 logconcave    scan: f[n-1] f[n+1] <= f[n]^2 and log f[n+1]/(n+1) <= log f[n]/n
               over f[k] = P(k disjoint paths).
-lambda_monotone  scan: implied Poisson rates fall, lam[k+1] <= lam[k]; a rate's
-              error is a secant of implied_lambda over f[k] +- its error.
+lambda_monotone  scan: implied Poisson rates fall,
+              implied_lambda(k+1, f[k+1]) <= implied_lambda(k, f[k]).
 """
 
 from __future__ import annotations
@@ -356,16 +356,20 @@ def _propagated_se(fn, vals: dict, cov: tuple) -> float:
     """Delta-method error of fn, sqrt(grad' C grad), over the covariance form
     ``cov = (ses, cross)``: the standard errors whose squares are C's diagonal,
     and its entries off the diagonal, keyed by name pairs (k, l) with k < l.
-    The diagonal sums first, in term order.  A term at 0 or n hits has a zero
-    Wald error, which bounds nothing, so the result is then infinite."""
+    The diagonal sums first, in term order.  Every term is a probability, and
+    grad[k] is the secant of fn over it +- its error, kept inside (0, 1): wider
+    than a tangent where fn bends past quadratic, as logs and rates do at small
+    counts.  A term at 0 or n hits has a zero Wald error, which bounds nothing,
+    so the result is then infinite."""
     ses, cross = cov
     if not all(ses.values()):
         return math.inf
     var = 0.0
     grad = {}
     for k, se in ses.items():
-        h = max(se * 1e-2, 1e-9)
-        grad[k] = (fn({**vals, k: vals[k] + h}) - fn({**vals, k: vals[k] - h})) / (2.0 * h)
+        h = max(min(se, 0.5 * min(vals[k], 1 - vals[k])), 1e-9)
+        grad[k] = (fn({**vals, k: min(vals[k] + h, 1 - 1e-12)}) -
+                   fn({**vals, k: max(vals[k] - h, 1e-12)})) / (2.0 * h)
         var += (grad[k] * se) ** 2
     for (k, l), c in cross.items():
         var += 2.0 * grad[k] * grad[l] * c
@@ -467,24 +471,32 @@ def poisson_upper_tail(k: int, lam: float) -> float:
     return max(0.0, 1.0 - acc)
 
 
+def _bisect(below, lo: float, hi: float) -> float:
+    """The point of [lo, hi] where ``below`` turns false: at most 200 halvings,
+    and none once the interval stops shrinking, since they would change nothing."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def implied_lambda(k: int, prob: float) -> float:
     """The rate whose Poisson upper tail at k equals prob (bisection)."""
     if k < 1:
         raise ValueError("k must be >= 1 (the tail at 0 is identically 1)")
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie strictly between 0 and 1")
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while poisson_upper_tail(k, hi) < prob:
         hi *= 2.0
         if hi > 1e12:
             raise PercolabError("failed to bracket the implied rate")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if poisson_upper_tail(k, mid) < prob:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+    lam = _bisect(lambda x: poisson_upper_tail(k, x) < prob, 0.0, hi)
     if abs(poisson_upper_tail(k, lam) - prob) > 1e-10:
         raise PercolabError("implied-rate bisection did not converge")
     return lam
@@ -496,26 +508,11 @@ def alpha3_cubic(t: float) -> float:
 
 def alpha3_root() -> float:
     """Unique root of t^3 - 42 t^2 + 12 t + 1 in (0, 1), by bisection."""
-    lo, hi = 0.0, 1.0  # cubic is +1 at 0 and -28 at 1
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if alpha3_cubic(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: alpha3_cubic(t) > 0.0, 0.0, 1.0)  # +1 at 0, -28 at 1
 
 
 # ---------------------------------------------------------------------------
 # Conjecture scans
-
-
-def _rate_se(k: int, prob: float, se: float) -> float:
-    """Error of implied_lambda(k, prob): its secant over prob +- se in (0, 1)."""
-    h = max(min(se, 0.5 * min(prob, 1 - prob)), 1e-9)
-    dlam = (implied_lambda(k, min(prob + h, 1 - 1e-12)) -
-            implied_lambda(k, max(prob - h, 1e-12))) / (2 * h)
-    return abs(dlam) * se
 
 
 def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
@@ -570,11 +567,8 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
                    lambda v, n=n: v[n] ** 2) for n in range(2, nmax)]
         claims += [(f"logconcave#ratio[n={n}]", lambda v, n=n: math.log(v[n + 1]) / (n + 1),
                     lambda v, n=n: math.log(v[n]) / n) for n in range(1, nmax)]
-    else:  # the terms become the implied rates
-        if method == "mc":
-            ses = {k: _rate_se(k, f[k], ses[k]) for k in f}
-        f = {k: implied_lambda(k, f[k]) for k in f}
-        claims = [(f"lambda_monotone#k={k}", lambda v, k=k: v[k + 1], lambda v, k=k: v[k])
-                  for k in range(1, nmax)]
+    else:
+        claims = [(f"lambda_monotone#k={k}", lambda v, k=k: implied_lambda(k + 1, v[k + 1]),
+                   lambda v, k=k: implied_lambda(k, v[k])) for k in range(1, nmax)]
     return [judge(cid, lhs=lhs, rhs=rhs, vals=f, cov=(ses, {}), t0=t0)
             for cid, lhs, rhs in claims]

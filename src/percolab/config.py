@@ -1,6 +1,6 @@
 """Global numeric tolerance, size guards for exhaustive enumeration, the
-block size shared by enumeration and sampling, and the witness-search budget
-of disjoint occurrence."""
+block size shared by enumeration and sampling, the witness-search budget
+of disjoint occurrence, and the cap on Monte Carlo samples."""
 
 # Absolute tolerance for exact verdicts.  Exact enumeration over dyadic edge
 # probabilities is correct to accumulated rounding only, so inequality slacks
@@ -26,3 +26,5 @@ BLOCK_CELLS = 1 << 22
 # 112 edges of grid:8,8 (2 vCPU Xeon VM), where a query that exhausts the
 # budget is refused after 4.5 to 5 s.
 MAX_WITNESS_NODES = 10_000
+
+MAX_SAMPLES = 10**10  # per MC estimate: a,b on cycle:3 takes about 13 s at the cap

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from .errors import SizeGuardError
 from .events import (EventExpr, NPathsAtom, _evaluate_columns, _evaluate_many,
                      _from_byte_rows, _resolve, _select, _split_occurs, _transpose)
 from .events import _reach_masks  # noqa: F401  (perfbench traces reachability by this name)
@@ -100,6 +101,8 @@ def _blocks(g: Graph, n: int) -> list[tuple[int, int]]:
     config.BLOCK_CELLS sample × (vertex + edge) cells, and at least one group."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
+    if n > config.MAX_SAMPLES:
+        raise SizeGuardError(f"{n} samples exceed the cap of {config.MAX_SAMPLES}")
     step = 64 * max(1, config.BLOCK_CELLS // (64 * (g.n_vertices + g.n_edges)))
     return [(lo // 64, min(step, n - lo)) for lo in range(0, n, step)]
 

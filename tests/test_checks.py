@@ -5,11 +5,11 @@ import time
 
 import pytest
 
-from percolab import (Graph, HypothesisError, SizeGuardError, alpha3_root, generate,
-                      graph_from_spec, implied_lambda, mc_prob, parse_event, run_check,
-                      scan_conjectures)
+from percolab import (Graph, HypothesisError, PercolabError, SizeGuardError, alpha3_root,
+                      checks, generate, graph_from_spec, implied_lambda, mc_prob,
+                      parse_event, run_check, scan_conjectures)
 from percolab.checks import (_CHECKS, _derived_seed, _evaluate, _propagated_se,
-                             _rate_se, alpha3_cubic, check_ids, poisson_upper_tail)
+                             alpha3_cubic, check_ids, poisson_upper_tail)
 
 from test_strategies import _FromC2
 
@@ -226,8 +226,46 @@ def test_implied_lambda_validation():
 
 def test_rate_se_is_the_secant_over_prob_plus_minus_se():
     # at k = 1 the implied rate is -ln(1 - p): the secant over 0.9 +- 0.05
-    # gives 0.05 * ln 3 / 0.1, where the tangent rule gives 0.05 / 0.1 = 0.5
-    assert _rate_se(1, 0.9, 0.05) == pytest.approx(0.05 * math.log(3) / 0.1, abs=TOL)
+    # gives 0.05 * ln 3 / 0.1, where a tangent gives 0.05 / 0.1 = 0.5
+    rate = lambda v: implied_lambda(1, v["p"])  # noqa: E731
+    assert _propagated_se(rate, {"p": 0.9}, ({"p": 0.05}, {})) == \
+        pytest.approx(0.05 * math.log(3) / 0.1, abs=TOL)
+
+
+def _bisect_200(below, lo, hi):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _implied_lambda_200(k, prob):
+    hi = 1.0
+    while poisson_upper_tail(k, hi) < prob:
+        hi *= 2.0
+    return _bisect_200(lambda x: poisson_upper_tail(k, x) < prob, 0.0, hi)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_root_finders_match_200_halvings_bit_for_bit(k):
+    # the bisection stops once the interval stops shrinking, which changes
+    # nothing: every later halving leaves both ends where they are
+    for prob in (1e-300, 1e-12, 1e-6, 0.01, 0.37, 0.5, 0.9, 1 - 1e-9, 1 - 2 ** -53):
+        assert implied_lambda(k, prob) == _implied_lambda_200(k, prob)
+    assert alpha3_root() == _bisect_200(lambda t: alpha3_cubic(t) > 0.0, 0.0, 1.0)
+
+
+def test_implied_lambda_refuses_what_it_cannot_bracket_or_converge(monkeypatch):
+    monkeypatch.setattr(checks, "poisson_upper_tail", lambda k, lam: 0.0)
+    with pytest.raises(PercolabError, match="bracket"):
+        implied_lambda(1, 0.5)
+    # a tail that jumps over prob at lam = 1 leaves a residual of 1/2
+    monkeypatch.setattr(checks, "poisson_upper_tail", lambda k, lam: float(lam >= 1.0))
+    with pytest.raises(PercolabError, match="converge"):
+        implied_lambda(1, 0.5)
 
 
 def test_poisson_tail_monotone():
@@ -347,6 +385,18 @@ def test_mc_scan_reports_golden(case):
                          ids=lambda c: "{}@{}@{}/{}".format(*c[0][:2], *c[0][3:]))
 def test_mc_scan_errors_golden(case):
     test_mc_scan_reports_golden(case)
+
+
+def test_mc_log_ratio_error_is_the_secant():
+    # f[1] = 49/60 and f[2] = 21/60: the secants of the logs over f[k] +- its
+    # error are wider than the tangents, which read holds here
+    g = graph_from_spec("family:theta:4,p=0.5")
+    reps = scan_conjectures("logconcave", g, {"nmax": 4}, "mc", samples=60, seed=5)
+    r = next(r for r in reps if r.check_id == "logconcave#ratio[n=1]")
+    assert (r.lhs, r.rhs, r.slack) == (-0.5249110622493389, -0.2025242641114741,
+                                       0.32238679813786486)
+    assert r.verdict == "inconclusive"
+
 
 def test_mc_inconclusive_check_golden():
     r = run_check("hk_tree", graph_from_spec("family:cycle:4,p=0.5"), _STOP, "mc",

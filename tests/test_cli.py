@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from percolab import config, exact_prob, graph_from_spec, mc_prob, parse_event, run_check
 from percolab.cli import main
+from percolab.corpus import corpus_entries
 
 TRIANGLE = """vertex a
 vertex b
@@ -76,6 +77,15 @@ def test_size_guard_exits_3(runner):
     res = runner.invoke(main, ["check", "dv8", "--graph", "family:grid:5,5,p=0.5",
                                "--method", "exact"])
     assert res.exit_code == 3
+
+
+def test_samples_past_the_cap_exit_3_at_once(runner):
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["estimate", "--graph", "family:cycle:3,p=0.5", "--event", "a,b",
+                               "--method", "mc", "--samples", "1000000000000", "--seed", "1"])
+    assert res.exit_code == 3, res.output
+    assert "size guard" in res.output
+    assert time.perf_counter() - t0 < 1.0
 
 
 _VDBK_GRID55 = ["check", "vdbk_tree", "--graph", "family:grid:5,5,p=0.5",
@@ -318,6 +328,15 @@ def test_corpus_run_lists_its_skipped_entries(runner):
     assert n > 0 and len(skipped) == n
     assert all(line.startswith("  skipped conj2_demo#eps=") and "not below eps^3/4" in line
                for line in skipped)
+
+
+def test_corpus_run_echoes_each_report_before_its_summary(runner):
+    res = runner.invoke(main, ["corpus", "run", "--filter", "dv8"])
+    assert res.exit_code == 0, res.output
+    *lines, summary = res.output.splitlines()
+    assert summary.startswith(f"checks: {len(lines)} ")
+    want = [graph_from_spec(e.graph_spec).name for e in corpus_entries() if e.check_id == "dv8"]
+    assert want and [line.split() for line in lines] == [["holds", "dv8", g] for g in want]
 
 
 def test_corpus_list(runner):

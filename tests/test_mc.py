@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percolab import (Configuration, Estimate, EvaluationError, Graph,
-                      MonotonicityError, StrategyError, exact_pair, exact_prob, generate,
-                      graph_from_spec, mc_npaths, mc_pair, mc_prob, parse_event,
-                      parse_strategy)
+                      MonotonicityError, SizeGuardError, StrategyError, exact_pair,
+                      exact_prob, generate, graph_from_spec, mc_npaths, mc_pair, mc_prob,
+                      parse_event, parse_strategy)
 from percolab.events import NPathsAtom, _select, _transpose
 from percolab.exact import Joint, SqS, exact_npaths
 from percolab import config, mc
@@ -242,6 +242,21 @@ def test_both_engines_refuse_a_strategy_when_no_configuration_is_in_a(engine, qu
 def test_no_samples_or_no_levels_refused(call):
     with pytest.raises(ValueError):
         call(generate("cycle", 3, p=0.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, n: mc_prob(g, parse_event("a,b"), n, 1),
+    lambda g, n: mc_pair(g, parse_strategy("bfs_cluster:a"),
+                         Joint(parse_event("a,b"), parse_event("b,c")), n, 1),
+])
+def test_samples_past_the_cap_refused(call, monkeypatch):
+    g = generate("cycle", 3, p=0.5)
+    with pytest.raises(SizeGuardError, match="exceed the cap"):
+        call(g, config.MAX_SAMPLES + 1)
+    monkeypatch.setattr(config, "MAX_SAMPLES", 64)
+    assert call(g, 64).n == 64
+    with pytest.raises(SizeGuardError, match="65 samples exceed the cap of 64"):
+        call(g, 65)
 
 
 def test_seeded_hit_counts_pinned():
