@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations
@@ -352,21 +353,43 @@ def _mc_term(g: Graph, spec: tuple, samples, seed) -> tuple[float, float]:
     return est.mean, est.std_error
 
 
-def _propagated_se(fn, vals: dict, cov: tuple) -> float:
+class _Reads(Mapping):
+    """A read-only view of vals that records the keys read through it."""
+
+    def __init__(self, vals: dict):
+        self._vals, self.read = vals, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self._vals[key]
+
+    def __iter__(self):
+        return iter(self._vals)
+
+    def __len__(self):
+        return len(self._vals)
+
+
+def _propagated_se(fn, vals: dict, cov: tuple, read=None) -> float:
     """Delta-method error of fn, sqrt(grad' C grad), over the covariance form
     ``cov = (ses, cross)``: the standard errors whose squares are C's diagonal,
     and its entries off the diagonal, keyed by name pairs (k, l) with k < l.
     The diagonal sums first, in term order.  Every term is a probability, and
     grad[k] is the secant of fn over it +- its error, kept inside (0, 1): wider
     than a tangent where fn bends past quadratic, as logs and rates do at small
-    counts.  A term at 0 or n hits has a zero Wald error, which bounds nothing,
-    so the result is then infinite."""
+    counts.  Only the terms in ``read`` take a secant, every term when it is
+    None: ``_verdict`` passes those its claim read at vals (``_Reads``), and
+    a term fn does not read has secant exactly 0.  A term at 0 or n hits has
+    a zero Wald error, which bounds nothing, so the result is then
+    infinite."""
     ses, cross = cov
     if not all(ses.values()):
         return math.inf
     var = 0.0
-    grad = {}
+    grad = dict.fromkeys(ses, 0.0)
     for k, se in ses.items():
+        if read is not None and k not in read:
+            continue
         h = max(min(se, 0.5 * min(vals[k], 1 - vals[k])), 1e-9)
         grad[k] = (fn({**vals, k: min(vals[k] + h, 1 - 1e-12)}) -
                    fn({**vals, k: max(vals[k] - h, 1e-12)})) / (2.0 * h)
@@ -395,12 +418,13 @@ def _verdict(check_id: str, g: Graph, lhs, rhs, vals: dict, cov: tuple, method: 
     propagated standard errors from 0, else ``inconclusive``.  The error
     propagates the covariance form ``cov`` (see ``_propagated_se``).
     """
-    lo, hi = lhs(vals), rhs(vals)
+    view = _Reads(vals)
+    lo, hi = lhs(view), rhs(view)
     slack = hi - lo
     if method == "exact":
         return _exact_report(check_id, g.name, lo, hi, slack, slack >= -config.DEFAULT_TOL,
                              t0, note)
-    se = _propagated_se(lambda v: rhs(v) - lhs(v), vals, cov)
+    se = _propagated_se(lambda v: rhs(v) - lhs(v), vals, cov, view.read)
     verdict = ("holds" if slack >= sigma * se else
                "violated" if slack <= -sigma * se else "inconclusive")
     return CheckReport(check_id, g.name, method, lo, hi, slack, verdict,

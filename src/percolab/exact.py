@@ -16,21 +16,30 @@ a request needs that the graph has not cached are evaluated together, as
 swept once per block, and npaths(u,v,n) for several n share one max-flow.
 
 An event's hits are kept as packed bits over all masks, 2^E / 8 bytes.  A
-probability is one ``math.fsum`` over the weights they select, computed
-block by block: a block's weights are ``_measure`` of its low edges times
-the high edges' factors in edge order, the same floats as the doubling over
-every edge, so no 2^E float array is built.  fsum rounds the exact sum once:
-the result depends only on the set of floats summed, not their order or
-blocking, and the advertised 1e-12 tolerances are honest for the dyadic
-probabilities the built-in corpus uses.  What reads an event over every mask
-at once (pair queries, the prefix check) reads its truth table, a numpy bool
-array indexed by mask, unpacked from the bits; ``events.monotonicity``
-compares the packed bits themselves.
+probability is the exact sum of the weights they select, rounded once, by
+one of two routes that give the same float.  When every edge has one p and
+no product of the weight doubling rounds (``_level_numerators``: the
+corpus's dyadic p qualify, the parallel family's √q does not), a mask's
+weight depends only on its number j of open edges: the sum is
+Σ_j N_j · nums[j] / 2^d over integer numerators cached per graph, where
+N_j counts the hits with j open edges (the N-form of the reliability
+polynomial).  Otherwise it is one ``math.fsum`` over the selected
+weights, computed block by block: a block's weights are ``_measure`` of its
+low edges times the high edges' factors in edge order, the same floats as
+the doubling over every edge, so no 2^E float array is built.  fsum and int
+division both round the exact sum once: the result depends only on the set
+of weights summed, not their order or blocking, and the advertised 1e-12
+tolerances are honest for the dyadic probabilities the built-in corpus
+uses.  What reads an event over every mask at once (pair queries, the
+prefix check) reads its truth table, a numpy bool array indexed by mask,
+unpacked from the bits; ``events.monotonicity`` compares the packed bits
+themselves.
 
-A graph caches what later queries on it read again: hit bits, the weights
-and the low-edge measure of a block.  The measure of a mask that depends on
-S (the complement of S) lives in a memo of the one pair query that builds
-it, and submasks are built from per-byte tables.  The splice check holds its
+A graph caches what later queries on it read again: hit bits, its level
+numerators on the count route, and on the weight route the weights and the
+low-edge measure of a block.  The measure of a mask that depends on S (the
+complement of S) lives in a memo of the one pair query that builds it, and
+submasks are built from per-byte tables.  The splice check holds its
 2^E × 2^E joint table and one block of rows of pairs.
 """
 
@@ -145,16 +154,20 @@ def _block_weights(g: Graph, k: int):
         yield w
 
 
-def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, fixed_a: int, rest: int, fixed_b):
+def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, fixed_a, rest: int, fixed_b):
     """Is there a witness split, a submask W of rest, with A on W | fixed_a
     and B on (rest & ~W) | fixed_b?
 
-    tab_a and tab_b are truth tables.  fixed_b is one c2 side or an array of
-    them; the answer is a numpy bool of the same shape, one per side.
+    tab_a and tab_b are truth tables.  fixed_a and fixed_b are each one mask
+    or an array of them; the answer is a numpy bool of shape fixed_a's then
+    fixed_b's, one per pair.  It is one boolean product, A on (fixed_a, W)
+    times B on (W, fixed_b): numpy's bool matmul, exact and without BLAS.
     """
     ws = _subsets(rest)
-    b_side = rest ^ ws[tab_a[ws | fixed_a]]
-    return tab_b[b_side | np.asarray(fixed_b)[..., None]].any(axis=-1)
+    fixed_a, fixed_b = np.asarray(fixed_a), np.asarray(fixed_b)
+    on_a = tab_a[fixed_a[..., None] | ws]
+    on_b = tab_b[fixed_b.reshape(-1, 1) | (rest ^ ws)]  # one row per fixed_b
+    return (on_a @ on_b.T).reshape(fixed_a.shape + fixed_b.shape)
 
 
 def _hit_bits(g: Graph, events: list) -> list[np.ndarray]:
@@ -192,22 +205,87 @@ def truth_table(g: Graph, e: EventExpr) -> np.ndarray:
     return truth_tables(g, [e])[0]
 
 
+def _level_numerators(p: float, n_edges: int):
+    """(nums, d) with nums[j] / 2^d the float weight of every mask with j of
+    its n_edges edges open, each edge open with probability p; None unless
+    the doubling of ``_measure`` rounds no product.
+
+    p = a / 2^s and 1 - p = b / 2^t with a and b odd.  A product of the
+    doubling is a^i b^l / 2^(si + tl) with i + l at most n_edges, so it is
+    exact when max(a, b)^n_edges < 2^53 and no level p^j (1 - p)^(n_edges - j),
+    the smallest product on its way, is subnormal.  Then a mask's weight is
+    its level, whatever the order of the factors."""
+    (a, s), (b, t) = p.as_integer_ratio(), (1.0 - p).as_integer_ratio()
+    if not (a and b and max(a, b) ** n_edges < 1 << 53
+            and (a ** n_edges << 1022) >= s ** n_edges
+            and (b ** n_edges << 1022) >= t ** n_edges):
+        return None
+    s, t = s.bit_length() - 1, t.bit_length() - 1
+    d = n_edges * max(s, t)
+    return [a ** j * b ** (n_edges - j) << (d - s * j - t * (n_edges - j))
+            for j in range(n_edges + 1)], d
+
+
+def _graph_levels(g: Graph):
+    """``_level_numerators`` of the one p of g's edges, or None when they
+    differ in p.  Kept on the graph next to its weights, so it lives as long
+    as the graph: E + 1 integers of at most 53 + d bits."""
+    if "levels" not in g._measures:
+        ps = set(g.probs)
+        g._measures["levels"] = _level_numerators(ps.pop(), g.n_edges) if len(ps) == 1 else None
+    return g._measures["levels"]
+
+
+@cache
+def _level_masks(k: int) -> tuple[int, ...]:
+    """The k-edge masks by number of open edges: bit m of entry j is set
+    iff mask m has j bits set.  Each edge doubles the masks, and the new
+    half, with the edge open, moves up one level.  Cached per block width
+    k: at most 2^k / 8 bytes per level, 136 KiB at k = 16."""
+    levels = [1]
+    for i in range(k):
+        levels = [lo | hi << (1 << i) for lo, hi in zip(levels + [0], [0] + levels)]
+    return tuple(levels)
+
+
 def exact_probs(g: Graph, events: list) -> list[float]:
     """Probabilities of several events, from hit bits evaluated together.
 
-    Each is one fsum over the weights its hit bits select, one block of
-    weights at a time."""
+    When every edge has one p whose doubling rounds no product
+    (``_level_numerators``), a mask's weight depends on its number of open
+    edges alone: a probability is the sum over j of N_j, the hits with j
+    open edges, times the integer numerator of level j, over 2^d, rounded
+    once by int division.  N_j comes block by block, as the popcount of the
+    block's hits within each ``_level_masks`` of its low edges, shifted by
+    the block's open high edges.  fsum of the weights rounds the same exact
+    sum once, so the float is the same.  Otherwise each is one fsum over the
+    weights its hit bits select, one block of weights at a time."""
     hits = _hit_bits(g, events)
     k = _block_bits(g, g.n_edges)
     n = 1 << k
     step = max(1, n >> 3)  # bytes per block
+    levels = _graph_levels(g)
+    if levels is not None:
+        nums, d = levels
+        masks = _level_masks(k)
 
-    def selected(bits):
-        for b, w in enumerate(_block_weights(g, k)):
-            sel = np.unpackbits(bits[b * step:(b + 1) * step], bitorder="little")[:n]
-            yield memoryview(w[sel.view(np.bool_)])
+        def prob(bits):
+            total = 0
+            for b in range(1 << (g.n_edges - k)):
+                block = int.from_bytes(bits[b * step:(b + 1) * step], "little")
+                total += sum(num * (block & mask).bit_count()
+                             for num, mask in zip(nums[b.bit_count():], masks))
+            return total / (1 << d)
+    else:
+        def selected(bits):
+            for b, w in enumerate(_block_weights(g, k)):
+                sel = np.unpackbits(bits[b * step:(b + 1) * step], bitorder="little")[:n]
+                yield memoryview(w[sel.view(np.bool_)])
 
-    return [math.fsum(chain.from_iterable(selected(bits))) for bits in hits]
+        def prob(bits):
+            return math.fsum(chain.from_iterable(selected(bits)))
+
+    return [prob(bits) for bits in hits]
 
 
 def exact_prob(g: Graph, e: EventExpr) -> float:
@@ -285,11 +363,17 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
 
     Strategies that never read the second configuration admit a factorized
     sum: S of every c1 comes from one pass over the columns of the c1 that
-    count, and the second configuration is integrated analytically over the
-    complement of S.  A Joint hit reads c1 on S alone, so its inner sum is
-    taken once per leaf (S, c1 ∩ S).  The others get the S of every c2 per
-    c1, over the periodic columns.  Measures over the complement of S are
-    memoised for the query alone; the graph keeps none of them.
+    count, the c1 are grouped by leaf (S, c1 ∩ S), and the second
+    configuration is integrated analytically over the complement of S.  A
+    Joint hit reads c1 on S alone, so its inner sum is taken once per leaf.
+    An SqS hit also reads c1 outside S: one ``_split_any`` product decides
+    the (c1, c2) pairs of a run of the leaf's c1, and each c1 keeps its own
+    inner sum, so the terms are those of a sum per c1.  A run holds as many
+    c1 as keep the product's bools within ``config.BLOCK_CELLS`` bits (a
+    whole leaf of a 16-edge SqS took a GB).  Strategies that read c2 get
+    the S of every c2 per c1, over the periodic columns.  Measures over the
+    complement of S are memoised for the query alone; the graph keeps none
+    of them.
     """
     _check_pair_size(g)
     _check_query(g, q)
@@ -302,15 +386,22 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     terms = []
     if not t.uses_c2:
         measure = cache(partial(_measure, g))
-
-        @cache
-        def inner(m1, s_mask):  # the sum over c2 outside S of the hits
-            out = full & ~s_mask
-            return _fsum(measure(out)[_hits(q, tab_a, tab_b, m1, s_mask, _subsets(out))])
-
-        joint = isinstance(q, Joint)
+        w1 = w.tolist()  # Python floats multiply as numpy's do, with less overhead
+        leaves = {}  # (S, c1 ∩ S) -> the c1 of that leaf
         for m1, s_mask in zip(m1s, _s_masks(g, t, len(m1s), _transpose(m1s, g.n_edges))):
-            terms.append(w[m1] * inner(m1 & s_mask if joint else m1, s_mask))
+            leaves.setdefault((s_mask, m1 & s_mask), []).append(m1)
+        for (s_mask, pinned), group in leaves.items():
+            out = full & ~s_mask  # c2 is summed over its completions outside S
+            c2s, m = _subsets(out), measure(out)
+            if isinstance(q, Joint):
+                inner = _fsum(m[tab_b[pinned | c2s]])
+                terms += [w1[m1] * inner for m1 in group]
+            else:
+                step = max(1, config.BLOCK_CELLS >> (out.bit_count() + 3))  # c1 per run
+                for i in range(0, len(group), step):
+                    rows = group[i:i + step]
+                    hits = _split_any(tab_a, tab_b, np.array(rows) & out, pinned, c2s)
+                    terms += [w1[m1] * _fsum(m[row]) for m1, row in zip(rows, hits)]
         return math.fsum(terms)
     cols, every = _columns(g.n_edges), (1 << len(w)) - 1
     for m1 in m1s:

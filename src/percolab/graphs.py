@@ -142,7 +142,8 @@ class Graph:
         # truth table hits by this key
         self._event_tables: dict = {}
         # mask -> the probabilities of its submasks, for every edge (the
-        # weights) and a block's low edges alone (exact._graph_measure)
+        # weights) and a block's low edges alone (exact._graph_measure);
+        # "levels" -> the level numerators of the count route (exact._graph_levels)
         self._measures: dict = {}
         self._faces: FaceSet | None = None
 

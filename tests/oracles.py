@@ -12,10 +12,11 @@ occurrence: it evaluates all 2^k witness splits at once on the column
 evaluator.  It shares the evaluator with the library, which the oracles
 above check, and none of the search.
 
-``exact_pair_per_c1`` is the reference for the per-leaf Joint sums of
-``exact_pair``: it takes the inner sum over c2 once per c1 in A, not once
-per leaf (S, c1 ∩ S).  It shares the tables, the weights and the strategies
-with the library, and none of the memo.
+``exact_pair_per_c1`` is the reference for the per-leaf sums of
+``exact_pair``: it takes the inner sum over c2 once per c1 in A, with one
+witness-split test per c1 for SqS, not once per leaf (S, c1 ∩ S).  It
+shares the tables, the weights, the strategies and the split test of one c1
+with the library, and none of the grouping.
 
 ``mc_pair_all_lanes`` is the reference for the lane restriction of
 ``mc_pair``: it reveals S on every sample pair, not only on those with A on

@@ -463,6 +463,36 @@ def test_propagated_se_uses_the_covariance():
     assert _propagated_se(diff, vals, (ses, {})) == pytest.approx(math.sqrt(2) * se)
 
 
+def test_propagated_se_takes_secants_of_read_terms_only():
+    calls = []
+
+    def fn(v):
+        calls.append(v["x"])
+        return v["x"] ** 2
+
+    vals, ses = {"x": 0.3, "y": 0.4, "z": 0.5}, {"x": 0.01, "y": 0.02, "z": 0.03}
+    cov = (ses, {("x", "y"): 1e-4})
+    se = _propagated_se(fn, vals, cov, {"x"})
+    assert se == pytest.approx(2 * 0.3 * 0.01)
+    assert calls == [0.31, 0.29]  # the two ends of x's secant
+    # the secants of unread terms are exact zeros: the same float
+    assert _propagated_se(fn, vals, cov) == se
+    assert len(calls) == 2 + 6
+
+
+def test_mc_lambda_monotone_rates_each_claim_from_its_two_terms(monkeypatch):
+    # each claim reads f[k] and f[k+1]: 2 calls for its sides, read through
+    # the recording view, and 2 x 2 x 2 for the secants, whatever nmax
+    # (4 nmax + 2 per claim when every term took a secant)
+    calls = []
+    inner = checks.implied_lambda
+    monkeypatch.setattr(checks, "implied_lambda", lambda k, p: calls.append(k) or inner(k, p))
+    nmax = 5
+    scan_conjectures("lambda_monotone", graph_from_spec("family:parallel:5,q=0.5"),
+                     {"nmax": nmax}, "mc", samples=1000, seed=13)
+    assert len(calls) == 10 * (nmax - 1)
+
+
 @pytest.mark.parametrize("check_id", ["dv8", "planar_dv2"])
 def test_shared_sample_errors_are_calibrated(check_id):
     # the MC slack misses the exact one by about one reported error; on

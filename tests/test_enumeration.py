@@ -415,23 +415,28 @@ def _table_split_case(draw):
     masks = st.integers(0, n - 1)
     sides = st.lists(masks, min_size=1, max_size=6)
     return (draw(tables), draw(tables), draw(masks), draw(masks), draw(masks),
-            draw(sides))
+            draw(sides), draw(sides))
 
 
 @given(_table_split_case())
 @settings(max_examples=200, deadline=None)
 def test_split_any_matches_per_split_loop(case):
-    tab_a, tab_b, rest, fixed_a, fixed_b, sides = case
+    tab_a, tab_b, rest, fixed_a, fixed_b, sides, a_sides = case
 
-    def loop(fb):
-        return any(tab_a[w | fixed_a] and tab_b[(rest & ~w) | fb]
+    def loop(fa, fb):
+        return any(tab_a[w | fa] and tab_b[(rest & ~w) | fb]
                    for w in _submask_list(rest))
 
     a, b = (np.frombuffer(t, dtype=np.bool_) for t in (tab_a, tab_b))
     one = _split_any(a, b, fixed_a, rest, fixed_b)
-    assert one.shape == () and one == loop(fixed_b)
+    assert one.shape == () and one == loop(fixed_a, fixed_b)
     got = _split_any(a, b, fixed_a, rest, np.array(sides, dtype=np.int64))
-    assert got.tolist() == [loop(fb) for fb in sides]
+    assert got.tolist() == [loop(fixed_a, fb) for fb in sides]
+    a_arr = np.array(a_sides, dtype=np.int64)
+    got = _split_any(a, b, a_arr, rest, fixed_b)
+    assert got.tolist() == [loop(fa, fixed_b) for fa in a_sides]
+    got = _split_any(a, b, a_arr, rest, np.array(sides, dtype=np.int64))
+    assert got.tolist() == [[loop(fa, fb) for fb in sides] for fa in a_sides]
 
 
 @given(_graphs(probs=(0.1, 0.3, 1 / 3, 0.7, 0.9)), st.data())
@@ -458,17 +463,23 @@ def _cached_arrays(g) -> dict:
 
 
 def test_probabilities_keep_no_full_mask_index():
-    """An event probability caches the weights alone: no 2^E submask index
-    of the full mask (32 MB at 22 edges) is kept next to them.  A graph of
-    one block keeps the weights of its full mask; past one block, no cached
-    array has 2^E entries (the 22-edge grid:2,8 runs 64 blocks of 2^16)."""
+    """An event probability caches no 2^E submask index of the full mask
+    (32 MB at 22 edges).  At p = 1/2 it sums by open-edge counts and caches
+    no weights either.  At p = 0.3 it sums weights: a graph of one block
+    keeps the weights of its full mask, and past one block no cached array
+    has 2^E entries (the 22-edge grid:2,8 runs 64 blocks of 2^16)."""
     g = graph_from_spec("family:grid:3,4,p=0.5")
+    exact_prob(g, parse_event("a,b"))
+    assert set(_cached_arrays(g)) == {("_event_tables", "a,b")}
+    assert g._measures["levels"] is not None
+
+    g = graph_from_spec("family:grid:3,4,p=0.3")
     assert _block_bits(g, g.n_edges) == g.n_edges == 17
     exact_prob(g, parse_event("a,b"))
     assert set(_cached_arrays(g)) == {("_event_tables", "a,b"),
                                       ("_measures", (1 << g.n_edges) - 1)}
 
-    g = graph_from_spec("family:grid:2,8,p=0.5")
+    g = graph_from_spec("family:grid:2,8,p=0.3")
     assert g.n_edges == 22 and _block_bits(g, g.n_edges) == 16
     exact_prob(g, parse_event("a,b"))
     cached = _cached_arrays(g)

@@ -9,14 +9,14 @@ from percolab import (Configuration, Graph, Monotonicity, SizeGuardError, exact_
                       exact_pair, exact_prob, generate, graph_from_spec, monotonicity,
                       parse_event, parse_strategy, run, run_check, scan_conjectures,
                       verify_splice_independence)
-from percolab import config, events
-from percolab.exact import (Joint, SqS, _block_bits, exact_probs, truth_table, truth_tables,
-                            weights)
+from percolab import config, events, exact
+from percolab.exact import (Joint, SqS, _block_bits, _level_numerators, exact_probs,
+                            truth_table, truth_tables, weights)
 from percolab.strategies import S, SBAR, Strategy, splice_mask
 from percolab.events import NPathsAtom, PartitionAtom, sq_s_occurrence
 
 from oracles import exact_pair_per_c1
-from test_enumeration import _events, _graphs
+from test_enumeration import _events, _graphs, _increasing_events
 from test_strategies import _Delegate, _FromC2
 
 TOL = 1e-12
@@ -140,6 +140,43 @@ def _joint_case(draw):
 def test_joint_sum_per_leaf_equals_sum_per_c1(case):
     g, t, q = case
     assert exact_pair(g, t, q) == exact_pair_per_c1(g, t, q)
+
+
+@st.composite
+def _sqs_case(draw):
+    """A graph of at most 8 edges, a catalog strategy (none reads c2) and an
+    SqS of two drawn increasing events.  ``stop`` reveals nothing: every c1
+    shares the one leaf, and every c2 edge is free."""
+    g = draw(_graphs(max_edges=8, probs=draw(st.sampled_from(((0.5,), _NON_DYADIC)))))
+    v = st.sampled_from(g.vertices)
+    spec = draw(st.sampled_from(("bfs_cluster:{}", "dfs:{},id,S", "dfs:{},id,Sbar",
+                                 "dfs:{},id,until:{}", "dfs_stop_at:{},{},{}", "stop",
+                                 "seq:[dfs:{},id,Sbar;dfs:{},id,S]")))
+    t = parse_strategy(spec.format(*(draw(v) for _ in range(spec.count("{}")))))
+    return g, t, SqS(draw(_increasing_events(g.vertices)), draw(_increasing_events(g.vertices)))
+
+
+@given(_sqs_case())
+@example((graph_from_spec("family:grid:2,3,p=0.5"), parse_strategy("stop"),
+          SqS(parse_event("a,b"), parse_event("b,c"))))
+@example((graph_from_spec("family:grid:2,3,p=0.5"), parse_strategy("dfs_stop_at:a,b,c"),
+          SqS(parse_event("a,b"), parse_event("npaths(a,c,2)"))))
+@settings(max_examples=80, deadline=None)
+def test_sqs_sum_per_leaf_equals_sum_per_c1(case):
+    g, t, q = case
+    assert exact_pair(g, t, q) == exact_pair_per_c1(g, t, q)
+
+
+@given(_sqs_case(), st.sampled_from((1 << 3, 1 << 6, 1 << 9)))
+@settings(max_examples=40, deadline=None)
+def test_sqs_runs_of_c1_equal_whole_leaves(case, cells):
+    """A block size forced small cuts a leaf's c1 into runs of 1, 2, 4 ...
+    products; the sum equals that of whole leaves."""
+    g, t, q = case
+    want = exact_pair(g, t, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "BLOCK_CELLS", cells)
+        assert exact_pair(g, t, q) == want
 
 
 def test_splice_independence_with_c2_reading_strategy():
@@ -376,6 +413,49 @@ def test_row_blocked_splice_check_equals_one_block(case):
     want = verify_splice_independence(g, t)
     with _blocks_of(g, k, 2 * g.n_edges) as fresh:
         assert verify_splice_independence(fresh, t) == want
+
+
+# p = 2^-10 has 1 - p = 1023/1024: exact levels on 5 edges (1023^5 < 2^53),
+# not on 6.  p = 2^-600 is exact on one edge; on two its level 2^-1200 is
+# subnormal.
+_LEVEL_PROBS = (0.5, 0.25, 0.75, 0.125, 2 ** -10, 1 - 2 ** -10, 2 ** -600) + _NON_DYADIC
+
+
+def test_open_edge_levels_straddle_the_exactness_rule():
+    assert _level_numerators(2 ** -10, 5) is not None
+    assert _level_numerators(2 ** -10, 6) is None
+    assert _level_numerators(2 ** -600, 2) is None
+    assert _level_numerators(0.3, 2) is None
+    assert _level_numerators(0.0, 2) is _level_numerators(1.0, 2) is None
+    assert _level_numerators(0.25, 3) == ([27, 9, 3, 1], 6)  # (3/4)^3 ... (1/4)^3
+    # 1 - 2^-600 rounds to 1: the levels 1 and 2^-600 share the denominator
+    assert _level_numerators(2 ** -600, 1) == ([1 << 600, 1], 600)
+
+
+@st.composite
+def _one_p_case(draw):
+    """A graph whose edges share one p, dyadic or not, events and a block
+    size of 2^3 masks up to the whole graph."""
+    g = draw(_graphs(probs=(draw(st.sampled_from(_LEVEL_PROBS)),)))
+    evs = draw(st.lists(_events(g.vertices), min_size=1, max_size=3))
+    return g, evs, draw(st.integers(min(3, g.n_edges), g.n_edges))
+
+
+@given(_one_p_case())
+@example((generate("cycle", 5, p=2 ** -10), [parse_event("a,b"), parse_event("a|b")], 3))
+@example((generate("cycle", 6, p=2 ** -10), [parse_event("a,b"), parse_event("a|b")], 6))
+@settings(max_examples=100, deadline=None)
+def test_open_edge_counts_equal_weight_sums(case):
+    """Summing by open-edge counts gives the weight route's floats, bit for
+    bit, whatever the blocks; graphs whose levels are not exact take the
+    weight route."""
+    g, evs, k = case
+    with _blocks_of(g, k) as fresh:
+        got = exact_probs(fresh, evs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_level_numerators", lambda p, n: None)
+        want = exact_probs(Graph(g.vertices, g.edges, g.edge_prob, g.marks), evs)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_pair_query_with_no_configuration_in_a():
