@@ -307,15 +307,16 @@ def _transpose(rows: list[int], width: int, keep: int | None = None) -> list[int
     return _from_byte_rows(np.packbits(bits.T, axis=1, bitorder="little"))
 
 
-def _select(rows: list[int], width: int, keep: int) -> list[int]:
-    """The bits of each row at the positions set in keep, packed low: bit i
-    of output j is bit k_i of rows[j], for the set bits k_0 < k_1 < ... of
-    keep.  Cuts edge columns down to the configurations in keep."""
-    # compress lays the kept bits out row by row, where packbits reads them
-    # fast; a boolean index lays them out column by column, and packing that
-    # took a block of grid:5,5 samples from 8 to 28 ms
-    bits = np.compress(_unpacked([keep], width)[0].view(bool), _unpacked(rows, width), axis=1)
-    return _from_byte_rows(np.packbits(bits, axis=1, bitorder="little"))
+def _lanes(mask: int, width: int) -> np.ndarray:
+    """The positions of the set bits of a width-bit mask, ascending."""
+    return np.flatnonzero(_unpacked([mask], width)[0])
+
+
+def _spread(bits: np.ndarray, lanes, width: int) -> list[int]:
+    """Width-bit rows with bits[j, i] at bit lanes[i] of row j, 0 elsewhere."""
+    out = np.zeros((len(bits), width), bool)
+    out[:, lanes] = bits
+    return _from_byte_rows(np.packbits(out, axis=1, bitorder="little"))
 
 
 def _unpacked(rows: list[int], width: int) -> np.ndarray:

@@ -30,10 +30,10 @@ the doubling over every edge, so no 2^E float array is built.  fsum and int
 division both round the exact sum once: the result depends only on the set
 of weights summed, not their order or blocking, and the advertised 1e-12
 tolerances are honest for the dyadic probabilities the built-in corpus
-uses.  What reads an event over every mask at once (pair queries, the
-prefix check) reads its truth table, a numpy bool array indexed by mask,
-unpacked from the bits; ``events.monotonicity`` compares the packed bits
-themselves.
+uses.  The per-leaf pair sums and the prefix check read an event's truth
+table, a numpy bool array indexed by mask, unpacked from the bits; pairs of
+strategies that read c2 run Monte Carlo's ``_pair_lanes`` on enumerated
+columns, and ``events.monotonicity`` compares the packed bits themselves.
 
 A graph caches what later queries on it read again: hit bits, its level
 numerators on the count route, and on the weight route the weights and the
@@ -54,8 +54,9 @@ import numpy as np
 
 from . import config
 from .errors import HypothesisError, SizeGuardError
-from .events import (EventExpr, NPathsAtom, unparse, _columns, _evaluate_many,
-                     _require_operands, _resolve, _to_byte_rows, _transpose)
+from .events import (EventExpr, NPathsAtom, unparse, _columns, _evaluate_columns,
+                     _evaluate_many, _lanes, _require_operands, _resolve, _split_occurs,
+                     _to_byte_rows, _transpose)
 from .graphs import Graph
 from .strategies import Strategy, splice_mask
 
@@ -347,15 +348,24 @@ def _check_query(g: Graph, q) -> None:
         raise TypeError(f"unknown pair query {q!r}")
 
 
-def _hits(q, tab_a: np.ndarray, tab_b: np.ndarray, m1: int, s_mask: int, c2_out):
-    """Does the query hold for c1 = m1, revealed set S and c2 equal to c2_out
-    outside S?  c2_out is one mask or an array of them; the answer is a
-    numpy bool of the same shape."""
-    if isinstance(q, Joint):
-        return tab_b[(m1 & s_mask) | c2_out]
-    # the witness splits of sq_s_occurrence, read from the tables
-    s_open = s_mask & m1
-    return _split_any(tab_a, tab_b, m1 & ~s_mask, s_open, c2_out)
+def _pair_lanes(g: Graph, t: Strategy, q, cols1: list[int], cols2: list[int], n: int):
+    """The ascending positions of the pairs where the query holds, of n
+    configuration pairs given as the edge columns of c1 and c2.
+
+    Neither query holds unless c1 is in A (for SqS, A is increasing), so S
+    is revealed on the configurations in A, chosen by row, and B is read on
+    the splice there.  SqS implies Joint, so only the Joint hits are
+    searched for a witness split, one pair at a time.
+    """
+    in_a = _evaluate_columns(q.A, g, cols1, n)
+    s_cols = t._reveal_columns(g, cols1, n, cols2, keep=in_a)[1]
+    joint = in_a & _evaluate_columns(q.B, g, list(map(splice_mask, cols1, cols2, s_cols)), n)
+    lanes = _lanes(joint, n)
+    if isinstance(q, SqS):
+        found = [_split_occurs(q.A, q.B, g, m1, m2, s_mask) for m1, m2, s_mask in
+                 zip(*(_transpose(cols, n, joint) for cols in (cols1, cols2, s_cols)))]
+        lanes = lanes[np.array(found, bool)]
+    return lanes
 
 
 def exact_pair(g: Graph, t: Strategy, q) -> float:
@@ -370,10 +380,10 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     the (c1, c2) pairs of a run of the leaf's c1, and each c1 keeps its own
     inner sum, so the terms are those of a sum per c1.  A run holds as many
     c1 as keep the product's bools within ``config.BLOCK_CELLS`` bits (a
-    whole leaf of a 16-edge SqS took a GB).  Strategies that read c2 get
-    the S of every c2 per c1, over the periodic columns.  Measures over the
-    complement of S are memoised for the query alone; the graph keeps none
-    of them.
+    whole leaf of a 16-edge SqS took a GB).  Strategies that read c2 run
+    ``_pair_lanes``, the pair evaluator of Monte Carlo, once per c1 in A,
+    with c2 over the periodic columns.  Measures over the complement of S
+    are memoised for the query alone; the graph keeps none of them.
     """
     _check_pair_size(g)
     _check_query(g, q)
@@ -406,9 +416,7 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     cols, every = _columns(g.n_edges), (1 << len(w)) - 1
     for m1 in m1s:
         c1_cols = [every * (m1 >> j & 1) for j in range(g.n_edges)]  # c1 = m1 in every pair
-        for m2, s_mask in enumerate(_s_masks(g, t, len(w), c1_cols, cols)):
-            if _hits(q, tab_a, tab_b, m1, s_mask, m2 & ~s_mask):
-                terms.append(w[m1] * w[m2])
+        terms += (w[m1] * w[_pair_lanes(g, t, q, c1_cols, cols, len(w))]).tolist()
     return math.fsum(terms)
 
 

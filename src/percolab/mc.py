@@ -23,20 +23,10 @@ counts included.  ``mc_probs`` evaluates several events together on one
 sample set, sharing reach sweeps and flow levels between them, and returns
 the covariance of their estimates; ``mc_prob`` is its one-event case, and
 the events npaths(u,v,1..k) give a disjoint-path tail from one sample set.
-A pair query reads the revealed set S as edge columns too, on the samples
-with A on c1 alone, as exact enumeration reveals it on the configurations in
-A alone: neither Joint nor SqS can hold elsewhere.  Each block's c1 and c2
-columns are cut down to those lanes (``events._select``) before S is
-revealed: cluster-revealing strategies give it from reachability on the c1
-columns, target-stopped pass lists (``rhw_walks`` among them) from one
-lock-step scan of every such sample's frontier, and user ``Strategy``
-subclasses from one run per sample pair, with the masks transposed from
-and back into columns.  A sample's S depends on that sample alone, so the counts equal those of S
-revealed on every sample.  A and B are increasing, so SqS implies Joint: an SqS query
-evaluates the Joint hit mask on the columns, as a Joint query does, and
-transposes only the Joint hits into per-sample masks, for the bounded
-witness search of ``events``, one sample at a time.  No graph size limit
-applies; the witness search has a node budget.
+A pair query reads the revealed set S as edge columns too, through the
+pair evaluator that exact enumeration runs for strategies that read c2
+(``exact._pair_lanes``): S is revealed on the configurations in A, chosen
+by row.  No graph size limit applies; the witness search has a node budget.
 """
 
 from __future__ import annotations
@@ -48,10 +38,9 @@ import numpy as np
 
 from . import config
 from .errors import SizeGuardError
-from .events import (EventExpr, NPathsAtom, _evaluate_columns, _evaluate_many,
-                     _from_byte_rows, _resolve, _select, _split_occurs, _transpose)
+from .events import EventExpr, NPathsAtom, _evaluate_many, _from_byte_rows, _resolve
 from .events import _reach_masks  # noqa: F401  (perfbench traces reachability by this name)
-from .exact import SqS, _check_query
+from .exact import _check_query, _pair_lanes
 from .graphs import Graph
 from .strategies import Strategy
 
@@ -210,32 +199,14 @@ def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:
     """Monte Carlo estimate of a pair query (see the exact engine for kinds).
 
     c1 and c2 draw with stride 2E at offsets 0 and E, so their counters
-    never meet.  A is evaluated on the c1 columns first, and the strategy's
-    ``_reveal_columns`` gives S on the samples in A only, so a user
-    ``Strategy`` runs once per such pair.  Joint evaluates B on their
-    spliced columns (c1 over S, c2 elsewhere).  SqS searches the witness
-    splits of the Joint hits only, one sample at a time: with every open
-    S-edge on one side, a split is at best A on c1 and B on the splice.
+    never meet.  Each block of sample pairs is counted by
+    ``exact._pair_lanes``: S is revealed on the configurations in A, chosen
+    by row, so a user ``Strategy`` runs once per sample pair in A.
     """
     _check_query(g, q)
     e, hits = g.n_edges, 0
     for first, m in _blocks(g, n):
         cols1 = _edge_bit_columns(g, m, seed, 2 * e, 0, first)
         cols2 = _edge_bit_columns(g, m, seed, 2 * e, e, first)
-        # Joint asks for c1 in A; for SqS A is increasing, so no split of c1
-        # has A on its part unless c1 is in A.  A block with no such lane
-        # still reveals on none, which refuses a strategy as the runs would.
-        in_a = _evaluate_columns(q.A, g, cols1, m)
-        k = in_a.bit_count()
-        picked = _select(cols1 + cols2, m, in_a)
-        cols1, cols2 = picked[:e], picked[e:]
-        s_cols = t._reveal_columns(g, cols1, k, cols2)[1]
-        spliced = [(c1 & s) | (c2 & ~s) for c1, c2, s in zip(cols1, cols2, s_cols)]
-        joint = _evaluate_columns(q.B, g, spliced, k)
-        if isinstance(q, SqS):
-            # SqS implies Joint, so only the Joint hits are searched
-            hits += sum(_split_occurs(q.A, q.B, g, m1, m2, s_mask) for m1, m2, s_mask in
-                        zip(*(_transpose(cols, k, joint) for cols in (cols1, cols2, s_cols))))
-        else:
-            hits += joint.bit_count()
+        hits += len(_pair_lanes(g, t, q, cols1, cols2, m))
     return Estimate.from_count(hits, n, seed)

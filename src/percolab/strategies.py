@@ -35,8 +35,8 @@ The spec text is the strategy's name.
 ``run`` records the steps of one configuration pair; it is the public
 per-pair view.  The engines read a strategy through ``_reveal_columns``
 instead, which gives the queried and S sets of many configuration pairs at
-once as edge columns (bit i of column j: edge j in pair i).  The base class
-runs the policy once per pair and transposes the masks.  Passes without
+once as edge columns (bit i of column j: edge j in pair i); the base class
+runs the policy once per pair in ``keep`` (all without it).  Passes without
 targets (``bfs_cluster``, ``dfs:v,ORDER,S|Sbar``, ``seq`` lists of them and
 ``stop``) and continuations of those (``reveal_all``) reveal a reach fixed
 point, whatever their scan order: pass k reaches from its start over the
@@ -64,7 +64,7 @@ import numpy as np
 
 from . import config
 from .errors import SizeGuardError, StrategyError
-from .events import _from_byte_rows, _reach_masks, _to_byte_rows, _transpose
+from .events import _lanes, _reach_masks, _spread, _to_byte_rows, _transpose, _unpacked
 from .graphs import Configuration, Graph, faces
 
 S = "S"
@@ -110,20 +110,23 @@ class Strategy:
     def policy(self, g: Graph):
         raise NotImplementedError
 
-    def _reveal_columns(self, g: Graph, cols1: list[int], n: int, cols2=None):
+    def _reveal_columns(self, g: Graph, cols1: list[int], n: int, cols2=None, keep=None):
         """(queried, S) edge columns of the runs over n configuration pairs,
         from one run per pair; the catalog's overrides never read c2.
 
         cols1 and cols2 are the edge columns of c1 and c2; cols2 None means
-        c2 is empty in every pair.
+        c2 is empty in every pair.  A pair query passes ``keep``: S is
+        revealed on the configurations in A, chosen by row, so the policy
+        runs on those pairs alone and the other lanes are unspecified.
         """
-        m2s = _transpose(cols2, n) if cols2 is not None else [0] * n
+        lanes = slice(None) if keep is None else _lanes(keep, n)
+        m2s = _transpose(cols2, n, keep) if cols2 is not None else [0] * n
         queried, s_masks = [], []
-        for m1, m2 in zip(_transpose(cols1, n), m2s):
+        for m1, m2 in zip(_transpose(cols1, n, keep), m2s):
             tr = run(self, g, Configuration(g, m1), Configuration(g, m2))
             queried.append(Configuration.from_open(g, tr.queried).mask)
             s_masks.append(tr.s_mask(g))
-        return _transpose(queried, g.n_edges), _transpose(s_masks, g.n_edges)
+        return tuple(_spread(_unpacked(m, g.n_edges).T, lanes, n) for m in (queried, s_masks))
 
     def __repr__(self):
         return f"<Strategy {self.name}>"
@@ -246,22 +249,23 @@ def _scan(g, start, order, decision, targets, queried):
     return False
 
 
-def _lockstep(g, passes, cols, n, until_miss):
+def _lockstep(g, passes, cols, n, until_miss, keep=None):
     """(queried, S) edge columns of a strategy made of the given passes, on
     the n configurations c1 given as edge columns; the caller has checked
     every pass.
 
     The passes run in turn on the rows whose runs go on, under the stop
     rule of ``_Passes.policy``, until no row is left or a pass starts on one
-    of its targets.  Passes that share (start, order) share a
-    ``_pass_table``.  The callers bound n: MC scans one sample block at a
-    time, and exact calls at most 2^16 configurations.  Columns are unpacked
-    and packed back as ``events._transpose`` does.
+    of its targets.  The rows start at the configurations in ``keep`` (all
+    without it), side by side in edge-major arrays.  Passes that share
+    (start, order) share a ``_pass_table``.  The callers bound n: MC scans
+    one sample block at a time, and exact calls at most 2^16 configurations.
     """
-    open1 = np.ascontiguousarray(np.unpackbits(
-        _to_byte_rows(cols, n), axis=1, count=n, bitorder="little").T).view(bool)
-    revealed = np.zeros((2, n, len(cols)), bool)  # queried, S
-    rows = np.arange(n)
+    lanes = slice(None) if keep is None else _lanes(keep, n)
+    open1 = np.unpackbits(_to_byte_rows(cols, n), axis=1, count=n,
+                          bitorder="little").view(bool)[:, lanes]
+    revealed = np.zeros((2,) + open1.shape, bool)  # queried, S
+    rows = np.arange(open1.shape[1])
     tables = {}
     for start, order, decision, targets in passes:
         if not rows.size or start in targets:
@@ -270,8 +274,8 @@ def _lockstep(g, passes, cols, n, until_miss):
             tables[start, order] = _pass_table(g, start, order)
         hit = _scan_columns(g, tables[start, order], decision, targets, open1, *revealed, rows)
         rows = rows[hit == until_miss]
-    out = np.packbits(revealed, axis=1, bitorder="little").transpose(0, 2, 1)
-    return tuple(_from_byte_rows(half) for half in out)
+    del open1  # free the kept rows before the full-width ones are built
+    return tuple(_spread(half, lanes, n) for half in revealed)
 
 
 def _pass_table(g, start, order):
@@ -291,8 +295,8 @@ def _pass_table(g, start, order):
 
 def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
     """Numpy twin of ``_scan``: one pass over the configurations ``rows``,
-    whose [n, E] bool arrays hold c1 (open1) and the queried and S edges so
-    far; returns, per row, whether a target stopped the pass.
+    whose columns of the [E, n] bool arrays hold c1 (open1) and the queried
+    and S edges so far; returns, per row, whether a target stopped the pass.
 
     ``table`` is the pass's ``_pass_table``; the pass is depth-first.  Every
     configuration keeps its own frontier stack of V slots: a slot holds a
@@ -317,7 +321,7 @@ def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
     tail = base + 1  # the live slots of row i are base[i] .. tail[i] - 1
     stopped = np.zeros(len(rows), bool)
     q_flat, s_flat, open_flat = queried.reshape(-1), s.reshape(-1), open1.reshape(-1)
-    row_base = rows * open1.shape[1]
+    n = open1.shape[1]
     live = np.arange(len(rows))
     while live.size:
         at = tail[live] - 1
@@ -327,7 +331,7 @@ def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
         i, at, st, p = live[~out], at[~out], st[~out], p[~out]
         pos[at] = p + 1
         e = cand[st * width + p]
-        qe = row_base[i] + e
+        qe = e * n + rows[i]
         new = ~q_flat[qe]
         i, st, e, qe = i[new], st[new], e[new], qe[new]
         q_flat[qe] = True
@@ -372,13 +376,14 @@ class _Passes(Strategy):
             if hit != self.until_miss or start in targets:
                 return
 
-    def _reveal_columns(self, g, cols, n, cols2=None):
+    def _reveal_columns(self, g, cols, n, cols2=None, keep=None):
         passes = self._passes(g)
         # each distinct pass raises what its run raises, before either engine
         for start, order, _, targets in dict.fromkeys(passes):
             _first_candidates(g, start, order, targets)
         if any(targets for *_, targets in passes):
-            return _lockstep(g, passes, cols, n, self.until_miss)
+            return _lockstep(g, passes, cols, n, self.until_miss, keep)
+        # reach sweeps on every configuration cost less than picking out keep
         full = (1 << n) - 1
         queried = [0] * g.n_edges
         s = [0] * g.n_edges
@@ -432,8 +437,8 @@ class _ExtendRest(Strategy):
             if e not in queried:
                 _ = yield (e, self.decision)
 
-    def _reveal_columns(self, g, cols1, n, cols2=None):
-        queried, s = self.base._reveal_columns(g, cols1, n, cols2)
+    def _reveal_columns(self, g, cols1, n, cols2=None, keep=None):
+        queried, s = self.base._reveal_columns(g, cols1, n, cols2, keep)
         full = (1 << n) - 1
         if self.decision == S:
             s = [sj | (full ^ qj) for sj, qj in zip(s, queried)]

@@ -13,10 +13,11 @@ evaluator.  It shares the evaluator with the library, which the oracles
 above check, and none of the search.
 
 ``exact_pair_per_c1`` is the reference for the per-leaf sums of
-``exact_pair``: it takes the inner sum over c2 once per c1 in A, with one
-witness-split test per c1 for SqS, not once per leaf (S, c1 ∩ S).  It
-shares the tables, the weights, the strategies and the split test of one c1
-with the library, and none of the grouping.
+``exact_pair``: it takes the inner sum over c2 once per c1 in A, reading
+the Joint hits from B's truth table and the SqS hits from one
+``_split_any`` product per c1, not once per leaf (S, c1 ∩ S).  It shares
+the tables, the weights, the strategies and the split product with the
+library, and none of the grouping.
 
 ``mc_pair_all_lanes`` is the reference for the lane restriction of
 ``mc_pair``: it reveals S on every sample pair, not only on those with A on
@@ -33,8 +34,8 @@ import numpy as np
 from percolab.events import (Complement, EventExpr, Intersect, NPathsAtom,
                              PartitionAtom, Union, _columns, _evaluate_columns,
                              _split_occurs, _transpose)
-from percolab.exact import (SqS, _check_query, _fsum, _hits, _measure, _s_masks, _subsets,
-                            truth_tables, weights)
+from percolab.exact import (Joint, SqS, _check_query, _fsum, _measure, _s_masks, _split_any,
+                            _subsets, truth_tables, weights)
 from percolab.graphs import Graph
 from percolab.mc import Estimate, _blocks, _edge_bit_columns
 
@@ -195,7 +196,10 @@ def exact_pair_per_c1(g: Graph, t, q) -> float:
     terms = []
     for m1, s_mask in zip(m1s, _s_masks(g, t, len(m1s), _transpose(m1s, g.n_edges))):
         out = full & ~s_mask
-        hits = _hits(q, tab_a, tab_b, m1, s_mask, _subsets(out))
+        if isinstance(q, Joint):
+            hits = tab_b[(m1 & s_mask) | _subsets(out)]
+        else:
+            hits = _split_any(tab_a, tab_b, m1 & out, m1 & s_mask, _subsets(out))
         terms.append(w[m1] * _fsum(_measure(g, out)[hits]))
     return math.fsum(terms)
 

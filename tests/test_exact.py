@@ -12,10 +12,10 @@ from percolab import (Configuration, Graph, Monotonicity, SizeGuardError, exact_
 from percolab import config, events, exact
 from percolab.exact import (Joint, SqS, _block_bits, _level_numerators, exact_probs,
                             truth_table, truth_tables, weights)
-from percolab.strategies import S, SBAR, Strategy, splice_mask
-from percolab.events import NPathsAtom, PartitionAtom, sq_s_occurrence
+from percolab.strategies import S, SBAR, Strategy, extend_with_rest, splice_mask
+from percolab.events import NPathsAtom, PartitionAtom
 
-from oracles import exact_pair_per_c1
+from oracles import column_split, exact_pair_per_c1
 from test_enumeration import _events, _graphs, _increasing_events
 from test_strategies import _Delegate, _FromC2
 
@@ -86,9 +86,8 @@ def _pair_oracle(g, t, q):
             s_mask = run(t, g, c1, c2).s_mask(g)
             if isinstance(q, Joint):
                 ok = tab_a[m1] and tab_b[splice_mask(m1, m2, s_mask)]
-            else:
-                s_edges = [e for e in g.edge_ids if s_mask >> g.edge_index(e) & 1]
-                ok = sq_s_occurrence(q.A, q.B, g, c1, c2, s_edges)
+            else:  # all witness splits at once, not the library's search
+                ok = column_split(q.A, q.B, g, m1, m2, s_mask)
             if ok:
                 acc.append(w[m1] * w[m2])
     return math.fsum(acc)
@@ -110,16 +109,23 @@ def test_pair_fast_path_matches_oracle(spec, gspec):
             pytest.approx(_pair_oracle(g, t, SqS(A, B)), abs=TOL)
 
 
-def test_pair_general_path_with_c2_reading_strategy():
-    t = _FromC2()
-    for g in (generate("cycle", 3, p=0.5), generate("theta", 3, p=0.25)):
-        for Atxt, Btxt in (("a,b", "a,b"), ("a,b", "npaths(a,b,2)"),
-                           ("npaths(a,b,1)", "b,c U a,b,c")):
-            A, B = parse_event(Atxt), parse_event(Btxt)
-            assert exact_pair(g, t, Joint(A, B)) == \
-                pytest.approx(_pair_oracle(g, t, Joint(A, B)), abs=TOL)
-            assert exact_pair(g, t, SqS(A, B)) == \
-                pytest.approx(_pair_oracle(g, t, SqS(A, B)), abs=TOL)
+@st.composite
+def _c2_case(draw):
+    """A graph of non-dyadic p with 2..5 edges, a strategy that reads c2 and
+    two drawn increasing events."""
+    g = draw(_graphs(max_edges=5, probs=_NON_DYADIC).filter(lambda g: g.n_edges >= 2))
+    t = draw(st.sampled_from((_FromC2(), _C2Steered(), extend_with_rest(_C2Steered(), S))))
+    A, B = (draw(_increasing_events(g.vertices)) for _ in range(2))
+    return g, t, A, B
+
+
+@given(_c2_case())
+@settings(max_examples=40, deadline=None)
+def test_pair_general_path_with_c2_reading_strategy(case):
+    # the same products of weights, summed by one fsum, give the same float
+    g, t, A, B = case
+    for query in (Joint, SqS):
+        assert exact_pair(g, t, query(A, B)) == _pair_oracle(g, t, query(A, B))
 
 
 @st.composite

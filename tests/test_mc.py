@@ -10,7 +10,7 @@ from percolab import (Configuration, Estimate, EvaluationError, Graph,
                       MonotonicityError, SizeGuardError, StrategyError, exact_pair,
                       exact_prob, generate, graph_from_spec, mc_npaths, mc_pair, mc_prob,
                       parse_event, parse_strategy)
-from percolab.events import NPathsAtom, _select, _transpose
+from percolab.events import NPathsAtom
 from percolab.exact import Joint, SqS, exact_npaths
 from percolab import config, mc
 from percolab.mc import _edge_bit_columns, mc_probs
@@ -633,11 +633,3 @@ def test_user_strategies_run_once_on_each_sample_in_a(monkeypatch, query):
     mc_pair(g, t, query(A, parse_event("b,c")), n, seed)
     assert t.masks == [m1s[i] for i in in_a]
 
-
-@given(st.integers(1, 200).flatmap(lambda width: st.tuples(
-    st.lists(st.integers(0, 2 ** width - 1), min_size=1, max_size=20),
-    st.just(width), st.integers(0, 2 ** width - 1))))
-@settings(max_examples=100, deadline=None)
-def test_select_keeps_the_lanes_of_a_double_transpose(case):
-    rows, width, keep = case
-    assert _select(rows, width, keep) == _transpose(_transpose(rows, width, keep), len(rows))

@@ -543,6 +543,66 @@ def test_user_subclasses_compose_on_the_runs_columns():
             _Delegate(t)._reveal_columns(g, cols1, n, cols2)
 
 
+@st.composite
+def _keep_case(draw):
+    """A family graph with every vertex on its outer face (so the hand
+    orders run), a spec of any catalog kind with its vertex slots, their
+    vertices, a wrapper (none, the base class's runs per pair, or a
+    continuation), sampled c1 and c2 columns and a mask of pairs to keep."""
+    g = graph_from_spec(draw(st.sampled_from(
+        ("family:cycle:4,p=0.5", "family:grid:2,3,p=0.5", "family:grid:2,4,p=0.5"))))
+
+    def dfs():
+        order = draw(st.sampled_from(("id", "right_hand", "left_hand")))
+        return "dfs:{}," + order + "," + draw(st.sampled_from(
+            (S, SBAR, "until:{}", "untilany:{}+{}")))
+
+    kinds = {
+        "stop": lambda: "stop",
+        "reveal_all": lambda: "reveal_all:" + draw(st.sampled_from((S, SBAR))),
+        "bfs_cluster": lambda: "bfs_cluster:{}",
+        "dfs": dfs,
+        "seq": lambda: "seq:[" + ";".join(dfs() for _ in range(draw(st.integers(1, 3)))) + "]",
+        "dfs_stop_at": lambda: "dfs_stop_at:{},{},{}",
+        "rhw_walks": lambda: "rhw_walks:{},{}," + str(draw(st.integers(0, 3))),
+    }
+    spec = kinds[draw(st.sampled_from(sorted(kinds)))]()
+    vertices = [draw(st.sampled_from(g.vertices)) for _ in range(spec.count("{}"))]
+    wrap = draw(st.sampled_from((lambda t: t, _Delegate, lambda t: extend_with_rest(t, S),
+                                 lambda t: extend_with_rest(t, SBAR))))
+    n, seed = draw(st.integers(1, 200)), draw(st.integers(0, 2 ** 32))
+    cols1 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, 0)
+    cols2 = _edge_bit_columns(g, n, seed, 2 * g.n_edges, g.n_edges)
+    bits = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    keep = sum(bit << i for i, bit in enumerate(bits))
+    return g, spec, vertices, wrap, cols1, cols2, n, keep
+
+
+def _raised(call):
+    """The message of the StrategyError that call raises, or None."""
+    try:
+        call()
+    except StrategyError as err:
+        return str(err)
+    return None
+
+
+@given(_keep_case())
+@settings(max_examples=150, deadline=None)
+def test_reveal_columns_on_kept_pairs_equal_every_pair(case):
+    g, spec, vertices, wrap, cols1, cols2, n, keep = case
+    t = wrap(parse_strategy(spec.format(*vertices)))
+    every = t._reveal_columns(g, cols1, n, cols2)
+    kept = t._reveal_columns(g, cols1, n, cols2, keep)
+    assert [[col & keep for col in half] for half in kept] == \
+        [[col & keep for col in half] for half in every]
+    if vertices and wrap is not _Delegate:
+        # an unknown first vertex raises what a run raises, even on no pair
+        t = wrap(parse_strategy(spec.format("zz", *vertices[1:])))
+        assert _raised(lambda: t._reveal_columns(g, cols1, n, cols2, 0)) == \
+            _raised(lambda: run(t, g, _all_open(g), _all_closed(g)))
+
+
 @pytest.mark.parametrize("spec, gspec, match", [
     ("bfs_cluster:zz", "family:cycle:3,p=0.5", "unknown start vertex 'zz'"),
     ("dfs:zz,id,S", "family:cycle:3,p=0.5", "unknown start vertex 'zz'"),
