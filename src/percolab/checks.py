@@ -41,8 +41,8 @@ lambda_monotone  scan: implied Poisson rates fall,
 from __future__ import annotations
 
 import math
+import sys
 import time
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations
@@ -353,43 +353,23 @@ def _mc_term(g: Graph, spec: tuple, samples, seed) -> tuple[float, float]:
     return est.mean, est.std_error
 
 
-class _Reads(Mapping):
-    """A read-only view of vals that records the keys read through it."""
-
-    def __init__(self, vals: dict):
-        self._vals, self.read = vals, set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return self._vals[key]
-
-    def __iter__(self):
-        return iter(self._vals)
-
-    def __len__(self):
-        return len(self._vals)
-
-
-def _propagated_se(fn, vals: dict, cov: tuple, read=None) -> float:
+def _propagated_se(fn, vals: dict, cov: tuple) -> float:
     """Delta-method error of fn, sqrt(grad' C grad), over the covariance form
     ``cov = (ses, cross)``: the standard errors whose squares are C's diagonal,
     and its entries off the diagonal, keyed by name pairs (k, l) with k < l.
     The diagonal sums first, in term order.  Every term is a probability, and
     grad[k] is the secant of fn over it +- its error, kept inside (0, 1): wider
     than a tangent where fn bends past quadratic, as logs and rates do at small
-    counts.  Only the terms in ``read`` take a secant, every term when it is
-    None: ``_verdict`` passes those its claim read at vals (``_Reads``), and
-    a term fn does not read has secant exactly 0.  A term at 0 or n hits has
-    a zero Wald error, which bounds nothing, so the result is then
-    infinite."""
+    counts.  A term fn does not read has secant exactly 0 and adds exact
+    zeros, so a caller may pass only the terms fn reads, as scans do.  A term
+    at 0 or n hits has a zero Wald error, which bounds nothing, so the result
+    is then infinite."""
     ses, cross = cov
     if not all(ses.values()):
         return math.inf
     var = 0.0
-    grad = dict.fromkeys(ses, 0.0)
+    grad = {}
     for k, se in ses.items():
-        if read is not None and k not in read:
-            continue
         h = max(min(se, 0.5 * min(vals[k], 1 - vals[k])), 1e-9)
         grad[k] = (fn({**vals, k: min(vals[k] + h, 1 - 1e-12)}) -
                    fn({**vals, k: max(vals[k] - h, 1e-12)})) / (2.0 * h)
@@ -418,13 +398,12 @@ def _verdict(check_id: str, g: Graph, lhs, rhs, vals: dict, cov: tuple, method: 
     propagated standard errors from 0, else ``inconclusive``.  The error
     propagates the covariance form ``cov`` (see ``_propagated_se``).
     """
-    view = _Reads(vals)
-    lo, hi = lhs(view), rhs(view)
+    lo, hi = lhs(vals), rhs(vals)
     slack = hi - lo
     if method == "exact":
         return _exact_report(check_id, g.name, lo, hi, slack, slack >= -config.DEFAULT_TOL,
                              t0, note)
-    se = _propagated_se(lambda v: rhs(v) - lhs(v), vals, cov, view.read)
+    se = _propagated_se(lambda v: rhs(v) - lhs(v), vals, cov)
     verdict = ("holds" if slack >= sigma * se else
                "violated" if slack <= -sigma * se else "inconclusive")
     return CheckReport(check_id, g.name, method, lo, hi, slack, verdict,
@@ -482,12 +461,17 @@ def run_check(check_id: str, g: Graph, params: dict | None = None,
 
 
 def poisson_upper_tail(k: int, lam: float) -> float:
-    """P(Poisson(lam) >= k)."""
+    """P(Poisson(lam) >= k).  Past lam ~ 708 exp(-lam) is no normal float, and
+    the terms below k are summed from their logs instead."""
     if k <= 0:
         return 1.0
     if lam <= 0.0:
         return 0.0
     term = math.exp(-lam)
+    if term < sys.float_info.min:
+        log_lam = math.log(lam)
+        return max(0.0, 1.0 - math.fsum(math.exp(i * log_lam - lam - math.lgamma(i + 1))
+                                        for i in range(k)))
     acc = term
     for i in range(1, k):
         term *= lam / i
@@ -547,7 +531,10 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
     Returns one report per scanned index.  Instances that do not meet a
     scan's hypothesis are simply omitted (conj3, per eps), or raise when the
     scanned quantity is degenerate (disjoint-path probability exactly 0 or 1)
-    or the graph lacks the marks the scan needs.
+    or the graph lacks the marks the scan needs.  Each npaths claim names the
+    f[k] it reads and is judged on those alone.  f[k] is 0 past the marks'
+    smaller degree, so an nmax beyond it is refused at the first such index,
+    at the cost of an nmax just past the degree.
     """
     params = params or {}
     _check_args(method, samples, seed, sigma)
@@ -575,7 +562,9 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
     if nmax < 2:
         raise ValueError("scan needs nmax >= 2")
     t0 = time.perf_counter()
-    terms = {k: _paths(g, k) for k in range(1, nmax + 1)}  # f[k]: P(k disjoint paths)
+    # f[k] = P(k disjoint paths): the terms stop at the first k past an end degree
+    top = min(nmax, *(g.degree(v) + 1 for v in g.marks[:2]))
+    terms = {k: _paths(g, k) for k in range(1, top + 1)}
     if method == "exact":
         f, ses = _exact_values(g, terms), dict.fromkeys(terms, 0.0)
     else:  # one sample set per k, seeded by k
@@ -587,12 +576,16 @@ def scan_conjectures(scan_id: str, g: Graph, params: dict | None = None,
             raise HypothesisError(
                 f"disjoint-path probability degenerate at index {k} (got {f[k]})")
     if scan_id == "logconcave":
-        claims = [(f"logconcave#sq[n={n}]", lambda v, n=n: v[n - 1] * v[n + 1],
-                   lambda v, n=n: v[n] ** 2) for n in range(2, nmax)]
-        claims += [(f"logconcave#ratio[n={n}]", lambda v, n=n: math.log(v[n + 1]) / (n + 1),
+        claims = [(f"logconcave#sq[n={n}]", (n - 1, n, n + 1),
+                   lambda v, n=n: v[n - 1] * v[n + 1], lambda v, n=n: v[n] ** 2)
+                  for n in range(2, nmax)]
+        claims += [(f"logconcave#ratio[n={n}]", (n, n + 1),
+                    lambda v, n=n: math.log(v[n + 1]) / (n + 1),
                     lambda v, n=n: math.log(v[n]) / n) for n in range(1, nmax)]
     else:
-        claims = [(f"lambda_monotone#k={k}", lambda v, k=k: implied_lambda(k + 1, v[k + 1]),
+        claims = [(f"lambda_monotone#k={k}", (k, k + 1),
+                   lambda v, k=k: implied_lambda(k + 1, v[k + 1]),
                    lambda v, k=k: implied_lambda(k, v[k])) for k in range(1, nmax)]
-    return [judge(cid, lhs=lhs, rhs=rhs, vals=f, cov=(ses, {}), t0=t0)
-            for cid, lhs, rhs in claims]
+    return [judge(cid, lhs=lhs, rhs=rhs, vals={i: f[i] for i in reads},
+                  cov=({i: ses[i] for i in reads}, {}), t0=t0)
+            for cid, reads, lhs, rhs in claims]

@@ -207,7 +207,8 @@ def test_implied_lambda_closed_forms():
 
 def test_implied_lambda_against_scipy():
     from scipy.special import gammaincinv
-    for k in (1, 2, 3, 5):
+    # from k ~ 740 on the rate passes 708, where exp(-lam) is no normal float
+    for k in (1, 2, 3, 5, 800, 1000, 3000):
         for prob in (0.1, 0.37, 0.5, 0.9):
             # the regularized lower incomplete gamma at integer k equals the
             # Poisson upper tail, so its inverse is an independent oracle
@@ -266,6 +267,15 @@ def test_implied_lambda_refuses_what_it_cannot_bracket_or_converge(monkeypatch):
     monkeypatch.setattr(checks, "poisson_upper_tail", lambda k, lam: float(lam >= 1.0))
     with pytest.raises(PercolabError, match="converge"):
         implied_lambda(1, 0.5)
+
+
+@pytest.mark.parametrize("lam", [744, 800, 1900])
+def test_poisson_upper_tail_against_scipy_past_normal_exp(lam):
+    # exp(-lam) is subnormal at 744 and 0 at 800, so no tail can be built by
+    # multiplying up from it
+    from scipy.special import gammainc
+    for k in (lam - 60, lam, lam + 16, lam + 60, lam + 200):
+        assert poisson_upper_tail(k, lam) == pytest.approx(float(gammainc(k, lam)), abs=1e-11)
 
 
 def test_poisson_tail_monotone():
@@ -463,21 +473,62 @@ def test_propagated_se_uses_the_covariance():
     assert _propagated_se(diff, vals, (ses, {})) == pytest.approx(math.sqrt(2) * se)
 
 
-def test_propagated_se_takes_secants_of_read_terms_only():
+def test_propagated_se_unread_terms_add_exact_zeros():
     calls = []
 
     def fn(v):
         calls.append(v["x"])
         return v["x"] ** 2
 
-    vals, ses = {"x": 0.3, "y": 0.4, "z": 0.5}, {"x": 0.01, "y": 0.02, "z": 0.03}
-    cov = (ses, {("x", "y"): 1e-4})
-    se = _propagated_se(fn, vals, cov, {"x"})
+    se = _propagated_se(fn, {"x": 0.3}, ({"x": 0.01}, {}))
     assert se == pytest.approx(2 * 0.3 * 0.01)
     assert calls == [0.31, 0.29]  # the two ends of x's secant
-    # the secants of unread terms are exact zeros: the same float
-    assert _propagated_se(fn, vals, cov) == se
-    assert len(calls) == 2 + 6
+    # terms and a covariance fn never reads have secants of exactly 0, so they
+    # add exact zeros: the same float, which lets a scan pass a claim's terms alone
+    vals, ses = {"x": 0.3, "y": 0.4, "z": 0.5}, {"x": 0.01, "y": 0.02, "z": 0.03}
+    assert _propagated_se(fn, vals, (ses, {("x", "y"): 1e-4, ("y", "z"): 1e-4})) == se
+
+
+@pytest.mark.parametrize("scan_id, reads", [
+    ("logconcave", [(1, 2, 3), (2, 3, 4), (1, 2), (2, 3), (3, 4)]),
+    ("lambda_monotone", [(1, 2), (2, 3), (3, 4)]),
+])
+def test_mc_scan_judges_each_claim_on_the_terms_it_reads(monkeypatch, scan_id, reads):
+    seen = []
+    inner = checks._propagated_se
+
+    def spy(fn, vals, cov):
+        seen.append((tuple(vals), tuple(cov[0]), cov[1]))
+        return inner(fn, vals, cov)
+
+    monkeypatch.setattr(checks, "_propagated_se", spy)
+    scan_conjectures(scan_id, graph_from_spec("family:parallel:5,q=0.5"), {"nmax": 4},
+                     "mc", samples=1000, seed=13)
+    assert seen == [(r, r, {}) for r in reads]
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_npaths_scan_stops_one_index_past_the_end_degree(monkeypatch, method):
+    # f[k] is 0 past the marks' degree 5 on parallel:5, so every nmax past it
+    # is refused at index 6, and no term past index 6 is evaluated
+    exact_values, mc_term, asked = checks._exact_values, checks._mc_term, []
+
+    def exact(g, terms):
+        assert len(terms) <= 6
+        return exact_values(g, terms)
+
+    def mc(g, spec, samples, seed):
+        asked.append(spec)
+        assert len(asked) <= 6
+        return mc_term(g, spec, samples, seed)
+
+    monkeypatch.setattr(checks, "_exact_values", exact)
+    monkeypatch.setattr(checks, "_mc_term", mc)
+    g = graph_from_spec("family:parallel:5,q=0.5")
+    for nmax in (6, 50):
+        asked.clear()
+        with pytest.raises(HypothesisError, match=r"degenerate at index 6 \(got 0.0\)"):
+            scan_conjectures("logconcave", g, {"nmax": nmax}, method, samples=200, seed=1)
 
 
 def test_mc_lambda_monotone_rates_each_claim_from_its_two_terms(monkeypatch):

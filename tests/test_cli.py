@@ -260,6 +260,17 @@ def test_estimate_lambda(runner):
     assert data["implied_lambda"] > 0
 
 
+def test_estimate_lambda_past_normal_exp(runner):
+    # the rate passes 708, where exp(-lam) is no normal float, so the bisection
+    # converges only on a tail summed from the logs of its terms
+    from scipy.special import gammaincinv
+    res = runner.invoke(main, ["estimate", "--graph", "family:cycle:3,p=0.5",
+                               "--event", "a,b", "--lambda", "1000"])
+    assert res.exit_code == 0, res.output
+    want = float(gammaincinv(1000, 0.625))
+    assert json.loads(res.output)["implied_lambda"] == pytest.approx(want, abs=1e-6)
+
+
 def test_check_csv_matches_json(runner):
     argsj = ["check", "q2", "--graph", "family:cycle:3,p=0.5", "--out", "json"]
     argsc = ["check", "q2", "--graph", "family:cycle:3,p=0.5", "--out", "csv"]
