@@ -48,7 +48,7 @@ from functools import partial
 from itertools import combinations
 
 from . import config
-from .errors import HypothesisError, PercolabError, SizeGuardError
+from .errors import HypothesisError, SizeGuardError
 from .events import (Intersect, Monotonicity, NPathsAtom, monotonicity, parse_event,
                      require_increasing)
 from .exact import Joint, SqS, _check_pair_size, _check_prefix, exact_pair, exact_probs
@@ -441,7 +441,7 @@ def run_check(check_id: str, g: Graph, params: dict | None = None,
               seed: int | None = None, sigma: float = 3.0) -> CheckReport:
     """Evaluate one named check on one graph and return its report."""
     if check_id not in _CHECKS:
-        raise ValueError(f"unknown check id {check_id!r}")
+        raise ValueError(f"unknown check id {check_id!r}; known: {', '.join(check_ids() + SCAN_IDS)}")
     _check_args(method, samples, seed, sigma)
     t0 = time.perf_counter()
     spec = _CHECKS[check_id](g, params or {})
@@ -494,7 +494,10 @@ def _bisect(below, lo: float, hi: float) -> float:
 
 
 def implied_lambda(k: int, prob: float) -> float:
-    """The rate whose Poisson upper tail at k equals prob (bisection)."""
+    """The rate whose Poisson upper tail at k equals prob (bisection).  A rate
+    above 1e12, or one whose tail misses prob by more than 1e-10 or 1e-6 * prob
+    (a small prob has too few correct digits in 1 minus the lower terms), is
+    refused as a limit (``SizeGuardError``)."""
     if k < 1:
         raise ValueError("k must be >= 1 (the tail at 0 is identically 1)")
     if not 0.0 < prob < 1.0:
@@ -503,10 +506,12 @@ def implied_lambda(k: int, prob: float) -> float:
     while poisson_upper_tail(k, hi) < prob:
         hi *= 2.0
         if hi > 1e12:
-            raise PercolabError("failed to bracket the implied rate")
+            raise SizeGuardError(f"failed to bracket the implied rate of {prob!r} at k={k}")
     lam = _bisect(lambda x: poisson_upper_tail(k, x) < prob, 0.0, hi)
-    if abs(poisson_upper_tail(k, lam) - prob) > 1e-10:
-        raise PercolabError("implied-rate bisection did not converge")
+    miss = abs(poisson_upper_tail(k, lam) - prob)
+    if miss > min(1e-10, 1e-6 * prob):
+        raise SizeGuardError(f"implied rate of {prob!r} at k={k} did not converge to 6 "
+                             f"digits: its tail misses by {miss:.3g}")
     return lam
 
 

@@ -193,6 +193,15 @@ def test_lambda_monotone_scan():
     assert all(r.verdict == "holds" for r in reps)
 
 
+def test_exact_lambda_monotone_refuses_a_rate_it_cannot_find():
+    # f[5] = 1e-15 on parallel:5 at q = 0.001: its rate read 0.0026400, where
+    # the true one is 0.0026063; f[4] and below still invert to 6 digits
+    g = graph_from_spec("family:parallel:5,q=0.001")
+    with pytest.raises(SizeGuardError, match="at k=5 did not converge to 6 digits"):
+        scan_conjectures("lambda_monotone", g, {"nmax": 5})
+    assert len(scan_conjectures("lambda_monotone", g, {"nmax": 4})) == 3
+
+
 def test_scan_rejects_degenerate():
     g = generate("parallel", 2, p=1.0)
     with pytest.raises(HypothesisError, match="degenerate"):
@@ -254,9 +263,18 @@ def _implied_lambda_200(k, prob):
 def test_root_finders_match_200_halvings_bit_for_bit(k):
     # the bisection stops once the interval stops shrinking, which changes
     # nothing: every later halving leaves both ends where they are
-    for prob in (1e-300, 1e-12, 1e-6, 0.01, 0.37, 0.5, 0.9, 1 - 1e-9, 1 - 2 ** -53):
+    for prob in (1e-6, 0.01, 0.37, 0.5, 0.9, 1 - 1e-9, 1 - 2 ** -53):
         assert implied_lambda(k, prob) == _implied_lambda_200(k, prob)
     assert alpha3_root() == _bisect_200(lambda t: alpha3_cubic(t) > 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_implied_lambda_refuses_a_prob_with_no_correct_digits(k):
+    # a tail of 1 minus the terms below k has no correct digit at these
+    # probs: 200 halvings gave 5.6e-17 for implied_lambda(1, 1e-300)
+    for prob in (1e-300, 1e-12):
+        with pytest.raises(SizeGuardError, match="did not converge to 6 digits"):
+            implied_lambda(k, prob)
 
 
 def test_implied_lambda_refuses_what_it_cannot_bracket_or_converge(monkeypatch):
@@ -532,8 +550,8 @@ def test_npaths_scan_stops_one_index_past_the_end_degree(monkeypatch, method):
 
 
 def test_mc_lambda_monotone_rates_each_claim_from_its_two_terms(monkeypatch):
-    # each claim reads f[k] and f[k+1]: 2 calls for its sides, read through
-    # the recording view, and 2 x 2 x 2 for the secants, whatever nmax
+    # each claim reads f[k] and f[k+1]: 2 calls for its sides and 2 x 2 x 2
+    # for the secants, whatever nmax
     # (4 nmax + 2 per claim when every term took a secant)
     calls = []
     inner = checks.implied_lambda

@@ -4,7 +4,8 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from percolab import config, exact_prob, graph_from_spec, mc_prob, parse_event, run_check
+from percolab import (PercolabError, checks, cli, config, exact_prob, graph_from_spec, mc_prob,
+                      parse_event, run_check)
 from percolab.cli import main
 from percolab.corpus import corpus_entries
 
@@ -181,6 +182,8 @@ def test_conj3_scan_without_three_marks_exits_2(runner):
 def test_unknown_check_exits_2(runner):
     res = runner.invoke(main, ["check", "wat", "--graph", "family:cycle:3,p=0.5"])
     assert res.exit_code == 2
+    assert "unknown check" in res.output and "'wat'; known: arms23," in res.output
+    assert "lambda_monotone, conj3" in res.output
 
 
 def test_mc_without_seed_exits_2(runner):
@@ -269,6 +272,28 @@ def test_estimate_lambda_past_normal_exp(runner):
     assert res.exit_code == 0, res.output
     want = float(gammaincinv(1000, 0.625))
     assert json.loads(res.output)["implied_lambda"] == pytest.approx(want, abs=1e-6)
+
+
+def test_implied_rate_not_found_exits_3(runner, monkeypatch):
+    # a tail that jumps over prob at lam = 1 leaves the bisection a residual
+    # of 1/2: a limit, never the exit 1 of a violation
+    monkeypatch.setattr(checks, "poisson_upper_tail", lambda k, lam: float(lam >= 1.0))
+    res = runner.invoke(main, ["estimate", "--graph", "family:cycle:3,p=0.5",
+                               "--event", "a,b", "--lambda", "3"])
+    assert res.exit_code == 3, res.output
+    assert "size guard: implied rate of 0.625 at k=3 did not converge" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_any_percolab_error_exits_2(runner, monkeypatch):
+    def fail(g, e):
+        raise PercolabError("no such luck")
+
+    monkeypatch.setattr(cli, "exact_prob", fail)
+    res = runner.invoke(main, ["estimate", "--graph", "family:cycle:3,p=0.5", "--event", "a,b"])
+    assert res.exit_code == 2, res.output
+    assert "error: no such luck" in res.output
+    assert isinstance(res.exception, SystemExit)
 
 
 def test_check_csv_matches_json(runner):
