@@ -141,8 +141,6 @@ def cmd_estimate(graph_spec, event_text, method, samples, seed, lambda_k):
             prob = exact_prob(g, e)
             result["probability"] = prob
         else:
-            if samples is None or seed is None:
-                raise click.UsageError("mc method requires --samples and --seed")
             est = mc_prob(g, e, samples, seed)
             prob = est.mean
             result.update(probability=est.mean, std_error=est.std_error,

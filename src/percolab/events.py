@@ -419,26 +419,23 @@ def _evaluate_many(events: list, g: Graph, cols: list[int], n: int) -> list[int]
     it holds.
 
     A partition atom reads reach from the first vertex of each group.
-    npaths(u,v,1) atoms read u-v reach; the others read the flow levels of
-    their (u, v).  The events share the work: reach is swept once from each
-    such vertex, and kept only to the vertices the events name, and flow
-    levels are computed once per distinct (u, v), up to the largest n asked
-    for.
+    npaths atoms read the flow levels of their (u, v), built once up to the
+    largest n asked for when some n > 1 is; otherwise npaths(u,v,1) reads
+    u-v reach, which is level 1.  Reach is swept once from each vertex that
+    needs it, and kept only to the vertices the events name.
     """
     found = [a for e in events for a in atoms(e)]
     nps = [a for a in found if isinstance(a, NPathsAtom)]
-    # reach starts from the first vertex of every partition group and from
-    # the first end of every npaths(u,v,1) atom
-    reps = sorted({grp[0] for a in found if isinstance(a, PartitionAtom)
-                   for grp in a.groups} | {a.u for a in nps if a.n == 1})
-    reach = _reach_masks(g, cols, n, reps, {v for a in found for v in _named(a)})
-    full = (1 << n) - 1
     caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n) if a.n > 1}  # largest n
     levels = {(u, v): _flow_levels(g, cols, n, u, v, cap) for (u, v), cap in caps.items()}
+    reps = sorted({grp[0] for a in found if isinstance(a, PartitionAtom)
+                   for grp in a.groups} | {a.u for a in nps if (a.u, a.v) not in levels})
+    reach = _reach_masks(g, cols, n, reps, {v for a in found for v in _named(a)})
+    full = (1 << n) - 1
 
     def atom(a):
         if isinstance(a, NPathsAtom):
-            got = [reach[a.u][a.v]] if a.n == 1 else levels[a.u, a.v]
+            got = levels[a.u, a.v] if (a.u, a.v) in levels else [reach[a.u][a.v]]
             return got[a.n - 1] if a.n <= len(got) else full if a.u == a.v else 0
         acc = full
         for grp in a.groups:

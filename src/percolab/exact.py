@@ -30,24 +30,24 @@ the doubling over every edge, so no 2^E float array is built.  fsum and int
 division both round the exact sum once: the result depends only on the set
 of weights summed, not their order or blocking, and the advertised 1e-12
 tolerances are honest for the dyadic probabilities the built-in corpus
-uses.  The per-leaf pair sums and the prefix check read an event's truth
-table, a numpy bool array indexed by mask, unpacked from the bits; pairs of
-strategies that read c2 run Monte Carlo's ``_pair_lanes`` on enumerated
-columns, and ``events.monotonicity`` compares the packed bits themselves.
+uses.  Pair sums and the prefix check read an event's truth table, a numpy
+bool array indexed by mask; pairs of strategies that read c2 run Monte
+Carlo's ``_pair_lanes`` on enumerated columns, and ``events.monotonicity``
+compares the packed bits themselves.
 
 A graph caches what later queries on it read again: hit bits, its level
 numerators on the count route, and on the weight route the weights and the
 low-edge measure of a block.  The measure of a mask that depends on S (the
-complement of S) lives in a memo of the one pair query that builds it, and
-submasks are built from per-byte tables.  The splice check holds its
-2^E × 2^E joint table and one block of rows of pairs.
+complement of S) lives in the one pair query that builds it.  The splice
+check holds its 2^E × 2^E joint table and one block of rows of pairs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -56,7 +56,7 @@ from . import config
 from .errors import HypothesisError, SizeGuardError
 from .events import (EventExpr, NPathsAtom, unparse, _columns, _evaluate_columns,
                      _evaluate_many, _lanes, _require_operands, _resolve, _split_occurs,
-                     _to_byte_rows, _transpose)
+                     _from_byte_rows, _to_byte_rows, _transpose, _unpacked)
 from .graphs import Graph
 from .strategies import Strategy, splice_mask
 
@@ -169,6 +169,15 @@ def _split_any(tab_a: np.ndarray, tab_b: np.ndarray, fixed_a, rest: int, fixed_b
     on_a = tab_a[fixed_a[..., None] | ws]
     on_b = tab_b[fixed_b.reshape(-1, 1) | (rest ^ ws)]  # one row per fixed_b
     return (on_a @ on_b.T).reshape(fixed_a.shape + fixed_b.shape)
+
+
+def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
+    """The submasks of each of masks (all of p bits), a row each, ascending."""
+    subs = np.zeros((len(masks), 1), np.int64)
+    for _ in range(p):
+        low = masks & -masks
+        subs, masks = np.concatenate((subs, subs | low[:, None]), 1), masks ^ low
+    return subs
 
 
 def _hit_bits(g: Graph, events: list) -> list[np.ndarray]:
@@ -317,9 +326,9 @@ class SqS:
     B: EventExpr
 
 
-def _s_masks(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None) -> list[int]:
-    """The S mask of t on each of the n configuration pairs of the columns."""
-    return _transpose(t._reveal_columns(g, cols1, n, cols2)[1], n)
+def _s_masks(g: Graph, t: Strategy, n: int, cols1: list[int], cols2=None) -> np.ndarray:
+    """The S mask of t on each of the n configuration pairs of the columns, as int64."""
+    return (1 << np.arange(g.n_edges)) @ _unpacked(t._reveal_columns(g, cols1, n, cols2)[1], n)
 
 
 def _check_prefix(g: Graph, t: Strategy, e: EventExpr) -> None:
@@ -373,17 +382,14 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
 
     Strategies that never read the second configuration admit a factorized
     sum: S of every c1 comes from one pass over the columns of the c1 that
-    count, the c1 are grouped by leaf (S, c1 ∩ S), and the second
-    configuration is integrated analytically over the complement of S.  A
-    Joint hit reads c1 on S alone, so its inner sum is taken once per leaf.
-    An SqS hit also reads c1 outside S: one ``_split_any`` product decides
-    the (c1, c2) pairs of a run of the leaf's c1, and each c1 keeps its own
-    inner sum, so the terms are those of a sum per c1.  A run holds as many
-    c1 as keep the product's bools within ``config.BLOCK_CELLS`` bits (a
-    whole leaf of a 16-edge SqS took a GB).  Strategies that read c2 run
-    ``_pair_lanes``, the pair evaluator of Monte Carlo, once per c1 in A,
-    with c2 over the periodic columns.  Measures over the complement of S
-    are memoised for the query alone; the graph keeps none of them.
+    count, and c2 is summed over the complement of S.  The c1 are sorted
+    into leaves (S, c1 ∩ S) within classes (S, number of split edges); per
+    class, bool products of A on each c1 side outside S with each split W of
+    c1 ∩ S and B on each c2 side with the rest decide every pair, in chunks
+    of at most ``config.BLOCK_CELLS`` / 512 cells per array.  Joint splits
+    nothing (W = ∅), SqS skips the leaves where the increasing B fails on
+    c1 ∩ S and all of Sbar, and each c1 keeps its own inner sum, as a sum
+    per c1 does.  Strategies that read c2 run ``_pair_lanes`` once per c1.
     """
     _check_pair_size(g)
     _check_query(g, q)
@@ -392,29 +398,48 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     tab_a, tab_b = truth_tables(g, [q.A, q.B])
     # Joint asks for c1 in A; for SqS A is increasing, so no split of c1 has A
     # on its part unless c1 is in A
-    m1s = np.flatnonzero((w != 0.0) & tab_a).tolist()
+    m1s = np.flatnonzero((w != 0.0) & tab_a)
     terms = []
     if not t.uses_c2:
-        measure = cache(partial(_measure, g))
-        w1 = w.tolist()  # Python floats multiply as numpy's do, with less overhead
-        leaves = {}  # (S, c1 ∩ S) -> the c1 of that leaf
-        for m1, s_mask in zip(m1s, _s_masks(g, t, len(m1s), _transpose(m1s, g.n_edges))):
-            leaves.setdefault((s_mask, m1 & s_mask), []).append(m1)
-        for (s_mask, pinned), group in leaves.items():
-            out = full & ~s_mask  # c2 is summed over its completions outside S
-            c2s, m = _subsets(out), measure(out)
-            if isinstance(q, Joint):
-                inner = _fsum(m[tab_b[pinned | c2s]])
-                terms += [w1[m1] * inner for m1 in group]
-            else:
-                step = max(1, config.BLOCK_CELLS >> (out.bit_count() + 3))  # c1 per run
-                for i in range(0, len(group), step):
-                    rows = group[i:i + step]
-                    hits = _split_any(tab_a, tab_b, np.array(rows) & out, pinned, c2s)
-                    terms += [w1[m1] * _fsum(m[row]) for m1, row in zip(rows, hits)]
+        sqs, e, w1 = isinstance(q, SqS), g.n_edges, w.tolist()  # w1: floats as numpy's
+        bits = np.packbits(m1s >> np.arange(e)[:, None] & 1, axis=1, bitorder="little")
+        s = _s_masks(g, t, len(m1s), _from_byte_rows(bits))
+        pin = m1s & s
+        size = np.unpackbits(pin.view(np.uint8)).reshape(-1, 64).sum(1, np.int64) if sqs else 0
+        key = ((s << 5 | size) << e | pin) << e | m1s  # 3E + 5 bits, at most 63 to E = 19
+        if sqs:  # B is increasing: a leaf has no hit unless B holds on c1 ∩ S | Sbar
+            key = key[tab_b[pin | full & ~s]]
+        key = np.array(sorted(key.tolist()), np.int64)  # class, leaf, c1; np.sort maps 0.25 MB
+        leaf_of = key >> e  # the class and c1 ∩ S of each c1
+        new_leaf = leaf_of != np.concatenate(([-1], leaf_of[:-1]))
+        leaf_no, first = new_leaf.cumsum() - 1, np.flatnonzero(new_leaf)
+        leaf = leaf_of[first]  # the class and c1 ∩ S of each leaf
+        cls = leaf >> e
+        bounds = np.flatnonzero(cls != np.concatenate(([-1], cls[:-1]))).tolist() + [len(cls)]
+        c1s, first, cls = (key & full).tolist(), first.tolist() + [len(key)], cls.tolist()
+        measured = None  # the complement of S whose measure m is, for this query alone
+        for la, lb in zip(bounds, bounds[1:]):  # the leaves of a class
+            c0, c1, out, p = first[la], first[lb], full & ~(cls[la] >> 5), cls[la] & 31
+            if out != measured:  # c2 is summed over Sbar
+                measured, m = out, _measure(g, out)
+            c2s, pinned = _subsets(out), leaf[la:lb] & full
+            rows = len(c2s) if sqs else 1  # an SqS row per c1 ∩ Sbar, a Joint row per leaf
+            at = ((leaf_no[c0:c1] - la) * rows  # the row of each c1
+                  + (np.searchsorted(c2s, key[c0:c1] & out) if sqs else 0)).tolist()
+            step = 1 << max(0, config.BLOCK_CELLS.bit_length() - 10 - max(out.bit_count(), p))
+            for i in dict.fromkeys(j - j % step for j in at):  # the chunks that hold a c1
+                lo, hi = bisect_left(at, i), bisect_left(at, i + step)
+                chunk = pinned[i // rows:max(i // rows + 1, (i + step) // rows)]  # its leaves
+                ws = _submasks(chunk, p) if sqs else 0  # Joint splits nothing: W = 0
+                hits = tab_b[(chunk[:, None] ^ ws)[..., None] | c2s]
+                if sqs:
+                    hits = tab_a[c2s[i % rows:i % rows + step, None] | ws[:, None]] @ hits
+                hits, rows_at = hits.reshape(-1, len(c2s)), [j - i for j in at[lo:hi]]
+                sums = {j: _fsum(m[hits[j]]) for j in dict.fromkeys(rows_at)}  # rows read
+                terms += [w1[m1] * sums[j] for m1, j in zip(c1s[c0 + lo:c0 + hi], rows_at)]
         return math.fsum(terms)
     cols, every = _columns(g.n_edges), (1 << len(w)) - 1
-    for m1 in m1s:
+    for m1 in m1s.tolist():
         c1_cols = [every * (m1 >> j & 1) for j in range(g.n_edges)]  # c1 = m1 in every pair
         terms += (w[m1] * w[_pair_lanes(g, t, q, c1_cols, cols, len(w))]).tolist()
     return math.fsum(terms)
@@ -445,10 +470,10 @@ def verify_splice_independence(g: Graph, t: Strategy) -> float:
     k = min(2 * e, max(e, (config.BLOCK_CELLS // (4 * 64)).bit_length() - 1))
     rows = 1 << (k - e)
     if t.uses_c2:
-        s_rows = (np.array(_s_masks(g, t, rows * n, cols[e:], cols[:e])).reshape(rows, n)
+        s_rows = (_s_masks(g, t, rows * n, cols[e:], cols[:e]).reshape(rows, n)
                   for cols in _blocks(2 * e, k))
     else:  # one S per c1, n masks in all
-        s_all = np.array(_s_masks(g, t, n, _columns(e)))[:, None]
+        s_all = _s_masks(g, t, n, _columns(e))[:, None]
         s_rows = (s_all[r:r + rows] for r in range(0, n, rows))
     m2s = np.arange(n)
     joint = np.zeros((n, n))

@@ -85,11 +85,11 @@ class Estimate:
 # Sampling
 
 
-def _blocks(g: Graph, n: int) -> list[tuple[int, int]]:
+def _blocks(g: Graph, n: int, seed: int = 0) -> list[tuple[int, int]]:
     """(first 64-sample group, samples) of each block of n samples: about
     config.BLOCK_CELLS sample × (vertex + edge) cells, and at least one group."""
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
+    if n is None or seed is None or n < 1:
+        raise ValueError(f"Monte Carlo needs n >= 1 samples and a seed, got {n} and {seed}")
     if n > config.MAX_SAMPLES:
         raise SizeGuardError(f"{n} samples exceed the cap of {config.MAX_SAMPLES}")
     step = 64 * max(1, config.BLOCK_CELLS // (64 * (g.n_vertices + g.n_edges)))
@@ -174,7 +174,7 @@ def mc_probs(g: Graph, events: list, n: int, seed: int) -> tuple[list, list]:
     for e in events:
         _resolve(e, g)
     pairs = [[0] * len(events) for _ in events]
-    for first, m in _blocks(g, n):
+    for first, m in _blocks(g, n, seed):
         hits = _evaluate_many(events, g, _edge_bit_columns(g, m, seed, g.n_edges, 0, first), m)
         for row, hk in zip(pairs, hits):
             for l, hl in enumerate(hits):
@@ -205,7 +205,7 @@ def mc_pair(g: Graph, t: Strategy, q, n: int, seed: int) -> Estimate:
     """
     _check_query(g, q)
     e, hits = g.n_edges, 0
-    for first, m in _blocks(g, n):
+    for first, m in _blocks(g, n, seed):
         cols1 = _edge_bit_columns(g, m, seed, 2 * e, 0, first)
         cols2 = _edge_bit_columns(g, m, seed, 2 * e, e, first)
         hits += len(_pair_lanes(g, t, q, cols1, cols2, m))

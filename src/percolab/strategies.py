@@ -279,18 +279,23 @@ def _lockstep(g, passes, cols, n, until_miss, keep=None):
 
 
 def _pass_table(g, start, order):
-    """The states of a pass as arrays.  State 0 is (start, None); state
-    1 + 2j is (x, e_j) and 2 + 2j is (y, e_j) for edge e_j = (x, y).  Gives
-    each state's candidates (``_candidates``) as edge indices, one row per
-    state padded to the largest degree; and each state's vertex and number
-    of candidates."""
+    """The states of a pass as slots: state 0 is (start, None); state 1 + 2j
+    is (x, e_j) and 2 + 2j is (y, e_j) for edge e_j = (x, y).  Slot [s, k]
+    holds candidate k of state s (``_candidates``), a row running one past
+    the top degree.  Gives per flat slot the candidate's edge index, the
+    vertex and first slot of the state it leads to, and its own state's end
+    slot; and the start's vertex index."""
     keys = [(start, None)] + [(v, e) for e, x, y in g.edges for v in (x, y)]
-    vertex = np.array([g._vidx[v] for v, _ in keys], np.int32)
-    length = np.array([len(g.incident[v]) for v, _ in keys], np.int32)
-    cand = np.zeros((len(keys), int(length.max())), np.int32)
-    for row, d, (v, arrival) in zip(cand, length, keys):
+    here, degree = np.array([(g._vidx[v], len(g.incident[v])) for v, _ in keys]).T
+    width = int(degree.max()) + 1
+    edge = np.zeros((len(keys), width), np.int64)
+    for row, d, (v, arrival) in zip(edge, degree, keys):
         row[:d] = [g._eidx[e] for e in _candidates(g, v, arrival, order)]
-    return cand, vertex, length
+    x, y = np.array(g._u_arr)[edge], np.array(g._v_arr)[edge]
+    far = x + y - here[:, None]
+    ahead = (1 + 2 * edge + (far != x)) * width  # the state (far, edge)
+    own_end = (np.arange(0, edge.size, width) + degree).repeat(width)
+    return edge.ravel(), far.ravel(), ahead.ravel(), own_end, here[0]
 
 
 def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
@@ -299,56 +304,51 @@ def _scan_columns(g, table, decision, targets, open1, queried, s, rows):
     and S edges so far; returns, per row, whether a target stopped the pass.
 
     ``table`` is the pass's ``_pass_table``; the pass is depth-first.  Every
-    configuration keeps its own frontier stack of V slots: a slot holds a
-    state (vertex, arrival edge) and the position of its next candidate.
-    Each loop iteration is one iteration of ``_scan``'s loop in every
-    running configuration.
+    configuration keeps a stack of V entries, each the slot of its state's
+    next candidate.  An iteration pops each running configuration's top
+    entry or queries its first candidate not yet queried: unlike ``_scan``,
+    skipping a queried candidate takes no iteration of its own.
     """
-    cand, vertex, length = table
-    width = cand.shape[1]
-    cand = cand.reshape(-1)
+    edge, far, ahead, own_end, start = table
     is_target = np.zeros(g.n_vertices, bool)
     is_target[[g._vidx[w] for w in targets]] = True
-    first_end = np.array(g._u_arr, np.int32)
-    end_sum = first_end + np.array(g._v_arr, np.int32)  # other end = end_sum - this end
-    # per-configuration arrays of V slots, flattened: slot k of row i is base[i] + k;
-    # positions take the smallest signed type that holds every vertex degree
+    # per-configuration stacks of V entries, flattened: entry k of row i is base[i] + k
     base = np.arange(len(rows)) * g.n_vertices
-    state = np.zeros(len(rows) * g.n_vertices, np.int32)  # state 0 is (start, None)
-    pos = np.zeros(len(rows) * g.n_vertices, np.min_scalar_type(-1 - int(length.max())))
+    slot = np.zeros(len(rows) * g.n_vertices, np.int64)  # state 0, (start, None), at slot 0
     visited = np.zeros(len(rows) * g.n_vertices, bool)
-    visited[base + vertex[0]] = True
-    tail = base + 1  # the live slots of row i are base[i] .. tail[i] - 1
+    visited[base + start] = True
+    tail = base + 1  # the live entries of row i are base[i] .. tail[i] - 1
     stopped = np.zeros(len(rows), bool)
     q_flat, s_flat, open_flat = queried.reshape(-1), s.reshape(-1), open1.reshape(-1)
     n = open1.shape[1]
     live = np.arange(len(rows))
     while live.size:
         at = tail[live] - 1
-        st, p = state[at], pos[at]
-        out = p >= length[st]
+        f = slot[at]
+        ends, col = own_end[f], rows[live]
+        qe = edge[f] * n + col
+        k = np.flatnonzero(q_flat[qe] & (f < ends))
+        while k.size:  # skip queried candidates: only these rows step on
+            f[k] += 1
+            qe[k] = edge[f[k]] * n + col[k]
+            k = k[q_flat[qe[k]] & (f[k] < ends[k])]
+        out = f >= ends
         tail[live[out]] -= 1
-        i, at, st, p = live[~out], at[~out], st[~out], p[~out]
-        pos[at] = p + 1
-        e = cand[st * width + p]
-        qe = e * n + rows[i]
-        new = ~q_flat[qe]
-        i, st, e, qe = i[new], st[new], e[new], qe[new]
+        i, at, f, qe = live[~out], at[~out], f[~out], qe[~out]
+        slot[at] = f + 1
         q_flat[qe] = True
         if decision == S:
             s_flat[qe] = True
-        v = vertex[st]
-        u = end_sum[e] - v
-        cross = open_flat[qe] & ~visited[base[i] + u]
-        i, v, e, u = i[cross], v[cross], e[cross], u[cross]
-        visited[base[i] + u] = True
-        hit = is_target[u]
+        v = base[i] + far[f]
+        cross = open_flat[qe] & ~visited[v]
+        i, f, v = i[cross], f[cross], v[cross]
+        visited[v] = True
+        hit = is_target[far[f]]
         stopped[i[hit]] = True
-        i, v, e = i[~hit], v[~hit], e[~hit]
-        slot = tail[i]
-        state[slot] = 1 + 2 * e + (first_end[e] == v)
-        pos[slot] = 0
-        tail[i] = slot + 1
+        i, f = i[~hit], f[~hit]
+        top = tail[i]
+        slot[top] = ahead[f]
+        tail[i] = top + 1
         live = live[(tail[live] > base[live]) & ~stopped[live]]
     return stopped
 

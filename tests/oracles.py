@@ -194,7 +194,7 @@ def exact_pair_per_c1(g: Graph, t, q) -> float:
     tab_a, tab_b = truth_tables(g, [q.A, q.B])
     m1s = np.flatnonzero((w != 0.0) & tab_a).tolist()
     terms = []
-    for m1, s_mask in zip(m1s, _s_masks(g, t, len(m1s), _transpose(m1s, g.n_edges))):
+    for m1, s_mask in zip(m1s, _s_masks(g, t, len(m1s), _transpose(m1s, g.n_edges)).tolist()):
         out = full & ~s_mask
         if isinstance(q, Joint):
             hits = tab_b[(m1 & s_mask) | _subsets(out)]

@@ -255,6 +255,14 @@ def test_estimate_mc_deterministic(runner):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("given", [[], ["--samples", "100"], ["--seed", "3"]])
+def test_estimate_mc_without_samples_or_seed_exits_2(runner, given):
+    res = runner.invoke(main, ["estimate", "--graph", "family:cycle:3,p=0.5", "--event", "a,b",
+                               "--method", "mc"] + given)
+    assert res.exit_code == 2, res.output
+    assert "Monte Carlo needs" in res.output
+
+
 def test_estimate_lambda(runner):
     res = runner.invoke(main, ["estimate", "--graph", "family:parallel:3,q=0.5",
                                "--event", "npaths(a,b,2)", "--lambda", "2"])

@@ -489,21 +489,22 @@ def test_probabilities_keep_no_full_mask_index():
 
 def test_pair_queries_measure_only_complements_of_s():
     """Exact vdbk_tree builds probabilities only over the full mask (the
-    weights) and the complement of each revealed set S; the witness split
-    sets of SqS get submasks alone.  The masks are recorded as the query
-    builds them."""
+    weights) and the complement of each revealed set S; the witness splits
+    of SqS get submasks alone, those of each leaf's c1 ∩ S.  The masks are
+    recorded as the query builds them."""
     g = graph_from_spec("family:grid:3,3,p=0.5")
     t = parse_strategy("bfs_cluster:a")
     with mock.patch.object(exact, "_measure", wraps=exact._measure) as measure, \
-            mock.patch.object(exact, "_subsets", wraps=exact._subsets) as subsets:
+            mock.patch.object(exact, "_submasks", wraps=exact._submasks) as submasks:
         run_check("vdbk_tree", g, {"strategy": t, "events": ["a,b", "b,c"]})
     measured = {c.args[1] for c in measure.call_args_list}
-    split = {c.args[0] for c in subsets.call_args_list}
+    split = {m for c in submasks.call_args_list for m in c.args[0].tolist()}
     n, full = 1 << g.n_edges, (1 << g.n_edges) - 1
     s_masks = set(_transpose(t._reveal_columns(g, _columns(g.n_edges), n)[1], n))
     assert full in measured and len(measured) > 1
     assert measured <= {full} | {full & ~s for s in s_masks}
     assert not split <= measured  # the split sets were built
+    assert all(any(m & ~s == 0 for s in s_masks) for m in split)  # each within an S
 
 
 @pytest.mark.parametrize("check, spec, strategy, evs", [

@@ -141,7 +141,22 @@ def _joint_case(draw):
     return g, t, Joint(draw(_events(g.vertices)), draw(_events(g.vertices)))
 
 
+_GRID_PINS = [(graph_from_spec(f"family:grid:3,3,p={p}"), parse_strategy(spec))
+              for spec in ("bfs_cluster:a", "dfs:a,right_hand,until:c") for p in (0.5, 0.3)]
+
+
+def _pinned(query):
+    """@example pins on the 12-edge grid:3,3, whose leaf classes hold many
+    leaves: a query of a,b and b,c for each strategy and p of _GRID_PINS."""
+    def pin(test):
+        for g, t in _GRID_PINS:
+            test = example((g, t, query(parse_event("a,b"), parse_event("b,c"))))(test)
+        return test
+    return pin
+
+
 @given(_joint_case())
+@_pinned(Joint)
 @settings(max_examples=80, deadline=None)
 def test_joint_sum_per_leaf_equals_sum_per_c1(case):
     g, t, q = case
@@ -163,6 +178,7 @@ def _sqs_case(draw):
 
 
 @given(_sqs_case())
+@_pinned(SqS)
 @example((graph_from_spec("family:grid:2,3,p=0.5"), parse_strategy("stop"),
           SqS(parse_event("a,b"), parse_event("b,c"))))
 @example((graph_from_spec("family:grid:2,3,p=0.5"), parse_strategy("dfs_stop_at:a,b,c"),
@@ -509,3 +525,22 @@ def test_ascending_npaths_scan_builds_flow_levels_once(monkeypatch):
                             {"nmax": 5})
     assert reps and all(r.verdict == "holds" for r in reps)
     assert calls == [("a", "b", 5)]
+
+
+def test_npaths_one_beside_a_deeper_level_sweeps_no_reach(monkeypatch):
+    """npaths(a,b,1) asked with npaths(a,b,2) takes level 1 of their flow
+    levels, which is a-b reach: no reach sweep, and the float of the atom
+    asked alone."""
+    alone = exact_prob(graph_from_spec("family:grid:2,3,p=0.3"), parse_event("npaths(a,b,1)"))
+    sources = []
+    inner = events._reach_masks
+
+    def counted(g, cols, n, srcs, *rest):
+        sources.extend(srcs)
+        return inner(g, cols, n, srcs, *rest)
+
+    monkeypatch.setattr(events, "_reach_masks", counted)
+    g = graph_from_spec("family:grid:2,3,p=0.3")
+    one, _two = exact_probs(g, [parse_event("npaths(a,b,1)"), parse_event("npaths(a,b,2)")])
+    assert one == alone
+    assert sources == []

@@ -633,3 +633,12 @@ def test_user_strategies_run_once_on_each_sample_in_a(monkeypatch, query):
     mc_pair(g, t, query(A, parse_event("b,c")), n, seed)
     assert t.masks == [m1s[i] for i in in_a]
 
+
+@pytest.mark.parametrize("samples, seed", [(None, 1), (100, None), (None, None)])
+def test_mc_refuses_a_missing_sample_count_or_seed(samples, seed):
+    g = generate("cycle", 3, p=0.5)
+    A, B = parse_event("a,b"), parse_event("b,c")
+    for run in (lambda: mc_prob(g, A, samples, seed), lambda: mc_probs(g, [A, B], samples, seed),
+                lambda: mc_pair(g, parse_strategy("stop"), Joint(A, B), samples, seed)):
+        with pytest.raises(ValueError, match="Monte Carlo needs"):
+            run()
