@@ -386,7 +386,7 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
     into leaves (S, c1 ∩ S) within classes (S, number of split edges); per
     class, bool products of A on each c1 side outside S with each split W of
     c1 ∩ S and B on each c2 side with the rest decide every pair, in chunks
-    of at most ``config.BLOCK_CELLS`` / 512 cells per array.  Joint splits
+    of at most ``config.BLOCK_CELLS`` / 64 cells per array.  Joint splits
     nothing (W = ∅), SqS skips the leaves where the increasing B fails on
     c1 ∩ S and all of Sbar, and each c1 keeps its own inner sum, as a sum
     per c1 does.  Strategies that read c2 run ``_pair_lanes`` once per c1.
@@ -426,7 +426,7 @@ def exact_pair(g: Graph, t: Strategy, q) -> float:
             rows = len(c2s) if sqs else 1  # an SqS row per c1 ∩ Sbar, a Joint row per leaf
             at = ((leaf_no[c0:c1] - la) * rows  # the row of each c1
                   + (np.searchsorted(c2s, key[c0:c1] & out) if sqs else 0)).tolist()
-            step = 1 << max(0, config.BLOCK_CELLS.bit_length() - 10 - max(out.bit_count(), p))
+            step = 1 << max(0, config.BLOCK_CELLS.bit_length() - 7 - max(out.bit_count(), p))
             for i in dict.fromkeys(j - j % step for j in at):  # the chunks that hold a c1
                 lo, hi = bisect_left(at, i), bisect_left(at, i + step)
                 chunk = pinned[i // rows:max(i // rows + 1, (i + step) // rows)]  # its leaves
