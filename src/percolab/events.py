@@ -36,9 +36,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations
 from operator import and_, or_
+from types import MappingProxyType
 
 import numpy as np
 
@@ -326,10 +327,12 @@ def _unpacked(rows: list[int], width: int) -> np.ndarray:
 
 def _reach_masks(g: Graph, cols: list[int], n: int, sources, targets=None) -> dict:
     """source vertex -> {vertex -> bitmask of configurations where connected},
-    over the vertices in ``targets``, or over every vertex."""
+    over the vertices in ``targets``, or over every vertex.  The sweeps skip
+    the edges closed in every configuration (column 0), about two fifths of
+    the edges in the few-configuration columns of the witness search."""
     full = (1 << n) - 1
     out = {}
-    edge_list = list(zip(cols, g._u_arr, g._v_arr))
+    edge_list = [(col, ui, vi) for col, ui, vi in zip(cols, g._u_arr, g._v_arr) if col]
     for s in sources:
         reach = [0] * g.n_vertices
         reach[g.vertex_index(s)] = full
@@ -414,6 +417,19 @@ def _evaluate_columns(e: EventExpr, g: Graph, cols: list[int], n: int) -> int:
     return _evaluate_many([e], g, cols, n)[0]
 
 
+@cache
+def _plan(events: tuple) -> tuple[dict, list, frozenset]:
+    """What ``_evaluate_many`` reads from the events alone: the flow cap per
+    (u, v), the reach sources and the named vertices.  Events are immutable,
+    so each tuple of them is planned once per process."""
+    found = [a for e in events for a in atoms(e)]
+    nps = [a for a in found if isinstance(a, NPathsAtom)]
+    caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n) if a.n > 1}  # largest n
+    reps = sorted({grp[0] for a in found if isinstance(a, PartitionAtom)
+                   for grp in a.groups} | {a.u for a in nps if (a.u, a.v) not in caps})
+    return caps, reps, frozenset(v for a in found for v in _named(a))
+
+
 def _evaluate_many(events: list, g: Graph, cols: list[int], n: int) -> list[int]:
     """Per (resolved) event, the bitmask of the n column configurations where
     it holds.
@@ -422,15 +438,12 @@ def _evaluate_many(events: list, g: Graph, cols: list[int], n: int) -> list[int]
     npaths atoms read the flow levels of their (u, v), built once up to the
     largest n asked for when some n > 1 is; otherwise npaths(u,v,1) reads
     u-v reach, which is level 1.  Reach is swept once from each vertex that
-    needs it, and kept only to the vertices the events name.
+    needs it, and kept only to the vertices the events name.  These caps,
+    sources and names come from ``_plan``, once per tuple of events.
     """
-    found = [a for e in events for a in atoms(e)]
-    nps = [a for a in found if isinstance(a, NPathsAtom)]
-    caps = {(a.u, a.v): a.n for a in sorted(nps, key=lambda a: a.n) if a.n > 1}  # largest n
+    caps, reps, named = _plan(tuple(events))
     levels = {(u, v): _flow_levels(g, cols, n, u, v, cap) for (u, v), cap in caps.items()}
-    reps = sorted({grp[0] for a in found if isinstance(a, PartitionAtom)
-                   for grp in a.groups} | {a.u for a in nps if (a.u, a.v) not in levels})
-    reach = _reach_masks(g, cols, n, reps, {v for a in found for v in _named(a)})
+    reach = _reach_masks(g, cols, n, reps, named)
     full = (1 << n) - 1
 
     def atom(a):
@@ -492,6 +505,7 @@ def monotonicity(e: EventExpr, g: Graph | None = None) -> Monotonicity:
     return Monotonicity.DECREASING if off else Monotonicity.INCREASING
 
 
+@cache
 def _syntactic(e) -> Monotonicity:
     inc, dec, none = Monotonicity.INCREASING, Monotonicity.DECREASING, Monotonicity.NONE
 
@@ -540,12 +554,15 @@ def require_increasing(e: EventExpr, g: Graph, what: str = "event") -> None:
 # A node with at most ``_LEAF_OPEN`` undecided edges is a leaf: their 2^k
 # splits are evaluated at once, as the periodic columns over those edges,
 # much faster on few edges than further search.  Any other node is a search
-# node and applies the rules above.  A root search node first runs a degree
-# bound (``_degree_bound``): no split succeeds where some vertex has fewer
-# usable edges than the two operands' witnesses take there together.  Every
-# node counts against ``config.MAX_WITNESS_NODES``; a query past it is refused.
+# node and applies the rules above, the dangling trees first; when those
+# leave at most ``_LEAF_OPEN`` edges undecided, the node is decided as a leaf
+# on the rest.  A root search node first runs a degree bound
+# (``_degree_bound``): no split succeeds where some vertex has fewer usable
+# edges than the two operands' witnesses take there together.  Every node
+# counts against ``config.MAX_WITNESS_NODES``; a query past it is refused.
 
 _LEAF_OPEN = 10  # undecided edges that the column split takes over
+_leaf_columns = cache(_columns)  # the periodic columns of a leaf, by its width
 
 
 def _require_operands(A: EventExpr, B: EventExpr, g: Graph) -> None:
@@ -558,7 +575,12 @@ def _require_operands(A: EventExpr, B: EventExpr, g: Graph) -> None:
 
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _split_columns(A: EventExpr, B: EventExpr, g: Graph, base_a: int, rest: int,
@@ -572,7 +594,7 @@ def _split_columns(A: EventExpr, B: EventExpr, g: Graph, base_a: int, rest: int,
     full = (1 << n) - 1
     cols_a = [full if base_a >> j & 1 else 0 for j in range(g.n_edges)]
     cols_b = [full if base_b >> j & 1 else 0 for j in range(g.n_edges)]
-    for j, col in zip(_bits(rest), _columns(k)):
+    for j, col in zip(_bits(rest), _leaf_columns(k)):
         cols_a[j], cols_b[j] = col, full ^ col
     t_a = _evaluate_columns(A, g, cols_a, n)
     return bool(t_a) and bool(t_a & _evaluate_columns(B, g, cols_b, n))
@@ -606,13 +628,14 @@ def _degrees(g: Graph, *masks: int) -> list[int]:
     return deg
 
 
-def _vertex_needs(e: EventExpr) -> dict:
+@cache
+def _vertex_needs(e: EventExpr) -> MappingProxyType:
     """Vertex -> the number of pairwise edge-disjoint paths that every
     witness of an increasing event carries from it: n at both ends of
     ``npaths(u,v,n)``, 1 at each vertex of a one-group partition.  A union
     needs the least of its items, at vertices that every item needs, and an
     intersection the most.  Complements and many-group partitions need
-    nothing."""
+    nothing.  Computed once per event, so the mapping is read-only."""
     def atom(a):
         if isinstance(a, NPathsAtom):
             return {a.u: a.n, a.v: a.n} if a.u != a.v else {}
@@ -625,7 +648,7 @@ def _vertex_needs(e: EventExpr) -> dict:
     def meet(ds):
         return {x: max(d.get(x, 0) for d in ds) for x in reduce(or_, (d.keys() for d in ds))}
 
-    return _fold(e, atom, join, meet, lambda _: {})
+    return MappingProxyType(_fold(e, atom, join, meet, lambda _: {}))
 
 
 def _degree_bound(A: EventExpr, B: EventExpr, g: Graph, fixed_a: int, fixed_b: int,
@@ -644,10 +667,7 @@ def _dangling(g: Graph, usable: int, named: set) -> int:
     """The edges of usable on trees that hang off the rest at one vertex and
     hold no named vertex.  No path between named vertices uses them, so an
     event on those vertices reads the same with or without them."""
-    inc: list[list] = [[] for _ in range(g.n_vertices)]
-    for j in _bits(usable):
-        inc[g._u_arr[j]].append(j)
-        inc[g._v_arr[j]].append(j)
+    inc = [[j for j in js if usable >> j & 1] for js in g._incident_idx]
     deg = [len(js) for js in inc]
     ends = [x for x, d in enumerate(deg) if d == 1 and x not in named]
     out = 0
@@ -682,23 +702,23 @@ def _split_occurs(A: EventExpr, B: EventExpr, g: Graph, m1: int, m2: int,
     stack = [(0, 0, s_open)]  # (A's side, B's side, undecided) of the nodes to visit
     while stack:
         a_side, b_side, und = stack.pop()
-        leaf = und.bit_count() <= _LEAF_OPEN
-        if not leaf and not nodes:  # a root above the leaf size
+        search = und.bit_count() > _LEAF_OPEN
+        if search and not nodes:  # a root above the leaf size
             if not _degree_bound(A, B, g, fixed_a, fixed_b, s_open):
                 return False
-            named_a, named_b = ({g.vertex_index(v) for a in atoms(e) for v in _named(a)}
-                                for e in (A, B))
+            named_a, named_b = ({g.vertex_index(v) for v in _plan((e,))[2]} for e in (A, B))
         nodes += 1
         if nodes > config.MAX_WITNESS_NODES:
             raise SizeGuardError(
                 f"witness search needs more than {config.MAX_WITNESS_NODES} nodes")
-        if leaf:
+        if search:
+            to_b = und & _dangling(g, fixed_a | a_side | und, named_a)
+            to_a = und & ~to_b & _dangling(g, fixed_b | b_side | und, named_b)
+            a_side, b_side, und = a_side | to_a, b_side | to_b, und ^ (to_a | to_b)
+        if und.bit_count() <= _LEAF_OPEN:
             if _split_columns(A, B, g, fixed_a | a_side, und, fixed_b | b_side):
                 return True
             continue
-        to_b = und & _dangling(g, fixed_a | a_side | und, named_a)
-        to_a = und & ~to_b & _dangling(g, fixed_b | b_side | und, named_b)
-        a_side, b_side, und = a_side | to_a, b_side | to_b, und ^ (to_a | to_b)
         up_a, low_a, need_a = _probe(A, g, fixed_a | a_side, und)
         if not up_a:
             continue

@@ -99,6 +99,8 @@ class Graph:
             inc[u].append(eid)
             inc[v].append(eid)
         self.incident = {v: tuple(sorted(es, key=self._eidx.get)) for v, es in inc.items()}
+        self._incident_idx = tuple(tuple(map(self._eidx.get, self.incident[v]))
+                                   for v in self.vertices)  # by vertex index
         self._u_arr = tuple(self._vidx[u] for _, u, v in norm)
         self._v_arr = tuple(self._vidx[v] for _, u, v in norm)
 

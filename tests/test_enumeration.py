@@ -25,8 +25,9 @@ from percolab import (Configuration, Graph, Monotonicity, config, disjoint_occur
                       graph_from_spec, monotonicity, parse_event, sq_s_occurrence,
                       verify_splice_independence)
 from percolab.events import (Complement, Intersect, NPathsAtom, PartitionAtom,
-                             Union, _columns, _degree_bound, _flow_levels, _split_occurs,
-                             _transpose)
+                             Union, _columns, _degree_bound, _evaluate_columns,
+                             _evaluate_many, _flow_levels, _split_occurs, _transpose,
+                             unparse)
 from percolab.checks import run_check
 from percolab.exact import (_block_bits, _measure, _split_any, _subsets, truth_table,
                             weights)
@@ -153,6 +154,39 @@ def _block_boundary_samples():
     masks = [rng.getrandbits(g.n_edges) for _ in range(n)]
     picked = set(rng.sample(range(n), 300)) | {0, 65535, 65536, n - 1}
     return g, masks, 3, sorted(picked)
+
+
+@st.composite
+def _event_list_case(draw):
+    """A graph, sampled configuration masks, and a list of events on its
+    marks, each text parsed twice into equal but distinct trees: drawn
+    unions, intersections and complements, and npaths atoms that share one
+    (u, v) at several n."""
+    g = draw(st.one_of(_graphs(), st.sampled_from(
+        ("family:theta:3,p=0.5", "family:parallel:3,q=0.5", "family:grid:2,3,p=0.5"))
+        .map(graph_from_spec)))
+    u, v = draw(st.permutations(g.marks))[:2]
+    texts = draw(st.lists(_events(g.marks).map(unparse), min_size=1, max_size=3))
+    texts += [f"npaths({u},{v},{n})" for n in draw(st.lists(st.integers(1, 4), min_size=1,
+                                                             max_size=3))]
+    evs = [parse_event(t) for t in texts] + [parse_event(" " + t) for t in texts]
+    n = draw(st.integers(1, 70))
+    masks = draw(st.lists(st.integers(0, (1 << g.n_edges) - 1), min_size=n, max_size=n))
+    return g, draw(st.permutations(evs)), masks
+
+
+@given(_event_list_case())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_many_matches_each_event_and_the_oracle(case):
+    """Events evaluated together, on the plan of their tuple, equal each event
+    evaluated alone and the per-mask oracle; equal trees share plans."""
+    g, evs, masks = case
+    n = len(masks)
+    cols = _transpose(masks, g.n_edges)
+    got = _evaluate_many(evs, g, cols, n)
+    assert got == [_evaluate_columns(e, g, cols, n) for e in evs]
+    for e, hits in zip(evs, got):
+        assert [hits >> i & 1 for i in range(n)] == [evaluate_mask(e, g, m) for m in masks], e
 
 
 @given(_samples())
@@ -392,6 +426,29 @@ def test_witness_search_backtracks_past_failed_leaves(closed, want, leaves):
     # the root is a search node, and only leaves call the column split
     assert got == leaves
     assert column_split(A, A, g, m1, 0, full) == want
+
+
+def test_witness_search_decides_a_node_left_leaf_sized_as_one_leaf():
+    """a,b against b,c on grid:3,3 with h0_0, h0_1 and h1_2 closed and c2
+    empty.  The root has 9 undecided edges, above a leaf size of 4; the
+    dangling moves give c's edge to b,c and the path from a to v1_1 to a,b,
+    which leaves 4, so the root is decided by one column split and no probe."""
+    g = graph_from_spec("family:grid:3,3,p=0.5")
+    A, B = parse_event("a,b"), parse_event("b,c")
+    full = (1 << g.n_edges) - 1
+    m1 = full & ~sum(1 << g.edge_index(e) for e in ("h0_0", "h0_1", "h1_2"))
+    calls = []
+
+    def spy(name):
+        real = getattr(events, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    with mock.patch.object(events, "_LEAF_OPEN", 4), \
+            mock.patch.object(events, "_probe", spy("_probe")), \
+            mock.patch.object(events, "_split_columns", spy("_split_columns")):
+        assert _split_occurs(A, B, g, m1, 0, full)
+    assert calls == ["_split_columns"]
+    assert column_split(A, B, g, m1, 0, full)
 
 
 @given(st.one_of(_split_case(), _dense_split_case()))

@@ -298,6 +298,14 @@ def test_degree_bound_counts_npaths_ends(monkeypatch):
                            g.config(g.edge_ids), g.config([]), g.edge_ids) is False
 
 
+def test_vertex_needs_are_read_only():
+    # computed once per event and shared by every query on it
+    needs = events._vertex_needs(parse_event("npaths(a,b,2) & a,c"))
+    assert dict(needs) == {"a": 2, "b": 2, "c": 1}
+    with pytest.raises(TypeError):
+        needs["a"] = 0
+
+
 def test_disjoint_occurrence_requires_increasing():
     g = generate("cycle", 3, p=0.5)
     with pytest.raises(MonotonicityError):

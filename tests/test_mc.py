@@ -12,7 +12,8 @@ from percolab import (Configuration, Estimate, EvaluationError, Graph,
                       parse_event, parse_strategy)
 from percolab.events import NPathsAtom
 from percolab.exact import Joint, SqS, exact_npaths
-from percolab import config, mc
+from percolab import config, events, mc
+from percolab.checks import run_check
 from percolab.mc import _edge_bit_columns, mc_probs
 from percolab.strategies import S, Strategy, extend_with_rest, run, splice_mask
 
@@ -289,6 +290,21 @@ def test_seeded_sqs_hit_counts_pinned(spec, seed, joint, sqs):
     A, B = parse_event("a,b"), parse_event("b,c")
     assert round(mc_pair(g, t, Joint(A, B), 1000, seed).mean * 1000) == joint
     assert round(mc_pair(g, t, SqS(A, B), 1000, seed).mean * 1000) == sqs
+
+
+def test_mc_sqs_check_repeats_with_warm_event_caches():
+    """The same MC vdbk_tree check twice in one process: first with the
+    per-event caches of the evaluator and the witness search emptied, then
+    with them filled by the first run."""
+    for cached in (events._plan, events._syntactic, events._vertex_needs,
+                   events._leaf_columns):
+        cached.cache_clear()
+    g = graph_from_spec("family:grid:3,4,p=0.5")
+    params = {"strategy": parse_strategy("bfs_cluster:a"), "events": ("a,b", "b,c")}
+    cold = run_check("vdbk_tree", g, params, "mc", samples=500, seed=3)
+    warm = run_check("vdbk_tree", g, params, "mc", samples=500, seed=3)
+    assert events._plan.cache_info().hits and events._leaf_columns.cache_info().hits
+    assert (cold.lhs, cold.rhs, cold.verdict) == (warm.lhs, warm.rhs, warm.verdict)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
